@@ -55,6 +55,82 @@ void BM_DecodeAgent(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeAgent)->Arg(4)->Arg(64)->Arg(1024);
 
+// Aged agents: the rollback log migrates with the agent (Sec. 4.2), so a
+// long-lived agent's images are dominated by its log. Each aged step logs
+// what the perf agent's `spend` step logs: BOS, one agent-compensation OE
+// whose params are a 3-key map with a 64 B pad, EOS.
+void log_spend_step(agent::Agent& agent, std::int64_t step) {
+  const NodeId node(static_cast<std::uint32_t>(1 + step % 8));
+  agent.log().push(rollback::BeginOfStepEntry{node, "spend"});
+  serial::Value params = serial::Value::empty_map();
+  params.set("slot", "cash");
+  params.set("amount", 1);
+  params.set("pad", serial::Value(serial::Bytes(64, std::uint8_t{0xC3})));
+  agent.log().push(rollback::OperationEntry{rollback::OpEntryKind::agent,
+                                            "perf.counter_add",
+                                            std::move(params),
+                                            NodeId::invalid(), std::string{}});
+  rollback::EndOfStepEntry eos;
+  eos.node = node;
+  agent.log().push(eos);
+}
+
+harness::WorkloadAgent make_aged_agent(std::int64_t steps) {
+  auto agent = make_agent(4, 256);
+  for (std::int64_t s = 0; s < steps; ++s) log_spend_step(agent, s);
+  return agent;
+}
+
+agent::AgentTypeRegistry workload_registry() {
+  agent::AgentTypeRegistry registry;
+  registry.register_type<harness::WorkloadAgent>("workload");
+  return registry;
+}
+
+void BM_EncodeAgentAged(benchmark::State& state) {
+  // Decoded from its image, like every agent a node migrates.
+  const auto registry = workload_registry();
+  const auto agent = agent::decode_agent(
+      registry, agent::encode_agent(make_aged_agent(state.range(0))));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    auto encoded = agent::encode_agent(*agent);
+    bytes = encoded.size();
+    benchmark::DoNotOptimize(encoded);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *
+                          state.iterations());
+}
+BENCHMARK(BM_EncodeAgentAged)->Arg(8)->Arg(48)->Arg(128);
+
+void BM_DecodeAgentAged(benchmark::State& state) {
+  const auto bytes = agent::encode_agent(make_aged_agent(state.range(0)));
+  const auto registry = workload_registry();
+  for (auto _ : state) {
+    auto decoded = agent::decode_agent(registry, bytes);
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_DecodeAgentAged)->Arg(8)->Arg(48)->Arg(128);
+
+// The sender side of a delta-shipping hop: diff the channel's cached base
+// against the agent one step later (log-prefix check plus appended tail).
+void BM_DeltaBetweenAged(benchmark::State& state) {
+  const auto registry = workload_registry();
+  auto aged = make_aged_agent(state.range(0));
+  const auto base = agent::decode_agent(registry, agent::encode_agent(aged));
+  aged.data().weak("cash") = std::int64_t{-1};
+  log_spend_step(aged, state.range(0));
+  const auto cur = agent::decode_agent(registry, agent::encode_agent(aged));
+  for (auto _ : state) {
+    auto delta = agent::encode_agent_delta_between(*base, *cur);
+    benchmark::DoNotOptimize(delta);
+  }
+}
+BENCHMARK(BM_DeltaBetweenAged)->Arg(8)->Arg(48)->Arg(128);
+
 // The size-hint encode path: computing the exact wire size arithmetically
 // and pre-sizing the buffer turns a large-map encode into one allocation.
 serial::Value make_large_map(std::int64_t keys) {

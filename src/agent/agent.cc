@@ -127,7 +127,7 @@ std::unique_ptr<Agent> decode_agent(const AgentTypeRegistry& registry,
 //   u8      strong section: 0 = sparse slots, 1 = full map
 //           sparse: varint n + (string name, Value) each; full: Value
 //   u8      weak section: same encoding
-//   varint  appended log entries + LogEntry each
+//   varint  appended log entries + their LogEntry encodings, verbatim
 
 namespace {
 constexpr std::uint8_t kSparseSlots = 0;
@@ -185,9 +185,9 @@ serial::Bytes encode_agent_delta(const Agent& agent) {
                       data.strong_all_dirty());
   encode_data_section(enc, data.weak_image(), data.dirty_weak(),
                       data.weak_all_dirty());
-  const auto appended = agent.log_.appended_entries();
-  enc.write_varint(appended.size());
-  for (const auto& e : appended) e.serialize(enc);
+  const auto& log = agent.log_;
+  enc.write_varint(log.size() - log.baseline());
+  enc.write_raw(log.encoded_from(log.baseline()));
   return std::move(enc).take();
 }
 
@@ -233,12 +233,7 @@ void apply_agent_delta(Agent& agent, std::span<const std::uint8_t> delta) {
       }
     }
   }
-  const auto appended = dec.read_count();
-  for (std::uint64_t i = 0; i < appended; ++i) {
-    rollback::LogEntry e;
-    e.deserialize(dec);
-    agent.log_.push(std::move(e));
-  }
+  agent.log_.append_encoded(dec, dec.read_count());
   dec.expect_end();
   agent.mark_commit_baseline();  // now bit-identical to the durable state
 }
@@ -246,15 +241,10 @@ void apply_agent_delta(Agent& agent, std::span<const std::uint8_t> delta) {
 std::optional<serial::Bytes> encode_agent_delta_between(const Agent& base,
                                                         const Agent& cur) {
   // The delta format carries appended log entries only: usable iff the
-  // base's log is a strict prefix of the current log. Forward execution
+  // base's log is a byte prefix of the current log. Forward execution
   // only pushes, so this holds across any number of committed steps; a
   // rollback (pop/clear/GC) in between breaks it and forces a full image.
-  const auto& base_log = base.log_.entries();
-  const auto& cur_log = cur.log_.entries();
-  if (cur_log.size() < base_log.size()) return std::nullopt;
-  for (std::size_t i = 0; i < base_log.size(); ++i) {
-    if (!(base_log[i] == cur_log[i])) return std::nullopt;
-  }
+  if (!base.log_.is_prefix_of(cur.log_)) return std::nullopt;
   // The itinerary is immutable after launch and lives in the base image
   // only; everything else is diffed or carried whole.
   serial::Encoder enc;  // mar-lint: small-frame
@@ -288,10 +278,8 @@ std::optional<serial::Bytes> encode_agent_delta_between(const Agent& base,
   };
   encode_diff_section(base.data_.strong_image(), cur.data_.strong_image());
   encode_diff_section(base.data_.weak_image(), cur.data_.weak_image());
-  enc.write_varint(cur_log.size() - base_log.size());
-  for (std::size_t i = base_log.size(); i < cur_log.size(); ++i) {
-    cur_log[i].serialize(enc);
-  }
+  enc.write_varint(cur.log_.size() - base.log_.size());
+  enc.write_raw(cur.log_.encoded_from(base.log_.size()));
   return std::move(enc).take();
 }
 

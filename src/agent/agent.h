@@ -158,7 +158,12 @@ class Agent : public serial::Serializable {
 
  private:
   AgentId id_;
+  // The one-byte fields share the padding after id_.
   RunState run_state_ = RunState::fresh;
+  bool retain_full_log_ = false;
+  bool force_full_sp_ = false;
+  /// Runtime-only: last_sp_strong_ changed since the baseline.
+  bool last_sp_dirty_ = false;
   DataSpace data_;
   Itinerary itinerary_;
   Position position_;
@@ -168,12 +173,8 @@ class Agent : public serial::Serializable {
   AgentId parent_;
   NodeId result_node_;
   std::string result_key_;
-  bool retain_full_log_ = false;
-  bool force_full_sp_ = false;
   Value last_sp_strong_;
   rollback::RollbackLog log_;
-  /// Runtime-only: last_sp_strong_ changed since the baseline.
-  bool last_sp_dirty_ = false;
 
   friend serial::Bytes encode_agent_delta(const Agent& agent);
   friend void apply_agent_delta(Agent& agent,

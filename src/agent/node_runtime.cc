@@ -423,8 +423,8 @@ void NodeRuntime::initiate_cancel_rollback(const QueueRecord& rec,
   evict_resident(rec.agent);
   std::shared_ptr<Agent> agent = load_committed_agent(rec);
   auto& log = agent->log();
-  while (!log.empty() && log.back().is_savepoint() &&
-         log.back().savepoint().id != target) {
+  for (auto sp = log.trailing_savepoint(); sp.has_value() && *sp != target;
+       sp = log.trailing_savepoint()) {
     (void)log.pop();
   }
   if (log.trailing_savepoint() == target) {
@@ -1250,14 +1250,10 @@ Status NodeRuntime::check_rollback_target(const Agent& agent,
   }
   // Sec. 3.2: a step containing a non-compensatable operation cannot be
   // rolled back after commit — scan the segment that would be compensated.
-  for (auto it = log.entries().rbegin(); it != log.entries().rend(); ++it) {
-    if (it->is_savepoint() && it->savepoint().id == target) break;
-    if (it->kind() == EntryKind::end_of_step &&
-        it->end_of_step().cannot_compensate) {
-      return Status(Errc::not_compensatable,
-                    "a step between here and the target savepoint is not "
-                    "compensatable");
-    }
+  if (log.poisoned_after(target)) {
+    return Status(Errc::not_compensatable,
+                  "a step between here and the target savepoint is not "
+                  "compensatable");
   }
   return Status::ok();
 }
@@ -1288,8 +1284,8 @@ void NodeRuntime::initiate_rollback(const QueueRecord& rec,
   // sub-itineraries being rolled back (this is the "tested before the
   // agent is written to stable storage" of Fig. 4b, generalized to the
   // nested case where several savepoints were established back-to-back).
-  while (!log.empty() && log.back().is_savepoint() &&
-         log.back().savepoint().id != target) {
+  for (auto sp = log.trailing_savepoint(); sp.has_value() && *sp != target;
+       sp = log.trailing_savepoint()) {
     (void)log.pop();
   }
 
@@ -1367,8 +1363,8 @@ void NodeRuntime::initiate_rollback(const QueueRecord& rec,
 std::vector<NodeId> NodeRuntime::next_compensation_nodes(
     const rollback::RollbackLog& log, const Agent& agent,
     std::size_t agent_bytes) const {
-  const auto* eos = log.last_end_of_step();
-  if (eos == nullptr) return {};
+  const auto eos = log.last_end_of_step();
+  if (!eos.has_value()) return {};
   const auto strategy = p_.config().strategy;
   std::vector<NodeId> dests;
   if (strategy != RollbackStrategy::basic && !eos->has_mixed) {
@@ -1399,7 +1395,7 @@ bool NodeRuntime::ship_mixed_is_cheaper(const rollback::RollbackLog& log,
   //   migrate: the whole agent — state, itinerary and attached rollback
   //            log — travels there (and would later have to travel on).
   std::size_t ops_bytes = 0;
-  for (const auto* op : log.last_step_ops()) ops_bytes += op->byte_size();
+  for (const auto& op : log.last_step_ops()) ops_bytes += op.byte_size();
   const auto weak_bytes = agent.data().weak_image().encoded_size();
   const auto request = ops_bytes + weak_bytes + 16;
   const auto reply = weak_bytes + 16;
@@ -1435,12 +1431,12 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
 
   // Fig. 4b/5b: drop trailing savepoint entries (they cannot be the target
   // — that was checked before the agent was written to stable storage).
-  while (!log.empty() && log.back().is_savepoint()) {
-    MAR_CHECK_MSG(log.back().savepoint().id != target,
-                  "target savepoint would be deleted");
+  for (auto sp = log.trailing_savepoint(); sp.has_value();
+       sp = log.trailing_savepoint()) {
+    MAR_CHECK_MSG(*sp != target, "target savepoint would be deleted");
     (void)log.pop();
   }
-  if (log.empty() || log.back().kind() != EntryKind::end_of_step) {
+  if (log.empty() || log.kind_at(log.size() - 1) != EntryKind::end_of_step) {
     fail_agent(tx, rec, Status(Errc::protocol_error,
                                "malformed rollback log (no EOS)"));
     return;
@@ -1641,8 +1637,8 @@ void NodeRuntime::finish_compensation(TxId tx, const QueueRecord& rec,
 
   // Dead trailing savepoints (inner sub-itineraries being rolled across)
   // are dropped before the target check — see initiate_rollback.
-  while (!log.empty() && log.back().is_savepoint() &&
-         log.back().savepoint().id != target) {
+  for (auto sp = log.trailing_savepoint(); sp.has_value() && *sp != target;
+       sp = log.trailing_savepoint()) {
     (void)log.pop();
   }
 
@@ -1737,8 +1733,8 @@ void NodeRuntime::finish_compensation(TxId tx, const QueueRecord& rec,
 }
 
 bool NodeRuntime::apply_skip(Agent& agent, SavepointId target) {
-  const auto* sp = agent.log().find_savepoint(target);
-  MAR_CHECK(sp != nullptr);
+  const auto sp = agent.log().find_savepoint(target);
+  MAR_CHECK(sp.has_value());
   MAR_CHECK_MSG(sp->origin == rollback::SavepointOrigin::sub_itinerary,
                 "abandon targets must be sub-itinerary savepoints");
   // The abandoned sub-itinerary is the depth-long prefix of the position
@@ -1764,8 +1760,8 @@ bool NodeRuntime::apply_skip(Agent& agent, SavepointId target) {
 }
 
 void NodeRuntime::apply_next_alternative(Agent& agent, SavepointId target) {
-  const auto* sp = agent.log().find_savepoint(target);
-  MAR_CHECK(sp != nullptr);
+  const auto sp = agent.log().find_savepoint(target);
+  MAR_CHECK(sp.has_value());
   MAR_CHECK_MSG(sp->depth >= 2, "alternative option savepoints sit at least "
                                 "two levels deep");
   const Position from = sp->resume_position;
@@ -1791,8 +1787,8 @@ void NodeRuntime::restore_at_savepoint(Agent& agent, SavepointId target) {
   auto strong = agent.log().strong_state_at(target);
   MAR_CHECK_MSG(strong.is_ok(), "cannot reconstruct strong state: "
                                     << strong.status());
-  const auto* sp = agent.log().find_savepoint(target);
-  MAR_CHECK(sp != nullptr);
+  const auto sp = agent.log().find_savepoint(target);
+  MAR_CHECK(sp.has_value());
   agent.data().restore_strong(strong.value());
   agent.data().set_mode(DataSpace::Mode::normal);
   agent.set_position(sp->resume_position);

@@ -255,7 +255,7 @@ void Platform::append_savepoint(NodeId where, Agent& agent,
   // Sec. 4.4.2: when no step has run since the previous savepoint (the log
   // still ends with an SP entry), a "special savepoint entry without data
   // for the strongly reversible objects" suffices.
-  sp.lightweight = !log.empty() && log.back().is_savepoint();
+  sp.lightweight = log.trailing_savepoint().has_value();
   if (!sp.lightweight) {
     Value strong = agent.data().strong_image();
     if (config_.logging == LoggingMode::state ||

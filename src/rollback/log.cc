@@ -1,6 +1,7 @@
 #include "rollback/log.h"
 
-#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
 #include "util/check.h"
@@ -153,6 +154,46 @@ void LogEntry::deserialize(serial::Decoder& dec) {
   }
 }
 
+void LogEntry::skip(serial::Decoder& dec) {
+  // Mirrors deserialize() field for field; see Value::skip.
+  const auto tag = static_cast<EntryKind>(dec.read_u8());
+  switch (tag) {
+    case EntryKind::savepoint: {
+      (void)dec.read_u32();
+      (void)dec.read_u8();
+      (void)dec.read_u32();
+      (void)dec.read_bool();
+      (void)dec.read_bool();
+      serial::Value::skip(dec);
+      serial::ValuePatch::skip(dec);
+      const auto n = dec.read_count();
+      for (std::uint64_t i = 0; i < n; ++i) (void)dec.read_u32();
+      break;
+    }
+    case EntryKind::begin_of_step:
+      (void)dec.read_u32();
+      (void)dec.read_string_view();
+      break;
+    case EntryKind::operation:
+      (void)dec.read_u8();
+      (void)dec.read_string_view();
+      serial::Value::skip(dec);
+      (void)dec.read_u32();
+      (void)dec.read_string_view();
+      break;
+    case EntryKind::end_of_step: {
+      (void)dec.read_u32();
+      (void)dec.read_bool();
+      (void)dec.read_bool();
+      const auto n = dec.read_count();
+      for (std::uint64_t i = 0; i < n; ++i) (void)dec.read_u32();
+      break;
+    }
+    default:
+      throw serial::DecodeError("bad log entry kind");
+  }
+}
+
 std::size_t LogEntry::byte_size() const {
   return 1 + std::visit([](const auto& e) { return e.byte_size(); }, body_);
 }
@@ -189,173 +230,309 @@ std::string LogEntry::to_string() const {
 // RollbackLog
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Fixed-offset header fields of an encoded entry (after the tag byte).
+// SP: u32 id | u8 origin | u32 depth | bool lightweight | bool transition
+constexpr std::size_t kSpId = 1;
+constexpr std::size_t kSpLightweight = 10;
+constexpr std::size_t kSpTransition = 11;
+// EOS: u32 node | bool has_mixed | bool cannot_compensate
+constexpr std::size_t kEosCannotCompensate = 6;
+
+std::uint32_t load_u32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+/// Writer for RollbackLog::append: the entry's tag byte, then its body.
+template <typename Entry>
+auto tagged(EntryKind kind, const Entry& e) {
+  return [kind, &e](serial::Encoder& enc) {
+    enc.write_u8(static_cast<std::uint8_t>(kind));
+    e.serialize(enc);
+  };
+}
+
+}  // namespace
+
+template <typename Write>
+void RollbackLog::append(std::size_t size, const Write& write) {
+  serial::Encoder enc(std::move(buf_));
+  enc.reserve(enc.size() + size);  // one geometric growth step at most
+  write(enc);
+  buf_ = std::move(enc).take();
+  MAR_CHECK_MSG(buf_.size() <= UINT32_MAX, "rollback log exceeds 4 GiB");
+  ends_.push_back(static_cast<std::uint32_t>(buf_.size()));
+}
+
+void RollbackLog::push(const SavepointEntry& e) {
+  append(1 + e.byte_size(), tagged(EntryKind::savepoint, e));
+}
+void RollbackLog::push(const BeginOfStepEntry& e) {
+  append(1 + e.byte_size(), tagged(EntryKind::begin_of_step, e));
+}
+void RollbackLog::push(const OperationEntry& e) {
+  append(1 + e.byte_size(), tagged(EntryKind::operation, e));
+}
+void RollbackLog::push(const EndOfStepEntry& e) {
+  append(1 + e.byte_size(), tagged(EntryKind::end_of_step, e));
+}
+void RollbackLog::push(const LogEntry& e) {
+  append(e.byte_size(), [&e](serial::Encoder& enc) { e.serialize(enc); });
+}
+
+LogEntry RollbackLog::at(std::size_t i) const {
+  MAR_CHECK_MSG(i < ends_.size(), "rollback log index out of range");
+  return serial::from_bytes<LogEntry>(encoded_entry(i));
+}
+
+EntryKind RollbackLog::kind_at(std::size_t i) const {
+  return static_cast<EntryKind>(buf_[begin_of(i)]);
+}
+
+SavepointId RollbackLog::savepoint_id_at(std::size_t i) const {
+  return SavepointId(load_u32(buf_.data() + begin_of(i) + kSpId));
+}
+
+bool RollbackLog::savepoint_flag_at(std::size_t i, std::size_t offset) const {
+  return buf_[begin_of(i) + offset] != 0;
+}
+
+std::optional<std::size_t> RollbackLog::index_of(SavepointId id) const {
+  for (std::size_t i = ends_.size(); i-- > 0;) {
+    if (kind_at(i) == EntryKind::savepoint && savepoint_id_at(i) == id) {
+      return i;
+    }
+  }
+  return std::nullopt;
+}
+
+std::vector<LogEntry> RollbackLog::entries() const {
+  std::vector<LogEntry> out;
+  out.reserve(ends_.size());
+  for (std::size_t i = 0; i < ends_.size(); ++i) out.push_back(at(i));
+  return out;
+}
+
 LogEntry RollbackLog::pop() {
-  MAR_CHECK_MSG(!entries_.empty(), "pop on empty rollback log");
-  LogEntry e = std::move(entries_.back());
-  entries_.pop_back();
-  append_clean_ = false;
+  MAR_CHECK_MSG(!ends_.empty(), "pop on empty rollback log");
+  LogEntry e = at(ends_.size() - 1);
+  erase_at(ends_.size() - 1);
   return e;
 }
 
-const LogEntry& RollbackLog::back() const {
-  MAR_CHECK_MSG(!entries_.empty(), "back on empty rollback log");
-  return entries_.back();
+LogEntry RollbackLog::back() const {
+  MAR_CHECK_MSG(!ends_.empty(), "back on empty rollback log");
+  return at(ends_.size() - 1);
+}
+
+void RollbackLog::splice(std::size_t i, std::span<const std::uint8_t> bytes) {
+  const auto begin = begin_of(i);
+  const auto old_len = ends_[i] - begin;
+  buf_.erase(buf_.begin() + static_cast<std::ptrdiff_t>(begin),
+             buf_.begin() + static_cast<std::ptrdiff_t>(ends_[i]));
+  buf_.insert(buf_.begin() + static_cast<std::ptrdiff_t>(begin),
+              bytes.begin(), bytes.end());
+  MAR_CHECK_MSG(buf_.size() <= UINT32_MAX, "rollback log exceeds 4 GiB");
+  for (std::size_t j = i; j < ends_.size(); ++j) {
+    ends_[j] = static_cast<std::uint32_t>(ends_[j] - old_len + bytes.size());
+  }
+  append_clean_ = false;
+}
+
+void RollbackLog::erase_at(std::size_t i) {
+  splice(i, {});
+  ends_.erase(ends_.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
+void RollbackLog::append_encoded(serial::Decoder& dec, std::uint64_t count) {
+  // One validating pass records the boundaries; one copy takes the bytes.
+  const auto mark = dec.position();
+  const auto base = buf_.size();
+  const auto old_count = ends_.size();
+  ends_.reserve(old_count + count);
+  try {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      LogEntry::skip(dec);
+      const auto end = base + (dec.position() - mark);
+      MAR_CHECK_MSG(end <= UINT32_MAX, "rollback log exceeds 4 GiB");
+      ends_.push_back(static_cast<std::uint32_t>(end));
+    }
+  } catch (...) {
+    ends_.resize(old_count);  // a rejected buffer leaves the log unchanged
+    throw;
+  }
+  const auto bytes = dec.span_since(mark);
+  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+}
+
+bool RollbackLog::is_prefix_of(const RollbackLog& other) const {
+  if (other.ends_.size() < ends_.size()) return false;
+  if (ends_.empty()) return true;
+  return other.ends_[ends_.size() - 1] == buf_.size() &&
+         std::memcmp(other.buf_.data(), buf_.data(), buf_.size()) == 0;
 }
 
 std::optional<SavepointId> RollbackLog::trailing_savepoint() const {
-  if (entries_.empty() || !entries_.back().is_savepoint()) {
+  if (ends_.empty() || kind_at(ends_.size() - 1) != EntryKind::savepoint) {
     return std::nullopt;
   }
-  return entries_.back().savepoint().id;
+  return savepoint_id_at(ends_.size() - 1);
 }
 
-const EndOfStepEntry* RollbackLog::last_end_of_step() const {
-  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-    if (it->kind() == EntryKind::end_of_step) return &it->end_of_step();
+std::optional<EndOfStepEntry> RollbackLog::last_end_of_step() const {
+  for (std::size_t i = ends_.size(); i-- > 0;) {
+    const auto kind = kind_at(i);
+    if (kind == EntryKind::end_of_step) return at(i).end_of_step();
     // Only savepoint entries may trail the last end-of-step entry.
-    if (it->kind() != EntryKind::savepoint) return nullptr;
+    if (kind != EntryKind::savepoint) return std::nullopt;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 bool RollbackLog::contains_savepoint(SavepointId id) const {
-  return find_savepoint(id) != nullptr;
+  return index_of(id).has_value();
 }
 
-std::vector<const OperationEntry*> RollbackLog::last_step_ops() const {
-  std::vector<const OperationEntry*> ops;
-  auto it = entries_.rbegin();
-  while (it != entries_.rend() && it->is_savepoint()) ++it;
-  if (it == entries_.rend() || it->kind() != EntryKind::end_of_step) {
-    return ops;
+bool RollbackLog::poisoned_after(SavepointId id) const {
+  for (std::size_t i = ends_.size(); i-- > 0;) {
+    const auto kind = kind_at(i);
+    if (kind == EntryKind::savepoint && savepoint_id_at(i) == id) break;
+    if (kind == EntryKind::end_of_step &&
+        buf_[begin_of(i) + kEosCannotCompensate] != 0) {
+      return true;
+    }
   }
-  for (++it; it != entries_.rend(); ++it) {
-    if (it->kind() == EntryKind::begin_of_step) break;
-    if (it->kind() != EntryKind::operation) return {};  // malformed
-    ops.push_back(&it->operation());
+  return false;
+}
+
+std::vector<OperationEntry> RollbackLog::last_step_ops() const {
+  std::size_t i = ends_.size();
+  while (i > 0 && kind_at(i - 1) == EntryKind::savepoint) --i;
+  if (i == 0 || kind_at(i - 1) != EntryKind::end_of_step) return {};
+  // Entries [first, i - 1) sit between the step's BOS and its EOS.
+  std::size_t first = --i;
+  while (first > 0 && kind_at(first - 1) != EntryKind::begin_of_step) {
+    if (kind_at(first - 1) != EntryKind::operation) return {};  // malformed
+    --first;
   }
-  // Collected back-to-front; restore logging order.
-  std::reverse(ops.begin(), ops.end());
+  std::vector<OperationEntry> ops;
+  ops.reserve(i - first);
+  for (std::size_t j = first; j < i; ++j) ops.push_back(at(j).operation());
   return ops;
 }
 
-const SavepointEntry* RollbackLog::find_savepoint(SavepointId id) const {
-  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-    if (it->is_savepoint() && it->savepoint().id == id) {
-      return &it->savepoint();
-    }
-  }
-  return nullptr;
+std::optional<SavepointEntry> RollbackLog::find_savepoint(
+    SavepointId id) const {
+  const auto i = index_of(id);
+  if (!i.has_value()) return std::nullopt;
+  return at(*i).savepoint();
 }
 
 SavepointId RollbackLog::first_savepoint() const {
-  for (const auto& e : entries_) {
-    if (e.is_savepoint()) return e.savepoint().id;
+  for (std::size_t i = 0; i < ends_.size(); ++i) {
+    if (kind_at(i) == EntryKind::savepoint) return savepoint_id_at(i);
   }
   return SavepointId::invalid();
 }
 
 std::optional<bool> RollbackLog::gc_savepoint(SavepointId id) {
-  for (std::size_t i = entries_.size(); i-- > 0;) {
-    if (!entries_[i].is_savepoint() || entries_[i].savepoint().id != id) {
+  const auto found = index_of(id);
+  if (!found.has_value()) return std::nullopt;
+  const std::size_t i = *found;
+  if (savepoint_flag_at(i, kSpLightweight)) {
+    erase_at(i);
+    return false;  // carried no data
+  }
+  SavepointEntry removed = at(i).savepoint();
+  erase_at(i);  // interior removal (and possible chain rewrite)
+
+  // Find the next data-carrying savepoint; it may depend on the removed
+  // entry's data. (Lightweight savepoints after the removed one cannot
+  // alias it: they would belong to a sub-itinerary nested inside the
+  // completed one, which must have completed — and been GC'd — first.)
+  for (std::size_t j = i; j < ends_.size(); ++j) {
+    if (kind_at(j) != EntryKind::savepoint ||
+        savepoint_flag_at(j, kSpLightweight)) {
       continue;
     }
-    SavepointEntry removed = std::move(entries_[i].savepoint());
-    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
-    append_clean_ = false;  // interior removal (and possible chain rewrite)
-    if (removed.lightweight) return false;  // carried no data
-
-    // Find the next data-carrying savepoint; it may depend on the removed
-    // entry's data. (Lightweight savepoints after the removed one cannot
-    // alias it: they would belong to a sub-itinerary nested inside the
-    // completed one, which must have completed — and been GC'd — first.)
-    for (std::size_t j = i; j < entries_.size(); ++j) {
-      if (!entries_[j].is_savepoint()) continue;
-      auto& sp = entries_[j].savepoint();
-      if (sp.lightweight) continue;
-      if (!sp.transition) return false;  // self-contained; chain intact
-      if (removed.transition) {
-        // delta chain: fold the removed delta into the successor.
-        sp.delta = serial::compose(removed.delta, sp.delta);
-      } else {
-        // The removed full image was the successor's base: materialize.
-        sp.image = serial::apply(sp.delta, std::move(removed.image));
-        sp.transition = false;
-        sp.delta = serial::ValuePatch::none();
-      }
-      return false;
+    // self-contained; chain intact
+    if (!savepoint_flag_at(j, kSpTransition)) return false;
+    SavepointEntry sp = at(j).savepoint();
+    if (removed.transition) {
+      // delta chain: fold the removed delta into the successor.
+      sp.delta = serial::compose(removed.delta, sp.delta);
+    } else {
+      // The removed full image was the successor's base: materialize.
+      sp.image = serial::apply(sp.delta, std::move(removed.image));
+      sp.transition = false;
+      sp.delta = serial::ValuePatch::none();
     }
-    // No later data-carrying savepoint: whatever is written next must be a
-    // full image (only relevant under transition logging).
-    return true;
+    splice(j, serial::to_bytes(LogEntry(std::move(sp))));
+    return false;
   }
-  return std::nullopt;
+  // No later data-carrying savepoint: whatever is written next must be a
+  // full image (only relevant under transition logging).
+  return true;
 }
 
 Result<serial::Value> RollbackLog::strong_state_at(SavepointId id) const {
-  // Locate the target savepoint.
-  std::size_t target = entries_.size();
-  for (std::size_t i = entries_.size(); i-- > 0;) {
-    if (entries_[i].is_savepoint() && entries_[i].savepoint().id == id) {
-      target = i;
-      break;
-    }
-  }
-  if (target == entries_.size()) {
+  const auto target = index_of(id);
+  if (!target.has_value()) {
     return Status(Errc::not_found,
                   "savepoint not in log: " + std::to_string(id.value()));
   }
   // Walk back to the nearest full image (lightweight savepoints carry no
   // data; transition savepoints carry deltas).
-  std::size_t base = target + 1;
-  for (std::size_t i = target + 1; i-- > 0;) {
-    if (!entries_[i].is_savepoint()) continue;
-    const auto& sp = entries_[i].savepoint();
-    if (!sp.lightweight && !sp.transition) {
+  std::optional<std::size_t> base;
+  for (std::size_t i = *target + 1; i-- > 0;) {
+    if (kind_at(i) == EntryKind::savepoint &&
+        !savepoint_flag_at(i, kSpLightweight) &&
+        !savepoint_flag_at(i, kSpTransition)) {
       base = i;
       break;
     }
   }
-  if (base == target + 1) {
+  if (!base.has_value()) {
     return Status(Errc::protocol_error,
                   "no full strong-object image at or before savepoint " +
                       std::to_string(id.value()));
   }
-  serial::Value state = entries_[base].savepoint().image;
+  serial::Value state = std::move(at(*base).savepoint().image);
   // Apply forward deltas of data-carrying savepoints up to the target.
-  for (std::size_t i = base + 1; i <= target; ++i) {
-    if (!entries_[i].is_savepoint()) continue;
-    const auto& sp = entries_[i].savepoint();
-    if (sp.lightweight) continue;
-    MAR_CHECK_MSG(sp.transition,
+  for (std::size_t i = *base + 1; i <= *target; ++i) {
+    if (kind_at(i) != EntryKind::savepoint ||
+        savepoint_flag_at(i, kSpLightweight)) {
+      continue;
+    }
+    MAR_CHECK_MSG(savepoint_flag_at(i, kSpTransition),
                   "unexpected full image between base and target");
-    state = serial::apply(sp.delta, std::move(state));
+    state = serial::apply(at(i).savepoint().delta, std::move(state));
   }
   return state;
 }
 
 void RollbackLog::serialize(serial::Encoder& enc) const {
-  enc.write_varint(entries_.size());
-  for (const auto& e : entries_) e.serialize(enc);
+  enc.write_varint(ends_.size());
+  enc.write_raw(buf_);
 }
 
 void RollbackLog::deserialize(serial::Decoder& dec) {
-  entries_.resize(dec.read_count());
-  for (auto& e : entries_) e.deserialize(dec);
+  const auto count = dec.read_count();
+  buf_.clear();
+  ends_.clear();
+  append_encoded(dec, count);
   mark_baseline();  // decoded state == the durable state
-}
-
-std::size_t RollbackLog::byte_size() const {
-  std::size_t n = serial::varint_size(entries_.size());
-  for (const auto& e : entries_) n += e.byte_size();
-  return n;
 }
 
 std::string RollbackLog::to_string() const {
   std::ostringstream os;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
+  for (std::size_t i = 0; i < ends_.size(); ++i) {
     if (i > 0) os << " ";
-    os << entries_[i].to_string();
+    os << at(i).to_string();
   }
   return os.str();
 }

@@ -171,14 +171,16 @@ class LogEntry {
     return std::get<EndOfStepEntry>(body_);
   }
 
-  /// Structural equality (delta-shipping uses it to verify that a cached
-  /// base image's log is a prefix of the current log).
+  /// Structural equality of materialized entries.
   friend bool operator==(const LogEntry& a, const LogEntry& b) {
     return a.body_ == b.body_;
   }
 
   void serialize(serial::Encoder& enc) const;
   void deserialize(serial::Decoder& dec);
+  /// Validate and step over one encoded entry without materializing it
+  /// (throws DecodeError exactly when deserialize() would).
+  static void skip(serial::Decoder& dec);
   [[nodiscard]] std::size_t byte_size() const;
   [[nodiscard]] std::string to_string() const;
 
@@ -188,22 +190,52 @@ class LogEntry {
       body_;
 };
 
+/// The log keeps its entries in wire form: one buffer holding the entries'
+/// encodings back to back, plus each entry's end offset. That is exactly
+/// the bytes a migration carries, so capturing the agent writes the buffer
+/// whole, re-instantiating it validates and copies it, and a delta ships
+/// the appended tail verbatim. Entries are materialized only by the
+/// rollback-time queries that need their contents (pop, back,
+/// find_savepoint, strong_state_at, last_step_ops, last_end_of_step,
+/// gc_savepoint); kind and savepoint-id scans read the tag byte and the
+/// fixed-offset header fields in place.
 class RollbackLog {
  public:
-  void push(LogEntry entry) { entries_.push_back(std::move(entry)); }
+  void push(const SavepointEntry& e);
+  void push(const BeginOfStepEntry& e);
+  void push(const OperationEntry& e);
+  void push(const EndOfStepEntry& e);
+  void push(const LogEntry& e);
   /// Read and remove the last entry (the paper's LOG.pop()).
   [[nodiscard]] LogEntry pop();
-  [[nodiscard]] const LogEntry& back() const;
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] const std::vector<LogEntry>& entries() const {
-    return entries_;
-  }
+  [[nodiscard]] LogEntry back() const;
+  /// Kind of entry `i`, read from its tag byte.
+  [[nodiscard]] EntryKind kind_at(std::size_t i) const;
+  /// Every entry, materialized, oldest first (diagnostics and benches).
+  [[nodiscard]] std::vector<LogEntry> entries() const;
+  [[nodiscard]] bool empty() const { return ends_.empty(); }
+  [[nodiscard]] std::size_t size() const { return ends_.size(); }
   /// Discard everything (top-level sub-itinerary completion, Sec. 4.4.2).
   void clear() {
-    entries_.clear();
+    buf_.clear();
+    ends_.clear();
     append_clean_ = false;
   }
+
+  // --- wire form ------------------------------------------------------------
+  /// The encodings of entries [first, size()), back to back.
+  [[nodiscard]] std::span<const std::uint8_t> encoded_from(
+      std::size_t first) const {
+    return std::span<const std::uint8_t>(buf_).subspan(begin_of(first));
+  }
+  /// Validate `count` encoded entries at the decoder's position (a
+  /// non-allocating skip pass) and append their bytes verbatim.
+  void append_encoded(serial::Decoder& dec, std::uint64_t count);
+  /// Whether this log's entries are, byte for byte, the first entries of
+  /// `other` (delta shipping: the base's log must be a prefix of the
+  /// current one). One memcmp; the encoding is prefix-free, so equal
+  /// bytes mean equal entry boundaries.
+  [[nodiscard]] bool is_prefix_of(const RollbackLog& other) const;
 
   // --- append tracking (incremental commit) -------------------------------
   // Between two durable commits a steady-state step only PUSHES entries
@@ -213,29 +245,32 @@ class RollbackLog {
   // commit to write a full image instead of an append-only delta.
   /// Start a fresh tracking window (after decode or a durable commit).
   void mark_baseline() {
-    baseline_ = entries_.size();
+    baseline_ = static_cast<std::uint32_t>(ends_.size());
     append_clean_ = true;
   }
   /// True while only pushes happened since the last baseline.
   [[nodiscard]] bool append_clean() const { return append_clean_; }
-  /// Entries pushed since the baseline (meaningful only when clean).
-  [[nodiscard]] std::span<const LogEntry> appended_entries() const {
-    return std::span<const LogEntry>(entries_).subspan(baseline_);
-  }
+  /// Log size at the last baseline. While clean, the entries pushed since
+  /// are [baseline(), size()) and their bytes encoded_from(baseline()).
+  [[nodiscard]] std::size_t baseline() const { return baseline_; }
 
   // --- queries used by the rollback algorithms ---------------------------
   /// The savepoint id of the last entry, if the last entry is an SP.
   [[nodiscard]] std::optional<SavepointId> trailing_savepoint() const;
-  /// The node of the last end-of-step entry, skipping trailing savepoints
-  /// (where the next compensation transaction must run, Fig. 4a).
-  [[nodiscard]] const EndOfStepEntry* last_end_of_step() const;
+  /// The last end-of-step entry, skipping trailing savepoints (where the
+  /// next compensation transaction must run, Fig. 4a).
+  [[nodiscard]] std::optional<EndOfStepEntry> last_end_of_step() const;
   /// Whether the log contains a savepoint with this id.
   [[nodiscard]] bool contains_savepoint(SavepointId id) const;
+  /// Whether an end-of-step entry flagged cannot_compensate lies after
+  /// savepoint `id` (Sec. 3.2: rollback to `id` is then impossible). Scans
+  /// from the end, stopping at the savepoint.
+  [[nodiscard]] bool poisoned_after(SavepointId id) const;
   /// Operation entries of the last complete step segment (skipping
   /// trailing savepoint entries), in logging order. Empty when the log
   /// does not end with a BOS..EOS segment. The adaptive strategy prices
   /// shipping these against migrating the agent (Sec. 4.4.1).
-  [[nodiscard]] std::vector<const OperationEntry*> last_step_ops() const;
+  [[nodiscard]] std::vector<OperationEntry> last_step_ops() const;
 
   // --- savepoint garbage collection (Sec. 4.4.2) --------------------------
   /// Remove the savepoint entry with `id` (its sub-itinerary completed).
@@ -257,7 +292,8 @@ class RollbackLog {
   [[nodiscard]] Result<serial::Value> strong_state_at(SavepointId id) const;
 
   /// The savepoint entry for `id`, if present.
-  [[nodiscard]] const SavepointEntry* find_savepoint(SavepointId id) const;
+  [[nodiscard]] std::optional<SavepointEntry> find_savepoint(
+      SavepointId id) const;
   /// The OLDEST savepoint still in the log — the farthest point a
   /// complete rollback (agent abort / cancellation) can reach. Invalid
   /// after a top-level log discard.
@@ -265,16 +301,46 @@ class RollbackLog {
 
   void serialize(serial::Encoder& enc) const;
   void deserialize(serial::Decoder& dec);
-  /// Wire size of the whole log (what migration pays to carry it).
-  [[nodiscard]] std::size_t byte_size() const;
+  /// Wire size of the whole log (what migration pays to carry it); O(1).
+  [[nodiscard]] std::size_t byte_size() const {
+    return serial::varint_size(ends_.size()) + buf_.size();
+  }
 
   /// Fig. 2-style rendering: "... SP_k BOS_n OE_n,1 .. EOS_n ...".
   [[nodiscard]] std::string to_string() const;
 
  private:
-  std::vector<LogEntry> entries_;
-  // Runtime-only append tracking; not serialized.
-  std::size_t baseline_ = 0;
+  [[nodiscard]] std::size_t begin_of(std::size_t i) const {
+    return i == 0 ? 0 : ends_[i - 1];
+  }
+  /// Wire encoding of entry `i` alone.
+  [[nodiscard]] std::span<const std::uint8_t> encoded_entry(
+      std::size_t i) const {
+    return std::span<const std::uint8_t>(buf_).subspan(
+        begin_of(i), ends_[i] - begin_of(i));
+  }
+  /// Materialize entry `i` (0 = oldest).
+  [[nodiscard]] LogEntry at(std::size_t i) const;
+  /// Savepoint header fields read in place (entry `i` must be an SP).
+  [[nodiscard]] SavepointId savepoint_id_at(std::size_t i) const;
+  [[nodiscard]] bool savepoint_flag_at(std::size_t i,
+                                       std::size_t offset) const;
+  /// Index of the savepoint entry with `id`, scanning from the end.
+  [[nodiscard]] std::optional<std::size_t> index_of(SavepointId id) const;
+  /// Encode one entry of `size` bytes at the end of the buffer via
+  /// `write(encoder)`.
+  template <typename Write>
+  void append(std::size_t size, const Write& write);
+  /// Replace entry `i`'s bytes with `bytes` (one encoded entry, or none
+  /// before erasing its offset), shifting the offsets after it.
+  void splice(std::size_t i, std::span<const std::uint8_t> bytes);
+  void erase_at(std::size_t i);
+
+  serial::Bytes buf_;                // entry encodings, back to back
+  std::vector<std::uint32_t> ends_;  // end offset of each entry in buf_
+  // Runtime-only append tracking; not serialized. (32 bits: the entry
+  // count is bounded by the 32-bit offsets above.)
+  std::uint32_t baseline_ = 0;
   bool append_clean_ = true;
 };
 

@@ -17,23 +17,28 @@ std::uint8_t Decoder::read_u8() {
 }
 
 std::uint16_t Decoder::read_u16() {
-  const auto lo = read_u8();
-  const auto hi = read_u8();
-  return static_cast<std::uint16_t>(lo | (hi << 8));
+  need(2);
+  const auto* p = data_.data() + pos_;
+  pos_ += 2;
+  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
 }
 
 std::uint32_t Decoder::read_u32() {
-  const auto lo = read_u16();
-  const auto hi = read_u16();
-  return static_cast<std::uint32_t>(lo) |
-         (static_cast<std::uint32_t>(hi) << 16);
+  need(4);
+  const auto* p = data_.data() + pos_;
+  pos_ += 4;
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 std::uint64_t Decoder::read_u64() {
-  const auto lo = read_u32();
-  const auto hi = read_u32();
-  return static_cast<std::uint64_t>(lo) |
-         (static_cast<std::uint64_t>(hi) << 32);
+  need(8);
+  std::uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) v = (v << 8) | data_[pos_ + i];
+  pos_ += 8;
+  return v;
 }
 
 bool Decoder::read_bool() {

@@ -52,6 +52,14 @@ class Decoder {
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool at_end() const { return pos_ == data_.size(); }
+  /// Read offset; with span_since() a caller validates a stretch of the
+  /// buffer by decoding (or skipping) it, then takes its bytes verbatim.
+  [[nodiscard]] std::size_t position() const { return pos_; }
+  /// The bytes consumed since offset `mark` (a previous position()).
+  [[nodiscard]] std::span<const std::uint8_t> span_since(
+      std::size_t mark) const {
+    return data_.subspan(mark, pos_ - mark);
+  }
 
   /// Assert the buffer has been fully consumed (catches framing bugs).
   void expect_end() const;

@@ -54,4 +54,9 @@ void Encoder::write_bytes(std::span<const std::uint8_t> b) {
   buf_.insert(buf_.end(), b.begin(), b.end());
 }
 
+void Encoder::write_raw(std::span<const std::uint8_t> b) {
+  reserve(buf_.size() + b.size());
+  buf_.insert(buf_.end(), b.begin(), b.end());
+}
+
 }  // namespace mar::serial

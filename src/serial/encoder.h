@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace mar::serial {
@@ -55,6 +56,8 @@ class Encoder {
   /// Pre-size the buffer for `reserve_hint` bytes of payload: callers that
   /// know (or can compute) the encoded size write without reallocating.
   explicit Encoder(std::size_t reserve_hint) { buf_.reserve(reserve_hint); }
+  /// Append to an existing buffer (take() hands it back, grown).
+  explicit Encoder(Bytes buf) : buf_(std::move(buf)) {}
 
   /// Grow the buffer capacity to at least `total` payload bytes. Growth is
   /// geometric (like the underlying vector), so interleaving reserve()
@@ -77,6 +80,8 @@ class Encoder {
   /// Varint length followed by raw bytes.
   void write_string(std::string_view s);
   void write_bytes(std::span<const std::uint8_t> b);
+  /// Raw bytes, no length prefix: splices already-encoded data verbatim.
+  void write_raw(std::span<const std::uint8_t> b);
 
   [[nodiscard]] const Bytes& buffer() const { return buf_; }
   [[nodiscard]] Bytes take() && { return std::move(buf_); }

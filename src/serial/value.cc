@@ -214,6 +214,44 @@ void Value::deserialize(Decoder& dec) {
   }
 }
 
+void Value::skip(Decoder& dec) {
+  // Mirrors deserialize() read for read (read_count for lists, read_varint
+  // for maps), so both reject exactly the same buffers.
+  const auto tag = dec.read_u8();
+  switch (static_cast<Kind>(tag)) {
+    case Kind::null:
+      break;
+    case Kind::boolean:
+      (void)dec.read_bool();
+      break;
+    case Kind::integer:
+      (void)dec.read_i64();
+      break;
+    case Kind::real:
+      (void)dec.read_u64();
+      break;
+    case Kind::string:
+    case Kind::bytes:
+      (void)dec.read_bytes_view();
+      break;
+    case Kind::list: {
+      const auto n = dec.read_count();
+      for (std::uint64_t i = 0; i < n; ++i) skip(dec);
+      break;
+    }
+    case Kind::map: {
+      const auto n = dec.read_varint();
+      for (std::uint64_t i = 0; i < n; ++i) {
+        (void)dec.read_bytes_view();
+        skip(dec);
+      }
+      break;
+    }
+    default:
+      throw DecodeError("invalid Value kind tag " + std::to_string(tag));
+  }
+}
+
 std::size_t Value::encoded_size() const {
   // Computed arithmetically (no encoding, no allocation): hot commit paths
   // use this to pre-size the encode buffer, so it must mirror serialize()
@@ -366,6 +404,28 @@ void ValuePatch::deserialize(Decoder& dec) {
         ValuePatch p;
         p.deserialize(dec);
         entries_.emplace(std::move(k), std::move(p));
+      }
+      break;
+    }
+    default:
+      throw DecodeError("invalid ValuePatch kind tag " + std::to_string(tag));
+  }
+}
+
+void ValuePatch::skip(Decoder& dec) {
+  const auto tag = dec.read_u8();
+  switch (static_cast<Kind>(tag)) {
+    case Kind::none:
+    case Kind::remove:
+      break;
+    case Kind::set:
+      Value::skip(dec);
+      break;
+    case Kind::map: {
+      const auto n = dec.read_varint();
+      for (std::uint64_t i = 0; i < n; ++i) {
+        (void)dec.read_bytes_view();
+        skip(dec);
       }
       break;
     }

@@ -104,6 +104,10 @@ class Value {
 
   void serialize(Encoder& enc) const;
   void deserialize(Decoder& dec);
+  /// Validate and step over one encoded Value without building it: reads
+  /// exactly what deserialize() reads and throws DecodeError exactly when
+  /// it would, but allocates nothing.
+  static void skip(Decoder& dec);
 
   /// Number of bytes this value occupies on the wire.
   [[nodiscard]] std::size_t encoded_size() const;
@@ -146,6 +150,8 @@ class ValuePatch {
 
   void serialize(Encoder& enc) const;
   void deserialize(Decoder& dec);
+  /// Non-allocating validating skip; the ValuePatch twin of Value::skip.
+  static void skip(Decoder& dec);
   [[nodiscard]] std::size_t encoded_size() const;
   [[nodiscard]] std::string to_string() const;
 

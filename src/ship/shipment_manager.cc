@@ -1,6 +1,7 @@
 #include "ship/shipment_manager.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "agent/agent.h"
 #include "serial/decoder.h"
@@ -10,19 +11,6 @@
 namespace mar::ship {
 
 namespace {
-
-/// Content identity of a base image (FNV-1a 64). Both channel ends hash
-/// the exact bytes a delta applies to; a mismatch (lost ack, divergent
-/// caches) downgrades the shipment to a full image instead of silently
-/// reconstructing the wrong state.
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const auto b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// Convoy entry modes.
 constexpr std::uint8_t kFullFrame = 0;
@@ -37,6 +25,36 @@ constexpr std::uint8_t kStaged = 0;
 constexpr std::uint8_t kNeedFull = 1;
 
 }  // namespace
+
+std::uint64_t image_hash(std::span<const std::uint8_t> bytes) {
+  // 8 bytes per round: xor a word in, multiply, fold the high bits down.
+  // Words are loaded in host order — both channel ends run the same
+  // binary, so equal bytes hash equal, which is the whole contract.
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;
+  const auto mix = [](std::uint64_t h, std::uint64_t w) {
+    h = (h ^ w) * kMul;
+    return h ^ (h >> 29);
+  };
+  std::uint64_t h = 0x243F6A8885A308D3ull ^ (bytes.size() * kMul);
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p, 8);
+    h = mix(h, w);
+  }
+  if (n > 0) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, n);
+    h = mix(h, w ^ (static_cast<std::uint64_t>(n) << 56));
+  }
+  // Final avalanche (MurmurHash3 fmix64).
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDull;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ull;
+  return h ^ (h >> 33);
+}
 
 // ---------------------------------------------------------------------------
 // BaseCache
@@ -58,7 +76,7 @@ void ShipmentManager::BaseCache::put(NodeId peer, AgentId agent,
   if (image.size() > budget) return;  // would evict everything else anyway
   BaseEntry e;
   e.epoch = epoch;
-  e.hash = fnv1a(image);
+  e.hash = image_hash(image);
   e.tick = ++tick_;
   e.decoded = std::move(decoded);
   total_ += image.size();

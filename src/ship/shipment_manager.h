@@ -36,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -54,6 +55,12 @@ namespace msg {
 inline constexpr const char* convoy = "ship.convoy";
 inline constexpr const char* convoy_ack = "ship.convoy_ack";
 }  // namespace msg
+
+/// Content identity of a base image (64-bit, word-at-a-time). Both channel
+/// ends hash the exact bytes a delta applies to; a mismatch (lost ack,
+/// divergent caches) downgrades the shipment to a full image instead of
+/// silently reconstructing the wrong state.
+[[nodiscard]] std::uint64_t image_hash(std::span<const std::uint8_t> bytes);
 
 /// Per-node shipping counters (A7 reports these). Relaxed atomics, like
 /// StorageStats: safe to sample from a monitor thread while the world runs.

@@ -3,6 +3,9 @@
 // strong-state reconstruction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "rollback/log.h"
 #include "serial/serializable.h"
 #include "util/check.h"
@@ -310,6 +313,333 @@ TEST_P(GcChainProperty, ReconstructionSurvivesRandomGc) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GcChainProperty,
                          ::testing::Values(2, 71, 828, 1828));
+
+// --------------------------------------------------------------------------
+// The log's wire form (the log holds its entries encoded), checked against
+// a reference model: a plain vector of materialized entries driven through
+// the same random push / pop / gc / clear sequence, with reference
+// implementations of GC and last_step_ops over materialized entries.
+// --------------------------------------------------------------------------
+
+/// Random nested Value. Reals avoid NaN and -0.0, the two values whose
+/// equality and byte identity disagree.
+Value random_value(Rng& rng, int depth) {
+  const auto kind = rng.next_below(depth > 0 ? 8 : 6);
+  switch (kind) {
+    case 0: return Value{};
+    case 1: return Value(rng.next_bool());
+    case 2:
+      return Value(rng.next_in(-1'000'000'000'000, 1'000'000'000'000));
+    case 3:
+      return Value(static_cast<double>(rng.next_in(-999, 999)) / 8.0 + 0.5);
+    case 4:
+      return Value(std::string(rng.next_below(12),
+                               static_cast<char>('a' + rng.next_below(26))));
+    case 5:
+      return Value(serial::Bytes(
+          rng.next_below(70), static_cast<std::uint8_t>(rng.next_below(256))));
+    case 6: {
+      Value l = Value::empty_list();
+      for (auto n = rng.next_below(4); n > 0; --n) {
+        l.push_back(random_value(rng, depth - 1));
+      }
+      return l;
+    }
+    default: {
+      Value m = Value::empty_map();
+      for (auto n = rng.next_below(4); n > 0; --n) {
+        m.set("k" + std::to_string(rng.next_below(6)),
+              random_value(rng, depth - 1));
+      }
+      return m;
+    }
+  }
+}
+
+/// Random entry; savepoints draw ids from `next_sp` so ids stay unique.
+LogEntry random_entry(Rng& rng, std::uint32_t& next_sp) {
+  switch (rng.next_below(4)) {
+    case 0: {
+      SavepointEntry sp;
+      sp.id = SavepointId(next_sp++);
+      sp.origin = rng.next_bool() ? SavepointOrigin::adhoc
+                                  : SavepointOrigin::sub_itinerary;
+      sp.depth = static_cast<std::uint32_t>(rng.next_below(4));
+      const auto flavour = rng.next_below(3);
+      if (flavour == 0) {
+        sp.lightweight = true;
+      } else if (flavour == 1) {
+        sp.image = random_value(rng, 3);
+      } else {
+        sp.transition = true;
+        sp.delta = serial::diff(random_value(rng, 3), random_value(rng, 3));
+      }
+      for (auto n = rng.next_below(4); n > 0; --n) {
+        sp.resume_position.push_back(
+            static_cast<std::uint32_t>(rng.next_below(9)));
+      }
+      return sp;
+    }
+    case 1:
+      return BeginOfStepEntry{
+          NodeId(static_cast<std::uint32_t>(rng.next_below(9))),
+          "step" + std::to_string(rng.next_below(5))};
+    case 2: {
+      OperationEntry oe;
+      oe.kind = static_cast<OpEntryKind>(rng.next_below(3));
+      oe.comp_op = "comp." + std::to_string(rng.next_below(5));
+      oe.params = random_value(rng, 3);
+      oe.resource_node = NodeId(static_cast<std::uint32_t>(rng.next_below(9)));
+      oe.resource = rng.next_bool() ? "bank" : "";
+      return oe;
+    }
+    default: {
+      EndOfStepEntry eos;
+      eos.node = NodeId(static_cast<std::uint32_t>(rng.next_below(9)));
+      eos.has_mixed = rng.next_bool();
+      eos.cannot_compensate = rng.next_bool(0.2);
+      for (auto n = rng.next_below(3); n > 0; --n) {
+        eos.alternatives.push_back(
+            NodeId(static_cast<std::uint32_t>(rng.next_below(9))));
+      }
+      return eos;
+    }
+  }
+}
+
+/// The per-entry encoding concatenation a log of `entries` serializes to.
+serial::Bytes entrywise_bytes(const std::vector<LogEntry>& entries) {
+  serial::Encoder enc;
+  enc.write_varint(entries.size());
+  for (const auto& e : entries) e.serialize(enc);
+  return std::move(enc).take();
+}
+
+/// Reference savepoint GC over materialized entries.
+std::optional<bool> model_gc(std::vector<LogEntry>& model, SavepointId id) {
+  for (std::size_t i = model.size(); i-- > 0;) {
+    if (!model[i].is_savepoint() || model[i].savepoint().id != id) continue;
+    SavepointEntry removed = model[i].savepoint();
+    model.erase(model.begin() + static_cast<std::ptrdiff_t>(i));
+    if (removed.lightweight) return false;
+    for (std::size_t j = i; j < model.size(); ++j) {
+      if (!model[j].is_savepoint()) continue;
+      auto& sp = model[j].savepoint();
+      if (sp.lightweight) continue;
+      if (!sp.transition) return false;
+      if (removed.transition) {
+        sp.delta = serial::compose(removed.delta, sp.delta);
+      } else {
+        sp.image = serial::apply(sp.delta, std::move(removed.image));
+        sp.transition = false;
+        sp.delta = serial::ValuePatch::none();
+      }
+      return false;
+    }
+    return true;
+  }
+  return std::nullopt;
+}
+
+/// Reference last_step_ops: wire sizes of the last step's operation
+/// entries, as the adaptive strategy prices them.
+std::vector<std::size_t> model_last_step_op_sizes(
+    const std::vector<LogEntry>& model) {
+  std::vector<std::size_t> sizes;
+  auto it = model.rbegin();
+  while (it != model.rend() && it->is_savepoint()) ++it;
+  if (it == model.rend() || it->kind() != EntryKind::end_of_step) return {};
+  for (++it; it != model.rend(); ++it) {
+    if (it->kind() == EntryKind::begin_of_step) break;
+    if (it->kind() != EntryKind::operation) return {};
+    sizes.push_back(it->operation().byte_size());
+  }
+  std::reverse(sizes.begin(), sizes.end());
+  return sizes;
+}
+
+/// Full materialization of a serialized log, entry by entry.
+bool materializes(std::span<const std::uint8_t> bytes) {
+  try {
+    serial::Decoder dec(bytes);
+    const auto n = dec.read_count();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      LogEntry e;
+      e.deserialize(dec);
+    }
+    dec.expect_end();
+    return true;
+  } catch (const serial::DecodeError&) {
+    return false;
+  }
+}
+
+/// The encoded log's own decode: one validating skip pass and a copy.
+std::optional<RollbackLog> skip_decodes(std::span<const std::uint8_t> bytes) {
+  try {
+    return serial::from_bytes<RollbackLog>(bytes);
+  } catch (const serial::DecodeError&) {
+    return std::nullopt;
+  }
+}
+
+class EncodedLogProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EncodedLogProperty, MatchesEntryModelUnderRandomMutation) {
+  Rng rng(GetParam());
+  for (int round = 0; round < 40; ++round) {
+    RollbackLog log;
+    std::vector<LogEntry> model;
+    std::uint32_t next_sp = 1;
+    for (int op = 0; op < 60; ++op) {
+      const auto dice = rng.next_below(100);
+      if (dice < 70) {
+        const auto e = random_entry(rng, next_sp);
+        log.push(e);
+        model.push_back(e);
+      } else if (dice < 85) {
+        if (model.empty()) continue;
+        const auto popped = log.pop();
+        EXPECT_EQ(popped, model.back());
+        model.pop_back();
+      } else if (dice < 97) {
+        const SavepointId id(
+            static_cast<std::uint32_t>(1 + rng.next_below(next_sp)));
+        EXPECT_EQ(log.gc_savepoint(id), model_gc(model, id));
+      } else {
+        log.clear();
+        model.clear();
+      }
+      ASSERT_EQ(log.size(), model.size());
+      // The log's bytes are the per-entry encodings, concatenated.
+      const auto bytes = serial::to_bytes(log);
+      ASSERT_EQ(bytes, entrywise_bytes(model)) << "round " << round;
+      EXPECT_EQ(log.byte_size(), bytes.size());
+      // In-place queries agree with their materialized counterparts.
+      std::optional<SavepointId> trailing;
+      if (!model.empty() && model.back().is_savepoint()) {
+        trailing = model.back().savepoint().id;
+      }
+      EXPECT_EQ(log.trailing_savepoint(), trailing);
+      SavepointId first = SavepointId::invalid();
+      for (const auto& e : model) {
+        if (e.is_savepoint()) {
+          first = e.savepoint().id;
+          break;
+        }
+      }
+      EXPECT_EQ(log.first_savepoint(), first);
+      std::vector<std::size_t> op_sizes;
+      for (const auto& o : log.last_step_ops()) {
+        op_sizes.push_back(o.byte_size());
+      }
+      EXPECT_EQ(op_sizes, model_last_step_op_sizes(model));
+    }
+    // decode -> encode reproduces the input bytes exactly.
+    const auto bytes = serial::to_bytes(log);
+    const auto back = serial::from_bytes<RollbackLog>(bytes);
+    EXPECT_EQ(serial::to_bytes(back), bytes);
+    EXPECT_EQ(back.entries(), model);
+  }
+}
+
+TEST_P(EncodedLogProperty, SkipRejectsExactlyWhatMaterializationRejects) {
+  Rng rng(GetParam() * 7 + 1);
+  int rejected = 0;
+  for (int round = 0; round < 12; ++round) {
+    RollbackLog log;
+    std::uint32_t next_sp = 1;
+    for (auto n = 1 + rng.next_below(12); n > 0; --n) {
+      log.push(random_entry(rng, next_sp));
+    }
+    const auto bytes = serial::to_bytes(log);
+    const auto check = [&](const serial::Bytes& input) {
+      const auto decoded = skip_decodes(input);
+      ASSERT_EQ(decoded.has_value(), materializes(input));
+      if (!decoded.has_value()) {
+        ++rejected;
+        // A rejected append leaves the receiving log as it was.
+        RollbackLog target = log;
+        serial::Decoder dec(input);
+        try {
+          const auto n = dec.read_count();
+          target.append_encoded(dec, n);
+        } catch (const serial::DecodeError&) {
+          EXPECT_EQ(serial::to_bytes(target), bytes);
+          EXPECT_EQ(target.size(), log.size());
+        }
+        return;
+      }
+      // Accepted input is kept verbatim.
+      EXPECT_EQ(serial::to_bytes(*decoded), input);
+    };
+    // Every truncation.
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      check(serial::Bytes(bytes.begin(),
+                          bytes.begin() + static_cast<std::ptrdiff_t>(len)));
+    }
+    // Random single- and multi-bit flips.
+    for (int flip = 0; flip < 200; ++flip) {
+      auto damaged = bytes;
+      for (auto k = 1 + rng.next_below(3); k > 0; --k) {
+        damaged[rng.next_below(damaged.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.next_below(8));
+      }
+      check(damaged);
+    }
+  }
+  EXPECT_GT(rejected, 0);
+}
+
+TEST_P(EncodedLogProperty, BytePrefixAgreesWithEntrywiseEquality) {
+  Rng rng(GetParam() * 13 + 3);
+  int prefixes = 0;
+  int non_prefixes = 0;
+  for (int round = 0; round < 200; ++round) {
+    RollbackLog base;
+    std::uint32_t next_sp = 1;
+    for (auto n = rng.next_below(8); n > 0; --n) {
+      base.push(random_entry(rng, next_sp));
+    }
+    RollbackLog cur = base;
+    // Forward progress, a rollback that rewrote the tail, or GC.
+    switch (rng.next_below(4)) {
+      case 0:
+        break;
+      case 1:
+        for (auto n = rng.next_below(3); n > 0 && !cur.empty(); --n) {
+          (void)cur.pop();
+        }
+        [[fallthrough]];
+      case 2:
+        for (auto n = rng.next_below(4); n > 0; --n) {
+          cur.push(random_entry(rng, next_sp));
+        }
+        break;
+      default:
+        (void)cur.gc_savepoint(SavepointId(
+            static_cast<std::uint32_t>(1 + rng.next_below(next_sp))));
+        break;
+    }
+    // Re-pushing an equal entry after a pop must count as a prefix too.
+    if (!base.empty() && rng.next_bool(0.2)) {
+      cur = base;
+      const auto last = cur.pop();
+      cur.push(last);
+    }
+    const auto b = base.entries();
+    const auto c = cur.entries();
+    const bool entrywise =
+        c.size() >= b.size() && std::equal(b.begin(), b.end(), c.begin());
+    EXPECT_EQ(base.is_prefix_of(cur), entrywise) << "round " << round;
+    (entrywise ? prefixes : non_prefixes)++;
+  }
+  EXPECT_GT(prefixes, 0);
+  EXPECT_GT(non_prefixes, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EncodedLogProperty,
+                         ::testing::Values(5, 97, 4242));
 
 }  // namespace
 }  // namespace mar::rollback

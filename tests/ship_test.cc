@@ -13,6 +13,10 @@
 #include "harness/agents.h"
 #include "harness/world.h"
 #include "rollback/log.h"
+#include "serial/decoder.h"
+#include "serial/encoder.h"
+#include "ship/shipment_manager.h"
+#include "storage/stable_storage.h"
 #include "util/rng.h"
 
 namespace mar {
@@ -222,6 +226,100 @@ TEST(ShipTest, ReceiverCrashForcesFullResync) {
   EXPECT_EQ(fin->data().weak("visits").as_int(), 24);  // exactly once
   const auto& s1 = w.platform.node(TestWorld::n(1)).shipments().stats();
   EXPECT_GE(s1.need_full_retries, 1u);
+}
+
+TEST(ImageHashTest, EqualBytesHashEqualAndAnyBitFlipChangesTheHash) {
+  Rng rng(9);
+  for (const std::size_t len : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 64u, 301u}) {
+    serial::Bytes bytes(len);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_below(256));
+    const auto h = ship::image_hash(bytes);
+    EXPECT_EQ(ship::image_hash(serial::Bytes(bytes)), h);
+    // Every round is a bijection of the running state for a fixed word,
+    // so a change confined to one 8-byte word always changes the hash.
+    for (std::size_t i = 0; i < len; ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto flipped = bytes;
+        flipped[i] ^= static_cast<std::uint8_t>(1u << bit);
+        EXPECT_NE(ship::image_hash(flipped), h) << len << "/" << i;
+      }
+    }
+    auto longer = bytes;
+    longer.push_back(0);
+    EXPECT_NE(ship::image_hash(longer), h) << len;
+  }
+}
+
+TEST(ShipTest, BaseHashDivergenceIsAnsweredWithNeedFull) {
+  // A hand-driven peer N3 ships one agent to N2: a full frame establishes
+  // the channel base, then delta frames against it name the base's hash.
+  // A diverged hash must be answered need_full instead of reconstructing
+  // from the wrong base; the true hash reconstructs.
+  TestWorld w(PlatformConfig{}, /*node_count=*/2, /*seed=*/11);
+  register_workload(w.platform);
+  const NodeId peer = TestWorld::n(3);
+  const NodeId receiver_node = TestWorld::n(2);
+  std::vector<std::uint8_t> statuses;
+  w.net.add_node(peer, [&statuses](const net::Message& m) {
+    if (m.type != ship::msg::convoy_ack) return;
+    serial::Decoder dec(m.payload);
+    (void)dec.read_u64();  // receiver channel epoch
+    for (auto n = dec.read_count(); n > 0; --n) {
+      (void)dec.read_u64();  // tx
+      statuses.push_back(dec.read_u8());
+    }
+  });
+
+  WorkloadAgent ag;
+  ag.set_id(AgentId(77));
+  ag.itinerary() = ping_pong(1, 1);
+  const auto base_image = agent::encode_agent(ag);
+  ag.data().weak("cash") = std::int64_t{5};
+  ag.log().push(rollback::BeginOfStepEntry{TestWorld::n(1), "step"});
+  const auto cur_image = agent::encode_agent(ag);
+  const auto delta = agent::encode_agent_delta_between(
+      *w.platform.decode(base_image), *w.platform.decode(cur_image));
+  ASSERT_TRUE(delta.has_value());
+
+  auto& receiver = w.platform.node(receiver_node).shipments();
+  std::uint64_t next_tx = 1;
+  // Convoy entry layout (ShipmentManager::encode_frame): u64 tx, u8 mode
+  // (0 full, 1 delta), the queue record; a delta entry then carries the
+  // base's channel epoch and hash and the delta blob.
+  const auto ship_entry = [&](bool as_delta, std::uint64_t base_hash) {
+    storage::QueueRecord rec;
+    rec.record_id = next_tx;
+    rec.agent = AgentId(77);
+    if (!as_delta) rec.payload = base_image;
+    serial::Encoder entry;
+    entry.write_u64((std::uint64_t{3} << 40) | next_tx++);  // N3 coordinates
+    entry.write_u8(as_delta ? 1 : 0);
+    rec.serialize(entry);
+    if (as_delta) {
+      entry.write_u64(receiver.channel_epoch());
+      entry.write_u64(base_hash);
+      entry.write_bytes(*delta);
+    }
+    serial::Encoder convoy;
+    convoy.write_u64(w.sim.now());
+    convoy.write_varint(1);
+    convoy.write_bytes(entry.buffer());
+    receiver.on_convoy(net::Message{peer, receiver_node, ship::msg::convoy,
+                                    std::move(convoy).take()});
+    w.sim.run_until(w.sim.now() + 20'000);  // deliver the ack
+  };
+  constexpr std::uint8_t kStaged = 0;
+  constexpr std::uint8_t kNeedFull = 1;
+  ship_entry(false, 0);
+  ship_entry(true, ship::image_hash(base_image) ^ 1);
+  ship_entry(true, ship::image_hash(base_image));
+  EXPECT_EQ(statuses,
+            (std::vector<std::uint8_t>{kStaged, kNeedFull, kStaged}));
+  // Only the full frame and the matching delta reached storage, the
+  // latter reconstructed to the sender's current image.
+  const auto& st = w.platform.node(receiver_node).storage().stats();
+  EXPECT_EQ(st.ship_bytes_received, base_image.size() + delta->size());
+  EXPECT_EQ(st.ship_bytes_reconstructed, base_image.size() + cur_image.size());
 }
 
 // --------------------------------------------------------------------------

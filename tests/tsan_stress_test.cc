@@ -182,7 +182,9 @@ TEST(TsanStressTest, MonitorThreadSamplesRunningWorld) {
   std::uint64_t last_depth_max = 0;
   bool monotonic = true;
   std::thread monitor([&] {
-    while (!done.load(std::memory_order_acquire)) {
+    // do-while: a world that finishes before this thread is first
+    // scheduled must still be sampled once.
+    do {
       std::uint64_t bytes = 0;
       std::uint64_t coord_syncs = 0;
       std::uint64_t depth_max = 0;
@@ -213,7 +215,7 @@ TEST(TsanStressTest, MonitorThreadSamplesRunningWorld) {
       last_depth_max = depth_max;
       ++polls;
       std::this_thread::yield();
-    }
+    } while (!done.load(std::memory_order_acquire));
   });
 
   const bool finished = w.platform.run_until_all_finished(ids);
