@@ -115,6 +115,20 @@ void BM_DecodeAgentAged(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeAgentAged)->Arg(8)->Arg(48)->Arg(128);
 
+// The receiver side of a delta-shipping hop: the runtime's private copy of
+// the reconstructed agent (clone_agent shares the itinerary and copies the
+// data space and the wire-form log) in place of a payload decode.
+void BM_CloneAgentAged(benchmark::State& state) {
+  const auto registry = workload_registry();
+  const auto agent = agent::decode_agent(
+      registry, agent::encode_agent(make_aged_agent(state.range(0))));
+  for (auto _ : state) {
+    auto copy = agent::clone_agent(registry, *agent);
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_CloneAgentAged)->Arg(8)->Arg(48)->Arg(128);
+
 // The sender side of a delta-shipping hop: diff the channel's cached base
 // against the agent one step later (log-prefix check plus appended tail).
 void BM_DeltaBetweenAged(benchmark::State& state) {

@@ -1,8 +1,29 @@
 #include "agent/agent.h"
 
+#include <atomic>
+
 #include "util/check.h"
 
 namespace mar::agent {
+
+namespace {
+std::atomic<std::uint64_t> g_itinerary_copies{0};
+}  // namespace
+
+Itinerary& Agent::itinerary() {
+  if (itinerary_.use_count() > 1) {
+    itinerary_ = std::make_shared<SharedItinerary>(
+        SharedItinerary{itinerary_->itinerary, {}});
+    g_itinerary_copies.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    itinerary_->wire.clear();
+  }
+  return itinerary_->itinerary;
+}
+
+std::uint64_t Agent::itinerary_copies() {
+  return g_itinerary_copies.load(std::memory_order_relaxed);
+}
 
 void SavepointStackEntry::serialize(serial::Encoder& enc) const {
   enc.write_u32(id.value());
@@ -30,7 +51,11 @@ void Agent::serialize(serial::Encoder& enc) const {
   enc.write_u64(id_.value());
   enc.write_u8(static_cast<std::uint8_t>(run_state_));
   data_.serialize(enc);
-  itinerary_.serialize(enc);
+  if (itinerary_->wire.empty()) {
+    itinerary_->itinerary.serialize(enc);
+  } else {
+    enc.write_raw(itinerary_->wire);
+  }
   enc.write_varint(position_.size());
   for (const auto i : position_) enc.write_u32(i);
   enc.write_varint(sp_stack_.size());
@@ -50,7 +75,12 @@ void Agent::deserialize(serial::Decoder& dec) {
   id_ = AgentId(dec.read_u64());
   run_state_ = static_cast<RunState>(dec.read_u8());
   data_.deserialize(dec);
-  itinerary_.deserialize(dec);
+  const auto mark = dec.position();
+  auto itinerary = std::make_shared<SharedItinerary>();
+  itinerary->itinerary.deserialize(dec);
+  const auto wire = dec.span_since(mark);
+  itinerary->wire.assign(wire.begin(), wire.end());
+  itinerary_ = std::move(itinerary);
   position_.resize(dec.read_count());
   for (auto& i : position_) i = dec.read_u32();
   sp_stack_.resize(dec.read_count());
@@ -70,7 +100,8 @@ void Agent::deserialize(serial::Decoder& dec) {
 std::size_t Agent::serialized_size() const {
   std::size_t n = 8 + 1;  // id, run_state
   n += data_.encoded_size();
-  n += itinerary_.encoded_size();
+  n += itinerary_->wire.empty() ? itinerary_->itinerary.encoded_size()
+                                 : itinerary_->wire.size();
   n += serial::varint_size(position_.size()) + 4 * position_.size();
   n += serial::varint_size(sp_stack_.size()) +
        sp_stack_.size() * SavepointStackEntry::byte_size();
@@ -104,6 +135,17 @@ std::unique_ptr<Agent> decode_agent(const AgentTypeRegistry& registry,
   agent->deserialize(dec);
   dec.expect_end();
   return agent;
+}
+
+std::unique_ptr<Agent> clone_agent(const AgentTypeRegistry& registry,
+                                  const Agent& agent) {
+  auto copy = registry.create(agent.type_name());
+  // Agent state is exactly the base-class members (subclasses keep none),
+  // so the base assignment copies all of it; the itinerary pointer is
+  // shared, not deep-copied.
+  static_cast<Agent&>(*copy) = agent;
+  copy->mark_commit_baseline();
+  return copy;
 }
 
 // ---------------------------------------------------------------------------

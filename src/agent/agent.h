@@ -11,6 +11,11 @@
 // Subclasses therefore keep no mutable C++ members of their own; they
 // declare strong/weak slots in their constructor and register their
 // compensating operations in a CompensationRegistry at world setup.
+//
+// The itinerary is immutable after launch. An agent holds it as one
+// shared object that also memoizes its wire encoding: copies of the agent
+// (clone_agent, the delta-shipping channel bases) share it, and capture
+// copies the memoized bytes instead of walking the entries.
 #pragma once
 
 #include <memory>
@@ -56,8 +61,16 @@ class Agent : public serial::Serializable {
   // --- application-visible state -------------------------------------------
   [[nodiscard]] DataSpace& data() { return data_; }
   [[nodiscard]] const DataSpace& data() const { return data_; }
-  [[nodiscard]] Itinerary& itinerary() { return itinerary_; }
-  [[nodiscard]] const Itinerary& itinerary() const { return itinerary_; }
+  /// Builder access before launch: unshares first (copying the itinerary
+  /// when another agent shares it) and drops the byte memo, so edits never
+  /// reach another agent. Platform code reads through the const view.
+  [[nodiscard]] Itinerary& itinerary();
+  [[nodiscard]] const Itinerary& itinerary() const {
+    return itinerary_->itinerary;
+  }
+  /// Itinerary copies the mutable accessor made so far, process-wide
+  /// (tests assert that the hop path makes none).
+  [[nodiscard]] static std::uint64_t itinerary_copies();
 
   // --- platform state --------------------------------------------------------
   [[nodiscard]] AgentId id() const { return id_; }
@@ -165,7 +178,15 @@ class Agent : public serial::Serializable {
   /// Runtime-only: last_sp_strong_ changed since the baseline.
   bool last_sp_dirty_ = false;
   DataSpace data_;
-  Itinerary itinerary_;
+  /// The itinerary plus its memoized serialize() bytes. Immutable while
+  /// shared; `wire` is empty when the itinerary was built (or edited)
+  /// through the mutable accessor rather than decoded.
+  struct SharedItinerary {
+    Itinerary itinerary;
+    serial::Bytes wire;
+  };
+  std::shared_ptr<SharedItinerary> itinerary_ =
+      std::make_shared<SharedItinerary>();
   Position position_;
   std::vector<SavepointStackEntry> sp_stack_;
   std::uint32_t next_sp_ = 1;
@@ -192,6 +213,11 @@ using AgentTypeRegistry = serial::TypeRegistry<Agent>;
 /// Re-instantiate an agent from captured bytes via the registry.
 [[nodiscard]] std::unique_ptr<Agent> decode_agent(
     const AgentTypeRegistry& registry, std::span<const std::uint8_t> bytes);
+/// An independent copy of `agent`, equal to decode_agent(encode_agent())
+/// without the round trip: it shares the immutable itinerary, copies the
+/// rest, and sets the commit baseline as decode does.
+[[nodiscard]] std::unique_ptr<Agent> clone_agent(
+    const AgentTypeRegistry& registry, const Agent& agent);
 
 // --- incremental capture (delta savepoint commits) -------------------------
 // A long-lived agent's durable image is a BASE full image plus a chain of

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
+#include <utility>
 
 #include "contract/contract.h"
 #include "resource/lock_audit.h"
@@ -17,6 +18,14 @@ using rollback::OpEntryKind;
 using rollback::OperationEntry;
 using storage::QueueRecord;
 using storage::RecordKind;
+
+namespace {
+/// The step entry at the agent's position, read through the const view:
+/// the mutable itinerary accessor would unshare the itinerary.
+const StepEntry& current_step(const Agent& agent) {
+  return agent.itinerary().step_at(agent.position());
+}
+}  // namespace
 
 NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
     : p_(platform), id_(id), qm_(storage_), rm_(storage_),
@@ -39,6 +48,18 @@ NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
                         platform.config().checkpoint_write_us);
   }
   qm_.set_clock([this] { return p_.sim().now(); });
+  // Delta migrations hand the receiver's reconstructed agent to the first
+  // execution of its staged record; a staging that aborts drops it.
+  ship_.set_handoff_listener(
+      [this](const QueueRecord& rec, std::unique_ptr<Agent> agent) {
+        resident_[rec.agent] = Resident{rec.record_id, std::move(agent)};
+      });
+  qm_.set_abort_listener([this](const QueueRecord& rec) {
+    const auto it = resident_.find(rec.agent);
+    if (it != resident_.end() && it->second.record_id == rec.record_id) {
+      resident_.erase(it);
+    }
+  });
 
   // Metrics registry (DESIGN.md §12): every stats counter of this node's
   // subsystems under a dotted name, so one snapshot reports the node
@@ -76,6 +97,7 @@ NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
   metrics_.register_counter("tx.pipeline_depth_max", &tx.pipeline_depth_max);
   metrics_.register_gauge("tx.participant_syncs",
                           [this] { return txm_.participant_syncs(); });
+  metrics_.register_counter("agent.resident_hits", &resident_hits_);
   hist_hop_us_ = &metrics_.histogram("hop.latency_us");
   hist_step_us_ = &metrics_.histogram("step.latency_us");
   hist_queue_wait_us_ = &metrics_.histogram("queue.wait_us");
@@ -206,11 +228,18 @@ std::shared_ptr<Agent> NodeRuntime::load_committed_agent(
 
 std::shared_ptr<Agent> NodeRuntime::load_agent_for_step(
     const storage::QueueRecord& rec) {
-  if (rec.payload.empty()) {
-    auto it = resident_.find(rec.agent);
-    if (it != resident_.end()) return it->second;
+  const auto it = resident_.find(rec.agent);
+  if (it == resident_.end() || it->second.record_id != rec.record_id) {
+    return load_committed_agent(rec);
   }
-  return load_committed_agent(rec);
+  // Taken, not copied: the step mutates it, so an abort or a retry must
+  // re-read the durable state.
+  auto agent = std::move(it->second.agent);
+  resident_.erase(it);
+  ++resident_hits_;
+  MAR_DCHECK_MSG(rec.payload.empty() || encode_agent(*agent) == rec.payload,
+                 "handed-off agent differs from the staged payload");
+  return agent;
 }
 
 std::size_t NodeRuntime::committed_agent_bytes(
@@ -364,7 +393,7 @@ void NodeRuntime::execute_launch(const QueueRecord& rec) {
   const TxId tx = txm_.begin();
   qm_.stage_remove(tx, rec.record_id);
   std::shared_ptr<Agent> agent = decode(rec.payload);
-  const StepEntry step = agent->itinerary().step_at(agent->position());
+  const StepEntry step = current_step(*agent);
   const auto attempt = attempt_count(rec.record_id);
   const NodeId dest = step.locations[attempt % step.locations.size()];
   QueueRecord next_rec =
@@ -376,7 +405,7 @@ void NodeRuntime::execute_launch(const QueueRecord& rec) {
               std::to_string(dest.value()) + " (launch, " +
               std::to_string(next_rec.payload.size()) + " bytes)");
   }
-  stage_and_commit(tx, dest, std::move(next_rec),
+  stage_and_commit(tx, dest, std::move(next_rec), agent,
                    [this, rec](bool committed) {
                      release_slot(rec);
                      if (committed) {
@@ -420,7 +449,9 @@ void NodeRuntime::initiate_cancel_rollback(const QueueRecord& rec,
                                            SavepointId target) {
   const TxId tx = txm_.begin();
   qm_.stage_remove(tx, rec.record_id);
-  evict_resident(rec.agent);
+  // The cancel consumes the record without running its step: drop the
+  // record's resident agent, if any.
+  resident_.erase(rec.agent);
   std::shared_ptr<Agent> agent = load_committed_agent(rec);
   auto& log = agent->log();
   for (auto sp = log.trailing_savepoint(); sp.has_value() && *sp != target;
@@ -450,7 +481,7 @@ void NodeRuntime::initiate_cancel_rollback(const QueueRecord& rec,
           "agent " + std::to_string(rec.agent.value()) + " -> N" +
               std::to_string(dest.value()) + " (cancel rollback)");
   }
-  stage_and_commit(tx, dest, std::move(comp_rec),
+  stage_and_commit(tx, dest, std::move(comp_rec), agent,
                    [this, rec](bool committed) {
                      release_slot(rec);
                      if (committed) {
@@ -684,6 +715,7 @@ void NodeRuntime::handle_message(const net::Message& m) {
 // ---------------------------------------------------------------------------
 
 void NodeRuntime::stage_and_commit(TxId tx, NodeId dest, QueueRecord record,
+                                   std::shared_ptr<const Agent> agent,
                                    std::function<void(bool)> done) {
   // A full-payload handoff (migration, rollback, launch, resume)
   // supersedes any incremental image this node still holds for the agent:
@@ -711,14 +743,14 @@ void NodeRuntime::stage_and_commit(TxId tx, NodeId dest, QueueRecord record,
     // aborts only while votes are still outstanding (once decided, the
     // timeout is stale).
     txm_.note_piggybacked(tx, dest);
-    ship_.stage_remote(tx, dest, std::move(record),
+    ship_.stage_remote(tx, dest, std::move(record), std::move(agent),
                        [this, tx](bool ok) {
                          if (!ok) txm_.abort_if_preparing(tx);
                        });
     txm_.commit_async(tx, std::move(done));
     return;
   }
-  ship_.stage_remote(tx, dest, std::move(record),
+  ship_.stage_remote(tx, dest, std::move(record), std::move(agent),
                      [this, tx, done = std::move(done)](bool ok) {
                        if (!ok) {
                          txm_.abort_tx(tx);
@@ -731,7 +763,6 @@ void NodeRuntime::stage_and_commit(TxId tx, NodeId dest, QueueRecord record,
 
 void NodeRuntime::fail_agent(TxId tx, const QueueRecord& rec, Status status) {
   txm_.abort_tx(tx);
-  evict_resident(rec.agent);
   trace(TraceKind::msg, "agent " + std::to_string(rec.agent.value()) +
                             " FAILED: " + status.to_string());
   const TxId cleanup = txm_.begin();
@@ -781,7 +812,6 @@ void NodeRuntime::fail_agent(TxId tx, const QueueRecord& rec, Status status) {
 
 void NodeRuntime::finish_agent(TxId tx, const QueueRecord& rec,
                                Agent& agent) {
-  evict_resident(rec.agent);
   const auto image_key = agent_image_key(rec.agent);
   if (storage_.has_record(image_key)) qm_.stage_record_erase(tx, image_key);
   serial::Bytes final_bytes = encode_agent(agent);
@@ -870,7 +900,6 @@ void NodeRuntime::deliver_result(TxId tx, const Agent& agent, bool ok,
 
 void NodeRuntime::finish_cancelled(TxId tx, const QueueRecord& rec,
                                    Agent& agent) {
-  evict_resident(rec.agent);
   const auto image_key = agent_image_key(rec.agent);
   if (storage_.has_record(image_key)) qm_.stage_record_erase(tx, image_key);
   serial::Bytes final_bytes = encode_agent(agent);
@@ -919,9 +948,10 @@ void NodeRuntime::execute_step(const QueueRecord& rec) {
   const TxId tx = txm_.begin();
   qm_.stage_remove(tx, rec.record_id);
   std::shared_ptr<Agent> agent = load_agent_for_step(rec);
-  MAR_CHECK_MSG(agent->itinerary().valid_step(agent->position()),
+  MAR_CHECK_MSG(std::as_const(*agent).itinerary().valid_step(
+                    agent->position()),
                 "agent position does not address a step");
-  const StepEntry step = agent->itinerary().step_at(agent->position());
+  const StepEntry step = current_step(*agent);
   trace(TraceKind::step_begin,
         "T(" + step.method + ") agent " + std::to_string(rec.agent.value()));
 
@@ -944,9 +974,6 @@ void NodeRuntime::execute_step(const QueueRecord& rec) {
     if (ctx.fatal_status().code() == Errc::lock_conflict) {
       ++p_.lock_conflict_aborts();
     }
-    // The (possibly resident) in-memory agent was mutated by the aborted
-    // step: the retry must re-read the committed state.
-    evict_resident(rec.agent);
     txm_.abort_tx(tx);
     trace(TraceKind::step_abort, step.method + ": " +
                                      ctx.fatal_status().to_string() +
@@ -963,7 +990,6 @@ void NodeRuntime::execute_step(const QueueRecord& rec) {
     // enclosing alternatives entry (ref [14]); otherwise abandon the
     // innermost non-vital sub-itinerary (Sec. 5); otherwise the agent
     // fails.
-    evict_resident(rec.agent);
     auto pre_agent = load_committed_agent(rec);
     txm_.abort_tx(tx);
     trace(TraceKind::step_abort,
@@ -993,7 +1019,6 @@ void NodeRuntime::execute_step(const QueueRecord& rec) {
   if (ctx.rollback_request().has_value()) {
     // Fig. 4a/5a: abort the step transaction; the agent state and log read
     // from stable storage (the queue record) are the pre-step state.
-    evict_resident(rec.agent);
     auto pre_agent = load_committed_agent(rec);
     const auto target =
         resolve_rollback_target(*pre_agent, *ctx.rollback_request());
@@ -1065,7 +1090,7 @@ std::optional<NodeRuntime::FailurePlan> NodeRuntime::failure_plan_for(
 void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
                                 std::shared_ptr<Agent> agent,
                                 StepContext& ctx) {
-  const StepEntry step = agent->itinerary().step_at(agent->position());
+  const StepEntry step = current_step(*agent);
   auto& log = agent->log();
 
   // Multi-agent executions (Sec. 6): prepare and stage the children
@@ -1117,7 +1142,7 @@ void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
 
   // Advance the itinerary; write savepoints; GC/discard (Sec. 4.4.2).
   const Position from = agent->position();
-  const auto next = agent->itinerary().next_step(from);
+  const auto next = std::as_const(*agent).itinerary().next_step(from);
   p_.advance_itinerary(id_, *agent, from, next, ctx.requested_savepoints());
   if (next.has_value()) {
     agent->set_position(*next);
@@ -1150,7 +1175,7 @@ void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
     }
     // Route to the next step's node; rotate through the alternatives on
     // repeated failures (fault-tolerant execution, ref [11]).
-    const StepEntry next_step = agent->itinerary().step_at(agent->position());
+    const StepEntry next_step = current_step(*agent);
     const auto attempt = attempt_count(rec.record_id);
     const NodeId dest =
         next_step.locations[attempt % next_step.locations.size()];
@@ -1178,9 +1203,10 @@ void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
                 std::to_string(next_rec.payload.size()) + " bytes)");
     }
     const auto commit_begin = p_.sim().now();
-    stage_and_commit(tx, dest, std::move(next_rec),
-                     [this, rec, spawned, agent, incremental, exec_begin,
-                      commit_begin](bool committed) {
+    const auto next_record = next_rec.record_id;
+    stage_and_commit(tx, dest, std::move(next_rec), agent,
+                     [this, rec, spawned, agent, incremental, next_record,
+                      exec_begin, commit_begin](bool committed) {
                        if (committed) {
                          trace(TraceKind::step_commit, "T committed");
                          // Commit wait: group-commit flush for local
@@ -1196,15 +1222,12 @@ void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
                          if (incremental) {
                            // Keep the committed state resident: the next
                            // local step skips the full decode entirely.
-                           resident_[rec.agent] = agent;
-                         } else {
-                           evict_resident(rec.agent);
+                           resident_[rec.agent] = Resident{next_record, agent};
                          }
                        } else {
                          trace(TraceKind::step_abort,
                                "commit failed (will restart)");
                          ++attempts_[rec.record_id];
-                         evict_resident(rec.agent);
                          // The spawns died with the transaction; the step
                          // will re-execute and re-spawn under fresh ids.
                          for (const auto child : spawned) {
@@ -1276,7 +1299,6 @@ void NodeRuntime::initiate_rollback(const QueueRecord& rec,
   // Fig. 4a / 5a: new transaction; read agent + LOG from stable storage.
   const TxId tx = txm_.begin();
   qm_.stage_remove(tx, rec.record_id);
-  evict_resident(rec.agent);
   std::shared_ptr<Agent> agent = load_committed_agent(rec);
   auto& log = agent->log();
 
@@ -1304,13 +1326,13 @@ void NodeRuntime::initiate_rollback(const QueueRecord& rec,
     if (completion == QueueRecord::Completion::next_alt) {
       apply_next_alternative(*agent, target);
     }
-    const StepEntry step = agent->itinerary().step_at(agent->position());
+    const StepEntry step = current_step(*agent);
     const auto attempt = attempt_count(rec.record_id);
     const NodeId dest = step.locations[attempt % step.locations.size()];
     QueueRecord next_rec =
         make_record(*agent, RecordKind::execute, SavepointId::invalid());
     propagate_trace(rec, next_rec);
-    stage_and_commit(tx, dest, std::move(next_rec),
+    stage_and_commit(tx, dest, std::move(next_rec), agent,
                      [this, rec](bool committed) {
                        release_slot(rec);
                        if (committed) {
@@ -1346,7 +1368,7 @@ void NodeRuntime::initiate_rollback(const QueueRecord& rec,
               std::to_string(dest.value()) + " (rollback, " +
               std::to_string(comp_rec.payload.size()) + " bytes)");
   }
-  stage_and_commit(tx, dest, std::move(comp_rec),
+  stage_and_commit(tx, dest, std::move(comp_rec), agent,
                    [this, rec](bool committed) {
                      release_slot(rec);
                      if (committed) {
@@ -1664,7 +1686,7 @@ void NodeRuntime::finish_compensation(TxId tx, const QueueRecord& rec,
     if (rec.completion == QueueRecord::Completion::next_alt) {
       apply_next_alternative(*agent, target);
     }
-    const StepEntry step = agent->itinerary().step_at(agent->position());
+    const StepEntry step = current_step(*agent);
     const auto attempt = attempt_count(rec.record_id);
     const NodeId dest = step.locations[attempt % step.locations.size()];
     QueueRecord next_rec =
@@ -1675,7 +1697,7 @@ void NodeRuntime::finish_compensation(TxId tx, const QueueRecord& rec,
             "agent " + std::to_string(rec.agent.value()) + " -> N" +
                 std::to_string(dest.value()) + " (resume)");
     }
-    stage_and_commit(tx, dest, std::move(next_rec),
+    stage_and_commit(tx, dest, std::move(next_rec), agent,
                      [this, rec](bool committed) {
                        release_slot(rec);
                        if (committed) {
@@ -1715,7 +1737,7 @@ void NodeRuntime::finish_compensation(TxId tx, const QueueRecord& rec,
               std::to_string(dest.value()) + " (rollback, " +
               std::to_string(comp_rec.payload.size()) + " bytes)");
   }
-  stage_and_commit(tx, dest, std::move(comp_rec),
+  stage_and_commit(tx, dest, std::move(comp_rec), agent,
                    [this, rec](bool committed) {
                      release_slot(rec);
                      if (committed) {
@@ -1743,7 +1765,7 @@ bool NodeRuntime::apply_skip(Agent& agent, SavepointId target) {
   const Position from = sp->resume_position;
   const Position prefix(from.begin(),
                         from.begin() + static_cast<long>(sp->depth));
-  const auto next = agent.itinerary().next_step(prefix);
+  const auto next = std::as_const(agent).itinerary().next_step(prefix);
   trace(TraceKind::msg,
         "abandoning sub-itinerary at depth " + std::to_string(sp->depth));
   // Treat the abandoned sub-itinerary as exited: its savepoint entry is
@@ -1766,14 +1788,14 @@ void NodeRuntime::apply_next_alternative(Agent& agent, SavepointId target) {
                                 "two levels deep");
   const Position from = sp->resume_position;
   Position option(from.begin(), from.begin() + static_cast<long>(sp->depth));
-  MAR_CHECK(agent.itinerary().prefix_kind(option) ==
+  const Itinerary& itinerary = std::as_const(agent).itinerary();
+  MAR_CHECK(itinerary.prefix_kind(option) ==
             Itinerary::PrefixKind::alt_option);
   Position next_option = option;
   ++next_option.back();
-  MAR_CHECK_MSG(next_option.back() <
-                    agent.itinerary().alt_option_count(option),
+  MAR_CHECK_MSG(next_option.back() < itinerary.alt_option_count(option),
                 "no alternative option left to enter");
-  const auto next = agent.itinerary().first_step_under(next_option);
+  const auto next = itinerary.first_step_under(next_option);
   MAR_CHECK_MSG(next.has_value(), "alternative option contains no steps");
   trace(TraceKind::msg,
         "entering alternative option " + std::to_string(next_option.back()));

@@ -40,6 +40,7 @@
 #include "storage/stable_storage.h"
 #include "tx/queue_manager.h"
 #include "tx/tx_manager.h"
+#include "util/counters.h"
 
 namespace mar::agent {
 
@@ -86,6 +87,11 @@ class NodeRuntime {
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] MetricsSnapshot metrics_snapshot() const {
     return metrics_.snapshot();
+  }
+  /// Resident agents currently held (see resident_). Zero once every
+  /// agent has terminated: none outlives its record or its staging.
+  [[nodiscard]] std::size_t resident_agents() const {
+    return resident_.size();
   }
 
  private:
@@ -177,8 +183,11 @@ class NodeRuntime {
   // --- transfer / commit plumbing -----------------------------------------------
   /// Stage `record` into `dest`'s queue inside `tx`, then commit; `done`
   /// gets the commit outcome. Remote staging waits for an ack with an
-  /// optional timeout (config.stage_timeout_us).
+  /// optional timeout (config.stage_timeout_us). `agent` is the state
+  /// `record.payload` encodes; a remote staging keeps it (the shipment
+  /// layer diffs against it), so the caller must not mutate it afterwards.
   void stage_and_commit(TxId tx, NodeId dest, storage::QueueRecord record,
+                        std::shared_ptr<const Agent> agent,
                         std::function<void(bool)> done);
   void retry_later(const storage::QueueRecord& rec);
   void fail_agent(TxId tx, const storage::QueueRecord& rec, Status status);
@@ -198,8 +207,8 @@ class NodeRuntime {
   /// area's base image plus appended deltas.
   [[nodiscard]] std::shared_ptr<Agent> load_committed_agent(
       const storage::QueueRecord& rec) const;
-  /// Like load_committed_agent, but may return the resident in-memory
-  /// copy (committed state cached across local steps; skips the decode).
+  /// Like load_committed_agent, but takes the record's resident entry
+  /// when there is one (see resident_; skips the decode).
   [[nodiscard]] std::shared_ptr<Agent> load_agent_for_step(
       const storage::QueueRecord& rec);
   /// The serialized size of the record's agent (adaptive-strategy pricing):
@@ -218,9 +227,6 @@ class NodeRuntime {
   /// successor record. `prev` is the record being consumed.
   [[nodiscard]] storage::QueueRecord stage_incremental_image(
       TxId tx, const Agent& agent, const storage::QueueRecord& prev);
-  /// Drop the resident cache entry for an agent (any path that aborts,
-  /// rolls back, migrates or terminates it).
-  void evict_resident(AgentId id) { resident_.erase(id); }
 
   // --- observability plumbing (DESIGN.md §12) --------------------------------
   /// Stash of an ABORTED attempt's open hop span: the happy path carries
@@ -297,12 +303,23 @@ class NodeRuntime {
   Histogram* hist_step_us_ = nullptr;
   Histogram* hist_queue_wait_us_ = nullptr;
   Histogram* hist_commit_flush_us_ = nullptr;
-  /// Resident cache: the committed in-memory state of agents whose durable
-  /// image lives in this node's record area (incremental commits). Purely
-  /// an optimization — volatile, invalidated on crash and on every path
-  /// that leaves the steady local-commit loop; the record area stays
-  /// authoritative.
-  std::unordered_map<AgentId, std::shared_ptr<Agent>> resident_;
+  /// Resident cache: a committed in-memory agent state, tagged with the
+  /// one queued record it belongs to, that the record's step can run
+  /// without a decode. Two producers: an incremental commit keeps the
+  /// agent for its local successor record (the durable image lives in the
+  /// record area), and a delta migration hands over the receiver's
+  /// reconstructed agent for the staged record (ShipmentManager handoff).
+  /// Each entry is used at most once: the step takes it (a cancel drops
+  /// it), so an abort, a retry or a crash re-reads the durable state,
+  /// which stays the authority. Volatile: cleared on crash, dropped when
+  /// its staging aborts.
+  struct Resident {
+    std::uint64_t record_id = 0;
+    std::shared_ptr<Agent> agent;
+  };
+  std::unordered_map<AgentId, Resident> resident_;
+  /// Steps that ran from a resident entry instead of a decode.
+  RelaxedCounter resident_hits_;
   /// Continuations waiting for rce.ack, keyed by tx.
   std::unordered_map<TxId, std::function<void(bool)>> rce_waiters_;
   /// Continuations waiting for mce.ack; receive the updated weak-state

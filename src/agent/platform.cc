@@ -1,6 +1,7 @@
 #include "agent/platform.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "agent/node_runtime.h"
 #include "util/check.h"
@@ -48,10 +49,11 @@ Result<AgentId> Platform::launch(std::unique_ptr<Agent> agent) {
   MAR_CHECK(agent != nullptr);
   MAR_CHECK_MSG(agent_types_.contains(agent->type_name()),
                 "agent type not registered: " << agent->type_name());
+  const Itinerary& itinerary = std::as_const(*agent).itinerary();
   if (config_.itinerary_savepoints) {
-    MAR_RETURN_IF_ERROR(agent->itinerary().validate_main());
+    MAR_RETURN_IF_ERROR(itinerary.validate_main());
   }
-  auto first = agent->itinerary().first_step();
+  auto first = itinerary.first_step();
   if (!first.has_value()) {
     return Status(Errc::invalid_itinerary, "itinerary contains no steps");
   }
@@ -61,7 +63,7 @@ Result<AgentId> Platform::launch(std::unique_ptr<Agent> agent) {
   agent->set_position(*first);
   agent->set_force_full_savepoint(true);
 
-  const NodeId start = agent->itinerary().step_at(*first).primary();
+  const NodeId start = itinerary.step_at(*first).primary();
   MAR_CHECK_MSG(nodes_.contains(start), "itinerary starts at unknown node "
                                             << start);
   // Initial savepoints for the sub-itineraries entered at launch.
@@ -86,10 +88,11 @@ Result<AgentId> Platform::prepare_child(Agent& child, AgentId parent,
                                         std::string result_key) {
   MAR_CHECK_MSG(agent_types_.contains(child.type_name()),
                 "agent type not registered: " << child.type_name());
+  const Itinerary& itinerary = std::as_const(child).itinerary();
   if (config_.itinerary_savepoints) {
-    MAR_RETURN_IF_ERROR(child.itinerary().validate_main());
+    MAR_RETURN_IF_ERROR(itinerary.validate_main());
   }
-  auto first = child.itinerary().first_step();
+  auto first = itinerary.first_step();
   if (!first.has_value()) {
     return Status(Errc::invalid_itinerary, "itinerary contains no steps");
   }

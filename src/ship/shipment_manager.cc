@@ -60,21 +60,24 @@ std::uint64_t image_hash(std::span<const std::uint8_t> bytes) {
 // BaseCache
 // ---------------------------------------------------------------------------
 
-ShipmentManager::BaseEntry* ShipmentManager::BaseCache::find(
-    NodeId peer, AgentId agent) {
+template <class Decoded>
+auto ShipmentManager::BaseCache<Decoded>::find(NodeId peer, AgentId agent)
+    -> Entry* {
   auto it = entries_.find(key_of(peer, agent));
   if (it == entries_.end()) return nullptr;
   it->second.tick = ++tick_;
   return &it->second;
 }
 
-void ShipmentManager::BaseCache::put(NodeId peer, AgentId agent,
-                                     serial::Bytes image,
-                                     std::uint64_t epoch, std::size_t budget,
-                                     std::shared_ptr<agent::Agent> decoded) {
+template <class Decoded>
+void ShipmentManager::BaseCache<Decoded>::put(NodeId peer, AgentId agent,
+                                              serial::Bytes image,
+                                              std::uint64_t epoch,
+                                              std::size_t budget,
+                                              Decoded decoded) {
   erase(peer, agent);
   if (image.size() > budget) return;  // would evict everything else anyway
-  BaseEntry e;
+  Entry e;
   e.epoch = epoch;
   e.hash = image_hash(image);
   e.tick = ++tick_;
@@ -92,14 +95,16 @@ void ShipmentManager::BaseCache::put(NodeId peer, AgentId agent,
   }
 }
 
-void ShipmentManager::BaseCache::erase(NodeId peer, AgentId agent) {
+template <class Decoded>
+void ShipmentManager::BaseCache<Decoded>::erase(NodeId peer, AgentId agent) {
   auto it = entries_.find(key_of(peer, agent));
   if (it == entries_.end()) return;
   total_ -= it->second.image.size();
   entries_.erase(it);
 }
 
-void ShipmentManager::BaseCache::clear() {
+template <class Decoded>
+void ShipmentManager::BaseCache<Decoded>::clear() {
   entries_.clear();
   total_ = 0;
 }
@@ -130,20 +135,17 @@ void ShipmentManager::encode_frame(Pending& p) {
   // asks the receiver to prepare-and-vote once it staged the transfer.
   const std::uint8_t prep = txm_.pipelined() ? kPrepareFlag : 0;
   p.delta = false;
+  p.diffed = false;
   if (cfg.ship_delta && !p.record.payload.empty()) {
     if (auto* base = send_cache_.find(p.dest, p.record.agent)) {
+      p.diffed = true;
       std::optional<serial::Bytes> delta;
       try {
         if (base->decoded == nullptr) {
           base->decoded = agent::decode_agent(p_.agent_types(), base->image);
         }
-        // The payload decode is retained: once acknowledged it becomes
-        // the channel's next base in already-decoded form, so steady
-        // ping-pong pays one decode per hop, not three.
-        p.decoded_payload =
-            agent::decode_agent(p_.agent_types(), p.record.payload);
-        delta = encode_agent_delta_between(*base->decoded,
-                                           *p.decoded_payload);
+        // The committed agent is diffed as is: no payload decode.
+        delta = encode_agent_delta_between(*base->decoded, *p.agent);
       } catch (const serial::DecodeError&) {
         delta.reset();  // corrupt cache entry: fall back and re-establish
       }
@@ -180,12 +182,19 @@ void ShipmentManager::encode_frame(Pending& p) {
 
 void ShipmentManager::stage_remote(TxId tx, NodeId dest,
                                    storage::QueueRecord record,
+                                   std::shared_ptr<const agent::Agent> agent,
                                    std::function<void(bool)> done) {
   const auto& cfg = p_.config();
+  MAR_CHECK_MSG(record.payload.empty() || agent != nullptr,
+                "a payload is staged without the agent it encodes");
+  MAR_DCHECK_MSG(agent == nullptr ||
+                     agent::encode_agent(*agent) == record.payload,
+                 "staged agent does not encode to the record payload");
   Pending p;
   p.tx = tx;
   p.dest = dest;
   p.record = std::move(record);
+  p.agent = std::move(agent);
   p.staged_at = p_.sim().now();
   p.done = std::move(done);
   encode_frame(p);
@@ -315,7 +324,7 @@ void ShipmentManager::on_convoy(const net::Message& m) {
       entry.expect_end();
       wire_bytes = delta.size();
       auto* base = recv_cache_.find(m.from, rec.agent);
-      std::shared_ptr<agent::Agent> rebuilt;
+      std::unique_ptr<agent::Agent> rebuilt;
       if (base == nullptr || base_epoch != epoch_tag_ ||
           base->hash != base_hash) {
         // No usable base (crash wiped the cache, or the channels
@@ -329,8 +338,7 @@ void ShipmentManager::on_convoy(const net::Message& m) {
           // channel's next base.
           rebuilt = base->decoded != nullptr
                         ? std::move(base->decoded)
-                        : std::shared_ptr<agent::Agent>(agent::decode_agent(
-                              p_.agent_types(), base->image));
+                        : agent::decode_agent(p_.agent_types(), base->image);
           agent::apply_agent_delta(*rebuilt, delta);
           rec.payload = agent::encode_agent(*rebuilt);
         } catch (const serial::DecodeError&) {
@@ -342,6 +350,12 @@ void ShipmentManager::on_convoy(const net::Message& m) {
       }
       if (status == kStaged) {
         storage_.note_shipment(wire_bytes, rec.payload.size());
+        // The first execution of an execute record starts from a copy of
+        // the reconstructed agent instead of decoding rec.payload again
+        // (compensation records always re-read their payload).
+        if (handoff_ && rec.kind == storage::RecordKind::execute) {
+          handoff_(rec, agent::clone_agent(p_.agent_types(), *rebuilt));
+        }
         recv_cache_.put(m.from, rec.agent, rec.payload, epoch_tag_,
                         p_.config().ship_cache_bytes, std::move(rebuilt));
         txm_.note_remote_staged(tx);
@@ -408,12 +422,13 @@ void ShipmentManager::on_convoy_ack(const net::Message& m) {
       Pending p = std::move(it->second);
       awaiting_.erase(it);
       // The shipped image is now the channel base on both ends, valid
-      // under the receiver epoch the ack reported; the payload decode
-      // made for the diff is memoized with it.
+      // under the receiver epoch the ack reported. A diffed shipment's
+      // agent is memoized with it as the decoded base; after a first
+      // crossing the next delta decodes the base once.
       if (!p.record.payload.empty()) {
         send_cache_.put(p.dest, p.record.agent, std::move(p.record.payload),
                         peer_epoch, p_.config().ship_cache_bytes,
-                        std::move(p.decoded_payload));
+                        p.diffed ? std::move(p.agent) : nullptr);
       }
       p.done(true);
       continue;

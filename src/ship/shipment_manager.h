@@ -86,9 +86,22 @@ class ShipmentManager {
   /// fires once: true after the receiver acknowledged the staging, false
   /// on reject or timeout (the caller aborts and retries — the record
   /// stays in the source queue, which is the restartability the
-  /// exactly-once protocol relies on).
+  /// exactly-once protocol relies on). `agent` is the committed agent
+  /// `record.payload` encodes, and is never mutated again: the delta is
+  /// diffed against it directly, and once acknowledged it becomes the
+  /// channel's decoded base (unless this was the channel's first crossing).
   void stage_remote(TxId tx, NodeId dest, storage::QueueRecord record,
+                    std::shared_ptr<const agent::Agent> agent,
                     std::function<void(bool)> done);
+
+  /// Receiver-side handoff: called for every execute record staged from
+  /// a delta frame, with a private copy of the reconstructed agent — the
+  /// state decode_agent(record.payload) would produce. The node runtime
+  /// keeps it for the record's first execution, saving that decode.
+  using HandoffListener =
+      std::function<void(const storage::QueueRecord& record,
+                         std::unique_ptr<agent::Agent> agent)>;
+  void set_handoff_listener(HandoffListener fn) { handoff_ = std::move(fn); }
 
   /// Receiver side: stage every convoy entry, answer one ack.
   void on_convoy(const net::Message& m);
@@ -111,25 +124,27 @@ class ShipmentManager {
   /// `decoded` memoizes the image's decoded form so the per-hop diff
   /// (sender) / delta apply (receiver) skips re-decoding the base; it is
   /// an optimization slot only — `image` + `hash` stay authoritative.
+  template <class Decoded>
   struct BaseEntry {
     serial::Bytes image;
     std::uint64_t epoch = 0;
     std::uint64_t hash = 0;
     std::uint64_t tick = 0;  ///< LRU recency
-    std::shared_ptr<agent::Agent> decoded;
+    Decoded decoded;
   };
   /// LRU pool of base images, bounded by ship_cache_bytes. One pool per
   /// direction side: send bases keyed by (dest, agent), receive bases
   /// keyed by (src, agent).
+  template <class Decoded>
   class BaseCache {
    public:
-    [[nodiscard]] BaseEntry* find(NodeId peer, AgentId agent);
+    using Entry = BaseEntry<Decoded>;
+    [[nodiscard]] Entry* find(NodeId peer, AgentId agent);
     /// `image` is taken by value: callers that are done with the buffer
     /// (the acked sender) move it in instead of copying a full agent
     /// image per hop.
     void put(NodeId peer, AgentId agent, serial::Bytes image,
-             std::uint64_t epoch, std::size_t budget,
-             std::shared_ptr<agent::Agent> decoded = nullptr);
+             std::uint64_t epoch, std::size_t budget, Decoded decoded = {});
     void erase(NodeId peer, AgentId agent);
     void clear();
 
@@ -138,24 +153,25 @@ class ShipmentManager {
     [[nodiscard]] static Key key_of(NodeId peer, AgentId agent) {
       return {peer.value(), agent.value()};
     }
-    std::map<Key, BaseEntry> entries_;
+    std::map<Key, Entry> entries_;
     std::size_t total_ = 0;
     std::uint64_t tick_ = 0;
   };
 
   /// A shipment in flight: queued for its convoy or awaiting the ack. The
   /// full record is retained so a need_full reject can re-ship the image
-  /// under the same transaction without involving the caller; the decoded
-  /// payload (when the delta path produced one) becomes the channel
-  /// base's memoized form once the receiver acknowledges.
+  /// under the same transaction without involving the caller. When the
+  /// frame was diffed against a cached base, the acknowledged `agent`
+  /// becomes the next base's decoded form; a first crossing keeps none.
   struct Pending {
     TxId tx;
     NodeId dest;
     storage::QueueRecord record;
     serial::Bytes frame;  ///< encoded convoy entry
     bool delta = false;
+    bool diffed = false;  ///< a cached base existed (delta or fallback)
     std::uint64_t staged_at = 0;  ///< stage_remote time (convoy_wait span)
-    std::shared_ptr<agent::Agent> decoded_payload;
+    std::shared_ptr<const agent::Agent> agent;  ///< what record.payload encodes
     std::function<void(bool)> done;
   };
 
@@ -179,8 +195,12 @@ class ShipmentManager {
   tx::QueueManager& qm_;
   storage::StableStorage& storage_;
 
-  BaseCache send_cache_;
-  BaseCache recv_cache_;
+  /// Send bases memoize the committed agents the runtime handed in,
+  /// shared and never mutated.
+  BaseCache<std::shared_ptr<const agent::Agent>> send_cache_;
+  /// Receive bases own their decoded agent, advanced in place per delta.
+  BaseCache<std::unique_ptr<agent::Agent>> recv_cache_;
+  HandoffListener handoff_;
   /// Entries collecting towards the next convoy, per destination.
   std::map<NodeId, std::vector<Pending>> convoy_queue_;
   std::set<NodeId> flush_armed_;

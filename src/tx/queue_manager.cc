@@ -191,8 +191,10 @@ void QueueManager::commit(TxId tx) {
 }
 
 void QueueManager::abort(TxId tx) {
-  staged_.erase(tx);
+  const auto dropped = staged_.extract(tx);
   stable_.erase(prep_key(tx));
+  if (dropped.empty() || !abort_listener_) return;
+  for (const auto& rec : dropped.mapped().enqueues) abort_listener_(rec);
 }
 
 void QueueManager::on_crash() {

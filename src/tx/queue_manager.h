@@ -34,6 +34,13 @@ class QueueManager final : public Participant {
     now_fn_ = std::move(now_fn);
   }
 
+  /// Called by abort() for every staged enqueue the abort drops, so
+  /// volatile state kept for the record can go with it.
+  void set_abort_listener(
+      std::function<void(const storage::QueueRecord&)> fn) {
+    abort_listener_ = std::move(fn);
+  }
+
   /// Stage "append this record to the local queue at commit".
   void stage_enqueue(TxId tx, storage::QueueRecord record);
   /// Stage "remove this record from the local queue at commit".
@@ -110,6 +117,7 @@ class QueueManager final : public Participant {
 
   storage::StableStorage& stable_;
   std::function<std::uint64_t()> now_fn_;
+  std::function<void(const storage::QueueRecord&)> abort_listener_;
   std::map<TxId, Staged> staged_;
   /// Aged-admission bookkeeping (volatile, like the claims): per record,
   /// how often its claim was released after an abort, and how often a

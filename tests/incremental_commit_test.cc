@@ -278,6 +278,11 @@ TEST(IncrementalCommitTest, MigrationAndRollbackAcrossIncrementalCommits) {
     EXPECT_EQ(o.state, AgentOutcome::State::done);
     EXPECT_FALSE(w.platform.node(TestWorld::n(1)).storage().has_record(
         agent::NodeRuntime::agent_image_key(id.value())));
+    // The rollback consumed the resident agents along with their records.
+    w.sim.run();
+    for (const int n : {1, 2}) {
+      EXPECT_EQ(w.platform.node(TestWorld::n(n)).resident_agents(), 0u);
+    }
     return o.final_agent;
   };
   EXPECT_EQ(run(true), run(false));

@@ -1,9 +1,13 @@
-// Unit tests for hierarchical itineraries (Sec. 4.4.2, Fig. 6) and the
-// agent data space (Sec. 4.1).
+// Unit tests for hierarchical itineraries (Sec. 4.4.2, Fig. 6), the
+// agent data space (Sec. 4.1) and the agent's shared, immutable itinerary.
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "agent/agent.h"
 #include "agent/data_space.h"
 #include "agent/itinerary.h"
+#include "harness/agents.h"
 #include "serial/serializable.h"
 
 namespace mar::agent {
@@ -137,6 +141,87 @@ TEST(ItineraryTest, SerializationRoundTrip) {
     pb = back.next_step(*pb);
   }
   EXPECT_EQ(pa.has_value(), pb.has_value());
+}
+
+// ---------------------------------------------------------------------------
+// The agent's itinerary: one shared immutable object with memoized bytes
+// ---------------------------------------------------------------------------
+
+AgentTypeRegistry workload_types() {
+  AgentTypeRegistry reg;
+  reg.register_type<harness::WorkloadAgent>("workload");
+  return reg;
+}
+
+/// A Fig. 6 agent as a node holds it: decoded from its captured image.
+std::unique_ptr<Agent> decoded_fig6_agent(const AgentTypeRegistry& reg) {
+  harness::WorkloadAgent ag;
+  ag.itinerary() = fig6();
+  ag.set_id(AgentId(5));
+  ag.set_position(*std::as_const(ag).itinerary().first_step());
+  return decode_agent(reg, encode_agent(ag));
+}
+
+TEST(AgentItineraryTest, CloneSharesTheItineraryObject) {
+  const auto reg = workload_types();
+  const auto ag = decoded_fig6_agent(reg);
+  const auto copies = Agent::itinerary_copies();
+  const auto clone = clone_agent(reg, *ag);
+  EXPECT_EQ(&std::as_const(*clone).itinerary(),
+            &std::as_const(*ag).itinerary());
+  EXPECT_EQ(encode_agent(*clone), encode_agent(*ag));
+  EXPECT_EQ(Agent::itinerary_copies(), copies);
+}
+
+TEST(AgentItineraryTest, MutableAccessorUnsharesWithoutTouchingTheOther) {
+  const auto reg = workload_types();
+  const auto ag = decoded_fig6_agent(reg);
+  const auto before = encode_agent(*ag);
+  const auto clone = clone_agent(reg, *ag);
+  const auto copies = Agent::itinerary_copies();
+  Itinerary extra;
+  extra.step("s11", n(11));
+  clone->itinerary().sub(std::move(extra));
+  EXPECT_EQ(Agent::itinerary_copies(), copies + 1);
+  EXPECT_NE(&std::as_const(*clone).itinerary(),
+            &std::as_const(*ag).itinerary());
+  EXPECT_EQ(std::as_const(*ag).itinerary().size(), 3u);
+  EXPECT_EQ(std::as_const(*clone).itinerary().size(), 4u);
+  EXPECT_EQ(encode_agent(*ag), before);
+  // The edited copy captures its edited itinerary, not the stale memo.
+  const auto back = decode_agent(reg, encode_agent(*clone));
+  EXPECT_EQ(serial::to_bytes(std::as_const(*back).itinerary()),
+            serial::to_bytes(std::as_const(*clone).itinerary()));
+  // Unshared already: a second mutable access copies nothing.
+  (void)clone->itinerary();
+  EXPECT_EQ(Agent::itinerary_copies(), copies + 1);
+}
+
+TEST(AgentItineraryTest, MemoizedBytesEqualAFreshSerialize) {
+  const auto reg = workload_types();
+  const auto ag = decoded_fig6_agent(reg);  // carries the byte memo
+  // A clone unshared through the mutable accessor has no memo: its
+  // capture walks the itinerary.
+  const auto walked = clone_agent(reg, *ag);
+  (void)walked->itinerary();
+  EXPECT_EQ(encode_agent(*ag), encode_agent(*walked));
+  EXPECT_EQ(ag->serialized_size(), walked->serialized_size());
+  EXPECT_EQ(serial::to_bytes(std::as_const(*ag).itinerary()),
+            serial::to_bytes(fig6()));
+}
+
+TEST(AgentItineraryTest, DecodeEncodeIdentityHolds) {
+  const auto reg = workload_types();
+  harness::WorkloadAgent ag;
+  ag.itinerary() = fig6();
+  ag.set_id(AgentId(9));
+  ag.data().weak("cash") = std::int64_t{17};
+  const auto bytes = encode_agent(ag);
+  const auto once = decode_agent(reg, bytes);
+  EXPECT_EQ(encode_agent(*once), bytes);
+  const auto twice = decode_agent(reg, encode_agent(*once));
+  EXPECT_EQ(encode_agent(*twice), bytes);
+  EXPECT_EQ(encode_agent(*clone_agent(reg, *twice)), bytes);
 }
 
 TEST(ItineraryTest, ToStringRendersHierarchy) {

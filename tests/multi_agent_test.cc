@@ -239,12 +239,15 @@ TEST(MultiAgentTest, CancelRequestRollsBackARunningAgent) {
   ASSERT_TRUE(w.platform.run_until_finished(id.value()));
   EXPECT_EQ(w.platform.outcome(id.value()).state,
             AgentOutcome::State::cancelled);
-  // Everything it committed was compensated.
+  // Everything it committed was compensated, and no node keeps a
+  // resident agent for a record that is gone.
+  w.sim.run();
   for (int n = 1; n <= 4; ++n) {
     for (const auto& [key, value] :
          w.committed(n, "dir").at("entries").as_map()) {
       EXPECT_TRUE(key.rfind("touch-", 0) != 0) << key;
     }
+    EXPECT_EQ(w.platform.node(TestWorld::n(n)).resident_agents(), 0u);
   }
 }
 

@@ -5,6 +5,7 @@
 // mid-transfer crashes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "serial/encoder.h"
 #include "ship/shipment_manager.h"
 #include "storage/stable_storage.h"
+#include "tx/tx_manager.h"
 #include "util/rng.h"
 
 namespace mar {
@@ -47,7 +49,16 @@ struct RunOutcome {
   std::int64_t visits = 0;
   serial::Bytes final_agent;
   std::uint64_t convoy_bytes = 0;
+  /// Steps that ran from a resident agent (an incremental commit's or a
+  /// delta migration's handoff) instead of a decode, over both nodes.
+  std::uint64_t resident_hits = 0;
+  /// Resident agents still held once the world went quiet.
+  std::size_t resident_left = 0;
 };
+
+std::uint64_t resident_hits(agent::NodeRuntime& node) {
+  return node.metrics_snapshot().scalars.at("agent.resident_hits");
+}
 
 /// One agent through ping_pong(age, hops) under `cfg`; `crash_seed` != 0
 /// additionally injects a deterministic schedule of transient crashes on
@@ -84,6 +95,13 @@ RunOutcome run_ping_pong(PlatformConfig cfg, int age, int hops,
   const auto& by_type = w.net.stats().bytes_by_type;
   if (auto it = by_type.find("ship.convoy"); it != by_type.end()) {
     out.convoy_bytes = it->second;
+  }
+  // Quiesce: every staging, inquiry and recovery resolves.
+  w.sim.run();
+  for (const int n : {1, 2}) {
+    auto& node = w.platform.node(TestWorld::n(n));
+    out.resident_hits += resident_hits(node);
+    out.resident_left += node.resident_agents();
   }
   return out;
 }
@@ -250,76 +268,160 @@ TEST(ImageHashTest, EqualBytesHashEqualAndAnyBitFlipChangesTheHash) {
   }
 }
 
-TEST(ShipTest, BaseHashDivergenceIsAnsweredWithNeedFull) {
-  // A hand-driven peer N3 ships one agent to N2: a full frame establishes
-  // the channel base, then delta frames against it name the base's hash.
-  // A diverged hash must be answered need_full instead of reconstructing
-  // from the wrong base; the true hash reconstructs.
-  TestWorld w(PlatformConfig{}, /*node_count=*/2, /*seed=*/11);
-  register_workload(w.platform);
-  const NodeId peer = TestWorld::n(3);
-  const NodeId receiver_node = TestWorld::n(2);
-  std::vector<std::uint8_t> statuses;
-  w.net.add_node(peer, [&statuses](const net::Message& m) {
-    if (m.type != ship::msg::convoy_ack) return;
-    serial::Decoder dec(m.payload);
-    (void)dec.read_u64();  // receiver channel epoch
-    for (auto n = dec.read_count(); n > 0; --n) {
-      (void)dec.read_u64();  // tx
-      statuses.push_back(dec.read_u8());
-    }
-  });
+using statuses_t = std::vector<std::uint8_t>;
 
-  WorkloadAgent ag;
-  ag.set_id(AgentId(77));
-  ag.itinerary() = ping_pong(1, 1);
-  const auto base_image = agent::encode_agent(ag);
-  ag.data().weak("cash") = std::int64_t{5};
-  ag.log().push(rollback::BeginOfStepEntry{TestWorld::n(1), "step"});
-  const auto cur_image = agent::encode_agent(ag);
-  const auto delta = agent::encode_agent_delta_between(
-      *w.platform.decode(base_image), *w.platform.decode(cur_image));
-  ASSERT_TRUE(delta.has_value());
+/// A hand-driven peer N3 that ships one agent (id 77) to N2 as raw convoy
+/// entries. Entry layout (ShipmentManager::encode_frame): u64 tx, u8 mode
+/// (0 full, 1 delta), the queue record; a delta entry then carries the
+/// base's channel epoch and hash and the delta blob. The peer records
+/// N2's per-entry ack statuses; it answers N2's 2PC inquiries with a
+/// presumed abort once `answer_inquiries` is set, and stays silent before.
+class HandDrivenSender {
+ public:
+  static constexpr std::uint8_t kStaged = 0;
+  static constexpr std::uint8_t kNeedFull = 1;
 
-  auto& receiver = w.platform.node(receiver_node).shipments();
-  std::uint64_t next_tx = 1;
-  // Convoy entry layout (ShipmentManager::encode_frame): u64 tx, u8 mode
-  // (0 full, 1 delta), the queue record; a delta entry then carries the
-  // base's channel epoch and hash and the delta blob.
-  const auto ship_entry = [&](bool as_delta, std::uint64_t base_hash) {
+  HandDrivenSender() : w(PlatformConfig{}, /*node_count=*/2, /*seed=*/11) {
+    register_workload(w.platform);
+    w.net.add_node(kPeer, [this](const net::Message& m) { on_message(m); });
+    WorkloadAgent ag;
+    ag.set_id(AgentId(77));
+    ag.itinerary() = ping_pong(1, 1);
+    base_image = agent::encode_agent(ag);
+    ag.data().weak("cash") = std::int64_t{5};
+    ag.log().push(rollback::BeginOfStepEntry{TestWorld::n(1), "step"});
+    cur_image = agent::encode_agent(ag);
+    delta = *agent::encode_agent_delta_between(
+        *w.platform.decode(base_image), *w.platform.decode(cur_image));
+  }
+
+  /// Ship the full base image, or the base -> current delta naming
+  /// `base_hash`; then deliver the ack. Returns the entry's transaction.
+  TxId ship(bool as_delta, std::uint64_t base_hash = 0) {
+    auto& receiver = w.platform.node(kReceiver).shipments();
     storage::QueueRecord rec;
-    rec.record_id = next_tx;
+    rec.record_id = next_tx_;
     rec.agent = AgentId(77);
     if (!as_delta) rec.payload = base_image;
+    const TxId tx((std::uint64_t{3} << 40) | next_tx_++);  // N3 coordinates
     serial::Encoder entry;
-    entry.write_u64((std::uint64_t{3} << 40) | next_tx++);  // N3 coordinates
+    entry.write_u64(tx.value());
     entry.write_u8(as_delta ? 1 : 0);
     rec.serialize(entry);
     if (as_delta) {
       entry.write_u64(receiver.channel_epoch());
       entry.write_u64(base_hash);
-      entry.write_bytes(*delta);
+      entry.write_bytes(delta);
     }
     serial::Encoder convoy;
     convoy.write_u64(w.sim.now());
     convoy.write_varint(1);
     convoy.write_bytes(entry.buffer());
-    receiver.on_convoy(net::Message{peer, receiver_node, ship::msg::convoy,
+    receiver.on_convoy(net::Message{kPeer, kReceiver, ship::msg::convoy,
                                     std::move(convoy).take()});
     w.sim.run_until(w.sim.now() + 20'000);  // deliver the ack
-  };
-  constexpr std::uint8_t kStaged = 0;
-  constexpr std::uint8_t kNeedFull = 1;
-  ship_entry(false, 0);
-  ship_entry(true, ship::image_hash(base_image) ^ 1);
-  ship_entry(true, ship::image_hash(base_image));
-  EXPECT_EQ(statuses,
-            (std::vector<std::uint8_t>{kStaged, kNeedFull, kStaged}));
+    return tx;
+  }
+
+  /// The coordinator aborts `tx` at N2 (tx.abort).
+  void abort(TxId tx) {
+    w.net.send(net::Message{kPeer, kReceiver, tx::msg::abort, tx_bytes(tx)});
+    w.sim.run_until(w.sim.now() + 20'000);
+  }
+
+  [[nodiscard]] std::size_t handoffs() {
+    return w.platform.node(kReceiver).resident_agents();
+  }
+
+  static inline const NodeId kPeer = TestWorld::n(3);
+  static inline const NodeId kReceiver = TestWorld::n(2);
+  TestWorld w;
+  serial::Bytes base_image;
+  serial::Bytes cur_image;
+  serial::Bytes delta;
+  std::vector<std::uint8_t> statuses;
+  bool answer_inquiries = false;
+
+ private:
+  /// The tx.* message body: u64 tx, bool flag.
+  static serial::Bytes tx_bytes(TxId tx, bool flag = false) {
+    serial::Encoder enc(9);
+    enc.write_u64(tx.value());
+    enc.write_bool(flag);
+    return std::move(enc).take();
+  }
+
+  void on_message(const net::Message& m) {
+    serial::Decoder dec(m.payload);
+    if (m.type == ship::msg::convoy_ack) {
+      (void)dec.read_u64();  // receiver channel epoch
+      for (auto n = dec.read_count(); n > 0; --n) {
+        (void)dec.read_u64();  // tx
+        statuses.push_back(dec.read_u8());
+      }
+    } else if (m.type == tx::msg::inquiry && answer_inquiries) {
+      // No decision record at this coordinator: presumed abort.
+      w.net.send(net::Message{kPeer, m.from, tx::msg::decision,
+                              tx_bytes(TxId(dec.read_u64()), false)});
+    }
+  }
+
+  std::uint64_t next_tx_ = 1;
+};
+
+TEST(ShipTest, BaseHashDivergenceIsAnsweredWithNeedFull) {
+  // A full frame establishes the channel base, then delta frames against
+  // it name the base's hash. A diverged hash must be answered need_full
+  // instead of reconstructing from the wrong base; the true hash
+  // reconstructs.
+  HandDrivenSender peer;
+  const auto& base_image = peer.base_image;
+  peer.ship(false);
+  peer.ship(true, ship::image_hash(base_image) ^ 1);
+  peer.ship(true, ship::image_hash(base_image));
+  EXPECT_EQ(statuses_t(peer.statuses),
+            statuses_t({HandDrivenSender::kStaged, HandDrivenSender::kNeedFull,
+                        HandDrivenSender::kStaged}));
   // Only the full frame and the matching delta reached storage, the
   // latter reconstructed to the sender's current image.
-  const auto& st = w.platform.node(receiver_node).storage().stats();
-  EXPECT_EQ(st.ship_bytes_received, base_image.size() + delta->size());
-  EXPECT_EQ(st.ship_bytes_reconstructed, base_image.size() + cur_image.size());
+  const auto& st =
+      peer.w.platform.node(HandDrivenSender::kReceiver).storage().stats();
+  EXPECT_EQ(st.ship_bytes_received, base_image.size() + peer.delta.size());
+  EXPECT_EQ(st.ship_bytes_reconstructed,
+            base_image.size() + peer.cur_image.size());
+}
+
+TEST(HandoffTest, NoHandoffOutlivesItsStaging) {
+  // A delta staging hands N2 the reconstructed agent (a full frame does
+  // not); every way the staging can end without executing drops it.
+  HandDrivenSender peer;
+  const auto base_hash = ship::image_hash(peer.base_image);
+  peer.ship(false);
+  EXPECT_EQ(peer.handoffs(), 0u);
+  const auto aborted = peer.ship(true, base_hash);
+  EXPECT_EQ(peer.handoffs(), 1u);
+  peer.abort(aborted);  // the coordinator aborts the staging
+  EXPECT_EQ(peer.handoffs(), 0u);
+
+  peer.ship(false);
+  peer.ship(true, base_hash);
+  EXPECT_EQ(peer.handoffs(), 1u);
+  // The coordinator never decides: N2's inquiries resolve the staging as
+  // presumed abort.
+  peer.answer_inquiries = true;
+  peer.w.sim.run_until(peer.w.sim.now() + 1'000'000);
+  EXPECT_EQ(peer.handoffs(), 0u);
+
+  peer.ship(false);
+  peer.ship(true, base_hash);
+  EXPECT_EQ(peer.handoffs(), 1u);
+  peer.w.faults.crash_at(HandDrivenSender::kReceiver, peer.w.sim.now(),
+                         5'000);
+  peer.w.sim.run();  // crash, recover, quiesce
+  EXPECT_EQ(peer.handoffs(), 0u);
+  EXPECT_EQ(std::count(peer.statuses.begin(), peer.statuses.end(),
+                       HandDrivenSender::kStaged),
+            6);
 }
 
 // --------------------------------------------------------------------------
@@ -406,6 +508,12 @@ TEST(ShipTest, MidTransferCrashesStayExactlyOnceAndBitIdentical) {
     // state equals the full-image run's, byte for byte.
     EXPECT_EQ(delta_run.final_agent, full_run.final_agent)
         << "seed " << seed;
+    // Delta hops ran from handed-off agents, and after quiesce none
+    // outlives its record: crashes and aborted stagings dropped theirs.
+    EXPECT_GT(delta_run.resident_hits, full_run.resident_hits)
+        << "seed " << seed;
+    EXPECT_EQ(delta_run.resident_left, 0u) << "seed " << seed;
+    EXPECT_EQ(full_run.resident_left, 0u) << "seed " << seed;
   }
 }
 
@@ -428,7 +536,180 @@ TEST(ShipTest, PipelinedCommitCrashesStayExactlyOnceAndBitIdentical) {
     EXPECT_EQ(full_run.visits, 24) << "seed " << seed;
     EXPECT_EQ(delta_run.final_agent, full_run.final_agent)
         << "seed " << seed;
+    EXPECT_GT(delta_run.resident_hits, full_run.resident_hits)
+        << "seed " << seed;
+    EXPECT_EQ(delta_run.resident_left, 0u) << "seed " << seed;
+    EXPECT_EQ(full_run.resident_left, 0u) << "seed " << seed;
   }
+}
+
+// --------------------------------------------------------------------------
+// Receiver handoff: the reconstructed agent runs the staged record's step
+// --------------------------------------------------------------------------
+
+/// What ProbeAgent observed across one run.
+struct ProbeLog {
+  /// encode_agent() of every step attempt's starting state, in order.
+  std::vector<serial::Bytes> images;
+  /// Abort the first attempt of every step on N2 (StepContext::
+  /// retry_step): the attempt takes the handoff, the retry decodes.
+  bool abort_first_n2_attempt = false;
+  bool n2_attempt_aborted = false;
+};
+ProbeLog* g_probe = nullptr;
+
+/// Records the state each step attempt starts from, then spends: one
+/// visit, one logged agent compensation (so deltas carry log entries).
+class ProbeAgent final : public agent::Agent {
+ public:
+  ProbeAgent() { data().declare_weak("visits", std::int64_t{0}); }
+  [[nodiscard]] std::string type_name() const override { return "probe"; }
+  void run_step(const std::string& step, agent::StepContext& ctx) override {
+    (void)step;
+    g_probe->images.push_back(agent::encode_agent(*this));
+    if (g_probe->abort_first_n2_attempt && ctx.node() == TestWorld::n(2)) {
+      g_probe->n2_attempt_aborted = !g_probe->n2_attempt_aborted;
+      if (g_probe->n2_attempt_aborted) {
+        ctx.retry_step(Status(Errc::tx_aborted, "injected abort"));
+        return;
+      }
+    }
+    ctx.charge_service(1);
+    data().weak("visits") = data().weak("visits").as_int() + 1;
+    serial::Value undo = serial::Value::empty_map();
+    undo.set("slot", std::string("visits"));
+    undo.set("amount", std::int64_t{-1});
+    ctx.log_agent_compensation("comp.counter_add", std::move(undo));
+  }
+};
+
+enum class Inject { none, abort_after_handoff, crash_before_execution };
+
+struct ProbeRun {
+  bool done = false;
+  std::int64_t visits = 0;
+  serial::Bytes final_agent;
+  std::vector<serial::Bytes> images;
+  std::uint64_t n2_hits = 0;  ///< N2 steps run from a handed-off agent
+  std::uint64_t n1_delta_ships = 0;
+  std::size_t resident_left = 0;
+};
+
+/// A ProbeAgent through ping_pong(2, 8) (hops N1 -> N2 -> N1 ...).
+ProbeRun run_probe(bool ship_delta, Inject inject) {
+  PlatformConfig cfg;
+  cfg.ship_delta = ship_delta;
+  cfg.discard_log_on_top_level = false;
+  TestWorld w(cfg, /*node_count=*/2, /*seed=*/11);
+  register_workload(w.platform);
+  w.platform.agent_types().register_type<ProbeAgent>("probe");
+  ProbeLog log;
+  log.abort_first_n2_attempt = inject == Inject::abort_after_handoff;
+  g_probe = &log;
+  auto ag = std::make_unique<ProbeAgent>();
+  ag->itinerary() = ping_pong(2, 8);
+  auto id = w.platform.launch(std::move(ag));
+  EXPECT_TRUE(id.is_ok());
+  auto& n2 = w.platform.node(TestWorld::n(2));
+  if (inject == Inject::crash_before_execution) {
+    // Crash N2 the moment a delta staging hands it an agent, before the
+    // staged record can commit and execute.
+    while (n2.resident_agents() == 0 && w.sim.step()) {
+    }
+    EXPECT_EQ(n2.resident_agents(), 1u);
+    w.faults.crash_at(TestWorld::n(2), w.sim.now(), 5'000);
+    w.sim.run_until(w.sim.now());
+    EXPECT_EQ(n2.resident_agents(), 0u);  // volatile: gone with the crash
+  }
+  ProbeRun out;
+  out.done = w.platform.run_until_finished(id.value()) &&
+             w.platform.outcome(id.value()).state ==
+                 AgentOutcome::State::done;
+  if (out.done) {
+    out.final_agent = w.platform.outcome(id.value()).final_agent;
+    out.visits =
+        w.platform.decode(out.final_agent)->data().weak("visits").as_int();
+  }
+  w.sim.run();  // quiesce
+  out.images = std::move(log.images);
+  out.n2_hits = resident_hits(n2);
+  out.n1_delta_ships =
+      w.platform.node(TestWorld::n(1)).shipments().stats().delta_ships;
+  for (const int n : {1, 2}) {
+    out.resident_left += w.platform.node(TestWorld::n(n)).resident_agents();
+  }
+  g_probe = nullptr;
+  return out;
+}
+
+/// `images` without consecutive repeats (an aborted attempt and its retry
+/// start from the same state).
+std::vector<serial::Bytes> distinct_runs(std::vector<serial::Bytes> images) {
+  images.erase(std::unique(images.begin(), images.end()), images.end());
+  return images;
+}
+
+TEST(HandoffTest, DeltaHopExecutesExactlyTheStagedPayload) {
+  const auto full = run_probe(/*ship_delta=*/false, Inject::none);
+  const auto delta = run_probe(/*ship_delta=*/true, Inject::none);
+  ASSERT_TRUE(full.done);
+  ASSERT_TRUE(delta.done);
+  EXPECT_EQ(delta.visits, 10);
+  // Every N2 step after the channel's first (full-image) crossing ran
+  // from the handoff; without delta shipping none did.
+  EXPECT_EQ(delta.n1_delta_ships, 3u);
+  EXPECT_EQ(delta.n2_hits, delta.n1_delta_ships);
+  EXPECT_EQ(full.n2_hits, 0u);
+  // The full-image run decodes rec.payload for every step: each step of
+  // the delta run started from exactly that state.
+  EXPECT_EQ(delta.images, full.images);
+  EXPECT_EQ(delta.final_agent, full.final_agent);
+  EXPECT_EQ(delta.resident_left, 0u);
+}
+
+TEST(HandoffTest, AbortAfterTakingTheHandoffRetriesFromThePayload) {
+  const auto clean = run_probe(/*ship_delta=*/true, Inject::none);
+  const auto aborted =
+      run_probe(/*ship_delta=*/true, Inject::abort_after_handoff);
+  ASSERT_TRUE(aborted.done);
+  EXPECT_EQ(aborted.visits, 10);  // the aborted attempts left no effect
+  EXPECT_EQ(aborted.n2_hits, aborted.n1_delta_ships);
+  EXPECT_GT(aborted.n2_hits, 0u);
+  // Each of the 4 N2 steps ran twice: the attempt that took the handoff
+  // aborted, and its retry decoded rec.payload — from the same state.
+  EXPECT_EQ(aborted.images.size(), clean.images.size() + 4);
+  EXPECT_EQ(distinct_runs(aborted.images), clean.images);
+  EXPECT_EQ(aborted.final_agent, clean.final_agent);
+  EXPECT_EQ(aborted.resident_left, 0u);
+}
+
+TEST(HandoffTest, ReceiverCrashBeforeExecutionDecodesFromStorage) {
+  const auto clean = run_probe(/*ship_delta=*/true, Inject::none);
+  const auto crashed =
+      run_probe(/*ship_delta=*/true, Inject::crash_before_execution);
+  ASSERT_TRUE(crashed.done);
+  EXPECT_EQ(crashed.visits, 10);  // exactly once despite the crash
+  // The crashed handoff was never used: that step ran from storage.
+  EXPECT_LT(crashed.n2_hits, crashed.n1_delta_ships);
+  EXPECT_EQ(distinct_runs(crashed.images), clean.images);
+  EXPECT_EQ(crashed.final_agent, clean.final_agent);
+  EXPECT_EQ(crashed.resident_left, 0u);
+}
+
+TEST(HandoffTest, DeltaPingPongMakesNoItineraryCopy) {
+  PlatformConfig cfg;
+  TestWorld w(cfg, 2, 11);
+  register_workload(w.platform);
+  auto ag = std::make_unique<WorkloadAgent>();
+  ag->itinerary() = ping_pong(1, 8);
+  auto id = w.platform.launch(std::move(ag));
+  ASSERT_TRUE(id.is_ok());
+  const auto copies = agent::Agent::itinerary_copies();
+  ASSERT_TRUE(w.platform.run_until_finished(id.value()));
+  const auto& s1 = w.platform.node(TestWorld::n(1)).shipments().stats();
+  const auto& s2 = w.platform.node(TestWorld::n(2)).shipments().stats();
+  EXPECT_EQ(s1.delta_ships + s2.delta_ships, 6u);
+  EXPECT_EQ(agent::Agent::itinerary_copies(), copies);
 }
 
 }  // namespace
