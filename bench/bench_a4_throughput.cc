@@ -10,10 +10,11 @@
 //                    "work" steps (pure service time) on one node:
 //                    agents/sec should scale with the slot count until
 //                    slots outnumber agents;
-//   contended        the same fleet where every step locks the node's one
-//                    directory resource: concurrent slots surface lock
-//                    conflicts that abort the losers into backoff/retry,
-//                    capping the scaling (the honest cost curve).
+//   contended        the same fleet where every step deposits into ONE
+//                    shared bank account (a write lock on one key):
+//                    concurrent slots surface lock conflicts that abort
+//                    the losers into backoff/retry, capping the scaling
+//                    (the honest cost curve).
 //
 // All worlds are independent and deterministic per seed, so the whole
 // sweep — plus a seed-replicated reproducibility check — runs through the
@@ -60,15 +61,12 @@ FleetResult run_fleet(int fleet, std::uint32_t concurrency, bool contended,
   agent::PlatformConfig cfg;
   cfg.node_concurrency = concurrency;
   cfg.span_tracing = tracing;
-  // A4 measures the slotted scheduler against the CLASSIC envelope —
-  // exact serialized makespans, and instance-lock conflicts as the
-  // contention signal — so the newer defaults (per-key locking, group
-  // commit) are pinned off; A6/A7 sweep those knobs deliberately.
-  cfg.lock_granularity = resource::LockGranularity::instance;
+  // A4 measures the slotted scheduler against exact serialized makespans,
+  // so group commit is pinned off; A6/A7 sweep that knob deliberately.
   cfg.group_commit_window = 1;
   TestWorld w(cfg, /*node_count=*/1, seed);
   harness::register_workload(w.platform);
-  w.publish(1, "info", serial::Value("x"));
+  w.open_account(1, "a0", 0);
 
   std::vector<AgentId> ids;
   ids.reserve(static_cast<std::size_t>(fleet));
@@ -76,11 +74,16 @@ FleetResult run_fleet(int fleet, std::uint32_t concurrency, bool contended,
     auto ag = std::make_unique<harness::WorkloadAgent>();
     Itinerary tour;
     for (int s = 0; s < kSteps; ++s) {
-      tour.step(contended ? "collect" : "work", TestWorld::n(1));
+      tour.step(contended ? "bank_hot" : "work", TestWorld::n(1));
     }
     Itinerary main_it;
     main_it.sub(std::move(tour));
     ag->itinerary() = std::move(main_it);
+    if (contended) {
+      serial::Value accounts = serial::Value::empty_list();
+      accounts.push_back(serial::Value(std::int64_t{0}));
+      ag->set_config_value("hot_accounts", std::move(accounts));
+    }
     auto r = w.platform.launch(std::move(ag));
     MAR_CHECK(r.is_ok());
     ids.push_back(r.value());
@@ -165,7 +168,7 @@ int main(int argc, char** argv) {
                "(slotted scheduler) ===\n"
             << "(fleet of agents x " << kSteps
             << " steps on one node; node_concurrency slots; contention-free "
-               "work steps vs lock-contended collect steps)\n\n";
+               "work steps vs one-account bank_hot steps)\n\n";
 
   const std::vector<int> fleets = {1, 4, 8, 16, 64};
   const std::vector<std::uint32_t> concs = {1, 2, 4, 8};
@@ -244,7 +247,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::cout << "\ncontended fleet (shared directory lock):\n"
+  std::cout << "\ncontended fleet (one shared account):\n"
             << "fleet  conc  agents/s  conflicts  makespan[ms]\n"
             << "----------------------------------------------\n";
   for (const auto c : concs) {

@@ -1,18 +1,18 @@
 // Experiment A6 — contended-fleet fast path: per-key locking + group
 // commit.
 //
-// PR 2's slotted scheduler scales independent fleets, but under instance
-// locking any two agents touching the same resource instance serialize on
-// its exclusive lock and burn slots on lock_conflict abort/restart. The
-// paper's ACID envelope (Sec. 2) requires isolation per *datum*: with
-// PlatformConfig::lock_granularity = per_key, step transactions conflict
-// only when their declared key-sets overlap — so a fleet hammering ONE
-// bank scales with node_concurrency as long as its account draws spread.
+// The slotted scheduler scales independent fleets, but any two agents
+// writing the same datum serialize on its exclusive lock and burn slots on
+// lock_conflict abort/restart. The paper's ACID envelope (Sec. 2)
+// requires isolation per *datum*: step transactions conflict only when
+// their declared key-sets overlap — so a fleet hammering ONE bank scales
+// with node_concurrency as long as its account draws spread.
 //
 // The workload: F agents x S `bank_hot` steps on one node, each step a
-// deposit into an account drawn from K accounts — uniformly, or Zipf(s)
-// (hot-key skew). Swept over draw skew x node_concurrency {1,2,4,8} x
-// lock granularity, reporting
+// deposit into an account drawn from K accounts — uniformly, Zipf(s)
+// (hot-key skew), or always the same one (one_key: every concurrent pair
+// collides, the envelope of one exclusive lock per resource instance).
+// Swept over draw skew x node_concurrency {1,2,4,8}, reporting
 //   * steps/sec (virtual-time throughput: committed steps / makespan),
 //   * abort rate (lock_conflict aborts per committed step), and
 //   * syncs/step (metered stable-storage sync batches per committed step).
@@ -44,10 +44,20 @@ namespace {
 constexpr int kAccounts = 64;
 constexpr double kZipfS = 1.2;
 
+enum class Skew { uniform, zipf, one_key };
+
+const char* to_string(Skew skew) {
+  switch (skew) {
+    case Skew::uniform: return "uniform";
+    case Skew::zipf: return "zipf";
+    case Skew::one_key: return "one_key";
+  }
+  return "?";
+}
+
 struct Cell {
   bool ok = false;
-  bool zipf = false;
-  bool per_key = false;
+  Skew skew = Skew::uniform;
   std::uint32_t conc = 1;
   std::uint32_t window = 1;
   int fleet = 0;
@@ -61,11 +71,13 @@ struct Cell {
 };
 
 /// Per-step account draws for one agent: uniform or Zipf(kZipfS) over
-/// kAccounts, deterministic in (seed, agent index).
-std::vector<std::int64_t> draw_accounts(bool zipf, int steps, Rng& rng) {
+/// kAccounts, deterministic in (seed, agent index); one_key always draws
+/// account 0.
+std::vector<std::int64_t> draw_accounts(Skew skew, int steps, Rng& rng) {
+  if (skew == Skew::one_key) return {0};
   std::vector<std::int64_t> draws;
   draws.reserve(static_cast<std::size_t>(steps));
-  if (!zipf) {
+  if (skew == Skew::uniform) {
     for (int s = 0; s < steps; ++s) {
       draws.push_back(static_cast<std::int64_t>(rng.next_below(kAccounts)));
     }
@@ -87,13 +99,10 @@ std::vector<std::int64_t> draw_accounts(bool zipf, int steps, Rng& rng) {
   return draws;
 }
 
-Cell run_cell(bool zipf, std::uint32_t conc, bool per_key,
-              std::uint32_t window, int fleet, int steps,
-              std::uint64_t seed) {
+Cell run_cell(Skew skew, std::uint32_t conc, std::uint32_t window,
+              int fleet, int steps, std::uint64_t seed) {
   agent::PlatformConfig cfg;
   cfg.node_concurrency = conc;
-  cfg.lock_granularity = per_key ? resource::LockGranularity::per_key
-                                 : resource::LockGranularity::instance;
   cfg.group_commit_window = window;
   TestWorld w(cfg, /*node_count=*/1, seed);
   harness::register_workload(w.platform);
@@ -101,7 +110,7 @@ Cell run_cell(bool zipf, std::uint32_t conc, bool per_key,
     w.open_account(1, "a" + std::to_string(a), 0);
   }
 
-  Rng draws_rng(seed * 7919 + (zipf ? 1 : 0));
+  Rng draws_rng(seed * 7919 + (skew == Skew::zipf ? 1 : 0));
   std::vector<AgentId> ids;
   ids.reserve(static_cast<std::size_t>(fleet));
   for (int a = 0; a < fleet; ++a) {
@@ -112,7 +121,7 @@ Cell run_cell(bool zipf, std::uint32_t conc, bool per_key,
     main_it.sub(std::move(tour));
     ag->itinerary() = std::move(main_it);
     serial::Value accounts = serial::Value::empty_list();
-    for (const auto d : draw_accounts(zipf, steps, draws_rng)) {
+    for (const auto d : draw_accounts(skew, steps, draws_rng)) {
       accounts.push_back(d);
     }
     ag->set_config_value("hot_accounts", std::move(accounts));
@@ -122,8 +131,7 @@ Cell run_cell(bool zipf, std::uint32_t conc, bool per_key,
   }
 
   Cell c;
-  c.zipf = zipf;
-  c.per_key = per_key;
+  c.skew = skew;
   c.conc = conc;
   c.window = window;
   c.fleet = fleet;
@@ -191,38 +199,33 @@ int main(int argc, char** argv) {
             << "(" << fleet << " agents x " << steps
             << " bank deposits on ONE bank of " << kAccounts
             << " accounts; draws uniform vs zipf(" << kZipfS
-            << "); instance vs per-key locks)\n\n";
+            << ") vs one key)\n\n";
 
   struct Job {
-    bool zipf;
+    Skew skew;
     std::uint32_t conc;
-    bool per_key;
     std::uint32_t window;
   };
   std::vector<Job> jobs;
-  for (const bool zipf : {false, true}) {
-    for (const auto conc : concs) {
-      for (const bool per_key : {false, true}) {
-        jobs.push_back({zipf, conc, per_key, 1});
-      }
-    }
+  for (const Skew skew : {Skew::uniform, Skew::zipf, Skew::one_key}) {
+    for (const auto conc : concs) jobs.push_back({skew, conc, 1});
   }
-  // Group-commit sweep at the most multiprogrammed per-key cell.
-  for (const auto win : windows) jobs.push_back({true, 8, true, win});
+  // Group-commit sweep at the most multiprogrammed zipf cell.
+  for (const auto win : windows) jobs.push_back({Skew::zipf, 8, win});
 
   const auto results = expt::run_worlds(
       jobs.size(),
       [&jobs, fleet, steps](std::size_t i) {
         const Job& j = jobs[i];
-        return run_cell(j.zipf, j.conc, j.per_key, j.window, fleet, steps,
+        return run_cell(j.skew, j.conc, j.window, fleet, steps,
                         /*seed=*/11);
       });
 
-  auto cell_of = [&](bool zipf, std::uint32_t conc, bool per_key,
+  auto cell_of = [&](Skew skew, std::uint32_t conc,
                      std::uint32_t window) -> const Cell& {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (jobs[i].zipf == zipf && jobs[i].conc == conc &&
-          jobs[i].per_key == per_key && jobs[i].window == window) {
+      if (jobs[i].skew == skew && jobs[i].conc == conc &&
+          jobs[i].window == window) {
         return results[i];
       }
     }
@@ -231,16 +234,15 @@ int main(int argc, char** argv) {
   };
 
   bool shape_ok = true;
-  std::cout << "skew     locks     conc  steps/s  abort/step  syncs/step  "
+  std::cout << "skew     conc  steps/s  abort/step  syncs/step  "
                "makespan[ms]\n"
-            << "----------------------------------------------------------"
-               "----------\n";
+            << "------------------------------------------------------"
+               "----\n";
   for (const auto& c : results) {
     if (c.window != 1) continue;
     shape_ok = shape_ok && c.ok;
-    std::cout << std::left << std::setw(8) << (c.zipf ? "zipf" : "uniform")
-              << " " << std::setw(9) << (c.per_key ? "per-key" : "instance")
-              << std::right << " " << std::setw(4) << c.conc << "  "
+    std::cout << std::left << std::setw(8) << to_string(c.skew) << std::right
+              << " " << std::setw(4) << c.conc << "  "
               << std::setw(7) << std::fixed << std::setprecision(0)
               << c.steps_per_sec << "  " << std::setw(10)
               << std::setprecision(3) << c.abort_rate << "  " << std::setw(10)
@@ -250,8 +252,7 @@ int main(int argc, char** argv) {
   for (const auto& c : results) {
     report.row()
         .set("phase", c.window == 1 ? "sweep" : "group_commit")
-        .set("skew", c.zipf ? "zipf" : "uniform")
-        .set("granularity", c.per_key ? "per_key" : "instance")
+        .set("skew", to_string(c.skew))
         .set("node_concurrency", static_cast<int>(c.conc))
         .set("group_commit_window", static_cast<int>(c.window))
         .set("fleet", c.fleet)
@@ -265,17 +266,17 @@ int main(int argc, char** argv) {
         .set("ok", c.ok);
   }
 
-  std::cout << "\ngroup commit (zipf, per-key, conc 8):\n"
+  std::cout << "\ngroup commit (zipf, conc 8):\n"
             << "window  steps/s  syncs/step\n"
             << "---------------------------\n";
   {
-    const auto& base = cell_of(true, 8, true, 1);
+    const auto& base = cell_of(Skew::zipf, 8, 1);
     std::cout << std::setw(6) << 1 << "  " << std::setw(7) << std::fixed
               << std::setprecision(0) << base.steps_per_sec << "  "
               << std::setw(10) << std::setprecision(3) << base.syncs_per_step
               << "\n";
     for (const auto win : windows) {
-      const auto& c = cell_of(true, 8, true, win);
+      const auto& c = cell_of(Skew::zipf, 8, win);
       shape_ok = shape_ok && c.ok;
       std::cout << std::setw(6) << win << "  " << std::setw(7)
                 << std::setprecision(0) << c.steps_per_sec << "  "
@@ -286,20 +287,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Headline checks. Hot-key skew at full multiprogramming: per-key
-  // locking must at least double throughput over instance locking while
-  // aborting strictly less; and with more slots per-key must beat itself
-  // at conc 1 (the scaling instance locking cannot deliver).
-  const auto& inst_hot = cell_of(true, 8, false, 1);
-  const auto& key_hot = cell_of(true, 8, true, 1);
-  const double speedup = key_hot.steps_per_sec / inst_hot.steps_per_sec;
+  // Headline checks. Hot-key skew at full multiprogramming: spreading the
+  // draws over per-account locks must at least double throughput over
+  // the one-key fleet (the one-lock-per-instance envelope) while aborting
+  // strictly less; and with more slots zipf must beat itself at conc 1
+  // (the scaling one exclusive lock cannot deliver).
+  const auto& one_key = cell_of(Skew::one_key, 8, 1);
+  const auto& zipf = cell_of(Skew::zipf, 8, 1);
+  const double speedup = zipf.steps_per_sec / one_key.steps_per_sec;
   const bool hot_fast = speedup >= 2.0;
-  const bool hot_fewer_aborts = key_hot.abort_rate < inst_hot.abort_rate;
-  const bool scales = key_hot.steps_per_sec >
-                      cell_of(true, 1, true, 1).steps_per_sec;
-  std::cout << "\nzipf@conc8: per-key " << std::setprecision(2) << speedup
-            << "x instance (abort/step " << std::setprecision(3)
-            << inst_hot.abort_rate << " -> " << key_hot.abort_rate << ") -> "
+  const bool hot_fewer_aborts = zipf.abort_rate < one_key.abort_rate;
+  const bool scales =
+      zipf.steps_per_sec > cell_of(Skew::zipf, 1, 1).steps_per_sec;
+  std::cout << "\nzipf@conc8: " << std::setprecision(2) << speedup
+            << "x one_key (abort/step " << std::setprecision(3)
+            << one_key.abort_rate << " -> " << zipf.abort_rate << ") -> "
             << ((hot_fast && hot_fewer_aborts && scales) ? "OK" : "MISMATCH")
             << "\n";
   shape_ok = shape_ok && hot_fast && hot_fewer_aborts && scales;
@@ -308,8 +310,8 @@ int main(int argc, char** argv) {
       .set("skew", "zipf")
       .set("node_concurrency", 8)
       .set("per_key_speedup", speedup)
-      .set("instance_abort_rate", inst_hot.abort_rate)
-      .set("per_key_abort_rate", key_hot.abort_rate)
+      .set("one_key_abort_rate", one_key.abort_rate)
+      .set("per_key_abort_rate", zipf.abort_rate)
       .set("required_speedup", 2.0);
 
   std::cout << (shape_ok ? "\nshape check: OK\n" : "\nshape check: FAILED\n");

@@ -87,7 +87,8 @@ RunResult run_course(bool delta, int node_count, int age, int hops,
       flight != nullptr && crash_seed != 0) {
     cfg.flight_dump_path = flight;
   }
-  cfg.ship_delta = delta;
+  // Full-image mode caches no channel base, so no delta can apply.
+  if (!delta) cfg.ship_cache_bytes = 0;
   cfg.ship_convoy_window = convoy_window;
   // The window sweep contrasts the whole coalescing stack: convoy
   // batching AND the participant/local group commit it feeds. The

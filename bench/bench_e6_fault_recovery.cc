@@ -7,11 +7,11 @@
 // as a Poisson process, sweeping the crash rate, and reports completion
 // times. The run FAILS if any configuration blocks.
 //
-// Two storage modes per crash rate:
-//   * classic   — segmented_log off: the unsegmented record area, pinned
-//                 as the full-replay envelope (bit-exact seed behavior);
-//   * segmented — the CRC32-framed segment log with fuzzy checkpoints
-//                 armed, recovering through the same crash schedule.
+// Two storage modes per crash rate, both on the CRC32-framed segment log:
+//   * no_checkpoint — checkpoints off: every recovery replays the whole
+//                     retained log (the full-replay envelope);
+//   * segmented     — fuzzy checkpoints armed, recovering through the
+//                     same crash schedule.
 // The virtual-time outcome (completion, compensation counts) must be
 // identical between the modes; only the storage metering differs.
 //
@@ -19,6 +19,8 @@
 // frequent; correctness (completion + exact compensation) never degrades.
 #include <iomanip>
 #include <iostream>
+#include <map>
+#include <utility>
 
 #include "common.h"
 
@@ -30,11 +32,14 @@ int main(int argc, char** argv) {
   std::cout << "=== E6: rollback completion under transient crashes ===\n"
             << "(8 steps + full-sub rollback; Poisson crash/recover per "
                "node, 200 ms mean downtime)\n\n";
-  std::cout << "mode       MTBC[s]  crashes  forward[ms]  rollback[ms]  "
+  std::cout << "mode           MTBC[s]  crashes  forward[ms]  rollback[ms]  "
                "total[ms]  comp-CTs  done\n";
   std::cout << "--------------------------------------------------------"
-               "--------------------\n";
+               "------------------------\n";
   bool all_ok = true;
+  bool identical = true;
+  /// (mtbc, seed) -> the no_checkpoint run, the oracle for segmented.
+  std::map<std::pair<double, std::uint64_t>, bench::Metrics> envelope;
   for (const bool segmented : {false, true}) {
     for (const double mtbc_s : {0.0, 10.0, 3.0, 1.0, 0.5}) {
       // Average over seeds for the noisy settings.
@@ -53,11 +58,23 @@ int main(int argc, char** argv) {
         s.inject_faults = mtbc_s > 0;
         s.mean_time_between_crashes_us = mtbc_s * 1e6;
         s.mean_downtime_us = 200'000;
-        s.config.segmented_log = segmented;
         if (segmented) s.config.checkpoint_interval_bytes = 4096;
         const auto m = bench::run_rollback_scenario(s);
+        if (!segmented) {
+          envelope[{mtbc_s, s.seed}] = m;
+        } else {
+          const auto& e = envelope.at({mtbc_s, s.seed});
+          identical = identical && m.total_us == e.total_us &&
+                      m.forward_us == e.forward_us &&
+                      m.rollback_us == e.rollback_us &&
+                      m.comp_commits == e.comp_commits &&
+                      m.rollback_transfers == e.rollback_transfers &&
+                      m.crashes == e.crashes &&
+                      m.final_log_bytes == e.final_log_bytes;
+        }
         m.write_fields(report.row()
-                           .set("mode", segmented ? "segmented" : "classic")
+                           .set("mode",
+                                segmented ? "segmented" : "no_checkpoint")
                            .set("mtbc_s", mtbc_s)
                            .set("seed", s.seed));
         ok = ok && m.ok;
@@ -67,7 +84,7 @@ int main(int argc, char** argv) {
         crashes += m.crashes;
         comp += m.comp_commits;
       }
-      std::cout << (segmented ? "segmented  " : "classic    ")
+      std::cout << (segmented ? "segmented      " : "no_checkpoint  ")
                 << std::setw(7) << std::fixed << std::setprecision(1)
                 << mtbc_s << "  " << std::setw(7) << crashes << "  "
                 << std::setw(11) << std::setprecision(1) << forward_ms
@@ -79,7 +96,10 @@ int main(int argc, char** argv) {
   }
   std::cout << "\ncheck: every configuration completes (eventual rollback "
                "under transient faults, both storage modes) -> "
-            << (all_ok ? "OK" : "MISMATCH") << "\n";
+            << (all_ok ? "OK" : "MISMATCH") << "\n"
+            << "check: identical outcome with and without checkpoints -> "
+            << (identical ? "OK" : "MISMATCH") << "\n";
+  all_ok = all_ok && identical;
   report.set_ok(all_ok);
   if (!json_path.empty() && !report.write_file(json_path)) return 2;
   return all_ok ? 0 : 1;

@@ -28,7 +28,9 @@ const StepEntry& current_step(const Agent& agent) {
 }  // namespace
 
 NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
-    : p_(platform), id_(id), qm_(storage_), rm_(storage_),
+    : p_(platform), id_(id),
+      storage_(storage::SegmentLogConfig{platform.config().segment_bytes}),
+      qm_(storage_), rm_(storage_),
       txm_(id, platform.sim(), platform.net(), storage_),
       ship_(platform, id, txm_, qm_, storage_) {
   txm_.register_participant(qm_);
@@ -36,17 +38,12 @@ NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
   txm_.set_apply_listener([this] {
     if (up_) pump();
   });
-  rm_.set_granularity(platform.config().lock_granularity);
   if (platform.config().lock_audit) rm_.enable_lock_audit();
   txm_.set_group_commit(platform.config().group_commit_window,
                         platform.config().group_commit_flush_us);
   txm_.set_trace(&platform.trace());
-  if (platform.config().segmented_log) {
-    storage_.enable_segmented_log(
-        storage::SegmentLogConfig{platform.config().segment_bytes});
-    txm_.set_checkpoint(platform.config().checkpoint_interval_bytes,
-                        platform.config().checkpoint_write_us);
-  }
+  txm_.set_checkpoint(platform.config().checkpoint_interval_bytes,
+                      platform.config().checkpoint_write_us);
   qm_.set_clock([this] { return p_.sim().now(); });
   // Delta migrations hand the receiver's reconstructed agent to the first
   // execution of its staged record; a staging that aborts drops it.
@@ -533,9 +530,8 @@ void NodeRuntime::on_node_state(bool up) {
   if (up) {
     // Rebuild the record read path BEFORE the tx layer re-drives decided
     // commits: commit_locals may apply staged record ops on top of it.
-    // Segmented mode replays the checksummed log (possibly truncating a
-    // torn tail, or throwing CorruptionError on mid-log damage); classic
-    // mode meters the full-area replay envelope.
+    // The replay of the checksummed log may truncate a torn tail, or
+    // throw CorruptionError on mid-log damage.
     storage::RecoveryReport report;
     const auto recovery_begin = p_.sim().now();
     try {

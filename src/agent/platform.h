@@ -67,18 +67,6 @@ struct PlatformConfig {
   /// classic one-record-at-a-time runtime bit-for-bit.
   std::uint32_t node_concurrency = 1;
 
-  /// Resource lock/overlay granularity (the contended-fleet fast path).
-  /// `instance` reproduces the classic one-exclusive-lock-per-resource
-  /// envelope bit for bit; `per_key` lets step transactions with disjoint
-  /// declared key-sets (per account, per item, per mailbox slot, ...) run
-  /// concurrently against ONE instance — conflicts only arise on
-  /// overlapping keys, so contended fleets scale with node_concurrency.
-  /// Per-key is the default since undeclared operations fall back to
-  /// whole-instance locking (always correct); `instance` remains available
-  /// (and tested) as the classic envelope.
-  resource::LockGranularity lock_granularity =
-      resource::LockGranularity::per_key;
-
   /// Compiled-in concurrency validator (resource/lock_audit.h): mirror
   /// every lock grant, conflict and release into a per-node LockAudit that
   /// maintains per-transaction held-key sets, the global acquisition-order
@@ -106,16 +94,15 @@ struct PlatformConfig {
   sim::TimeUs group_commit_flush_us = 100;
 
   // --- delta-shipping migrations (src/ship/) --------------------------------
-  /// Ship migrations between a node pair as base+delta: each (src, dst)
-  /// transfer channel caches the last full image shipped per agent
-  /// (epoch- and hash-tagged); subsequent migrations of that agent over
-  /// the same pair ship only the delta against the cached base, with
-  /// automatic fallback to a full image on cache miss, receiver epoch
-  /// mismatch, base-hash divergence or an unprofitable delta. false
-  /// ships every migration as a full image (the classic path).
-  bool ship_delta = true;
+  // Migrations between a node pair ship as base+delta: each (src, dst)
+  // transfer channel caches the last full image shipped per agent
+  // (epoch- and hash-tagged); subsequent migrations of that agent over
+  // the same pair ship only the delta against the cached base, with
+  // automatic fallback to a full image on cache miss, receiver epoch
+  // mismatch, base-hash divergence or an unprofitable delta.
   /// Per-node byte budget of each shipment cache side (send channels,
   /// receive channels); least-recently-used bases are evicted beyond it.
+  /// 0 caches no base, so every migration ships as a full image.
   std::size_t ship_cache_bytes = 4u << 20;
   /// Ship a delta only while delta/full-image size stays below this
   /// ratio; larger deltas fall back to (and re-establish) the base.
@@ -147,19 +134,16 @@ struct PlatformConfig {
   double compaction_ratio = 0.0;
 
   // --- segmented record log + crash recovery (src/storage/segment_log.h) ---
-  /// Keep each node's record area in rotated, CRC32-framed log segments
-  /// instead of a trusted in-memory map: recovery replays the log
-  /// (detecting torn tails and mid-log damage by checksum) and fuzzy
-  /// checkpoints bound how much of it. false reproduces the classic
-  /// unsegmented record area bit for bit — the unbounded-replay envelope
-  /// bench_a8/e6 measure against.
-  bool segmented_log = true;
-  /// Rotation threshold for one log segment (segmented_log only).
+  // Each node's record area lives in rotated, CRC32-framed log segments:
+  // recovery replays the log (detecting torn tails and mid-log damage by
+  // checksum) and fuzzy checkpoints bound how much of it.
+  /// Rotation threshold for one log segment.
   std::size_t segment_bytes = 16 * 1024;
   /// Begin a fuzzy checkpoint whenever at least this many record-log
   /// bytes accumulated since the last one; completion rides the
   /// group-commit flush timers so the commit pipeline never stalls.
-  /// 0 disables checkpoints (recovery replays the whole retained log).
+  /// 0 disables checkpoints (recovery replays the whole retained log —
+  /// the unbounded-replay envelope bench_a8/e6 measure against).
   /// Off by default: the periodic O(state) snapshot writes would skew
   /// steady-state byte meters (A5); recovery-focused runs opt in.
   std::size_t checkpoint_interval_bytes = 0;

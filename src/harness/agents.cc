@@ -122,9 +122,9 @@ void WorkloadAgent::run_step(const std::string& step,
   }
 
   // Contention workload (A6): a deposit into an account drawn per step
-  // from the pre-assigned "hot_accounts" sequence. Under per-key locking,
-  // concurrent slots conflict only when their draws collide on one
-  // account; under instance locking every pair conflicts.
+  // from the pre-assigned "hot_accounts" sequence. Concurrent slots
+  // conflict only when their draws collide on one account; a one-entry
+  // list makes every concurrent pair collide.
   if (step == "bank_hot") {
     const Value& cfg = data().weak("trigger");
     MAR_CHECK_MSG(cfg.has("hot_accounts") &&

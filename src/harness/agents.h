@@ -21,8 +21,8 @@ namespace mar::harness {
 ///              of the "hot_accounts" config list (round-robin by visit;
 ///              optional "hot_amounts" list overrides the amount) and logs
 ///              the matching withdraw as RCE — the A6 contention workload:
-///              under per-key locking two agents conflict only when their
-///              draws collide on the same account
+///              two agents conflict only when their draws collide on the
+///              same account
 ///   spend_logged  weak "cash" -= 1 plus one ACE padded to `param_bytes`;
 ///              no resource access — the A5 steady-state durability load
 ///   spend_cash weak "cash" -= 25, agent compensation entry only

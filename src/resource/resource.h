@@ -10,10 +10,11 @@
 // The paper's ACID envelope (Sec. 2) requires isolation per *datum*, not
 // per instance: two agents touching different accounts of one bank need
 // not serialize. A resource therefore declares, per operation, the keys
-// within its state the operation reads and writes (KeySet); under per-key
-// locking the manager locks and overlays exactly those keys, so conflicts
-// only arise on overlapping key-sets. The default declaration — the whole
-// instance — is always correct and reproduces classic instance locking.
+// within its state the operation reads and writes (KeySet); the manager
+// locks and overlays exactly those keys, so conflicts only arise on
+// overlapping key-sets. The default declaration — the whole instance, one
+// exclusive "*" key — is always correct and serializes every operation on
+// the instance.
 #pragma once
 
 #include <string>
@@ -26,12 +27,6 @@
 namespace mar::resource {
 
 using serial::Value;
-
-/// Lock/overlay granularity of a node's resource manager.
-enum class LockGranularity {
-  instance,  ///< one exclusive lock + one overlay per resource instance
-  per_key,   ///< locks and copy-on-write overlays per declared state key
-};
 
 /// One lockable unit within a resource instance's state Value, named by a
 /// path string:
@@ -78,10 +73,10 @@ class Resource {
   }
 
   /// The keys `op` with `params` may read or write, consulted by the
-  /// per-key locking mode before the operation runs. Whole-instance (the
+  /// manager's lock table before the operation runs. Whole-instance (the
   /// default) is always correct; overriding narrows the conflict
-  /// footprint. Declarations must be conservative: under per-key locking
-  /// a *write* outside the declared set is a hard (audited) error, while
+  /// footprint. Declarations must be conservative: a *write* outside the
+  /// declared set is a hard (audited) error, while
   /// an undeclared *read* sees absent state — so every key whose presence
   /// or value the operation branches on must be declared.
   [[nodiscard]] virtual KeySet key_set(std::string_view op,
@@ -92,8 +87,7 @@ class Resource {
   }
 
   /// Execute `op` with `params` against `state` (the transaction's private
-  /// overlay copy — under per-key locking a sparse state holding exactly
-  /// the declared keys). Return a result Value, or an error Status — in
+  /// overlay copy — a sparse state holding exactly the declared keys). Return a result Value, or an error Status — in
   /// which case the caller discards any partial mutation by aborting.
   virtual Result<Value> invoke(std::string_view op, const Value& params,
                                Value& state) = 0;

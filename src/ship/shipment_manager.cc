@@ -136,7 +136,7 @@ void ShipmentManager::encode_frame(Pending& p) {
   const std::uint8_t prep = txm_.pipelined() ? kPrepareFlag : 0;
   p.delta = false;
   p.diffed = false;
-  if (cfg.ship_delta && !p.record.payload.empty()) {
+  if (!p.record.payload.empty()) {
     if (auto* base = send_cache_.find(p.dest, p.record.agent)) {
       p.diffed = true;
       std::optional<serial::Bytes> delta;

@@ -113,6 +113,10 @@ class ShipmentManager {
   void on_node_state(bool up);
 
   [[nodiscard]] const ShipStats& stats() const { return stats_; }
+  /// Image bytes held as channel bases, send and receive side together.
+  [[nodiscard]] std::size_t cached_base_bytes() const {
+    return send_cache_.bytes() + recv_cache_.bytes();
+  }
   /// This node's receive-channel epoch (bumped per crash/recovery);
   /// deltas referencing an older epoch are answered with need_full.
   [[nodiscard]] std::uint64_t channel_epoch() const { return epoch_tag_; }
@@ -147,6 +151,7 @@ class ShipmentManager {
              std::uint64_t epoch, std::size_t budget, Decoded decoded = {});
     void erase(NodeId peer, AgentId agent);
     void clear();
+    [[nodiscard]] std::size_t bytes() const { return total_; }
 
    private:
     using Key = std::pair<std::uint32_t, std::uint64_t>;

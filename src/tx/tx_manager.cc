@@ -224,12 +224,12 @@ void TxManager::flush_commit_group() {
 
 void TxManager::maybe_begin_checkpoint() {
   if (checkpoint_interval_bytes_ == 0) return;
-  auto* log = stable_.segment_log();
-  if (log == nullptr || log->checkpoint_in_progress()) return;
-  if (log->appended_bytes() - checkpoint_mark_ < checkpoint_interval_bytes_) {
+  const auto& log = stable_.segment_log();
+  if (log.checkpoint_in_progress()) return;
+  if (log.appended_bytes() - checkpoint_mark_ < checkpoint_interval_bytes_) {
     return;
   }
-  checkpoint_mark_ = log->appended_bytes();
+  checkpoint_mark_ = log.appended_bytes();
   if (!stable_.begin_checkpoint()) return;
   trace_pipeline("ckpt_begin", TxId(0));
   // The fuzzy window: commits keep flowing while the snapshot "writes".

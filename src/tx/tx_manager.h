@@ -187,13 +187,12 @@ class TxManager {
     group_flush_us_ = flush_us;
   }
 
-  /// Fuzzy record-log checkpoints (segmented storage only): whenever a
-  /// group-commit flush observes >= `interval_bytes` of new record-log
-  /// writes since the last checkpoint, begin one — snapshot at the
-  /// current LSN without stalling the pipeline — and complete it
-  /// `write_us` later on an epoch-guarded timer, so a crash inside the
-  /// window simply abandons the attempt (the previous generation stays
-  /// valid). 0 disables.
+  /// Fuzzy record-log checkpoints: whenever a group-commit flush observes
+  /// >= `interval_bytes` of new record-log writes since the last
+  /// checkpoint, begin one — snapshot at the current LSN without stalling
+  /// the pipeline — and complete it `write_us` later on an epoch-guarded
+  /// timer, so a crash inside the window simply abandons the attempt (the
+  /// previous generation stays valid). 0 disables.
   void set_checkpoint(std::size_t interval_bytes, sim::TimeUs write_us) {
     checkpoint_interval_bytes_ = interval_bytes;
     checkpoint_write_us_ = write_us;

@@ -1,14 +1,14 @@
 // Per-key resource locking, key-granular overlays, and the group-commit
-// pipeline (PlatformConfig::lock_granularity / group_commit_window).
+// pipeline (PlatformConfig::group_commit_window).
 //
-// Covers: disjoint key-sets proceeding concurrently where instance locking
-// would conflict; shared read locks; whole-instance fallback; write-back
+// Covers: disjoint key-sets proceeding concurrently where one shared key
+// conflicts; shared read locks; whole-instance fallback; write-back
 // correctness at key granularity (including deletes and covering-slot
 // folds); per-key prepared-overlay crash recovery; the lock-leak
 // regression (aborting mid-transaction with overlapping key-sets must drop
 // every lock AND every staged slice, across crash-epoch invalidation); a
-// randomized linearizability-style equivalence of per-key vs instance vs
-// serial execution; and group commit batching syncs with crash atomicity.
+// randomized linearizability-style equivalence of concurrent vs serial
+// execution; and group commit batching syncs with crash atomicity.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -34,7 +34,6 @@ using harness::TestWorld;
 using harness::WorkloadAgent;
 using resource::Bank;
 using resource::KeySet;
-using resource::LockGranularity;
 using resource::ResourceManager;
 using serial::Value;
 
@@ -45,7 +44,7 @@ Value params(std::initializer_list<std::pair<std::string, Value>> kv) {
 }
 
 // --------------------------------------------------------------------------
-// ResourceManager unit tests (per-key granularity)
+// ResourceManager unit tests
 // --------------------------------------------------------------------------
 
 /// A keyed toy resource exercising sub-level keys, slot-level (covering)
@@ -106,7 +105,6 @@ struct PerKeyFixture : ::testing::Test {
   ResourceManager rm{stable};
 
   void SetUp() override {
-    rm.set_granularity(LockGranularity::per_key);
     rm.add_resource("bank", std::make_unique<Bank>());
     rm.add_resource("kv", std::make_unique<KvResource>());
     Value state = rm.committed_state("bank");
@@ -411,14 +409,20 @@ TEST_F(PerKeyFixture, SubSlashKeysStayDistinct) {
 // Platform level: contended fleets, linearizability-style equivalence
 // --------------------------------------------------------------------------
 
+/// Which account each bank_hot step of agent i deposits into.
+enum class Draws {
+  disjoint,  ///< agent i only touches account i
+  one_key,   ///< every agent touches account 0 (all pairs collide)
+  random,    ///< seeded uniform draws over all accounts
+};
+
 struct FleetSpec {
-  LockGranularity granularity = LockGranularity::per_key;
   std::uint32_t concurrency = 4;
   std::uint32_t group_window = 1;
   int agents = 6;
   int steps = 6;
   std::uint64_t seed = 21;
-  bool disjoint = true;  ///< agent i only touches account i
+  Draws draws = Draws::disjoint;
 };
 
 struct FleetResult {
@@ -433,7 +437,6 @@ struct FleetResult {
 FleetResult run_bank_fleet(const FleetSpec& spec) {
   agent::PlatformConfig cfg;
   cfg.node_concurrency = spec.concurrency;
-  cfg.lock_granularity = spec.granularity;
   cfg.group_commit_window = spec.group_window;
   TestWorld w(cfg, /*node_count=*/1, spec.seed);
   harness::register_workload(w.platform);
@@ -442,7 +445,7 @@ FleetResult run_bank_fleet(const FleetSpec& spec) {
   }
 
   // Randomized schedules: per-agent step counts, account draws and
-  // amounts all come from the seeded generator, so every granularity
+  // amounts all come from the seeded generator, so every concurrency
   // config replays the identical workload.
   Rng rng(spec.seed * 31 + 7);
   std::vector<AgentId> ids;
@@ -459,11 +462,13 @@ FleetResult run_bank_fleet(const FleetSpec& spec) {
     Value accounts = Value::empty_list();
     Value amounts = Value::empty_list();
     for (int s = 0; s < steps; ++s) {
-      accounts.push_back(
-          spec.disjoint
-              ? std::int64_t{a}
-              : static_cast<std::int64_t>(rng.next_below(
-                    static_cast<std::uint64_t>(spec.agents))));
+      std::int64_t account = 0;
+      if (spec.draws == Draws::disjoint) account = a;
+      if (spec.draws == Draws::random) {
+        account = static_cast<std::int64_t>(
+            rng.next_below(static_cast<std::uint64_t>(spec.agents)));
+      }
+      accounts.push_back(account);
       amounts.push_back(static_cast<std::int64_t>(1 + rng.next_below(50)));
     }
     ag->set_config_value("hot_accounts", std::move(accounts));
@@ -495,25 +500,25 @@ FleetResult run_bank_fleet(const FleetSpec& spec) {
 }
 
 TEST(KeyLockFleetTest, DisjointKeysMatchInstanceAndSerialExecution) {
-  // The linearizability-style check: N agents hammering disjoint keys of
-  // ONE bank, with randomized step counts and amounts, must commit the
-  // exact same state under per-key concurrency, instance concurrency and
-  // fully serial execution — across several seeds.
+  // The linearizability-style check: N agents hammering keys of ONE bank,
+  // with randomized step counts and amounts, must commit the exact same
+  // state concurrently as under fully serial execution — across several
+  // seeds. Disjoint keys never conflict; when every agent writes the same
+  // key (the whole-instance-lock envelope) every concurrent pair does.
   for (const std::uint64_t seed : {21ull, 77ull, 123ull}) {
-    FleetSpec per_key{LockGranularity::per_key, 8, 1, 6, 6, seed, true};
-    FleetSpec instance{LockGranularity::instance, 8, 1, 6, 6, seed, true};
-    FleetSpec serial{LockGranularity::instance, 1, 1, 6, 6, seed, true};
-    const auto a = run_bank_fleet(per_key);
-    const auto b = run_bank_fleet(instance);
-    const auto c = run_bank_fleet(serial);
-    ASSERT_TRUE(a.all_done && b.all_done && c.all_done) << "seed " << seed;
-    EXPECT_EQ(a.bank_state, b.bank_state) << "seed " << seed;
-    EXPECT_EQ(b.bank_state, c.bank_state) << "seed " << seed;
-    // Disjoint keys: per-key locking never conflicts; instance locking
-    // pays for the false sharing.
-    EXPECT_EQ(a.lock_conflicts, 0u) << "seed " << seed;
-    EXPECT_GT(b.lock_conflicts, 0u) << "seed " << seed;
-    EXPECT_TRUE(a.quiescent_unlocked);
+    for (const Draws draws : {Draws::disjoint, Draws::one_key}) {
+      const auto a = run_bank_fleet({8, 1, 6, 6, seed, draws});
+      const auto serial = run_bank_fleet({1, 1, 6, 6, seed, draws});
+      ASSERT_TRUE(a.all_done && serial.all_done) << "seed " << seed;
+      EXPECT_EQ(a.bank_state, serial.bank_state) << "seed " << seed;
+      EXPECT_EQ(serial.lock_conflicts, 0u) << "seed " << seed;
+      if (draws == Draws::disjoint) {
+        EXPECT_EQ(a.lock_conflicts, 0u) << "seed " << seed;
+      } else {
+        EXPECT_GT(a.lock_conflicts, 0u) << "seed " << seed;
+      }
+      EXPECT_TRUE(a.quiescent_unlocked);
+    }
   }
 }
 
@@ -521,8 +526,8 @@ TEST(KeyLockFleetTest, OverlappingKeysStayExactlyOnceUnderContention) {
   // Random overlapping draws: conflicts happen, the abort/restart path
   // runs, and the committed sums still account for every deposit exactly
   // once in every configuration.
-  FleetSpec per_key{LockGranularity::per_key, 8, 1, 6, 6, 99, false};
-  FleetSpec serial{LockGranularity::instance, 1, 1, 6, 6, 99, false};
+  FleetSpec per_key{8, 1, 6, 6, 99, Draws::random};
+  FleetSpec serial{1, 1, 6, 6, 99, Draws::random};
   const auto a = run_bank_fleet(per_key);
   const auto c = run_bank_fleet(serial);
   ASSERT_TRUE(a.all_done && c.all_done);
@@ -536,7 +541,7 @@ TEST(KeyLockFleetTest, OverlappingKeysStayExactlyOnceUnderContention) {
 // --------------------------------------------------------------------------
 
 TEST(GroupCommitTest, WindowBatchesSyncsWithoutChangingResults) {
-  FleetSpec base{LockGranularity::per_key, 4, 1, 4, 4, 5, true};
+  FleetSpec base{4, 1, 4, 4, 5, Draws::disjoint};
   FleetSpec grouped = base;
   grouped.group_window = 4;
   const auto a = run_bank_fleet(base);
@@ -556,7 +561,6 @@ TEST(GroupCommitTest, CrashBeforeFlushPresumedAbortsAndRestarts) {
   // the step re-executes exactly once after recovery.
   agent::PlatformConfig cfg;
   cfg.node_concurrency = 1;
-  cfg.lock_granularity = resource::LockGranularity::per_key;
   cfg.group_commit_window = 8;            // never fills with one agent
   cfg.group_commit_flush_us = 50'000;     // flush far in the future
   TestWorld w(cfg, /*node_count=*/1, /*seed=*/3);

@@ -198,7 +198,6 @@ TEST(LockAuditTest, ResetClearsGraphsButKeepsStats) {
 TEST(LockAuditTest, ResourceManagerMirrorsGrantsAndConflicts) {
   storage::StableStorage stable;
   resource::ResourceManager rm(stable);
-  rm.set_granularity(resource::LockGranularity::per_key);
   rm.enable_lock_audit(lenient());
   rm.add_resource("bank", std::make_unique<resource::Bank>());
   serial::Value state = rm.committed_state("bank");

@@ -229,23 +229,25 @@ TEST(TraceTest, HopChainSpansThreeNodesUnderOneTraceId) {
 }
 
 TEST(TraceTest, ContendedFleetEmitsLockWaitSpansOnResumedHops) {
-  // Slots contending on one resource abort and retry: the aborted
+  // Slots contending on one bank account abort and retry: the aborted
   // attempt stashes its open hop span and the re-claim must resume the
   // SAME span (not open a second root) and emit a lock_wait child.
   PlatformConfig cfg;
   cfg.node_concurrency = 4;
-  cfg.lock_granularity = resource::LockGranularity::instance;
   TestWorld w(cfg, /*node_count=*/1, /*seed=*/3);
   register_workload(w.platform);
-  w.publish(1, "info", serial::Value("x"));
+  w.open_account(1, "a0", 0);
   std::vector<AgentId> ids;
   for (int a = 0; a < 8; ++a) {
     auto ag = std::make_unique<WorkloadAgent>();
     Itinerary tour;
-    for (int s = 0; s < 6; ++s) tour.step("collect", TestWorld::n(1));
+    for (int s = 0; s < 6; ++s) tour.step("bank_hot", TestWorld::n(1));
     Itinerary main_it;
     main_it.sub(std::move(tour));
     ag->itinerary() = std::move(main_it);
+    serial::Value accounts = serial::Value::empty_list();
+    accounts.push_back(serial::Value(std::int64_t{0}));
+    ag->set_config_value("hot_accounts", std::move(accounts));
     auto r = w.platform.launch(std::move(ag));
     ASSERT_TRUE(r.is_ok());
     ids.push_back(r.value());

@@ -196,19 +196,26 @@ TEST(SegmentLogTest, CrashDuringCheckpointAbandonsTheAttempt) {
   EXPECT_EQ((*log.segments("k"))[0], bytes_of("v1"));
 }
 
-TEST(StableStorageTest, ClassicModeMetersFullReplayEnvelope) {
-  storage::StableStorage s;  // classic: no segmented log
+TEST(StableStorageTest, CheckpointFreeRecoveryMetersEveryRetainedFrame) {
+  // Without a checkpoint, recovery replays the whole retained log — also
+  // frames a later reset superseded but that still sit in a live segment.
+  // Each frame costs crc32 + len (8) + op + key_len (5) + key + data.
+  storage::StableStorage s;
   s.record_reset("agentimg:1", bytes_of(std::string(100, 'b')));
   s.record_append("agentimg:1", bytes_of(std::string(20, 'd')));
-  EXPECT_FALSE(s.segmented());
-  EXPECT_EQ(s.inject_storage_fault(StorageFault::torn_tail, 1),
-            StorageFault::none);
+  s.record_reset("agentimg:2", bytes_of(std::string(50, 'c')));
+  s.record_reset("agentimg:1", bytes_of(std::string(30, 'e')));
+  constexpr std::uint64_t kFramed = 4 * (8 + 5 + 10) + 100 + 20 + 50 + 30;
+  EXPECT_EQ(s.record_area_bytes(), kFramed);
   const auto report = s.recover_records();
-  // key (10) + base (100) + delta (20): the whole area is the envelope.
-  EXPECT_EQ(report.replayed_bytes, 130u);
+  EXPECT_FALSE(report.used_checkpoint);
+  EXPECT_EQ(report.replayed_frames, 4u);
+  EXPECT_EQ(report.replayed_bytes, kFramed);
   EXPECT_EQ(report.segments_scanned, 1u);
-  EXPECT_EQ(s.stats().recovery_replayed_bytes.load(), 130u);
+  EXPECT_EQ(s.stats().recovery_replayed_bytes.load(), kFramed);
   EXPECT_EQ(s.stats().recovery_segments.load(), 1u);
+  EXPECT_EQ((*s.record_segments("agentimg:1"))[0],
+            bytes_of(std::string(30, 'e')));
 }
 
 // ---------------------------------------------------------------------------
@@ -221,11 +228,13 @@ struct RunOutcome {
   std::int64_t visits = 0;
   std::uint64_t checkpoints = 0;
   std::uint64_t recovery_replayed_bytes = 0;
+  std::uint64_t record_writes = 0;  ///< record_reset + record_append calls
+  std::size_t record_area_bytes = 0;
 };
 
 struct RunSpec {
   int steps = 24;
-  bool segmented = true;
+  bool incremental_commit = true;
   bool crash = false;
   StorageFault fault = StorageFault::none;
   std::uint32_t compaction_interval = 4;
@@ -235,10 +244,9 @@ struct RunSpec {
 
 RunOutcome run_workload(const RunSpec& spec) {
   PlatformConfig cfg;
-  cfg.incremental_commit = true;
+  cfg.incremental_commit = spec.incremental_commit;
   cfg.compaction_interval_steps = spec.compaction_interval;
   cfg.discard_log_on_top_level = false;
-  cfg.segmented_log = spec.segmented;
   cfg.segment_bytes = 2048;
   cfg.checkpoint_interval_bytes = spec.checkpoint_interval_bytes;
   cfg.storage_fault = spec.fault;
@@ -270,20 +278,29 @@ RunOutcome run_workload(const RunSpec& spec) {
   out.final_agent = o.final_agent;
   const auto decoded = w.platform.decode(o.final_agent);
   out.visits = decoded->data().weak("visits").as_int();
-  const auto& stats = w.platform.node(TestWorld::n(1)).storage().stats();
+  const auto& storage = w.platform.node(TestWorld::n(1)).storage();
+  const auto& stats = storage.stats();
+  out.record_writes = stats.record_resets.load() + stats.record_appends.load();
+  out.record_area_bytes = storage.record_area_bytes();
   out.checkpoints = stats.checkpoints_completed.load();
   out.recovery_replayed_bytes = stats.recovery_replayed_bytes.load();
   return out;
 }
 
-TEST(RecoveryPlatformTest, SegmentedMatchesClassicBitForBit) {
+TEST(RecoveryPlatformTest, SegmentedMatchesFullImageCommitBitForBit) {
+  // Full-image commits keep every step's agent in the queue record and
+  // never touch the record area; incremental commits route it through
+  // the segmented log.
   RunSpec seg;
-  RunSpec classic;
-  classic.segmented = false;
+  RunSpec full_image;
+  full_image.incremental_commit = false;
   const auto a = run_workload(seg);
-  const auto b = run_workload(classic);
+  const auto b = run_workload(full_image);
   ASSERT_TRUE(a.done);
   ASSERT_TRUE(b.done);
+  EXPECT_GT(a.record_writes, 0u);
+  EXPECT_EQ(b.record_writes, 0u);
+  EXPECT_EQ(b.record_area_bytes, 0u);
   // The durable representation is invisible to execution semantics.
   EXPECT_EQ(a.final_agent, b.final_agent);
   EXPECT_EQ(a.visits, 24);

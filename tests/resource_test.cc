@@ -62,7 +62,7 @@ TEST_F(RmFixture, LockConflictSurfacesAsError) {
   const TxId t1(1);
   const TxId t2(2);
   ASSERT_TRUE(open(t1, "a").is_ok());
-  auto r = open(t2, "b");
+  auto r = deposit(t2, "a", 1);  // same account: overlapping write keys
   EXPECT_FALSE(r.is_ok());
   EXPECT_EQ(r.code(), Errc::lock_conflict);
   rm.commit(t1);  // without prepare: overlay applied? commit needs staged tx
@@ -74,7 +74,7 @@ TEST_F(RmFixture, LockReleasedAfterCommit) {
   ASSERT_TRUE(rm.prepare(t1));
   rm.commit(t1);
   const TxId t2(2);
-  EXPECT_TRUE(open(t2, "b").is_ok());
+  EXPECT_TRUE(deposit(t2, "a", 1).is_ok());
 }
 
 TEST_F(RmFixture, FailedOperationLeavesNoPartialMutation) {

@@ -32,6 +32,13 @@ std::unique_ptr<WorkloadAgent> fleet_agent(const std::string& step,
   Itinerary main_it;
   main_it.sub(std::move(tour));
   ag->itinerary() = std::move(main_it);
+  if (step == "bank_hot") {
+    // One hot account for the whole fleet: every step writes the same
+    // key, so any two concurrent steps conflict.
+    serial::Value accounts = serial::Value::empty_list();
+    accounts.push_back(serial::Value(std::int64_t{0}));
+    ag->set_config_value("hot_accounts", std::move(accounts));
+  }
   return ag;
 }
 
@@ -48,15 +55,13 @@ FleetRun run_fleet(std::uint32_t concurrency, const std::string& step,
                    int agents, int steps, std::uint64_t seed = 7) {
   agent::PlatformConfig cfg;
   cfg.node_concurrency = concurrency;
-  // These tests pin the classic execution envelope — exact serialized
-  // makespans and instance-lock conflicts — so the newer defaults
-  // (per-key locking, group-commit batching) are switched off here; they
-  // have their own suites (keylock_test, ship_test).
-  cfg.lock_granularity = resource::LockGranularity::instance;
+  // These tests pin exact serialized makespans, so group-commit batching
+  // is switched off here; it has its own suites (keylock_test, ship_test).
   cfg.group_commit_window = 1;
   TestWorld w(cfg, /*node_count=*/1, seed);
   harness::register_workload(w.platform);
   w.publish(1, "info", serial::Value("x"));
+  w.open_account(1, "a0", 0);
 
   std::vector<AgentId> ids;
   for (int a = 0; a < agents; ++a) {
@@ -126,16 +131,16 @@ TEST(SchedulerTest, ExtraSlotsBeyondFleetDoNotChangeAnything) {
 }
 
 TEST(SchedulerTest, LockConflictAbortsAndRetries) {
-  // Every "collect" step locks the node's one directory instance, so two
-  // slots must conflict; the loser aborts, backs off, retries, and both
-  // agents still complete with every step executed exactly once.
-  const auto run = run_fleet(2, "collect", 2, 4);
+  // Every "bank_hot" step writes the same account, so two slots must
+  // conflict; the loser aborts, backs off, retries, and both agents still
+  // complete with every step executed exactly once.
+  const auto run = run_fleet(2, "bank_hot", 2, 4);
   ASSERT_TRUE(run.all_done);
   EXPECT_GT(run.lock_conflicts, 0u);
   EXPECT_GT(run.step_aborts, 0u);
 
   // Serial execution of the same fleet never conflicts.
-  const auto serial = run_fleet(1, "collect", 2, 4);
+  const auto serial = run_fleet(1, "bank_hot", 2, 4);
   ASSERT_TRUE(serial.all_done);
   EXPECT_EQ(serial.lock_conflicts, 0u);
 }
@@ -207,7 +212,7 @@ TEST(ParallelWorldsTest, SeedReplicatedWorldsAreReproducibleAcrossThreads) {
   // per-seed metrics must be bit-identical regardless of scheduling.
   const auto seeds = expt::replicate_seeds(42, 8);
   auto job = [&seeds](std::size_t i) {
-    const auto run = run_fleet(4, "collect", 4, 3, seeds[i]);
+    const auto run = run_fleet(4, "bank_hot", 4, 3, seeds[i]);
     EXPECT_TRUE(run.all_done);
     return std::pair<sim::TimeUs, std::uint64_t>(run.makespan_us,
                                                  run.step_aborts);

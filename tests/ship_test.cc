@@ -54,6 +54,13 @@ struct RunOutcome {
   std::uint64_t resident_hits = 0;
   /// Resident agents still held once the world went quiet.
   std::size_t resident_left = 0;
+  std::uint64_t delta_ships = 0;
+  std::uint64_t delta_fallbacks = 0;
+  /// Channel base bytes still cached once the world went quiet.
+  std::size_t cached_base_bytes = 0;
+  /// N2 steps that ran from a resident agent. N2 never runs two steps in
+  /// a row, so each is a receiver handoff of a delta migration.
+  std::uint64_t n2_handoffs = 0;
 };
 
 std::uint64_t resident_hits(agent::NodeRuntime& node) {
@@ -102,7 +109,11 @@ RunOutcome run_ping_pong(PlatformConfig cfg, int age, int hops,
     auto& node = w.platform.node(TestWorld::n(n));
     out.resident_hits += resident_hits(node);
     out.resident_left += node.resident_agents();
+    out.delta_ships += node.shipments().stats().delta_ships;
+    out.delta_fallbacks += node.shipments().stats().delta_fallbacks;
+    out.cached_base_bytes += node.shipments().cached_base_bytes();
   }
+  out.n2_handoffs = resident_hits(w.platform.node(TestWorld::n(2)));
   return out;
 }
 
@@ -166,13 +177,21 @@ TEST(DeltaBetweenTest, DivergedLogRefusesDelta) {
 TEST(ShipTest, DeltaShippingMatchesFullImagesBitForBit) {
   PlatformConfig delta_cfg;
   PlatformConfig full_cfg;
-  full_cfg.ship_delta = false;
+  full_cfg.ship_cache_bytes = 0;  // no base is ever cached: full images
   const auto delta_run = run_ping_pong(delta_cfg, 32, 12);
   const auto full_run = run_ping_pong(full_cfg, 32, 12);
   ASSERT_TRUE(delta_run.done);
   ASSERT_TRUE(full_run.done);
   EXPECT_EQ(delta_run.visits, 32 + 12);  // exactly once each
   EXPECT_EQ(delta_run.final_agent, full_run.final_agent);
+  // The zero-budget run is the full-image reference: it never diffs,
+  // never holds a base and never hands an agent to a receiver.
+  EXPECT_EQ(full_run.delta_ships, 0u);
+  EXPECT_EQ(full_run.delta_fallbacks, 0u);
+  EXPECT_EQ(full_run.cached_base_bytes, 0u);
+  EXPECT_EQ(full_run.n2_handoffs, 0u);
+  EXPECT_GT(delta_run.delta_ships, 0u);
+  EXPECT_GT(delta_run.n2_handoffs, 0u);
   // The aged log rides every full image but only once per channel here.
   EXPECT_LT(delta_run.convoy_bytes * 2, full_run.convoy_bytes);
 }
@@ -495,7 +514,7 @@ TEST(ShipTest, MidTransferCrashesStayExactlyOnceAndBitIdentical) {
     PlatformConfig delta_cfg;
     delta_cfg.ship_convoy_window = 2;  // convoys in flight when killed
     PlatformConfig full_cfg = delta_cfg;
-    full_cfg.ship_delta = false;
+    full_cfg.ship_cache_bytes = 0;
     const auto delta_run = run_ping_pong(delta_cfg, 8, 16, seed);
     const auto full_run = run_ping_pong(full_cfg, 8, 16, seed);
     ASSERT_TRUE(delta_run.done) << "seed " << seed;
@@ -527,7 +546,7 @@ TEST(ShipTest, PipelinedCommitCrashesStayExactlyOnceAndBitIdentical) {
     PlatformConfig delta_cfg;
     delta_cfg.ship_convoy_window = 4;  // default group window 4: pipelined
     PlatformConfig full_cfg = delta_cfg;
-    full_cfg.ship_delta = false;
+    full_cfg.ship_cache_bytes = 0;
     const auto delta_run = run_ping_pong(delta_cfg, 8, 16, seed);
     const auto full_run = run_ping_pong(full_cfg, 8, 16, seed);
     ASSERT_TRUE(delta_run.done) << "seed " << seed;
@@ -595,10 +614,11 @@ struct ProbeRun {
   std::size_t resident_left = 0;
 };
 
-/// A ProbeAgent through ping_pong(2, 8) (hops N1 -> N2 -> N1 ...).
-ProbeRun run_probe(bool ship_delta, Inject inject) {
+/// A ProbeAgent through ping_pong(2, 8) (hops N1 -> N2 -> N1 ...);
+/// without `delta`, no channel caches a base and every hop is a full image.
+ProbeRun run_probe(bool delta, Inject inject) {
   PlatformConfig cfg;
-  cfg.ship_delta = ship_delta;
+  if (!delta) cfg.ship_cache_bytes = 0;
   cfg.discard_log_on_top_level = false;
   TestWorld w(cfg, /*node_count=*/2, /*seed=*/11);
   register_workload(w.platform);
@@ -650,8 +670,8 @@ std::vector<serial::Bytes> distinct_runs(std::vector<serial::Bytes> images) {
 }
 
 TEST(HandoffTest, DeltaHopExecutesExactlyTheStagedPayload) {
-  const auto full = run_probe(/*ship_delta=*/false, Inject::none);
-  const auto delta = run_probe(/*ship_delta=*/true, Inject::none);
+  const auto full = run_probe(/*delta=*/false, Inject::none);
+  const auto delta = run_probe(/*delta=*/true, Inject::none);
   ASSERT_TRUE(full.done);
   ASSERT_TRUE(delta.done);
   EXPECT_EQ(delta.visits, 10);
@@ -668,9 +688,9 @@ TEST(HandoffTest, DeltaHopExecutesExactlyTheStagedPayload) {
 }
 
 TEST(HandoffTest, AbortAfterTakingTheHandoffRetriesFromThePayload) {
-  const auto clean = run_probe(/*ship_delta=*/true, Inject::none);
+  const auto clean = run_probe(/*delta=*/true, Inject::none);
   const auto aborted =
-      run_probe(/*ship_delta=*/true, Inject::abort_after_handoff);
+      run_probe(/*delta=*/true, Inject::abort_after_handoff);
   ASSERT_TRUE(aborted.done);
   EXPECT_EQ(aborted.visits, 10);  // the aborted attempts left no effect
   EXPECT_EQ(aborted.n2_hits, aborted.n1_delta_ships);
@@ -684,9 +704,9 @@ TEST(HandoffTest, AbortAfterTakingTheHandoffRetriesFromThePayload) {
 }
 
 TEST(HandoffTest, ReceiverCrashBeforeExecutionDecodesFromStorage) {
-  const auto clean = run_probe(/*ship_delta=*/true, Inject::none);
+  const auto clean = run_probe(/*delta=*/true, Inject::none);
   const auto crashed =
-      run_probe(/*ship_delta=*/true, Inject::crash_before_execution);
+      run_probe(/*delta=*/true, Inject::crash_before_execution);
   ASSERT_TRUE(crashed.done);
   EXPECT_EQ(crashed.visits, 10);  // exactly once despite the crash
   // The crashed handoff was never used: that step ran from storage.

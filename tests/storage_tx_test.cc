@@ -122,14 +122,19 @@ TEST(StableStorageTest, RecordAreaBasics) {
 }
 
 TEST(StableStorageTest, RecordAreaMetersAppendsNotRewrites) {
-  StableStorage s;
-  s.record_reset("k", serial::Bytes(1000, 0xAA));
-  const auto after_base = s.stats().bytes_written;
-  s.record_append("k", serial::Bytes(10, 0xBB));
-  // The append is metered at delta size, not record size.
-  EXPECT_EQ(s.stats().bytes_written, after_base + 10);
-  EXPECT_EQ(s.stats().record_resets, 1u);
-  EXPECT_EQ(s.stats().record_appends, 1u);
+  // The append is metered at its framed cost — crc32 + len (8) + op +
+  // key_len (5) + key (1) + delta (10) — whatever the record's size.
+  constexpr std::size_t kFramedAppend = 8 + 5 + 1 + 10;
+  for (const std::size_t base : {std::size_t{1000}, std::size_t{1}}) {
+    StableStorage s;
+    s.record_reset("k", serial::Bytes(base, 0xAA));
+    const auto after_base = s.stats().bytes_written.load();
+    s.record_append("k", serial::Bytes(10, 0xBB));
+    EXPECT_EQ(s.stats().bytes_written.load() - after_base, kFramedAppend)
+        << "base " << base;
+    EXPECT_EQ(s.stats().record_resets, 1u);
+    EXPECT_EQ(s.stats().record_appends, 1u);
+  }
 }
 
 TEST(StableStorageTest, ForEachWithPrefixVisitsInOrder) {
