@@ -53,6 +53,8 @@ struct FleetResult {
   double step_p50_us = 0;
   double step_p95_us = 0;
   double step_p99_us = 0;
+  /// Stable-storage bytes written per committed step (deterministic).
+  double stable_bytes_per_step = 0;
   std::string metrics_json;  ///< uniform per-cell metrics block
 };
 
@@ -127,6 +129,9 @@ FleetResult run_fleet(int fleet, std::uint32_t concurrency, bool contended,
     res.step_p95_us = it->second.percentile(0.95);
     res.step_p99_us = it->second.percentile(0.99);
   }
+  res.stable_bytes_per_step =
+      static_cast<double>(snap.scalars.at("storage.bytes_written")) /
+      static_cast<double>(fleet * kSteps);
   res.metrics_json = snap.to_json();
   return res;
 }
@@ -242,6 +247,7 @@ int main(int argc, char** argv) {
           .set("step_p50_us", r.step_p50_us)
           .set("step_p95_us", r.step_p95_us)
           .set("step_p99_us", r.step_p99_us)
+          .set("stable_bytes_per_step", r.stable_bytes_per_step)
           .set_json("metrics", r.metrics_json)
           .set("ok", r.ok);
     }
@@ -272,6 +278,7 @@ int main(int argc, char** argv) {
         .set("step_p50_us", r.step_p50_us)
         .set("step_p95_us", r.step_p95_us)
         .set("step_p99_us", r.step_p99_us)
+        .set("stable_bytes_per_step", r.stable_bytes_per_step)
         .set_json("metrics", r.metrics_json)
         .set("ok", r.ok);
   }

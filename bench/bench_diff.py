@@ -10,8 +10,9 @@ fails (exit 1) when the fresh run is unhealthy:
   * any individual row carries "ok": false, or
   * a bench present in the baseline is missing from the fresh run, or
   * a deterministic health metric regresses: abort rates
-    (abort_rate, lock_conflict_aborts) or sync amortization
-    (syncs_per_step, sync_batches) growing beyond the tolerance. These
+    (abort_rate, lock_conflict_aborts), sync amortization
+    (syncs_per_step, sync_batches) or the per-step write set
+    (stable_bytes_per_step) growing beyond the tolerance. These
     are simulation-virtual-time metrics — identical on every machine for
     a given build — so a regression is a code change, not noise.
 
@@ -67,6 +68,11 @@ GATED_FIELDS = {
     # order-of-magnitude blowup still fails.
     "recovery_replayed_bytes": (0.10, 64),
     "recovery_ms": (1.00, 50),
+    # A4 step write set: stable-storage bytes per committed local step.
+    # Coordinator-local participants persist no prepare record, so a
+    # step writes only its commit apply; a reintroduced prepare write
+    # roughly doubles this.
+    "stable_bytes_per_step": (0.05, 16),
     # Observability latency percentiles (A4 step commit, A7 agent hop):
     # log-bucketed histograms over simulation virtual time — identical
     # per build — so tail growth beyond tolerance is a scheduling or
@@ -208,6 +214,7 @@ def self_test():
 
     base_row = {
         "mode": "delta", "age": 8, "hop_p95_us": 1000, "bytes_per_hop": 500,
+        "stable_bytes_per_step": 400.0,
         "metrics": {"scalars": {"ship.delta_ships": 30}},
     }
     baseline = {"a7_shipping": bench([base_row])}
@@ -238,6 +245,12 @@ def self_test():
     # Within-tolerance drift: clean.
     expect("tolerated drift", [dict(base_row, hop_p95_us=1050)],
            want_failure=False)
+    # A step write set regaining its prepare records: gate fires; a few
+    # bytes of drift (within 16 B) stay clean.
+    expect("seeded stable_bytes_per_step regression",
+           [dict(base_row, stable_bytes_per_step=800.0)], want_failure=True)
+    expect("tolerated stable_bytes_per_step drift",
+           [dict(base_row, stable_bytes_per_step=415.0)], want_failure=False)
 
     print(f"self-test: {'OK' if ok else 'FAILED'}")
     return 0 if ok else 2

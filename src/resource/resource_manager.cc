@@ -433,7 +433,7 @@ void ResourceManager::commit(TxId tx) {
       stable_.put("res:" + resource + "/" + unit, std::move(durable));
     }
   }
-  stable_.erase(prep_key(tx));
+  if (it->second.prepared) stable_.erase(prep_key(tx));
   overlays_.erase(it);
   release_locks(tx);
 }

@@ -1,8 +1,10 @@
 // Transaction participant interface.
 //
 // A participant stages effects for a transaction (resource-state overlays,
-// input-queue updates) and makes them durable at prepare, visible at
-// commit, or discards them at abort. Participants must be idempotent under
+// input-queue updates), applies them durably at commit, or discards them at
+// abort. Only a remote coordinator's participant persists them first, at
+// prepare: under presumed abort a coordinator's own participants need
+// nothing durable before the decision. Participants must be idempotent under
 // repeated commit/abort of the same transaction: 2PC retries decisions
 // after crashes, and the network can deliver duplicates after a receiver
 // lost its dedup state.
@@ -24,8 +26,8 @@ class Participant {
   /// Whether this participant holds staged or prepared state for `tx`.
   [[nodiscard]] virtual bool has_tx(TxId tx) const = 0;
 
-  /// Persist staged effects and vote. Returning false vetoes the commit.
-  /// Must be idempotent.
+  /// Persist staged effects of a remote coordinator's transaction and
+  /// vote. Returning false vetoes the commit. Must be idempotent.
   virtual bool prepare(TxId tx) = 0;
 
   /// Apply staged effects durably. Must be idempotent (a no-op when the

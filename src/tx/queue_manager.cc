@@ -186,7 +186,7 @@ void QueueManager::commit(TxId tx) {
         break;
     }
   }
-  stable_.erase(prep_key(tx));
+  if (it->second.prepared) stable_.erase(prep_key(tx));
   staged_.erase(it);
 }
 

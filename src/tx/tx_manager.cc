@@ -32,6 +32,7 @@ TxManager::TxManager(NodeId self, sim::Simulator& sim, net::Network& net,
     : self_(self), sim_(sim), net_(net), stable_(stable) {}
 
 void TxManager::register_participant(Participant& p) {
+  MAR_CHECK(participants_.size() < 32);  // voter sets are 32-bit masks
   participants_.push_back(&p);
 }
 
@@ -87,16 +88,24 @@ bool TxManager::has_remote(TxId tx, NodeId node) const {
   return it != coords_.end() && it->second.remotes.contains(node);
 }
 
-bool TxManager::prepare_locals(TxId tx) {
-  bool any = false;
-  bool ok = true;
-  for (auto* p : participants_) {
-    if (!p->has_tx(tx)) continue;
-    any = true;
-    ok = p->prepare(tx) && ok;
+std::uint32_t TxManager::prepare_locals(TxId tx) const {
+  // Presumed abort: a coordinator that crashes before deciding aborts the
+  // transaction anyway, so its own participants vote by holding their
+  // staging and persist nothing. The decision's apply is their first and
+  // only durable write.
+  std::uint32_t voters = 0;
+  for (std::size_t i = 0; i < participants_.size(); ++i) {
+    if (participants_[i]->has_tx(tx)) voters |= 1u << i;
   }
-  if (any && ok) persist_prepared_marker(tx);
-  return ok;
+  return voters;
+}
+
+void TxManager::commit_decided(TxId tx, std::uint32_t voters) {
+  // No durable prepare backs these votes: a voter that lost its staging
+  // before this apply would report a commit that applied nothing.
+  MAR_DCHECK_MSG((prepare_locals(tx) & voters) == voters,
+                 "decided tx " << tx << " lost its local staging");
+  for (auto* p : participants_) p->commit(tx);
 }
 
 void TxManager::commit_locals(TxId tx) {
@@ -126,24 +135,13 @@ void TxManager::commit_async(TxId tx, CommitCallback cb) {
   MAR_CHECK_MSG(it != coords_.end(), "commit on unknown tx " << tx);
   Coord& c = it->second;
   c.callback = std::move(cb);
-
-  if (!prepare_locals(tx)) {
-    decide_abort(tx, c);
-    return;
-  }
+  c.voters = prepare_locals(tx);
   if (c.remotes.empty()) {
-    if (group_window_ <= 1) {
-      commit_locals(tx);
-      stable_.sync();
-      finish(tx, c, true);
-      maybe_begin_checkpoint();
-      return;
-    }
     // Group commit: the outcome is decided (every local participant
-    // prepared), but the stable-storage apply, the metered sync and the
+    // voted), but the stable-storage apply, the metered sync and the
     // callback wait for the window flush — several step transactions
-    // share one sync batch.
-    commit_queue_.emplace_back(tx, std::move(c.callback));
+    // share one sync batch. At window <= 1 the flush runs right here.
+    commit_queue_.emplace_back(tx, c.voters, std::move(c.callback));
     coords_.erase(tx);
     if (commit_queue_.size() >= group_window_) {
       flush_commit_group();
@@ -205,17 +203,13 @@ void TxManager::flush_commit_group() {
   if (commit_queue_.empty()) return;
   auto batch = std::move(commit_queue_);
   commit_queue_.clear();
-  for (auto& [tx, cb] : batch) {
-    (void)cb;
-    commit_locals(tx);
-  }
+  for (const auto& [tx, voters, cb] : batch) commit_decided(tx, voters);
   // One metered sync for the whole batch — the point of group commit.
   // Within the (single-threaded) simulation the applies above are atomic
   // w.r.t. crash events, so batching only moves the durable point, never
   // splits a transaction.
   stable_.sync();
-  for (auto& [tx, cb] : batch) {
-    (void)tx;
+  for (auto& [tx, voters, cb] : batch) {
     inflight_remove();
     if (cb) cb(true);
   }
@@ -257,8 +251,8 @@ void TxManager::decide_commit(TxId tx, Coord& c) {
   if (group_window_ > 1) {
     // Pipelined coordinator: the decision is made but its durability
     // record queues for the batched flush — many decisions, one sync.
-    // Until the flush nothing is persisted or applied, so a crash here
-    // resolves to presumed abort exactly like an undecided transaction.
+    // Until the flush nothing of the transaction is durable here, so a
+    // crash resolves to presumed abort exactly like an undecided one.
     c.phase = Phase::deciding;
     decision_queue_.push_back(tx);
     trace_pipeline("decided", tx);
@@ -266,7 +260,7 @@ void TxManager::decide_commit(TxId tx, Coord& c) {
     return;
   }
   persist_decision(tx, c.remotes);
-  commit_locals(tx);
+  commit_decided(tx, c.voters);
   stable_.sync();
   ++stats_.coordinator_syncs;
   c.phase = Phase::committing;
@@ -304,7 +298,7 @@ void TxManager::flush_decision_group() {
     if (it == coords_.end() || it->second.phase != Phase::deciding) continue;
     Coord& c = it->second;
     persist_decision(tx, c.remotes);
-    commit_locals(tx);
+    commit_decided(tx, c.voters);
     c.phase = Phase::committing;
     c.acks_pending = c.remotes;
     flushed.push_back(tx);
@@ -598,15 +592,15 @@ void TxManager::on_crash() {
   ++epoch_;
   coords_.clear();
   in_doubt_.clear();
-  // Queued-but-unflushed group commits die with the crash: nothing was
-  // applied, so recovery presumed-aborts them from their prepared markers
-  // and their records stay queued (restartability).
+  // Queued-but-unflushed group commits die with the crash: nothing of
+  // them reached stable storage, their staging is volatile, and their
+  // records stay queued (restartability).
   commit_queue_.clear();
   flush_pending_ = false;
-  // Queued decisions were never persisted: their prepared participants
-  // resolve to presumed abort through the inquiry protocol, their own
-  // prepared markers through the recovery scan — exactly-once holds
-  // because nothing was applied anywhere.
+  // Queued decisions were never persisted: their prepared remote
+  // participants resolve to presumed abort through the inquiry protocol,
+  // the local staging dies with the crash — exactly-once holds because
+  // nothing was applied anywhere.
   decision_queue_.clear();
   decision_flush_pending_ = false;
   decision_flush_hot_ = false;
@@ -623,26 +617,17 @@ void TxManager::on_crash() {
 
 void TxManager::on_recover() {
   ++epoch_;
-  // Participant side: resolve prepared transactions. abort_locals may
-  // erase the scanned prep key mid-scan, so collect the ids first.
-  std::vector<TxId> prepped;
+  // Participant side: every prepared marker is a remote coordinator's
+  // transaction (this node's own participants never persist a prepare);
+  // ask its coordinator for the outcome.
   stable_.for_each_with_prefix(
-      "txprep:", [&prepped](const std::string& key, const serial::Bytes&) {
-        prepped.emplace_back(std::stoull(key.substr(7)));
+      "txprep:", [this](const std::string& key, const serial::Bytes&) {
+        const TxId tx(std::stoull(key.substr(7)));
+        MAR_DCHECK_MSG(coordinator_of(tx) != self_,
+                       "prepared marker of self-coordinated tx " << tx);
+        in_doubt_.emplace(tx, coordinator_of(tx));
+        schedule_inquiry(tx);
       });
-  for (const TxId tx : prepped) {
-    const NodeId coord = coordinator_of(tx);
-    if (coord == self_) {
-      if (!stable_.contains(decision_key(tx))) {
-        // Presumed abort: this node coordinated, crashed before deciding.
-        abort_locals(tx);
-      }
-      // Decided transactions are re-driven below.
-    } else {
-      in_doubt_.emplace(tx, coord);
-      schedule_inquiry(tx);
-    }
-  }
   // Coordinator side: re-drive every decided-but-unfinished transaction.
   // commit_locals mutates stable storage, so snapshot the decisions first.
   std::vector<std::pair<TxId, serial::Bytes>> decisions;

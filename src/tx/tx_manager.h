@@ -6,15 +6,17 @@
 // into the next node's input queue commit atomically (Sec. 2). This module
 // provides that with two-phase commit, presumed abort:
 //
-//   * local-only transactions take a one-phase fast path;
-//   * with remote participants, the coordinator prepares its local
-//     participants (persisting their staged effects), collects votes,
-//     persists a commit decision record, then drives COMMIT until every
-//     remote acknowledges — re-driving from the decision record after a
-//     coordinator crash;
-//   * participants persist prepared state; in-doubt participants
-//     periodically send an INQUIRY to the coordinator, which answers from
-//     its decision records (no record ⇒ presumed abort).
+//   * local-only transactions take a one-phase fast path: the
+//     coordinator's own participants vote by holding their staging and
+//     persist nothing before the decision (a coordinator crash before it
+//     aborts anyway), so the commit apply is their only durable write;
+//   * with remote participants, the coordinator collects their votes,
+//     then persists a decision record with its local apply and drives
+//     COMMIT until every remote acknowledges — re-driving from the record
+//     after a coordinator crash;
+//   * remote participants persist prepared state before voting YES;
+//     in-doubt ones periodically send an INQUIRY to the coordinator, which
+//     answers from its decision records (no record ⇒ presumed abort).
 //
 // All message exchange uses the reliable network layer, so transient node
 // and link failures only delay the outcome — the property the paper's
@@ -24,6 +26,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "net/network.h"
@@ -221,6 +224,7 @@ class TxManager {
     /// Whether this entry came through begin() and is counted in the
     /// inflight gauge (recovery-rebuilt entries are not).
     bool counted = false;
+    std::uint32_t voters = 0;  ///< local votes, see prepare_locals
     CommitCallback callback;
   };
 
@@ -243,7 +247,9 @@ class TxManager {
   /// Inflight gauge maintenance (mirrors into stats_, tracks high water).
   void inflight_add();
   void inflight_remove();
-  bool prepare_locals(TxId tx);
+  /// Mask over participants_ of those holding `tx`'s staging: their votes.
+  [[nodiscard]] std::uint32_t prepare_locals(TxId tx) const;
+  void commit_decided(TxId tx, std::uint32_t voters);
   void commit_locals(TxId tx);
   void abort_locals(TxId tx);
   void persist_decision(TxId tx, const std::set<NodeId>& remotes);
@@ -283,11 +289,11 @@ class TxManager {
   sim::TimeUs inquiry_interval_ = 200'000;  // 200 ms
   std::uint64_t epoch_ = 0;  ///< bumped on crash; cancels stale timers
 
-  /// Decided-but-unsynced local commits awaiting the group flush. Their
-  /// participants still hold locks and prepared markers; a crash before
-  /// the flush presumed-aborts them (nothing was applied), which is the
-  /// crash atomicity of a batched sync.
-  std::vector<std::pair<TxId, CommitCallback>> commit_queue_;
+  /// Decided-but-unsynced local commits (tx, voters, callback) awaiting
+  /// the group flush. Their participants still hold locks and volatile
+  /// staging, nothing durable; a crash before the flush loses both
+  /// (nothing was applied), which is the crash atomicity of a batched sync.
+  std::vector<std::tuple<TxId, std::uint32_t, CommitCallback>> commit_queue_;
   bool flush_pending_ = false;
   /// Bumped on every flush; invalidates armed flush timers so a batch
   /// never inherits the previous batch's deadline.

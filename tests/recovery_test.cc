@@ -11,7 +11,10 @@
 //   * a checkpoint torn by the crash it raced falls back one generation;
 //   * at platform level, crashes with injected storage faults preserve
 //     exactly-once and bit-identity with the clean-run oracle, including
-//     crashes landing during compaction and during a checkpoint window.
+//     crashes landing during compaction and during a checkpoint window;
+//   * a crash inside the commit pipeline (a queued local commit, or a
+//     decision awaiting its flush) loses only volatile staging: the step
+//     runs again and its resource effect lands exactly once.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -24,6 +27,7 @@
 #include "harness/world.h"
 #include "storage/segment_log.h"
 #include "storage/stable_storage.h"
+#include "tx/tx_manager.h"
 
 namespace mar {
 namespace {
@@ -368,6 +372,150 @@ TEST(RecoveryPlatformTest, BitFlipInjectionHardFailsLoudly) {
   spec.crash = true;
   spec.fault = StorageFault::bit_flip;
   EXPECT_THROW(run_workload(spec), CorruptionError);
+}
+
+// ---------------------------------------------------------------------------
+// Hand-scheduled crashes inside the commit pipeline
+// ---------------------------------------------------------------------------
+
+bool holds_prepare_state(const storage::StableStorage& s) {
+  return !s.keys_with_prefix("prep.").empty() ||
+         !s.keys_with_prefix("txprep:").empty();
+}
+
+/// A crashed node keeps no transaction state of its own coordination: no
+/// resource staging or lock, no claim, no resident handoff, nothing in
+/// the tx manager's queues and no prepare record to resolve.
+void expect_no_volatile_tx_state(agent::NodeRuntime& rt) {
+  for (std::uint64_t k = 1; k <= 256; ++k) {
+    EXPECT_FALSE(rt.resources().has_tx(tx::make_tx_id(rt.id(), k)));
+  }
+  EXPECT_FALSE(rt.resources().locked("bank"));
+  for (const auto& r : rt.storage().queue()) {
+    EXPECT_FALSE(rt.storage().claimed(r.record_id));
+  }
+  EXPECT_EQ(rt.resident_agents(), 0u);
+  EXPECT_TRUE(rt.txm().idle());
+  EXPECT_FALSE(holds_prepare_state(rt.storage()));
+}
+
+std::size_t step_begins(const TestWorld& w, std::uint32_t node) {
+  std::size_t n = 0;
+  for (const auto& e : w.trace.events()) {
+    n += e.kind == TraceKind::step_begin && e.node == node ? 1 : 0;
+  }
+  return n;
+}
+
+std::int64_t balance_of(TestWorld& w, int node) {
+  return w.committed(node, "bank").at("accounts").at("acct").at("balance")
+      .as_int();
+}
+
+AgentId launch_deposits(TestWorld& w, const std::vector<int>& nodes) {
+  auto ag = std::make_unique<WorkloadAgent>();
+  Itinerary tour;
+  for (const int n : nodes) tour.step("deposit", TestWorld::n(n));
+  Itinerary main_it;
+  main_it.sub(std::move(tour));
+  ag->itinerary() = std::move(main_it);
+  auto id = w.platform.launch(std::move(ag));
+  EXPECT_TRUE(id.is_ok());
+  return id.value();
+}
+
+TEST(RecoveryPlatformTest, CrashBeforeLocalGroupFlushReRunsTheStepOnce) {
+  // The first step's local commit is decided and queued for the group
+  // flush — holding its account lock, applied nowhere — when the node
+  // crashes. Nothing of it was durable, so recovery finds nothing to
+  // abort: the record is simply re-offered and the step runs again, its
+  // deposit landing exactly once.
+  PlatformConfig cfg;
+  cfg.group_commit_window = 8;
+  cfg.group_commit_flush_us = 50'000;  // the queued commit dwells 50 ms
+  TestWorld w(cfg, /*node_count=*/1, /*seed=*/9);
+  harness::register_workload(w.platform);
+  w.open_account(1, "acct", 0);
+  const AgentId id = launch_deposits(w, {1, 1, 1});
+  auto& rt = w.platform.node(TestWorld::n(1));
+
+  w.sim.run_until(10'000);
+  ASSERT_TRUE(rt.resources().locked("bank"));  // staged, decided, queued
+  EXPECT_EQ(balance_of(w, 1), 0);
+  EXPECT_FALSE(holds_prepare_state(rt.storage()));
+  const auto bytes_before_crash = rt.storage().stats().bytes_written.load();
+
+  w.net.crash_node(TestWorld::n(1));
+  expect_no_volatile_tx_state(rt);
+  EXPECT_EQ(rt.storage().queue().size(), 1u);  // the step's record stays
+  EXPECT_EQ(balance_of(w, 1), 0);
+  EXPECT_EQ(rt.storage().stats().bytes_written.load(), bytes_before_crash);
+  w.sim.run_until(14'000);
+  w.net.recover_node(TestWorld::n(1));
+
+  ASSERT_TRUE(w.platform.run_until_finished(id));
+  const auto& out = w.platform.outcome(id);
+  ASSERT_EQ(out.state, AgentOutcome::State::done);
+  EXPECT_EQ(w.platform.decode(out.final_agent)->data().weak("visits").as_int(),
+            3);
+  EXPECT_EQ(step_begins(w, 1), 4u);  // three steps, the first one twice
+  EXPECT_EQ(balance_of(w, 1), 150);
+  EXPECT_TRUE(rt.txm().idle());
+}
+
+TEST(RecoveryPlatformTest, CoordinatorCrashBeforeDecisionFlushAbortsByInquiry) {
+  // The step on N1 migrates the agent to N2. N2 prepared the transfer and
+  // voted YES; N1 decided, but the decision still waits for its batched
+  // flush when N1 crashes. N1's own staging was never durable, so there
+  // is nothing to presume-abort locally; N2 resolves its prepared
+  // transfer to abort by inquiry, and the step re-runs once.
+  PlatformConfig cfg;
+  cfg.group_commit_window = 8;
+  cfg.group_commit_flush_us = 50'000;
+  TestWorld w(cfg, /*node_count=*/2, /*seed=*/9);
+  harness::register_workload(w.platform);
+  w.open_account(1, "acct", 0);
+  w.open_account(2, "acct", 0);
+  const AgentId id = launch_deposits(w, {1, 2});
+  auto& coord = w.platform.node(TestWorld::n(1));
+  auto& part = w.platform.node(TestWorld::n(2));
+
+  const auto decided = [&w] {
+    for (const auto& e : w.trace.events()) {
+      if (e.kind == TraceKind::tx_pipeline && e.node == 1 &&
+          e.detail.rfind("decided", 0) == 0) {
+        return true;
+      }
+    }
+    return false;
+  };
+  ASSERT_TRUE(w.sim.run_while_pending(decided));
+  EXPECT_FALSE(part.storage().keys_with_prefix("txprep:").empty());
+  EXPECT_FALSE(holds_prepare_state(coord.storage()));
+  EXPECT_TRUE(coord.storage().keys_with_prefix("txdec:").empty());
+  EXPECT_TRUE(coord.resources().locked("bank"));
+
+  w.net.crash_node(TestWorld::n(1));
+  expect_no_volatile_tx_state(coord);
+  EXPECT_EQ(balance_of(w, 1), 0);
+  // Stay down past several inquiry intervals: N2 stays in doubt, its
+  // transfer neither applied nor dropped.
+  w.sim.run_until(w.sim.now() + 600'000);
+  EXPECT_TRUE(part.storage().queue_empty());
+  EXPECT_FALSE(part.storage().keys_with_prefix("txprep:").empty());
+  w.net.recover_node(TestWorld::n(1));
+
+  ASSERT_TRUE(w.platform.run_until_finished(id));
+  const auto& out = w.platform.outcome(id);
+  ASSERT_EQ(out.state, AgentOutcome::State::done);
+  EXPECT_EQ(w.platform.decode(out.final_agent)->data().weak("visits").as_int(),
+            2);
+  EXPECT_EQ(step_begins(w, 1), 2u);  // the migrating step ran twice
+  EXPECT_EQ(step_begins(w, 2), 1u);
+  EXPECT_EQ(balance_of(w, 1), 50);
+  EXPECT_EQ(balance_of(w, 2), 50);
+  EXPECT_TRUE(coord.txm().idle());
+  EXPECT_TRUE(part.txm().idle());
 }
 
 TEST(RecoveryPlatformTest, FaultMatrixFromEnvironment) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "net/network.h"
+#include "resource/bank.h"
+#include "resource/resource_manager.h"
+#include "serial/serializable.h"
 #include "sim/simulator.h"
 #include "storage/stable_storage.h"
 #include "tx/queue_manager.h"
@@ -315,6 +318,7 @@ struct TxWorld {
   struct Node {
     StableStorage storage;
     std::unique_ptr<tx::QueueManager> qm;
+    std::unique_ptr<resource::ResourceManager> rm;
     std::unique_ptr<tx::TxManager> txm;
   };
   std::map<NodeId, Node> nodes;
@@ -324,8 +328,11 @@ struct TxWorld {
       const NodeId id(static_cast<std::uint32_t>(i));
       auto& node = nodes[id];
       node.qm = std::make_unique<tx::QueueManager>(node.storage);
+      node.rm = std::make_unique<resource::ResourceManager>(node.storage);
+      node.rm->add_resource("bank", std::make_unique<resource::Bank>());
       node.txm = std::make_unique<tx::TxManager>(id, sim, net, node.storage);
       node.txm->register_participant(*node.qm);
+      node.txm->register_participant(*node.rm);
       net.add_node(id, [this, id](const net::Message& m) {
         nodes.at(id).txm->on_message(m);
       });
@@ -358,6 +365,104 @@ TEST(TxManagerTest, LocalOnlyCommit) {
   EXPECT_TRUE(committed);
   EXPECT_EQ(n1.storage.queue().size(), 1u);
   EXPECT_TRUE(n1.txm->idle());
+}
+
+bool holds_prepare_state(const StableStorage& s) {
+  return !s.keys_with_prefix("prep.").empty() ||
+         !s.keys_with_prefix("txprep:").empty();
+}
+
+TEST(TxManagerTest, LocalStepWritesOnlyItsCommitApply) {
+  // A local step transaction: consume the claimed record, append the
+  // agent's delta to its record-area image, enqueue the payload-less
+  // successor and deposit into one account. Its participants are the
+  // coordinator's own, so they persist no prepare: no prep.* record or
+  // txprep: marker exists at any point, and the commit apply is the only
+  // durable write — on the one-phase path and through the group flush.
+  for (const std::uint32_t window : {1u, 4u}) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    TxWorld w(1);
+    auto& n1 = w.n(1);
+    n1.txm->set_group_commit(window, 100);
+    serial::Value bank = n1.rm->committed_state("bank");
+    serial::Value acct = serial::Value::empty_map();
+    acct.set("balance", std::int64_t{0});
+    acct.set("overdraft", false);
+    bank.as_map().at("accounts").set("acct", std::move(acct));
+    n1.rm->poke_state("bank", std::move(bank));
+    n1.storage.enqueue(record(1));
+    n1.storage.record_reset("agentimg:1", serial::Bytes(64, 0xB0));
+
+    const TxId tx = n1.txm->begin();
+    n1.qm->stage_remove(tx, 1);
+    n1.qm->stage_record_append(tx, "agentimg:1", serial::Bytes(24, 0xD0));
+    QueueRecord next = record(2);
+    next.payload.clear();
+    const std::uint64_t next_bytes = next.byte_size();
+    n1.qm->stage_enqueue(tx, std::move(next));
+    serial::Value deposit = serial::Value::empty_map();
+    deposit.set("account", serial::Value("acct"));
+    deposit.set("amount", std::int64_t{50});
+    ASSERT_TRUE(n1.rm->invoke(tx, "bank", "deposit", deposit).is_ok());
+
+    const auto& stats = n1.storage.stats();
+    const std::uint64_t bytes_before = stats.bytes_written.load();
+    const std::uint64_t kv_before = stats.kv_writes.load();
+    const std::size_t area_before = n1.storage.record_area_bytes();
+    bool committed = false;
+    n1.txm->commit_async(tx, [&](bool ok) { committed = ok; });
+    EXPECT_FALSE(holds_prepare_state(n1.storage));
+    while (w.sim.step()) EXPECT_FALSE(holds_prepare_state(n1.storage));
+    ASSERT_TRUE(committed);
+
+    const auto& applied =
+        n1.rm->committed_state("bank").at("accounts").at("acct");
+    EXPECT_EQ(applied.at("balance").as_int(), 50);
+    const std::string res_key = "res:bank/accounts/acct";
+    const std::uint64_t res_bytes =
+        res_key.size() + serial::to_bytes(applied).size();
+    const std::uint64_t framed_op =
+        n1.storage.record_area_bytes() - area_before;
+    EXPECT_EQ(stats.bytes_written.load() - bytes_before,
+              framed_op + next_bytes + res_bytes);
+    EXPECT_EQ(stats.kv_writes.load() - kv_before, 1u);  // the res: put
+    ASSERT_EQ(n1.storage.queue().size(), 1u);
+    EXPECT_EQ(n1.storage.queue().front().record_id, 2u);
+    EXPECT_TRUE(n1.txm->idle());
+  }
+}
+
+TEST(TxManagerTest, CoordinatorHalfOfDistributedCommitAppliesAtDecision) {
+  // The coordinator-local half of a distributed transaction persists no
+  // prepare either: its first durable write is the decision's apply, on
+  // the window-1 path (decide_commit) and through the decision flush.
+  for (const std::uint32_t window : {1u, 4u}) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    TxWorld w(2);
+    auto& n1 = w.n(1);
+    auto& n2 = w.n(2);
+    n1.txm->set_group_commit(window, 100);
+    n1.storage.enqueue(record(1));
+    const TxId tx = n1.txm->begin();
+    n1.qm->stage_remove(tx, 1);
+    n2.qm->stage_enqueue(tx, record(2));
+    n2.txm->note_remote_staged(tx);
+    n1.txm->enlist_remote(tx, NodeId(2));
+    bool committed = false;
+    n1.txm->commit_async(tx, [&](bool ok) { committed = ok; });
+    while (w.sim.step()) {
+      EXPECT_FALSE(holds_prepare_state(n1.storage));
+      // Until the decision is durable the local half stays unapplied.
+      if (!committed && n1.storage.keys_with_prefix("txdec:").empty()) {
+        EXPECT_EQ(n1.storage.queue().size(), 1u);
+      }
+    }
+    ASSERT_TRUE(committed);
+    EXPECT_TRUE(n1.storage.queue_empty());
+    EXPECT_EQ(n2.storage.queue().size(), 1u);
+    EXPECT_TRUE(n1.txm->idle());
+    EXPECT_TRUE(n2.txm->idle());
+  }
 }
 
 TEST(TxManagerTest, DistributedCommitAppliesOnBothNodes) {
