@@ -43,11 +43,11 @@ sim::TimeUs rollback_time(agent::RollbackStrategy strategy,
 
   auto id = w.platform.launch(std::move(agent));
   const bool initiated = w.sim.run_while_pending(
-      [&] { return w.trace.count(TraceKind::rollback_begin) > 0; });
+      [&] { return w.platform.spans().count(EventKind::rollback_begin) > 0; });
   if (!initiated) return 0;
   const auto start = w.sim.now();
   const bool done = w.sim.run_while_pending(
-      [&] { return w.trace.count(TraceKind::rollback_done) > 0; });
+      [&] { return w.platform.spans().count(EventKind::rollback_done) > 0; });
   if (!done) return 0;
   return w.sim.now() - start;
 }

@@ -17,7 +17,6 @@
 // boundary, bounding the carried size by one sub-itinerary's worth.
 #include <iomanip>
 #include <iostream>
-#include <regex>
 
 #include "common.h"
 
@@ -65,18 +64,14 @@ Row measure(bool per_step_sps, bool itinerary_sps, bool gc, bool discard,
   Row row;
   row.ok = w.platform.outcome(id.value()).state ==
            agent::AgentOutcome::State::done;
-  // Migration payload sizes are recorded in the MIGRATE trace details.
-  static const std::regex size_re(R"(\((\d+) bytes\))");
+  // Forward step migrations carry their payload size (value2).
   std::uint64_t sum = 0;
   std::uint64_t count = 0;
-  for (const auto& e : w.trace.of_kind(TraceKind::migrate)) {
-    std::smatch match;
-    if (std::regex_search(e.detail, match, size_re)) {
-      const std::uint64_t bytes = std::stoull(match[1]);
-      sum += bytes;
-      ++count;
-      row.max_migration_bytes = std::max(row.max_migration_bytes, bytes);
-    }
+  for (const auto& e : w.platform.spans().of_kind(EventKind::migrate)) {
+    if (e.code != static_cast<std::uint8_t>(MigrateCause::step)) continue;
+    sum += e.value2;
+    ++count;
+    row.max_migration_bytes = std::max(row.max_migration_bytes, e.value2);
   }
   row.avg_migration_bytes = count > 0 ? sum / count : 0;
   auto fin = w.platform.decode(w.platform.outcome(id.value()).final_agent);

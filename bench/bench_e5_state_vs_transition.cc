@@ -59,7 +59,7 @@ Row measure(agent::LoggingMode mode, std::int64_t entries,
   Row row;
   row.rollback_ok = w.platform.outcome(id.value()).state ==
                         agent::AgentOutcome::State::done &&
-                    w.trace.count(TraceKind::restore) == 1;
+                    w.platform.spans().count(EventKind::restore) == 1;
   auto fin = w.platform.decode(w.platform.outcome(id.value()).final_agent);
   for (const auto& e : fin->log().entries()) {
     if (e.is_savepoint()) row.savepoint_bytes += e.byte_size();

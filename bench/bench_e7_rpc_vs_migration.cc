@@ -16,7 +16,6 @@
 #include "net/network.h"
 #include "perfmodel/perfmodel.h"
 #include "sim/simulator.h"
-#include "util/trace.h"
 
 using namespace mar;
 
@@ -33,8 +32,7 @@ Actuals simulate(const perfmodel::NetworkParams& np,
   Actuals out{};
   for (int variant = 0; variant < 2; ++variant) {
     sim::Simulator sim;
-    TraceSink trace;
-    net::Network net(sim, trace);
+    net::Network net(sim);
     net::LinkParams lp;
     lp.latency_us = static_cast<sim::TimeUs>(np.latency_us);
     lp.bandwidth_bytes_per_us = np.bytes_per_us;

@@ -30,20 +30,20 @@ int main() {
   w.platform.run_until_finished(id.value());
 
   std::cout << "=== Fig. 1: execution of an agent (steps i .. i+3) ===\n\n";
-  w.trace.print(std::cout);
+  w.platform.spans().print(std::cout);
 
   std::cout << "\n--- step timeline ---\n";
   std::cout << "step  node  T_begin[us]  T_commit[us]  A_i+1 -> next queue\n";
-  const auto begins = w.trace.of_kind(TraceKind::step_begin);
-  const auto commits = w.trace.of_kind(TraceKind::step_commit);
-  const auto migrates = w.trace.of_kind(TraceKind::migrate);
+  const auto begins = w.platform.spans().of_kind(EventKind::step_begin);
+  const auto commits = w.platform.spans().of_kind(EventKind::step_commit);
+  const auto migrates = w.platform.spans().of_kind(EventKind::migrate);
   for (std::size_t i = 0; i < begins.size(); ++i) {
     std::cout << "T_" << i << "   N" << begins[i].node << "    "
-              << begins[i].time_us << "          "
-              << (i < commits.size() ? std::to_string(commits[i].time_us)
+              << begins[i].begin_us << "          "
+              << (i < commits.size() ? std::to_string(commits[i].begin_us)
                                      : "-")
               << "          "
-              << (i < migrates.size() ? migrates[i].detail : "(final state)")
+              << (i < migrates.size() ? migrates[i].note() : "(final state)")
               << "\n";
   }
   const bool ok =

@@ -33,14 +33,14 @@ int main() {
   w.platform.run_until_finished(id.value());
 
   std::cout << "=== Fig. 3: partial rollback with the basic mechanism ===\n\n";
-  w.trace.print(std::cout);
+  w.platform.spans().print(std::cout);
 
   // Checks: compensation transactions visited N3, N2, N1 in that order;
   // restore happened exactly once, strictly after all compensations.
-  const auto comps = w.trace.of_kind(TraceKind::comp_begin);
+  const auto comps = w.platform.spans().of_kind(EventKind::comp_begin);
   std::vector<std::uint32_t> comp_nodes;
   for (const auto& e : comps) comp_nodes.push_back(e.node);
-  const auto restores = w.trace.of_kind(TraceKind::restore);
+  const auto restores = w.platform.spans().of_kind(EventKind::restore);
   bool ok = w.platform.outcome(id.value()).state ==
             agent::AgentOutcome::State::done;
   ok = ok && comp_nodes.size() >= 3;
@@ -50,7 +50,7 @@ int main() {
   }
   ok = ok && restores.size() == 1;
   if (ok) {
-    for (const auto& c : comps) ok = ok && c.time_us <= restores[0].time_us;
+    for (const auto& c : comps) ok = ok && c.begin_us <= restores[0].begin_us;
   }
   std::cout << "\ncheck: CTs ran on N3,N2,N1 (reverse path), single restore "
                "at the end -> "

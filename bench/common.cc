@@ -175,7 +175,7 @@ Metrics run_rollback_scenario(const RollbackScenario& s) {
   Metrics m;
   // Phase 1: run until the rollback is initiated.
   const bool initiated = w.sim.run_while_pending(
-      [&] { return w.trace.count(TraceKind::rollback_begin) > 0; });
+      [&] { return w.platform.spans().count(EventKind::rollback_begin) > 0; });
   if (!initiated) return m;
   m.forward_us = w.sim.now();
   const auto wire_at_rollback = w.net.stats().bytes_sent;
@@ -183,7 +183,7 @@ Metrics run_rollback_scenario(const RollbackScenario& s) {
 
   // Phase 2: run until the target savepoint is restored.
   const bool rolled_back = w.sim.run_while_pending(
-      [&] { return w.trace.count(TraceKind::rollback_done) > 0; });
+      [&] { return w.platform.spans().count(EventKind::rollback_done) > 0; });
   if (!rolled_back) return m;
   m.rollback_us = w.sim.now() - m.forward_us;
   m.rollback_wire_bytes = w.net.stats().bytes_sent - wire_at_rollback;
@@ -197,7 +197,7 @@ Metrics run_rollback_scenario(const RollbackScenario& s) {
   m.ok = outcome.state == agent::AgentOutcome::State::done;
   m.total_us = outcome.finished_at;
   m.total_wire_bytes = w.net.stats().bytes_sent;
-  m.comp_commits = w.trace.count(TraceKind::comp_commit);
+  m.comp_commits = w.platform.spans().count(EventKind::comp_commit);
   m.crashes = w.faults.crashes_injected();
   for (const auto node : w.net.node_ids()) {
     m.stable_bytes += w.platform.node(node).storage().stats().bytes_written;

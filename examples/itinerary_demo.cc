@@ -24,7 +24,6 @@
 #include "net/network.h"
 #include "resource/bank.h"
 #include "sim/simulator.h"
-#include "util/trace.h"
 
 using namespace mar;
 
@@ -69,11 +68,10 @@ class Fig6Agent final : public agent::Agent {
 
 int main() {
   sim::Simulator sim;
-  TraceSink trace;
-  net::Network net(sim, trace);
+  net::Network net(sim);
   agent::PlatformConfig config;
   config.logging = agent::LoggingMode::state;
-  agent::Platform platform(sim, net, trace, config);
+  agent::Platform platform(sim, net, config);
   for (std::uint32_t i = 1; i <= 10; ++i) platform.add_node(NodeId(i));
 
   platform.agent_types().register_type<Fig6Agent>("fig6");
@@ -111,17 +109,17 @@ int main() {
   }
 
   // Print the rollback log after every committed step (Fig. 2 view).
-  std::size_t printed = 0;
+  std::uint64_t printed = 0;  // span id of the last event shown
   while (!platform.finished(id.value()) && sim.step()) {
-    const auto& events = trace.events();
-    for (; printed < events.size(); ++printed) {
-      const auto& e = events[printed];
-      if (e.kind == TraceKind::step_commit ||
-          e.kind == TraceKind::savepoint ||
-          e.kind == TraceKind::sp_gc || e.kind == TraceKind::log_discard ||
-          e.kind == TraceKind::rollback_done) {
-        std::cout << "[t=" << e.time_us / 1000 << "ms N" << e.node << "] "
-                  << to_string(e.kind) << " " << e.detail << "\n";
+    for (const auto& e : platform.spans().of_kind(SpanKind::instant)) {
+      if (e.span_id <= printed) continue;
+      printed = e.span_id;
+      if (e.event == EventKind::step_commit ||
+          e.event == EventKind::savepoint || e.event == EventKind::sp_gc ||
+          e.event == EventKind::log_discard ||
+          e.event == EventKind::rollback_done) {
+        std::cout << "[t=" << e.begin_us / 1000 << "ms N" << e.node << "] "
+                  << to_string(e.event) << " " << e.note() << "\n";
       }
     }
   }
@@ -135,8 +133,9 @@ int main() {
   }
   std::cout << "\ncounter (weak, compensated): "
             << fin->data().weak("counter").as_int() << "\n";
-  std::cout << "savepoints GC'd: " << trace.count(TraceKind::sp_gc)
-            << ", log discards: " << trace.count(TraceKind::log_discard)
+  std::cout << "savepoints GC'd: " << platform.spans().count(EventKind::sp_gc)
+            << ", log discards: "
+            << platform.spans().count(EventKind::log_discard)
             << ", final log entries: " << fin->log().size() << "\n";
   return outcome.state == agent::AgentOutcome::State::done ? 0 : 1;
 }

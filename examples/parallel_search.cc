@@ -29,7 +29,6 @@
 #include "resource/mailbox.h"
 #include "resource/shop.h"
 #include "sim/simulator.h"
-#include "util/trace.h"
 
 using namespace mar;
 
@@ -150,9 +149,8 @@ class MasterAgent final : public agent::Agent {
 
 int main() {
   sim::Simulator sim;
-  TraceSink trace;
-  net::Network net(sim, trace);
-  agent::Platform platform(sim, net, trace);
+  net::Network net(sim);
+  agent::Platform platform(sim, net);
 
   // N1 is the master's home; N2..N7 host shops in two regions.
   struct ShopSetup {

@@ -16,7 +16,6 @@
 #include "net/network.h"
 #include "resource/bank.h"
 #include "sim/simulator.h"
-#include "util/trace.h"
 
 using namespace mar;
 
@@ -76,9 +75,8 @@ class TravelAgent final : public agent::Agent {
 
 int main() {
   sim::Simulator sim;
-  TraceSink trace;
-  net::Network net(sim, trace);
-  agent::Platform platform(sim, net, trace);
+  net::Network net(sim);
+  agent::Platform platform(sim, net);
 
   // Three nodes; the banks on N1 and N2 hold the travel fund.
   for (std::uint32_t i = 1; i <= 3; ++i) {
@@ -130,7 +128,7 @@ int main() {
   platform.run_until_finished(id.value());
 
   std::cout << "\n--- execution trace ---\n";
-  trace.print(std::cout);
+  platform.spans().print(std::cout);
 
   const auto& outcome = platform.outcome(id.value());
   auto final_agent = platform.decode(outcome.final_agent);

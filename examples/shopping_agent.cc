@@ -17,7 +17,6 @@
 #include "net/network.h"
 #include "resource/shop.h"
 #include "sim/simulator.h"
-#include "util/trace.h"
 
 using namespace mar;
 
@@ -142,9 +141,8 @@ class ShoppingAgent final : public agent::Agent {
 
 int main() {
   sim::Simulator sim;
-  TraceSink trace;
-  net::Network net(sim, trace);
-  agent::Platform platform(sim, net, trace);
+  net::Network net(sim);
+  agent::Platform platform(sim, net);
 
   struct ShopSetup {
     std::uint32_t node;
@@ -208,7 +206,7 @@ int main() {
   std::cout << "\n--- summary ---\n"
             << "rollback transfers: " << platform.rollback_transfers() << "\n"
             << "compensation transactions committed: "
-            << trace.count(TraceKind::comp_commit) << "\n"
+            << platform.spans().count(EventKind::comp_commit) << "\n"
             << "cash: " << fin->data().weak("cash").as_int()
             << " (1000 - 400 + (400-25 refund) - 300 = 675)\n";
   return outcome.state == agent::AgentOutcome::State::done ? 0 : 1;

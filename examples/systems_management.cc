@@ -20,7 +20,6 @@
 #include "net/network.h"
 #include "resource/directory.h"
 #include "sim/simulator.h"
-#include "util/trace.h"
 
 using namespace mar;
 
@@ -73,11 +72,10 @@ class InventoryAgent final : public agent::Agent {
 
 int main() {
   sim::Simulator sim;
-  TraceSink trace;
-  net::Network net(sim, trace);
+  net::Network net(sim);
   agent::PlatformConfig config;
   config.strategy = agent::RollbackStrategy::optimized;
-  agent::Platform platform(sim, net, trace, config);
+  agent::Platform platform(sim, net, config);
 
   constexpr int kFleet = 8;
   for (std::uint32_t i = 1; i <= kFleet; ++i) {
@@ -127,7 +125,8 @@ int main() {
   std::cout << "\n--- result ---\n"
             << "inventory entries: " << inv.size() << " (all generation "
             << fin->data().strong("generation").as_int() << ")\n"
-            << "sweep rollbacks: " << trace.count(TraceKind::rollback_done)
+            << "sweep rollbacks: "
+            << platform.spans().count(EventKind::rollback_done)
             << "\n"
             << "agent transfers during rollback: "
             << platform.rollback_transfers()

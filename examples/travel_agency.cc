@@ -30,7 +30,6 @@
 #include "net/network.h"
 #include "resource/shop.h"
 #include "sim/simulator.h"
-#include "util/trace.h"
 
 using namespace mar;
 
@@ -118,11 +117,10 @@ class TravelAgent final : public agent::Agent {
 
 int main() {
   sim::Simulator sim;
-  TraceSink trace;
-  net::Network net(sim, trace);
+  net::Network net(sim);
   agent::PlatformConfig cfg;
   cfg.strategy = agent::RollbackStrategy::adaptive;
-  agent::Platform platform(sim, net, trace, cfg);
+  agent::Platform platform(sim, net, cfg);
 
   struct Vendor {
     std::uint32_t node;
@@ -208,7 +206,7 @@ int main() {
             << (outcome.state == agent::AgentOutcome::State::done ? "done"
                                                                   : "failed")
             << "\ncompensation transactions committed: "
-            << trace.count(TraceKind::comp_commit)
+            << platform.spans().count(EventKind::comp_commit)
             << "\ncash: " << cash
             << " (2000 - 800 flight - 450 hotel - 150 guide"
                " + (150-15) refund - 120 museum = 615)\n";

@@ -25,13 +25,19 @@ namespace {
 const StepEntry& current_step(const Agent& agent) {
   return agent.itinerary().step_at(agent.position());
 }
+
+/// The small-enum field of a protocol event (Span::code).
+template <typename E>
+std::uint8_t as_code(E e) {
+  return static_cast<std::uint8_t>(e);
+}
 }  // namespace
 
 NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
     : p_(platform), id_(id),
       storage_(storage::SegmentLogConfig{platform.config().segment_bytes}),
       qm_(storage_), rm_(storage_),
-      txm_(id, platform.sim(), platform.net(), storage_),
+      txm_(id, platform.sim(), platform.net(), storage_, &platform.spans()),
       ship_(platform, id, txm_, qm_, storage_) {
   txm_.register_participant(qm_);
   txm_.register_participant(rm_);
@@ -41,7 +47,6 @@ NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
   if (platform.config().lock_audit) rm_.enable_lock_audit();
   txm_.set_group_commit(platform.config().group_commit_window,
                         platform.config().group_commit_flush_us);
-  txm_.set_trace(&platform.trace());
   txm_.set_checkpoint(platform.config().checkpoint_interval_bytes,
                       platform.config().checkpoint_write_us);
   qm_.set_clock([this] { return p_.sim().now(); });
@@ -101,8 +106,11 @@ NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
   hist_commit_flush_us_ = &metrics_.histogram("commit.flush_us");
 }
 
-void NodeRuntime::trace(TraceKind kind, std::string detail) {
-  p_.trace().emit(p_.sim().now(), kind, id_.value(), std::move(detail));
+void NodeRuntime::record_event(EventKind kind, AgentId agent,
+                               std::uint64_t value, std::uint64_t value2,
+                               std::uint8_t code) {
+  p_.spans().event(kind, id_.value(), agent.value(), p_.sim().now(), value,
+                   value2, code);
 }
 
 // ---------------------------------------------------------------------------
@@ -172,7 +180,7 @@ void NodeRuntime::span_hop_end(const QueueRecord& rec) {
   hop.agent = rec.agent.value();
   hop.begin_us = rec.hop_begin_us;
   hop.end_us = now;
-  if (rec.kind == RecordKind::compensate) hop.note = "comp";
+  if (rec.kind == RecordKind::compensate) hop.code = 1;
   spans.record(std::move(hop));
   hist_hop_us_->record(now - rec.hop_begin_us);
 }
@@ -397,10 +405,8 @@ void NodeRuntime::execute_launch(const QueueRecord& rec) {
       make_record(*agent, RecordKind::execute, SavepointId::invalid());
   propagate_trace(rec, next_rec);
   if (dest != id_) {
-    trace(TraceKind::migrate,
-          "child agent " + std::to_string(rec.agent.value()) + " -> N" +
-              std::to_string(dest.value()) + " (launch, " +
-              std::to_string(next_rec.payload.size()) + " bytes)");
+    record_event(EventKind::migrate, rec.agent, dest.value(),
+                 next_rec.payload.size(), as_code(MigrateCause::launch));
   }
   stage_and_commit(tx, dest, std::move(next_rec), agent,
                    [this, rec](bool committed) {
@@ -423,9 +429,6 @@ void NodeRuntime::execute_cancel(const QueueRecord& rec) {
     // Sec. 4.4.2: a complete rollback (abort) is only possible while the
     // first top-level sub-itinerary executes. The log was discarded: the
     // cancellation is void; the agent runs on to completion.
-    trace(TraceKind::msg,
-          "cancel of agent " + std::to_string(rec.agent.value()) +
-              " void (rollback log discarded); agent continues");
     p_.clear_cancel(rec.agent);
     if (rec.kind == RecordKind::execute) {
       execute_step(rec);
@@ -435,10 +438,8 @@ void NodeRuntime::execute_cancel(const QueueRecord& rec) {
     return;
   }
   p_.clear_cancel(rec.agent);
-  trace(TraceKind::rollback_begin,
-        "cancelling agent " + std::to_string(rec.agent.value()) +
-            " (complete rollback to SP_" + std::to_string(target.value()) +
-            ")");
+  record_event(EventKind::rollback_begin, rec.agent, target.value(), 0,
+               as_code(QueueRecord::Completion::cancel));
   initiate_cancel_rollback(rec, target);
 }
 
@@ -474,9 +475,8 @@ void NodeRuntime::initiate_cancel_rollback(const QueueRecord& rec,
   propagate_trace(rec, comp_rec);
   if (dest != id_) {
     ++p_.rollback_transfers();
-    trace(TraceKind::migrate,
-          "agent " + std::to_string(rec.agent.value()) + " -> N" +
-              std::to_string(dest.value()) + " (cancel rollback)");
+    record_event(EventKind::migrate, rec.agent, dest.value(),
+                 comp_rec.payload.size(), as_code(MigrateCause::cancel));
   }
   stage_and_commit(tx, dest, std::move(comp_rec), agent,
                    [this, rec](bool committed) {
@@ -517,6 +517,7 @@ void NodeRuntime::on_node_state(bool up) {
   // still queued (removal only commits), so recovery re-offers them.
   ++epoch_;
   up_ = up;
+  record_event(up ? EventKind::recover : EventKind::crash, AgentId());
   if (!up) flight_dump("crash");  // post-mortem before volatile state goes
   slots_.clear();
   busy_agents_.clear();
@@ -533,33 +534,16 @@ void NodeRuntime::on_node_state(bool up) {
     // The replay of the checksummed log may truncate a torn tail, or
     // throw CorruptionError on mid-log damage.
     storage::RecoveryReport report;
-    const auto recovery_begin = p_.sim().now();
     try {
       report = storage_.recover_records();
     } catch (const storage::CorruptionError&) {
       flight_dump("corruption");
       throw;
     }
-    trace(TraceKind::storage_recovery,
-          "replayed_bytes=" + std::to_string(report.replayed_bytes) +
-              " segments=" + std::to_string(report.segments_scanned) +
-              " torn_tail=" + std::to_string(report.truncated_torn_tail) +
-              " checkpoint=" + std::to_string(report.used_checkpoint) +
-              " fell_back=" + std::to_string(report.checkpoint_fell_back));
-    if (p_.spans().enabled()) {
-      // The replay is instantaneous in simulated time (its cost is a
-      // byte meter, A8's subject); the span marks the event and carries
-      // the replay size for the timeline.
-      Span rs;
-      rs.span_id = p_.spans().next_id();
-      rs.kind = SpanKind::recovery_replay;
-      rs.node = id_.value();
-      rs.begin_us = recovery_begin;
-      rs.end_us = p_.sim().now();
-      rs.note = "replayed_bytes=" + std::to_string(report.replayed_bytes) +
-                " segments=" + std::to_string(report.segments_scanned);
-      p_.spans().record(std::move(rs));
-    }
+    // The replay is instantaneous in simulated time (its cost is a byte
+    // meter, A8's subject); the instant carries the replay size.
+    record_event(EventKind::storage_recovery, AgentId(), report.replayed_bytes,
+                 report.segments_scanned);
     txm_.on_recover();
     pump();
   } else {
@@ -759,8 +743,6 @@ void NodeRuntime::stage_and_commit(TxId tx, NodeId dest, QueueRecord record,
 
 void NodeRuntime::fail_agent(TxId tx, const QueueRecord& rec, Status status) {
   txm_.abort_tx(tx);
-  trace(TraceKind::msg, "agent " + std::to_string(rec.agent.value()) +
-                            " FAILED: " + status.to_string());
   const TxId cleanup = txm_.begin();
   qm_.stage_remove(cleanup, rec.record_id);
   const auto image_key = agent_image_key(rec.agent);
@@ -832,8 +814,8 @@ void NodeRuntime::finish_agent(TxId tx, const QueueRecord& rec,
             retry_later(rec);
             return;
           }
-          trace(TraceKind::step_commit,
-                "agent " + std::to_string(rec.agent.value()) + " completed");
+          record_event(EventKind::step_commit, rec.agent, rec.record_id, 0,
+                       1);
           AgentOutcome out;
           out.state = AgentOutcome::State::done;
           out.final_agent = final_bytes;
@@ -918,8 +900,8 @@ void NodeRuntime::finish_cancelled(TxId tx, const QueueRecord& rec,
             retry_later(rec);
             return;
           }
-          trace(TraceKind::rollback_done,
-                "agent " + std::to_string(rec.agent.value()) + " CANCELLED");
+          record_event(EventKind::rollback_done, rec.agent, 0, 0,
+                       as_code(QueueRecord::Completion::cancel));
           AgentOutcome out;
           out.state = AgentOutcome::State::cancelled;
           out.status = Status(Errc::tx_aborted, "cancelled");
@@ -948,8 +930,7 @@ void NodeRuntime::execute_step(const QueueRecord& rec) {
                     agent->position()),
                 "agent position does not address a step");
   const StepEntry step = current_step(*agent);
-  trace(TraceKind::step_begin,
-        "T(" + step.method + ") agent " + std::to_string(rec.agent.value()));
+  record_event(EventKind::step_begin, rec.agent, rec.record_id);
 
   StepContext ctx(id_, p_.sim().now(), tx, *agent, rm_, p_.rng());
   if (step.when.has_value() &&
@@ -957,8 +938,6 @@ void NodeRuntime::execute_step(const QueueRecord& rec) {
     // Ref [14] preconditions: an unsatisfied step is skipped — the step
     // transaction still runs (empty), keeping the itinerary bookkeeping
     // and exactly-once machinery uniform.
-    trace(TraceKind::msg, step.method + " skipped (precondition " +
-                              step.when->to_string() + " unsatisfied)");
   } else {
     agent->run_step(step.method, ctx);
   }
@@ -971,9 +950,8 @@ void NodeRuntime::execute_step(const QueueRecord& rec) {
       ++p_.lock_conflict_aborts();
     }
     txm_.abort_tx(tx);
-    trace(TraceKind::step_abort, step.method + ": " +
-                                     ctx.fatal_status().to_string() +
-                                     " (will restart)");
+    record_event(EventKind::step_abort, rec.agent, rec.record_id, 0,
+                 as_code(ctx.fatal_status().code()));
     ++attempts_[rec.record_id];
     release_slot(rec);
     retry_later(rec);
@@ -988,9 +966,8 @@ void NodeRuntime::execute_step(const QueueRecord& rec) {
     // fails.
     auto pre_agent = load_committed_agent(rec);
     txm_.abort_tx(tx);
-    trace(TraceKind::step_abort,
-          step.method + " failed permanently: " +
-              ctx.permanent_status().to_string());
+    record_event(EventKind::step_abort, rec.agent, rec.record_id, 0,
+                 as_code(ctx.permanent_status().code()));
     const auto plan = failure_plan_for(*pre_agent);
     if (!plan.has_value()) {
       const TxId dummy = txm_.begin();
@@ -1003,11 +980,8 @@ void NodeRuntime::execute_step(const QueueRecord& rec) {
       fail_agent(dummy, rec, check);
       return;
     }
-    trace(TraceKind::rollback_begin,
-          std::string(plan->completion == QueueRecord::Completion::next_alt
-                          ? "try next alternative"
-                          : "abandon non-vital sub") +
-              " (SP_" + std::to_string(plan->target.value()) + ")");
+    record_event(EventKind::rollback_begin, rec.agent, plan->target.value(),
+                 0, as_code(plan->completion));
     initiate_rollback(rec, plan->target, plan->completion);
     return;
   }
@@ -1019,19 +993,19 @@ void NodeRuntime::execute_step(const QueueRecord& rec) {
     const auto target =
         resolve_rollback_target(*pre_agent, *ctx.rollback_request());
     txm_.abort_tx(tx);
-    trace(TraceKind::step_abort, step.method + " (rollback requested)");
+    record_event(EventKind::step_abort, rec.agent, rec.record_id, 0,
+                 as_code(Errc::ok));
     if (!target.is_ok()) {
       const TxId dummy = txm_.begin();
       fail_agent(dummy, rec, target.status());
       return;
     }
-    trace(TraceKind::rollback_begin,
-          "to SP_" + std::to_string(target.value().value()) +
-              (ctx.rollback_request()->skip ? " (abandon)" : ""));
-    initiate_rollback(rec, target.value(),
-                      ctx.rollback_request()->skip
-                          ? QueueRecord::Completion::skip_sub
-                          : QueueRecord::Completion::resume);
+    const auto completion = ctx.rollback_request()->skip
+                                ? QueueRecord::Completion::skip_sub
+                                : QueueRecord::Completion::resume;
+    record_event(EventKind::rollback_begin, rec.agent, target.value().value(),
+                 0, as_code(completion));
+    initiate_rollback(rec, target.value(), completion);
     return;
   }
 
@@ -1106,8 +1080,6 @@ void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
     launch_rec.payload = encode_agent(*spawn.child);
     qm_.stage_enqueue(tx, std::move(launch_rec));
     spawned.push_back(child.value());
-    trace(TraceKind::msg,
-          "spawned child agent " + std::to_string(child.value().value()));
   }
 
   // Append the step's log segment: BOS, OE..., EOS (Sec. 4.2, Fig. 2).
@@ -1193,10 +1165,8 @@ void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
     }
     propagate_trace(rec, next_rec);
     if (dest != id_) {
-      trace(TraceKind::migrate,
-            "agent " + std::to_string(rec.agent.value()) + " -> N" +
-                std::to_string(dest.value()) + " (" +
-                std::to_string(next_rec.payload.size()) + " bytes)");
+      record_event(EventKind::migrate, rec.agent, dest.value(),
+                   next_rec.payload.size(), as_code(MigrateCause::step));
     }
     const auto commit_begin = p_.sim().now();
     const auto next_record = next_rec.record_id;
@@ -1204,7 +1174,8 @@ void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
                      [this, rec, spawned, agent, incremental, next_record,
                       exec_begin, commit_begin](bool committed) {
                        if (committed) {
-                         trace(TraceKind::step_commit, "T committed");
+                         record_event(EventKind::step_commit, rec.agent,
+                                      rec.record_id);
                          // Commit wait: group-commit flush for local
                          // handoffs, flush + convoy round trip for
                          // migrations (its convoy-wait / wire children
@@ -1221,8 +1192,9 @@ void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
                            resident_[rec.agent] = Resident{next_record, agent};
                          }
                        } else {
-                         trace(TraceKind::step_abort,
-                               "commit failed (will restart)");
+                         record_event(EventKind::step_abort, rec.agent,
+                                      rec.record_id, 0,
+                                      as_code(Errc::tx_aborted));
                          ++attempts_[rec.record_id];
                          // The spawns died with the transaction; the step
                          // will re-execute and re-spawn under fresh ids.
@@ -1277,18 +1249,6 @@ Status NodeRuntime::check_rollback_target(const Agent& agent,
   return Status::ok();
 }
 
-namespace {
-const char* completion_suffix(QueueRecord::Completion c) {
-  switch (c) {
-    case QueueRecord::Completion::resume: return "";
-    case QueueRecord::Completion::skip_sub: return " (abandoned)";
-    case QueueRecord::Completion::cancel: return " (cancelled)";
-    case QueueRecord::Completion::next_alt: return " (next alternative)";
-  }
-  return "";
-}
-}  // namespace
-
 void NodeRuntime::initiate_rollback(const QueueRecord& rec,
                                     SavepointId target,
                                     QueueRecord::Completion completion) {
@@ -1310,9 +1270,8 @@ void NodeRuntime::initiate_rollback(const QueueRecord& rec,
   if (log.trailing_savepoint() == target) {
     // The savepoint was set directly before the aborting step: the
     // rollback is already finished; start the next step transaction.
-    trace(TraceKind::rollback_done,
-          "savepoint SP_" + std::to_string(target.value()) +
-              " reached immediately");
+    record_event(EventKind::rollback_done, rec.agent, target.value(), 0,
+                 as_code(completion));
     agent->note_rollback_completed();
     if (completion == QueueRecord::Completion::skip_sub &&
         !apply_skip(*agent, target)) {
@@ -1359,10 +1318,8 @@ void NodeRuntime::initiate_rollback(const QueueRecord& rec,
   propagate_trace(rec, comp_rec);
   if (dest != id_) {
     ++p_.rollback_transfers();
-    trace(TraceKind::migrate,
-          "agent " + std::to_string(rec.agent.value()) + " -> N" +
-              std::to_string(dest.value()) + " (rollback, " +
-              std::to_string(comp_rec.payload.size()) + " bytes)");
+    record_event(EventKind::migrate, rec.agent, dest.value(),
+                 comp_rec.payload.size(), as_code(MigrateCause::rollback));
   }
   stage_and_commit(tx, dest, std::move(comp_rec), agent,
                    [this, rec](bool committed) {
@@ -1428,9 +1385,7 @@ Status NodeRuntime::run_comp_op(TxId tx, const OperationEntry& op,
   rollback::CompensationContext ctx(op.kind, op.params, p_.sim().now(), &rm_,
                                     tx, weak);
   Status st = p_.compensations().run(op.comp_op, ctx);
-  trace(TraceKind::comp_op,
-        std::string(rollback::to_string(op.kind)) + " " + op.comp_op +
-            (st.is_ok() ? "" : " FAILED: " + st.to_string()));
+  record_event(EventKind::comp_op, AgentId(), 0, 0, as_code(st.code()));
   return st;
 }
 
@@ -1439,9 +1394,7 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
   qm_.stage_remove(tx, rec.record_id);
   std::shared_ptr<Agent> agent = decode(rec.payload);
   const SavepointId target = rec.rollback_target;
-  trace(TraceKind::comp_begin,
-        "CT for agent " + std::to_string(rec.agent.value()) + " (target SP_" +
-            std::to_string(target.value()) + ")");
+  record_event(EventKind::comp_begin, rec.agent, target.value());
   // Sec. 4.3: strongly reversible objects must not be accessed until the
   // savepoint is reached.
   agent->data().set_mode(DataSpace::Mode::compensating);
@@ -1482,7 +1435,7 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
                           eos.has_mixed && eos.node != id_;
 
   auto comp_failed = [this, tx, rec](Status st) {
-    trace(TraceKind::comp_abort, st.to_string());
+    record_event(EventKind::comp_abort, rec.agent, 0, 0, as_code(st.code()));
     const auto attempts = ++attempts_[rec.record_id];
     const auto max = p_.config().max_compensation_attempts;
     if (max > 0 && attempts >= max) {
@@ -1514,10 +1467,8 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
     for (const auto& op : ops) op.serialize(enc);
     agent->data().weak_image().serialize(enc);
     const auto wire_bytes = enc.size();
-    trace(TraceKind::mce_shipped,
-          std::to_string(ops.size()) + " OEs + weak state -> N" +
-              std::to_string(eos.node.value()) + " (" +
-              std::to_string(wire_bytes) + " bytes)");
+    record_event(EventKind::mce_shipped, rec.agent, eos.node.value(),
+                 wire_bytes);
     p_.net().send(
         net::Message{id_, eos.node, msg::mce_exec, std::move(enc).take()});
     mce_waiters_[tx] = [this, tx, rec, agent,
@@ -1611,10 +1562,8 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
     enc.write_varint(rces.size());
     for (const auto& op : rces) op.serialize(enc);
     const auto wire_bytes = enc.size();
-    trace(TraceKind::rce_shipped,
-          std::to_string(rces.size()) + " RCEs -> N" +
-              std::to_string(eos.node.value()) + " (" +
-              std::to_string(wire_bytes) + " bytes)");
+    record_event(EventKind::rce_shipped, rec.agent, eos.node.value(),
+                 wire_bytes);
     p_.net().send(
         net::Message{id_, eos.node, msg::rce_exec, std::move(enc).take()});
     rce_waiters_[tx] = [arrived](bool ok) {
@@ -1664,10 +1613,8 @@ void NodeRuntime::finish_compensation(TxId tx, const QueueRecord& rec,
     // Target reached: restore the strongly reversible objects from the
     // savepoint entry (without deleting it) and start the next step.
     restore_at_savepoint(*agent, target);
-    trace(TraceKind::rollback_done,
-          "agent " + std::to_string(rec.agent.value()) + " rolled back to SP_" +
-              std::to_string(target.value()) +
-              completion_suffix(rec.completion));
+    record_event(EventKind::rollback_done, rec.agent, target.value(), 0,
+                 as_code(rec.completion));
     if (rec.completion == QueueRecord::Completion::cancel) {
       // Multi-agent executions: a complete rollback that terminates the
       // agent instead of resuming it.
@@ -1689,21 +1636,20 @@ void NodeRuntime::finish_compensation(TxId tx, const QueueRecord& rec,
         make_record(*agent, RecordKind::execute, SavepointId::invalid());
     propagate_trace(rec, next_rec);
     if (dest != id_) {
-      trace(TraceKind::migrate,
-            "agent " + std::to_string(rec.agent.value()) + " -> N" +
-                std::to_string(dest.value()) + " (resume)");
+      record_event(EventKind::migrate, rec.agent, dest.value(),
+                   next_rec.payload.size(), as_code(MigrateCause::resume));
     }
     stage_and_commit(tx, dest, std::move(next_rec), agent,
                      [this, rec](bool committed) {
                        release_slot(rec);
                        if (committed) {
-                         trace(TraceKind::comp_commit, "CT committed");
+                         record_event(EventKind::comp_commit, rec.agent);
                          span_hop_end(rec);
                          attempts_.erase(rec.record_id);
                          pump();
                        } else {
-                         trace(TraceKind::comp_abort,
-                               "commit failed (will retry)");
+                         record_event(EventKind::comp_abort, rec.agent, 0, 0,
+                                      as_code(Errc::tx_aborted));
                          ++attempts_[rec.record_id];
                          retry_later(rec);
                        }
@@ -1728,22 +1674,20 @@ void NodeRuntime::finish_compensation(TxId tx, const QueueRecord& rec,
   propagate_trace(rec, comp_rec);
   if (dest != id_) {
     ++p_.rollback_transfers();
-    trace(TraceKind::migrate,
-          "agent " + std::to_string(rec.agent.value()) + " -> N" +
-              std::to_string(dest.value()) + " (rollback, " +
-              std::to_string(comp_rec.payload.size()) + " bytes)");
+    record_event(EventKind::migrate, rec.agent, dest.value(),
+                 comp_rec.payload.size(), as_code(MigrateCause::rollback));
   }
   stage_and_commit(tx, dest, std::move(comp_rec), agent,
                    [this, rec](bool committed) {
                      release_slot(rec);
                      if (committed) {
-                       trace(TraceKind::comp_commit, "CT committed");
+                       record_event(EventKind::comp_commit, rec.agent);
                        span_hop_end(rec);
                        attempts_.erase(rec.record_id);
                        pump();
                      } else {
-                       trace(TraceKind::comp_abort,
-                             "commit failed (will retry)");
+                       record_event(EventKind::comp_abort, rec.agent, 0, 0,
+                                    as_code(Errc::tx_aborted));
                        ++attempts_[rec.record_id];
                        retry_later(rec);
                      }
@@ -1762,8 +1706,6 @@ bool NodeRuntime::apply_skip(Agent& agent, SavepointId target) {
   const Position prefix(from.begin(),
                         from.begin() + static_cast<long>(sp->depth));
   const auto next = std::as_const(agent).itinerary().next_step(prefix);
-  trace(TraceKind::msg,
-        "abandoning sub-itinerary at depth " + std::to_string(sp->depth));
   // Treat the abandoned sub-itinerary as exited: its savepoint entry is
   // garbage-collected (or the whole log discarded for a top-level sub),
   // and savepoints for newly entered sub-itineraries are established —
@@ -1793,8 +1735,6 @@ void NodeRuntime::apply_next_alternative(Agent& agent, SavepointId target) {
                 "no alternative option left to enter");
   const auto next = itinerary.first_step_under(next_option);
   MAR_CHECK_MSG(next.has_value(), "alternative option contains no steps");
-  trace(TraceKind::msg,
-        "entering alternative option " + std::to_string(next_option.back()));
   // Exits the failed option (GC its savepoint) and enters the next one
   // (fresh savepoint) — the alternatives entry itself stays active.
   p_.advance_itinerary(id_, agent, from, next, {});
@@ -1819,9 +1759,7 @@ void NodeRuntime::restore_at_savepoint(Agent& agent, SavepointId target) {
   agent.set_last_savepoint_strong(strong.value());
   agent.set_force_full_savepoint(false);
   agent.note_rollback_completed();
-  trace(TraceKind::restore,
-        "strongly reversible objects restored from SP_" +
-            std::to_string(target.value()));
+  record_event(EventKind::restore, agent.id(), target.value());
 }
 
 }  // namespace mar::agent

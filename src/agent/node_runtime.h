@@ -262,7 +262,9 @@ class NodeRuntime {
   void flight_dump(std::string_view reason);
 
   // --- small helpers ---------------------------------------------------------
-  void trace(TraceKind kind, std::string detail);
+  /// Record a protocol event on this node (DESIGN.md §12).
+  void record_event(EventKind kind, AgentId agent, std::uint64_t value = 0,
+                    std::uint64_t value2 = 0, std::uint8_t code = 0);
   [[nodiscard]] std::unique_ptr<Agent> decode(const serial::Bytes& bytes)
       const;
   [[nodiscard]] storage::QueueRecord make_record(

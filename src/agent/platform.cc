@@ -8,11 +8,16 @@
 
 namespace mar::agent {
 
-Platform::Platform(sim::Simulator& sim, net::Network& net, TraceSink& trace,
+Platform::Platform(sim::Simulator& sim, net::Network& net,
                    PlatformConfig config, std::uint64_t seed)
-    : sim_(sim), net_(net), trace_(trace), config_(config), rng_(seed) {
+    : sim_(sim), net_(net), config_(config), rng_(seed) {
   spans_.set_enabled(config_.span_tracing);
   spans_.set_capacity(config_.flight_recorder_spans);
+  metrics_.register_counter("platform.rollback_transfers",
+                            &rollback_transfers_);
+  metrics_.register_counter("platform.mixed_ships", &mixed_ships_);
+  metrics_.register_counter("platform.lock_conflict_aborts",
+                            &lock_conflict_aborts_);
   net_.subscribe_node_state([this](NodeId id, bool up) {
     auto it = nodes_.find(id);
     if (it != nodes_.end()) it->second->on_node_state(up);
@@ -32,6 +37,7 @@ Platform::~Platform() = default;
 
 NodeRuntime& Platform::add_node(NodeId id) {
   MAR_CHECK_MSG(!nodes_.contains(id), "node already exists: " << id);
+  spans_.add_node(id.value());
   auto runtime = std::make_unique<NodeRuntime>(*this, id);
   NodeRuntime& ref = *runtime;
   nodes_.emplace(id, std::move(runtime));
@@ -176,9 +182,6 @@ Status Platform::cancel_child(AgentId child) {
   rec.trace_id = child.value();  // compensating execution, same agent trace
   rec.payload = it->second.final_agent;
   it->second = AgentOutcome{};  // running again, as a compensator
-  trace_.emit(sim_.now(), TraceKind::msg, where.value(),
-              "re-injecting finished child " + std::to_string(child.value()) +
-                  " for compensation");
   node(where).enqueue_initial(std::move(rec));
   return Status::ok();
 }
@@ -220,12 +223,9 @@ void Platform::record_outcome(AgentId id, AgentOutcome outcome) {
       outcomes_[id].state != AgentOutcome::State::running) {
     cancel_requested_.erase(id);
     if (outcomes_[id].state == AgentOutcome::State::done) {
-      const auto st = cancel_child(id);
-      if (!st.is_ok()) {
-        trace_.emit(sim_.now(), TraceKind::msg, 0,
-                    "late cancel of agent " + std::to_string(id.value()) +
-                        " impossible: " + st.to_string());
-      }
+      // A failure means the child's effects are final (its log was
+      // discarded); the cancellation is void, exactly as at a boundary.
+      (void)cancel_child(id);
     }
   }
 }
@@ -235,9 +235,11 @@ MetricsSnapshot Platform::metrics_snapshot() const {
   for (const auto& [id, runtime] : nodes_) {
     snap.merge(runtime->metrics_snapshot());
   }
-  snap.scalars["platform.rollback_transfers"] = rollback_transfers_;
-  snap.scalars["platform.mixed_ships"] = mixed_ships_;
-  snap.scalars["platform.lock_conflict_aborts"] = lock_conflict_aborts_;
+  snap.merge(metrics_.snapshot());
+  for (std::size_t k = 0; k < kEventKinds; ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    snap.scalars["event." + std::string(to_string(kind))] = spans_.count(kind);
+  }
   return snap;
 }
 
@@ -272,10 +274,10 @@ void Platform::append_savepoint(NodeId where, Agent& agent,
     agent.set_last_savepoint_strong(std::move(strong));
     agent.set_force_full_savepoint(false);
   }
-  trace_.emit(sim_.now(), TraceKind::savepoint, where.value(),
-              "SP_" + std::to_string(id.value()) +
-                  (sp.lightweight ? " (lightweight)" : "") +
-                  (sp.transition ? " (delta)" : ""));
+  spans_.event(EventKind::savepoint, where.value(), agent.id().value(),
+               sim_.now(), id.value(), 0,
+               (sp.lightweight ? kSavepointLightweight : 0) |
+                   (sp.transition ? kSavepointDelta : 0));
   log.push(std::move(sp));
   agent.savepoint_stack().push_back(SavepointStackEntry{id, origin, depth});
 }
@@ -308,9 +310,8 @@ void Platform::advance_itinerary(NodeId where, Agent& agent,
         config_.itinerary_savepoints && !agent.retain_full_log()) {
       // Sec. 4.4.2: completing a sub-itinerary directly contained in the
       // main itinerary deletes ALL information in the rollback log.
-      trace_.emit(sim_.now(), TraceKind::log_discard, where.value(),
-                  "top-level sub-itinerary completed; " +
-                      std::to_string(log.size()) + " entries dropped");
+      spans_.event(EventKind::log_discard, where.value(), agent.id().value(),
+                   sim_.now(), log.size());
       log.clear();
       agent.savepoint_stack().clear();
       agent.set_force_full_savepoint(true);
@@ -333,9 +334,8 @@ void Platform::advance_itinerary(NodeId where, Agent& agent,
         auto gc = log.gc_savepoint(sp_id);
         if (gc.has_value()) {
           if (*gc) agent.set_force_full_savepoint(true);
-          trace_.emit(sim_.now(), TraceKind::sp_gc, where.value(),
-                      "SP_" + std::to_string(sp_id.value()) +
-                          " (sub-itinerary completed)");
+          spans_.event(EventKind::sp_gc, where.value(), agent.id().value(),
+                       sim_.now(), sp_id.value());
         }
       }
       break;

@@ -30,7 +30,6 @@
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/span.h"
-#include "util/trace.h"
 
 namespace mar::agent {
 
@@ -179,14 +178,15 @@ struct PlatformConfig {
 
   // --- observability (DESIGN.md §12) ----------------------------------------
   /// Causal hop tracing: record per-phase spans (queue-wait, lock-wait,
-  /// step-exec, commit-flush, convoy-wait, wire, apply, recovery-replay)
-  /// into the platform's SpanSink. The trace context still rides every
-  /// QueueRecord either way (it is part of the durable format); this only
-  /// gates span recording. Default on — the overhead budget is ≤3% of
+  /// step-exec, commit-flush, convoy-wait, wire, apply) and
+  /// protocol-event instants into the platform's SpanSink. The trace
+  /// context still rides every QueueRecord either way (it is part of the
+  /// durable format), and per-kind event counts are always kept; this only
+  /// gates record retention. Default on — the overhead budget is ≤3% of
   /// bench_a4 wall time, measured by that bench's `overhead` phase.
   bool span_tracing = true;
-  /// Flight recorder: retained spans per node (ring buffer); oldest spans
-  /// fall off beyond this.
+  /// Flight recorder: retained records (spans and protocol events) per
+  /// node (ring buffer); the oldest fall off beyond this.
   std::size_t flight_recorder_spans = 4096;
   /// When non-empty, a node that crashes or throws CorruptionError /
   /// LockAuditError appends its retained span ring to this file as JSONL
@@ -207,8 +207,8 @@ struct AgentOutcome {
 
 class Platform {
  public:
-  Platform(sim::Simulator& sim, net::Network& net, TraceSink& trace,
-           PlatformConfig config = {}, std::uint64_t seed = 42);
+  Platform(sim::Simulator& sim, net::Network& net, PlatformConfig config = {},
+           std::uint64_t seed = 42);
   ~Platform();
   Platform(const Platform&) = delete;
   Platform& operator=(const Platform&) = delete;
@@ -266,13 +266,14 @@ class Platform {
   // --- services shared by node runtimes ---------------------------------------
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
   [[nodiscard]] net::Network& net() { return net_; }
-  [[nodiscard]] TraceSink& trace() { return trace_; }
-  /// The platform-owned span sink / flight recorder (DESIGN.md §12).
+  /// The platform-owned event sink: spans, protocol events and the
+  /// flight recorder (DESIGN.md §12).
   [[nodiscard]] SpanSink& spans() { return spans_; }
+  [[nodiscard]] const SpanSink& spans() const { return spans_; }
   /// Fleet-wide metrics: every node's registry snapshot merged (scalars
-  /// summed, histograms merged bucket-wise) plus the platform-level
-  /// counters (platform.rollback_transfers / mixed_ships /
-  /// lock_conflict_aborts).
+  /// summed, histograms merged bucket-wise), the platform registry
+  /// (platform.rollback_transfers / mixed_ships / lock_conflict_aborts)
+  /// and the protocol-event totals as event.<kind>.
   [[nodiscard]] MetricsSnapshot metrics_snapshot() const;
   [[nodiscard]] PlatformConfig& config() { return config_; }
   [[nodiscard]] Rng& rng() { return rng_; }
@@ -281,23 +282,23 @@ class Platform {
 
   /// Total count of agent migrations that were part of rollback processing
   /// (compensation transfers), reported by experiment E2.
-  [[nodiscard]] std::uint64_t& rollback_transfers() {
+  [[nodiscard]] RelaxedCounter& rollback_transfers() {
     return rollback_transfers_;
   }
   /// Mixed-compensation shipments performed instead of agent transfers by
   /// the adaptive strategy (Sec. 4.4.1 "further optimizations"), reported
   /// by experiment A2.
-  [[nodiscard]] std::uint64_t& mixed_ships() { return mixed_ships_; }
+  [[nodiscard]] RelaxedCounter& mixed_ships() { return mixed_ships_; }
   /// Step transactions aborted by a resource lock conflict — the cost of
   /// node multiprogramming (node_concurrency > 1), reported by A4.
-  [[nodiscard]] std::uint64_t& lock_conflict_aborts() {
+  [[nodiscard]] RelaxedCounter& lock_conflict_aborts() {
     return lock_conflict_aborts_;
   }
 
   // --- savepoint / itinerary integration (Sec. 4.4.2) -------------------------
   /// Append a savepoint entry (plus stack entry) to the agent's log,
   /// honouring the configured logging mode and the lightweight-savepoint
-  /// rule. `where` is the node attributed in the trace.
+  /// rule. `where` is the node the savepoint event is recorded on.
   void append_savepoint(NodeId where, Agent& agent, SavepointId id,
                         rollback::SavepointOrigin origin, std::uint32_t depth,
                         Position resume);
@@ -311,7 +312,6 @@ class Platform {
  private:
   sim::Simulator& sim_;
   net::Network& net_;
-  TraceSink& trace_;
   SpanSink spans_;
   PlatformConfig config_;
   Rng rng_;
@@ -323,9 +323,11 @@ class Platform {
   std::unordered_set<AgentId> cancel_requested_;
   std::uint64_t next_agent_ = 1;
   std::uint64_t next_record_ = 1;
-  std::uint64_t rollback_transfers_ = 0;
-  std::uint64_t mixed_ships_ = 0;
-  std::uint64_t lock_conflict_aborts_ = 0;
+  RelaxedCounter rollback_transfers_;
+  RelaxedCounter mixed_ships_;
+  RelaxedCounter lock_conflict_aborts_;
+  /// Platform-level counters, registered under their platform.* names.
+  MetricsRegistry metrics_;
 };
 
 }  // namespace mar::agent

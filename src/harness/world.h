@@ -14,7 +14,6 @@
 #include "resource/mint.h"
 #include "resource/shop.h"
 #include "sim/simulator.h"
-#include "util/trace.h"
 
 namespace mar::harness {
 
@@ -25,8 +24,7 @@ class TestWorld {
  public:
   explicit TestWorld(agent::PlatformConfig config = {}, int node_count = 4,
                      std::uint64_t seed = 7)
-      : net(sim, trace), faults(sim, net),
-        platform(sim, net, trace, config, seed) {
+      : net(sim), faults(sim, net), platform(sim, net, config, seed) {
     for (int i = 1; i <= node_count; ++i) {
       auto& rt = platform.add_node(NodeId(static_cast<std::uint32_t>(i)));
       auto& rm = rt.resources();
@@ -97,7 +95,6 @@ class TestWorld {
   }
 
   sim::Simulator sim;
-  TraceSink trace;
   net::Network net;
   net::FaultInjector faults;
   agent::Platform platform;

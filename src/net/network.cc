@@ -44,7 +44,6 @@ void Network::crash_node(NodeId id) {
   // Retransmission state of the crashed sender is volatile too.
   std::erase_if(outbox_,
                 [id](const auto& kv) { return kv.second.msg.from == id; });
-  trace_.emit(sim_.now(), TraceKind::crash, id.value(), "node crashed");
   for (const auto& l : listeners_) l(id, false);
 }
 
@@ -53,7 +52,6 @@ void Network::recover_node(NodeId id) {
   MAR_CHECK(it != nodes_.end());
   if (it->second.up) return;
   it->second.up = true;
-  trace_.emit(sim_.now(), TraceKind::recover, id.value(), "node recovered");
   for (const auto& l : listeners_) l(id, true);
 }
 

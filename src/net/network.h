@@ -30,7 +30,6 @@
 #include "serial/encoder.h"
 #include "sim/simulator.h"
 #include "util/ids.h"
-#include "util/trace.h"
 
 namespace mar::net {
 
@@ -72,8 +71,7 @@ class Network {
   using Handler = std::function<void(const Message&)>;
   using NodeStateListener = std::function<void(NodeId, bool up)>;
 
-  Network(sim::Simulator& sim, TraceSink& trace)
-      : sim_(sim), trace_(trace) {}
+  explicit Network(sim::Simulator& sim) : sim_(sim) {}
 
   // --- topology ----------------------------------------------------------
   /// Register a node and its message handler. Nodes start up.
@@ -128,7 +126,6 @@ class Network {
   void schedule_retransmit(MsgId id);
 
   sim::Simulator& sim_;
-  TraceSink& trace_;
   LinkParams default_link_;
   std::map<std::pair<NodeId, NodeId>, LinkParams> links_;
   std::map<std::pair<NodeId, NodeId>, bool> link_state_;

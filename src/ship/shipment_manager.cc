@@ -267,10 +267,8 @@ void ShipmentManager::dispatch_convoy(NodeId dest,
   ++stats_.convoys_sent;
   stats_.entries_sent += batch.size();
   stats_.wire_payload_bytes += enc.size();
-  p_.trace().emit(p_.sim().now(), TraceKind::convoy, self_.value(),
-                  std::to_string(batch.size()) + " record(s) -> N" +
-                      std::to_string(dest.value()) + " (" +
-                      std::to_string(enc.size()) + " bytes)");
+  p_.spans().event(EventKind::convoy, self_.value(), 0, now, dest.value(),
+                   enc.size());
   for (auto& p : batch) {
     const auto tx = p.tx;
     awaiting_.insert_or_assign(tx, std::move(p));
@@ -383,7 +381,7 @@ void ShipmentManager::on_convoy(const net::Message& m) {
       w.agent = agent_value;
       w.begin_us = sent_at;
       w.end_us = now;
-      w.note = std::to_string(wire_bytes) + " bytes";
+      w.value = wire_bytes;
       p_.spans().record(w);
       // Staging/reconstruction is instantaneous in simulation time; the
       // apply span is a zero-width causal marker of where the record
@@ -392,7 +390,7 @@ void ShipmentManager::on_convoy(const net::Message& m) {
       a.span_id = p_.spans().next_id();
       a.kind = SpanKind::apply;
       a.begin_us = now;
-      a.note = mode == kDeltaFrame ? "delta" : "full";
+      a.code = mode == kDeltaFrame ? 1 : 0;
       p_.spans().record(a);
     }
     // The staged entry doubles as the PREPARE (one round trip): queue the

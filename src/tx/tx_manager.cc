@@ -28,8 +28,8 @@ std::pair<TxId, bool> decode_tx(const net::Message& m) {
 }  // namespace
 
 TxManager::TxManager(NodeId self, sim::Simulator& sim, net::Network& net,
-                     storage::StableStorage& stable)
-    : self_(self), sim_(sim), net_(net), stable_(stable) {}
+                     storage::StableStorage& stable, SpanSink* events)
+    : self_(self), sim_(sim), net_(net), stable_(stable), events_(events) {}
 
 void TxManager::register_participant(Participant& p) {
   MAR_CHECK(participants_.size() < 32);  // voter sets are 32-bit masks
@@ -70,10 +70,10 @@ void TxManager::inflight_remove() {
   stats_.inflight_tx.store(inflight_);
 }
 
-void TxManager::trace_pipeline(const char* what, TxId tx) {
-  if (!trace_) return;
-  trace_->emit(sim_.now(), TraceKind::tx_pipeline, self_.value(),
-               std::string(what) + " tx=" + std::to_string(tx.value()));
+void TxManager::trace_pipeline(TxStage stage, TxId tx) {
+  if (events_ == nullptr) return;
+  events_->event(EventKind::tx_pipeline, self_.value(), 0, sim_.now(),
+                 tx.value(), 0, static_cast<std::uint8_t>(stage));
 }
 
 void TxManager::enlist_remote(TxId tx, NodeId node) {
@@ -225,14 +225,16 @@ void TxManager::maybe_begin_checkpoint() {
   }
   checkpoint_mark_ = log.appended_bytes();
   if (!stable_.begin_checkpoint()) return;
-  trace_pipeline("ckpt_begin", TxId(0));
+  trace_pipeline(TxStage::ckpt_begin, TxId(0));
   // The fuzzy window: commits keep flowing while the snapshot "writes".
   // The epoch guard makes a crash inside the window abandon the attempt —
   // the previous checkpoint generation stays the recovery base.
   const auto epoch = epoch_;
   sim_.schedule_after(checkpoint_write_us_, [this, epoch] {
     if (epoch != epoch_) return;
-    if (stable_.complete_checkpoint()) trace_pipeline("ckpt_done", TxId(0));
+    if (stable_.complete_checkpoint()) {
+      trace_pipeline(TxStage::ckpt_done, TxId(0));
+    }
   });
 }
 
@@ -255,7 +257,7 @@ void TxManager::decide_commit(TxId tx, Coord& c) {
     // crash resolves to presumed abort exactly like an undecided one.
     c.phase = Phase::deciding;
     decision_queue_.push_back(tx);
-    trace_pipeline("decided", tx);
+    trace_pipeline(TxStage::decided, tx);
     schedule_decision_flush(decision_queue_.size() >= group_window_);
     return;
   }
@@ -316,7 +318,7 @@ void TxManager::flush_decision_group() {
     MAR_CHECK(it != coords_.end());
     for (const auto n : it->second.acks_pending) send(n, msg::commit, tx);
     arm_commit_redrive(tx);
-    trace_pipeline("flushed", tx);
+    trace_pipeline(TxStage::flushed, tx);
   }
   maybe_begin_checkpoint();
 }
@@ -574,7 +576,7 @@ void TxManager::on_message(const net::Message& m) {
     c.acks_pending.erase(m.from);
     if (c.acks_pending.empty()) {
       stable_.erase(decision_key(tx));
-      if (group_window_ > 1) trace_pipeline("acked", tx);
+      if (group_window_ > 1) trace_pipeline(TxStage::acked, tx);
       finish(tx, c, true);
     }
   } else if (t == msg::abort) {

@@ -36,7 +36,7 @@
 #include "util/counters.h"
 #include "util/ids.h"
 #include "util/result.h"
-#include "util/trace.h"
+#include "util/span.h"
 
 namespace mar::tx {
 
@@ -79,8 +79,11 @@ class TxManager {
  public:
   using CommitCallback = std::function<void(bool committed)>;
 
+  /// `events`, when set, receives the EventKind::tx_pipeline transitions
+  /// (TxStage), so a transaction's pipeline latency can be read from a
+  /// dump; tests that build a TxManager directly pass none.
   TxManager(NodeId self, sim::Simulator& sim, net::Network& net,
-            storage::StableStorage& stable);
+            storage::StableStorage& stable, SpanSink* events = nullptr);
 
   /// Register a participant living on this node (queue manager, resource
   /// manager). Remote PREPARE/COMMIT/ABORT is fanned out to all registered
@@ -154,12 +157,6 @@ class TxManager {
   [[nodiscard]] const TxStats& stats() const { return stats_; }
 
   [[nodiscard]] NodeId self() const { return self_; }
-
-  /// Attach a trace sink; the pipeline emits TraceKind::tx_pipeline
-  /// transitions (decided/flushed/acked) so one transaction's pipeline
-  /// latency can be reconstructed from a trace dump. Optional — tests that
-  /// construct TxManager directly run untraced.
-  void set_trace(TraceSink* trace) { trace_ = trace; }
 
   /// Interval at which in-doubt participants re-ask the coordinator.
   void set_inquiry_interval(sim::TimeUs t) { inquiry_interval_ = t; }
@@ -268,7 +265,7 @@ class TxManager {
   void persist_prepared_marker(TxId tx);
   void clear_prepared_marker(TxId tx);
   void schedule_inquiry(TxId tx);
-  void trace_pipeline(const char* what, TxId tx);
+  void trace_pipeline(TxStage stage, TxId tx);
   /// Checkpoint trigger, evaluated at every batched flush point (the
   /// moments this node already pays a durability barrier).
   void maybe_begin_checkpoint();
@@ -323,7 +320,7 @@ class TxManager {
   std::uint64_t inflight_ = 0;
 
   TxStats stats_;
-  TraceSink* trace_ = nullptr;
+  SpanSink* events_;
 
   /// Participant-side pending work awaiting the batched flush (window >
   /// 1): PREPAREs not yet persisted/voted and COMMITs not yet

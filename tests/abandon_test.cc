@@ -96,7 +96,8 @@ TEST(AbandonTest, AbandonedTopLevelSubDiscardsTheLog) {
   ASSERT_TRUE(w.platform.run_until_finished(id.value()));
   // Abandoning SI_a (a top-level sub) carries the same semantics as
   // completing it: the whole rollback log is discarded.
-  EXPECT_GE(w.trace.count(TraceKind::log_discard), 2u);  // SI_a + SI_b
+  // SI_a + SI_b
+  EXPECT_GE(w.platform.spans().count(EventKind::log_discard), 2u);
 }
 
 TEST(AbandonTest, PermanentFailureInNonVitalSubIsContained) {

@@ -110,7 +110,7 @@ TEST(FaultTest, RollbackCompletesDespiteCrashOfCompensationNode) {
               900);
     EXPECT_EQ(resource::Bank::balance_in(w.committed(2, "bank"), "acct"),
               900);
-    EXPECT_EQ(w.trace.count(TraceKind::restore), 1u);
+    EXPECT_EQ(w.platform.spans().count(EventKind::restore), 1u);
   }
 }
 
@@ -254,7 +254,7 @@ TEST(FaultTest, CompensationRunsOnAlternativeNodeWhenPrimaryStaysDown) {
   EXPECT_LT(w.platform.outcome(id.value()).finished_at, 10'000'000u);
   // The compensation transaction committed on N3, not the dead N2.
   bool comp_on_alternative = false;
-  for (const auto& e : w.trace.of_kind(TraceKind::comp_begin)) {
+  for (const auto& e : w.platform.spans().of_kind(EventKind::comp_begin)) {
     if (e.node == 3) comp_on_alternative = true;
     EXPECT_NE(e.node, 2u);
   }

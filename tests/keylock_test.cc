@@ -586,7 +586,7 @@ TEST(GroupCommitTest, CrashBeforeFlushPresumedAbortsAndRestarts) {
   auto fin = w.platform.decode(out.final_agent);
   EXPECT_EQ(fin->data().weak("visits").as_int(), 3);  // exactly once
   EXPECT_EQ(resource::Bank::balance_in(w.committed(1, "bank"), "a0"), 3);
-  EXPECT_GE(w.trace.count(TraceKind::crash), 1u);
+  EXPECT_GE(w.platform.spans().count(EventKind::crash), 1u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // End-to-end observability (src/util/metrics.h, src/util/span.h):
 // log-bucketed histogram boundaries and quantiles, deterministic
 // metrics snapshots across expt::run_worlds thread counts, causal hop
-// tracing across a 3-node migration, and the crash flight recorder.
+// tracing across a 3-node migration, the crash flight recorder, and the
+// bounded event rings with exact per-kind counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -224,7 +225,7 @@ TEST(TraceTest, HopChainSpansThreeNodesUnderOneTraceId) {
   EXPECT_GE(wires.size(), 4u);  // one per inter-node move
   for (const auto& s : wires) {
     EXPECT_EQ(s.trace_id, id.value());
-    EXPECT_NE(s.note.find("bytes"), std::string::npos);
+    EXPECT_NE(s.note().find("bytes"), std::string::npos);
   }
 }
 
@@ -340,6 +341,13 @@ TEST(FlightRecorderTest, CrashDumpsNodeRingWithHeader) {
     saw_span = true;
   }
   EXPECT_TRUE(saw_span) << "flight dump has a header but no spans";
+  // The runtime's crash handler records the crash before dumping, so the
+  // crash instant closes the dump; the recovery is counted once too.
+  EXPECT_NE(lines.back().find("\"name\": \"crash\""), std::string::npos)
+      << lines.back();
+  EXPECT_EQ(w.platform.spans().count(EventKind::crash, 2), 1u);
+  EXPECT_EQ(w.platform.spans().count(EventKind::recover, 2), 1u);
+  EXPECT_EQ(w.platform.spans().count(EventKind::crash), 1u);
   std::remove(path.c_str());
 }
 
@@ -358,6 +366,61 @@ TEST(FlightRecorderTest, RingCapacityBoundsRetainedSpans) {
   // must stay bounded at the configured capacity.
   EXPECT_LE(w.platform.spans().size(), 2u * 16u);
   EXPECT_GT(w.platform.spans().size(), 0u);
+}
+
+TEST(FlightRecorderTest, LongRunKeepsRingsBoundedAndCountsExact) {
+  // 20k hops through 2 nodes with 32-record rings: the rings wrap
+  // hundreds of times, yet the per-kind counts stay exact and memory
+  // stays at nodes x capacity records.
+  constexpr int kNodes = 2;
+  constexpr std::size_t kCapacity = 32;
+  constexpr int kAgents = 40;
+  constexpr int kSubs = 50;
+  constexpr int kSubSteps = 10;
+  PlatformConfig cfg;
+  cfg.flight_recorder_spans = kCapacity;
+  cfg.node_concurrency = 4;
+  TestWorld w(cfg, kNodes, /*seed=*/13);
+  register_workload(w.platform);
+  std::vector<AgentId> ids;
+  for (int a = 0; a < kAgents; ++a) {
+    Itinerary main_it;
+    for (int s = 0; s < kSubs; ++s) {
+      // Each top-level sub discards the log on completion, so the agent
+      // stays small; alternating nodes mixes local steps and migrations.
+      Itinerary sub;
+      for (int k = 0; k < kSubSteps; ++k) {
+        sub.step("noop", TestWorld::n((a + s) % kNodes + 1));
+      }
+      main_it.sub(std::move(sub));
+    }
+    auto ag = std::make_unique<WorkloadAgent>();
+    ag->itinerary() = std::move(main_it);
+    auto r = w.platform.launch(std::move(ag));
+    ASSERT_TRUE(r.is_ok());
+    ids.push_back(r.value());
+  }
+  ASSERT_TRUE(w.platform.run_until_all_finished(ids));
+  // Drain the coordinator-side commit callbacks of the last migrations.
+  w.sim.run_while_pending([] { return false; });
+  for (const auto id : ids) {
+    EXPECT_EQ(w.platform.outcome(id).state, AgentOutcome::State::done);
+  }
+
+  const auto& sink = w.platform.spans();
+  const std::uint64_t hops = std::uint64_t{kAgents} * kSubs * kSubSteps;
+  EXPECT_LE(sink.size(), kNodes * kCapacity);
+  EXPECT_EQ(sink.count(EventKind::step_commit), hops);
+  EXPECT_EQ(sink.count(EventKind::step_begin), hops);  // no aborts here
+  EXPECT_GT(sink.count(EventKind::step_commit), 100 * kNodes * kCapacity);
+  std::uint64_t per_node = 0;
+  for (int n = 1; n <= kNodes; ++n) {
+    per_node +=
+        sink.count(EventKind::step_commit, static_cast<std::uint32_t>(n));
+  }
+  EXPECT_EQ(per_node, hops);
+  EXPECT_EQ(w.platform.metrics_snapshot().scalars.at("event.step_commit"),
+            hops);
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ TEST(PlatformTest, AgentRunsAcrossNodesAndCompletes) {
   EXPECT_EQ(wl->results().as_list()[2].as_string(), "gamma");
   EXPECT_EQ(out.final_node, TestWorld::n(3));
   // Two migrations: N1 -> N2 -> N3.
-  EXPECT_EQ(w.trace.count(TraceKind::migrate), 2u);
+  EXPECT_EQ(w.platform.spans().count(EventKind::migrate), 2u);
 }
 
 TEST(PlatformTest, ResourceEffectsCommitExactlyOnce) {
@@ -118,9 +118,9 @@ TEST(PlatformTest, PartialRollbackRestoresAugmentedState) {
     // visits: 3 committed on the first pass (the triggering noop aborted),
     // plus 4 on the re-run after the rollback.
     EXPECT_EQ(wl->visits(), 7);
-    EXPECT_GE(w.trace.count(TraceKind::comp_commit), 1u);
-    EXPECT_EQ(w.trace.count(TraceKind::restore), 1u);
-    EXPECT_EQ(w.trace.count(TraceKind::rollback_done), 1u);
+    EXPECT_GE(w.platform.spans().count(EventKind::comp_commit), 1u);
+    EXPECT_EQ(w.platform.spans().count(EventKind::restore), 1u);
+    EXPECT_EQ(w.platform.spans().count(EventKind::rollback_done), 1u);
   }
 }
 
@@ -243,7 +243,7 @@ TEST(PlatformTest, LogDiscardedAfterTopLevelSubItinerary) {
   ASSERT_EQ(w.platform.outcome(id.value()).state,
             agent::AgentOutcome::State::done);
   // One discard per completed top-level sub-itinerary.
-  EXPECT_EQ(w.trace.count(TraceKind::log_discard), 2u);
+  EXPECT_EQ(w.platform.spans().count(EventKind::log_discard), 2u);
   auto fin = w.platform.decode(w.platform.outcome(id.value()).final_agent);
   EXPECT_TRUE(fin->log().empty());
 }

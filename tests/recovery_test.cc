@@ -400,11 +400,7 @@ void expect_no_volatile_tx_state(agent::NodeRuntime& rt) {
 }
 
 std::size_t step_begins(const TestWorld& w, std::uint32_t node) {
-  std::size_t n = 0;
-  for (const auto& e : w.trace.events()) {
-    n += e.kind == TraceKind::step_begin && e.node == node ? 1 : 0;
-  }
-  return n;
+  return w.platform.spans().count(EventKind::step_begin, node);
 }
 
 std::int64_t balance_of(TestWorld& w, int node) {
@@ -481,9 +477,9 @@ TEST(RecoveryPlatformTest, CoordinatorCrashBeforeDecisionFlushAbortsByInquiry) {
   auto& part = w.platform.node(TestWorld::n(2));
 
   const auto decided = [&w] {
-    for (const auto& e : w.trace.events()) {
-      if (e.kind == TraceKind::tx_pipeline && e.node == 1 &&
-          e.detail.rfind("decided", 0) == 0) {
+    for (const auto& e : w.platform.spans().of_kind(EventKind::tx_pipeline)) {
+      if (e.node == 1 &&
+          e.code == static_cast<std::uint8_t>(TxStage::decided)) {
         return true;
       }
     }

@@ -195,10 +195,10 @@ TEST(NestedItineraryTest, LightweightSavepointWrittenForImmediateNesting) {
   agent->itinerary() = std::move(main);
   auto id = w.platform.launch(std::move(agent));
   ASSERT_TRUE(id.is_ok());
-  const auto sps = w.trace.of_kind(TraceKind::savepoint);
+  const auto sps = w.platform.spans().of_kind(EventKind::savepoint);
   ASSERT_EQ(sps.size(), 2u);  // SI3 and SI4, written at launch
-  EXPECT_EQ(sps[1].detail.find("lightweight") != std::string::npos, true);
-  EXPECT_EQ(sps[0].detail.find("lightweight"), std::string::npos);
+  EXPECT_NE(sps[1].code & kSavepointLightweight, 0);
+  EXPECT_EQ(sps[0].code & kSavepointLightweight, 0);
   ASSERT_TRUE(w.platform.run_until_finished(id.value()));
   ASSERT_EQ(w.platform.outcome(id.value()).state,
             agent::AgentOutcome::State::done);
@@ -222,8 +222,8 @@ TEST(NestedItineraryTest, RollbackAcrossCompletedNestedSub) {
   ASSERT_EQ(w.platform.outcome(id.value()).state,
             agent::AgentOutcome::State::done)
       << w.platform.outcome(id.value()).status;
-  EXPECT_GE(w.trace.count(TraceKind::sp_gc), 1u);
-  EXPECT_EQ(w.trace.count(TraceKind::restore), 1u);
+  EXPECT_GE(w.platform.spans().count(EventKind::sp_gc), 1u);
+  EXPECT_EQ(w.platform.spans().count(EventKind::restore), 1u);
   auto fin = w.platform.decode(w.platform.outcome(id.value()).final_agent);
   auto* wl = dynamic_cast<WorkloadAgent*>(fin.get());
   // First pass: s6 +1, s5 +1, s9 +1 = 3; compensation -3; re-run +3 = 3.
@@ -304,7 +304,7 @@ TEST(FailingCompensationTest, TransientCompensationFailureRetries) {
   ASSERT_TRUE(w.platform.run_until_finished(id.value()));
   EXPECT_EQ(w.platform.outcome(id.value()).state,
             agent::AgentOutcome::State::done);
-  EXPECT_GE(w.trace.count(TraceKind::comp_abort), 1u);
+  EXPECT_GE(w.platform.spans().count(EventKind::comp_abort), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -331,7 +331,7 @@ TEST(RollbackE2eTest, TwoSequentialRollbacksInOneRun) {
   ASSERT_TRUE(w.platform.run_until_finished(id.value()));
   ASSERT_EQ(w.platform.outcome(id.value()).state,
             agent::AgentOutcome::State::done);
-  EXPECT_EQ(w.trace.count(TraceKind::rollback_done), 1u);
+  EXPECT_EQ(w.platform.spans().count(EventKind::rollback_done), 1u);
 
   // Second agent, triggering at its own visit 3: state composes.
   auto agent2 = std::make_unique<WorkloadAgent>();
@@ -343,7 +343,7 @@ TEST(RollbackE2eTest, TwoSequentialRollbacksInOneRun) {
   ASSERT_TRUE(w.platform.run_until_finished(id2.value()));
   ASSERT_EQ(w.platform.outcome(id2.value()).state,
             agent::AgentOutcome::State::done);
-  EXPECT_EQ(w.trace.count(TraceKind::rollback_done), 2u);
+  EXPECT_EQ(w.platform.spans().count(EventKind::rollback_done), 2u);
   EXPECT_EQ(resource::Bank::balance_in(w.committed(1, "bank"), "acct"), 800);
   EXPECT_EQ(resource::Bank::balance_in(w.committed(2, "bank"), "acct"), 800);
 }

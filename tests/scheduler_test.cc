@@ -84,18 +84,15 @@ FleetRun run_fleet(std::uint32_t concurrency, const std::string& step,
     }
   }
   run.lock_conflicts = w.platform.lock_conflict_aborts();
-  run.step_aborts = w.trace.count(TraceKind::step_abort);
+  run.step_aborts = w.platform.spans().count(EventKind::step_abort);
 
   // Interleaving evidence: between two step_begin events of one agent,
   // another agent's step_begin appears.
   if (ids.size() >= 2) {
-    const auto begins = w.trace.of_kind(TraceKind::step_begin);
-    auto agent_of = [](const TraceEvent& e) {
-      return e.detail.substr(e.detail.rfind(' ') + 1);
-    };
+    const auto begins = w.platform.spans().of_kind(EventKind::step_begin);
     for (std::size_t i = 0; i + 2 < begins.size() && !run.interleaved; ++i) {
-      run.interleaved = agent_of(begins[i]) != agent_of(begins[i + 1]) &&
-                        agent_of(begins[i]) == agent_of(begins[i + 2]);
+      run.interleaved = begins[i].agent != begins[i + 1].agent &&
+                        begins[i].agent == begins[i + 2].agent;
     }
   }
   return run;
@@ -182,7 +179,7 @@ TEST(SchedulerTest, CrashDuringInFlightSlotsLeavesQueueRestartable) {
   const auto& bank = w.committed(1, "bank");
   EXPECT_EQ(bank.at("accounts").at("acct").at("balance").as_int(),
             10'000 - total_cash);
-  EXPECT_GE(w.trace.count(TraceKind::crash), 1u);
+  EXPECT_GE(w.platform.spans().count(EventKind::crash), 1u);
 }
 
 TEST(SchedulerTest, ConcurrencyOneReproducesSeedShapes) {

@@ -7,7 +7,6 @@
 #include "sim/simulator.h"
 #include "util/check.h"
 #include "util/rng.h"
-#include "util/trace.h"
 
 namespace mar {
 namespace {
@@ -75,8 +74,7 @@ TEST(SimulatorTest, RunWhilePendingStopsOnPredicate) {
 
 struct NetFixture : ::testing::Test {
   sim::Simulator sim;
-  TraceSink trace;
-  net::Network net{sim, trace};
+  net::Network net{sim};
   std::vector<std::pair<NodeId, std::string>> received;
 
   void add(std::uint32_t id) {
@@ -180,14 +178,11 @@ TEST_F(NetFixture, CrashNotifiesSubscribers) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_FALSE(events[0].second);
   EXPECT_TRUE(events[1].second);
-  EXPECT_EQ(trace.count(TraceKind::crash), 1u);
-  EXPECT_EQ(trace.count(TraceKind::recover), 1u);
 }
 
 TEST(FaultInjectorTest, ScheduledCrashesFire) {
   sim::Simulator sim;
-  TraceSink trace;
-  net::Network net(sim, trace);
+  net::Network net(sim);
   net.add_node(NodeId(1), [](const net::Message&) {});
   net::FaultInjector inj(sim, net);
   inj.crash_at(NodeId(1), 1000, 500);
@@ -203,8 +198,7 @@ TEST(FaultInjectorTest, ScheduledCrashesFire) {
 TEST(FaultInjectorTest, RandomPlanIsDeterministicPerSeed) {
   auto run = [](std::uint64_t seed) {
     sim::Simulator sim;
-    TraceSink trace;
-    net::Network net(sim, trace);
+    net::Network net(sim);
     for (std::uint32_t i = 1; i <= 3; ++i) {
       net.add_node(NodeId(i), [](const net::Message&) {});
     }

@@ -10,7 +10,6 @@
 #include "storage/stable_storage.h"
 #include "tx/queue_manager.h"
 #include "tx/tx_manager.h"
-#include "util/trace.h"
 
 namespace mar {
 namespace {
@@ -313,8 +312,7 @@ TEST(QueueManagerTest, CommitIsIdempotent) {
 
 struct TxWorld {
   sim::Simulator sim;
-  TraceSink trace;
-  net::Network net{sim, trace};
+  net::Network net{sim};
   struct Node {
     StableStorage storage;
     std::unique_ptr<tx::QueueManager> qm;

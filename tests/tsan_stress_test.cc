@@ -1,19 +1,20 @@
 // Threaded-core stress: the suite the tsan CI job exists for.
 //
 // Real OS threads enter this codebase in exactly one place — the
-// expt::run_worlds pool — plus the two supported cross-thread observation
-// surfaces: relaxed-atomic stats sampling (storage/ship meters) and the
-// mutex-guarded TraceSink. This test hammers all three at once under
-// contended worlds (slotted scheduler, per-key locks, group-commit flush
-// timers, convoy shipping) so `-DMAR_SANITIZE=thread` sweeps the whole
-// threaded surface in one binary:
+// expt::run_worlds pool — plus the supported cross-thread observation
+// surface: relaxed-atomic sampling of the stats meters (storage, ship, tx)
+// and of the event sink's per-kind counts. This test hammers both at once
+// under contended worlds (slotted scheduler, per-key locks, group-commit
+// flush timers, convoy shipping) so `-DMAR_SANITIZE=thread` sweeps the
+// whole threaded surface in one binary:
 //
 //   * many independent worlds on the pool, with a cross-thread-count
 //     determinism check (8 vs 3 vs 1 threads must be bit-identical);
 //   * a monitor thread live-polling a running world's storage and ship
-//     meters and its trace sink — the scenario that raced before the
-//     counters became RelaxedCounter and TraceSink grew its mutex;
-//   * one TraceSink shared by every world in a parallel sweep.
+//     meters — the scenario that raced before the counters became
+//     RelaxedCounter;
+//   * a monitor thread polling a running world's live step_commit count
+//     while the world records into its span rings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +28,7 @@
 #include "expt/parallel_worlds.h"
 #include "harness/agents.h"
 #include "harness/world.h"
-#include "util/trace.h"
+#include "util/span.h"
 
 // TSan runs ~10x slower; shrink the sweep so the sanitizer job stays fast.
 #if defined(__SANITIZE_THREAD__)
@@ -131,8 +132,8 @@ WorldResult fingerprint(TestWorld& w, const std::vector<AgentId>& ids) {
     out.convoys_sent += rt.shipments().stats().convoys_sent;
     out.wire_bytes += rt.shipments().stats().wire_payload_bytes;
   }
-  out.step_commits = w.trace.count(TraceKind::step_commit);
-  out.step_aborts = w.trace.count(TraceKind::step_abort);
+  out.step_commits = w.platform.spans().count(EventKind::step_commit);
+  out.step_aborts = w.platform.spans().count(EventKind::step_abort);
   return out;
 }
 
@@ -167,9 +168,9 @@ TEST(TsanStressTest, ParallelWorldsDeterministicAcrossThreadCounts) {
 }
 
 /// Live monitor: a second thread samples a RUNNING world's storage and
-/// ship meters plus its trace sink. Before StorageStats/ShipStats became
-/// relaxed atomics and TraceSink grew its mutex this was a data race on
-/// every counter bump; now it is the supported observation surface.
+/// ship meters plus its event counts. Before StorageStats/ShipStats became
+/// relaxed atomics this was a data race on every counter bump; now it is
+/// the supported observation surface.
 TEST(TsanStressTest, MonitorThreadSamplesRunningWorld) {
   TestWorld w(contended_config(), kNodes, /*seed=*/0x5eedULL);
   auto ids = launch_fleet(w, 0x5eedULL);
@@ -203,7 +204,7 @@ TEST(TsanStressTest, MonitorThreadSamplesRunningWorld) {
         depth_max = std::max<std::uint64_t>(
             depth_max, rt.txm().stats().pipeline_depth_max.load());
       }
-      const auto events = w.trace.size();
+      const auto events = w.platform.spans().count(EventKind::step_begin);
       // Meters only ever move forward while the world runs.
       if (bytes < last_bytes || events < last_events ||
           coord_syncs < last_coord_syncs || depth_max < last_depth_max) {
@@ -236,34 +237,49 @@ TEST(TsanStressTest, MonitorThreadSamplesRunningWorld) {
   EXPECT_GT(final_bytes, 0u);
 }
 
-/// One TraceSink funnelling the event streams of every world in a
-/// parallel sweep, with readers (count/size) racing the emitters.
-TEST(TsanStressTest, SharedTraceSinkAcrossWorlds) {
-  TraceSink shared;
-  const auto seeds = expt::replicate_seeds(0xabadULL, kWorlds);
-  const auto commits = expt::run_worlds(kWorlds, [&](std::size_t i) {
-    TestWorld w(contended_config(), kNodes, seeds[i]);
-    auto ids = launch_fleet(w, seeds[i]);
-    if (!w.platform.run_until_all_finished(ids)) return std::uint64_t{0};
-    // Funnel this world's stream into the shared sink while sibling
-    // worlds do the same — and read it back mid-stream.
-    std::uint64_t mine = 0;
-    for (const auto& e : w.trace.events()) {
-      shared.emit(e.time_us, e.kind, e.node, e.detail);
-      if (e.kind == TraceKind::step_commit) ++mine;
-    }
-    (void)shared.size();
-    (void)shared.count(TraceKind::step_commit);
-    return mine;
-  });
+/// The event counts are the sink's cross-thread surface: the world thread
+/// records into its (unguarded) span rings and bumps the per-kind
+/// counters while this thread polls the live step_commit total, which
+/// must only grow and end exact — one per committed step, however often
+/// the rings wrapped.
+TEST(TsanStressTest, MonitorPollsLiveEventCounts) {
+  TestWorld w(contended_config(), kNodes, /*seed=*/0xabadULL);
+  auto ids = launch_fleet(w, 0xabadULL);
+  const SpanSink& sink = w.platform.spans();
 
-  std::uint64_t expected = 0;
-  for (const auto c : commits) {
-    EXPECT_GT(c, 0u);
-    expected += c;
+  std::atomic<bool> done{false};
+  bool finished = false;
+  std::thread world([&] {
+    finished = w.platform.run_until_all_finished(ids);
+    // Drain: a migrating hop's coordinator-side commit callback may land
+    // after the agent's last step already ran at the destination.
+    w.sim.run_while_pending([] { return false; });
+    done.store(true, std::memory_order_release);
+  });
+  std::uint64_t polls = 0;
+  std::uint64_t last = 0;
+  bool monotonic = true;
+  do {
+    const auto commits = sink.count(EventKind::step_commit);
+    if (commits < last) monotonic = false;
+    last = commits;
+    ++polls;
+    std::this_thread::yield();
+  } while (!done.load(std::memory_order_acquire));
+  world.join();
+
+  EXPECT_TRUE(finished);
+  EXPECT_TRUE(monotonic);
+  EXPECT_GT(polls, 0u);
+  const auto total = sink.count(EventKind::step_commit);
+  EXPECT_GE(total, last);
+  EXPECT_EQ(total, std::uint64_t{kFleet} * kSteps);
+  std::uint64_t per_node = 0;
+  for (int n = 1; n <= kNodes; ++n) {
+    per_node +=
+        sink.count(EventKind::step_commit, static_cast<std::uint32_t>(n));
   }
-  EXPECT_EQ(shared.count(TraceKind::step_commit), expected);
-  EXPECT_GE(shared.size(), expected);
+  EXPECT_EQ(per_node, total);
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
-// Unit tests for utility primitives: ids, results, rng, trace.
+// Unit tests for utility primitives: ids, results, rng, the event sink.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 
 #include "util/check.h"
 #include "util/ids.h"
 #include "util/result.h"
 #include "util/rng.h"
-#include "util/trace.h"
+#include "util/span.h"
 
 namespace mar {
 namespace {
@@ -134,25 +135,74 @@ TEST(RngTest, ShuffleKeepsElements) {
   EXPECT_EQ(v, sorted);
 }
 
-TEST(TraceTest, RecordsAndCounts) {
-  TraceSink sink;
-  sink.emit(10, TraceKind::step_begin, 1, "a");
-  sink.emit(20, TraceKind::step_commit, 1, "b");
-  sink.emit(30, TraceKind::step_begin, 2, "c");
-  EXPECT_EQ(sink.events().size(), 3u);
-  EXPECT_EQ(sink.count(TraceKind::step_begin), 2u);
-  EXPECT_EQ(sink.of_kind(TraceKind::step_commit).size(), 1u);
-  EXPECT_EQ(sink.of_kind(TraceKind::step_commit)[0].detail, "b");
-  sink.clear();
-  EXPECT_TRUE(sink.events().empty());
+TEST(EventSinkTest, RecordsAndCounts) {
+  SpanSink sink;
+  sink.add_node(2);
+  sink.event(EventKind::step_begin, 1, 7, 10, /*value=*/3);
+  sink.event(EventKind::step_commit, 1, 7, 20, /*value=*/3);
+  sink.event(EventKind::step_begin, 2, 8, 30, /*value=*/4);
+  EXPECT_EQ(sink.size(), 3u);
+  EXPECT_EQ(sink.count(EventKind::step_begin), 2u);
+  EXPECT_EQ(sink.count(EventKind::step_begin, 2), 1u);
+  EXPECT_EQ(sink.count(EventKind::restore), 0u);
+  const auto commits = sink.of_kind(EventKind::step_commit);
+  ASSERT_EQ(commits.size(), 1u);
+  EXPECT_EQ(commits[0].kind, SpanKind::instant);
+  EXPECT_EQ(commits[0].begin_us, 20u);
+  EXPECT_EQ(commits[0].end_us, 20u);
+  EXPECT_EQ(commits[0].agent, 7u);
+  EXPECT_EQ(commits[0].value, 3u);
 }
 
-TEST(TraceTest, EventsKeepChronologicalOrder) {
-  TraceSink sink;
-  sink.emit(5, TraceKind::msg, 0, "first");
-  sink.emit(5, TraceKind::msg, 0, "second");
-  EXPECT_EQ(sink.events()[0].detail, "first");
-  EXPECT_EQ(sink.events()[1].detail, "second");
+TEST(EventSinkTest, EventsKeepRecordOrderAcrossNodes) {
+  SpanSink sink;
+  sink.event(EventKind::crash, 2, 0, 5);
+  sink.event(EventKind::recover, 1, 0, 5);
+  sink.event(EventKind::crash, 1, 0, 5);
+  const auto all = sink.spans();
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0].event, EventKind::crash);
+  EXPECT_EQ(all[0].node, 2u);
+  EXPECT_EQ(all[1].event, EventKind::recover);
+  EXPECT_EQ(all[2].node, 1u);
+}
+
+TEST(EventSinkTest, CountsSurviveRingEvictionAndDisabling) {
+  SpanSink sink;
+  sink.set_capacity(4);
+  for (std::uint64_t t = 0; t < 100; ++t) {
+    sink.event(EventKind::step_commit, 1, 1, t);
+  }
+  EXPECT_EQ(sink.size(), 4u);  // bounded ring
+  EXPECT_EQ(sink.count(EventKind::step_commit), 100u);  // exact total
+  EXPECT_EQ(sink.of_kind(EventKind::step_commit).front().begin_us, 96u);
+
+  sink.set_enabled(false);
+  sink.event(EventKind::step_commit, 1, 1, 100);
+  EXPECT_EQ(sink.size(), 4u);
+  EXPECT_EQ(sink.count(EventKind::step_commit), 101u);
+}
+
+TEST(EventSinkTest, TextIsRenderedOnlyOnPrint) {
+  SpanSink sink;
+  sink.event(EventKind::migrate, 1, 5, 40, /*value=*/2, /*value2=*/412,
+             static_cast<std::uint8_t>(MigrateCause::step));
+  sink.event(EventKind::savepoint, 2, 5, 50, /*value=*/3, 0,
+             kSavepointLightweight);
+  const auto events = sink.spans();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].note(), "to=2 bytes=412 cause=step");
+  EXPECT_EQ(events[1].note(), "sp=3 flags=1");
+  std::ostringstream os;
+  sink.print(os);
+  EXPECT_NE(os.str().find("migrate"), std::string::npos) << os.str();
+  EXPECT_NE(os.str().find("agent 5 sp=3 flags=1"), std::string::npos)
+      << os.str();
+  std::ostringstream js;
+  sink.dump(js);
+  EXPECT_NE(js.str().find("\"kind\": \"instant\", \"name\": \"savepoint\""),
+            std::string::npos)
+      << js.str();
 }
 
 }  // namespace

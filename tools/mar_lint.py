@@ -20,9 +20,10 @@ Rules (each with a stable id used in messages and suppressions):
                         std::random_device outside util/rng. All
                         stochastic behaviour flows through mar::Rng so
                         every run is reproducible from a seed.
-  R5 trace-registered   Every TraceKind member has a to_string case and
-                        every TraceKind:: use names a declared member, so
-                        trace output never prints "?" for a live event.
+  R5 event-registered   Every EventKind member (util/span.h) has a
+                        to_string case in util/span.cc and every
+                        EventKind:: use names a declared member, so event
+                        output never prints "?" for a live event.
   R6 no-blocking-wait   No blocking wait primitives (condition_variable,
                         future/promise, sleep loops) inside src/tx/ and
                         src/ship/: the commit pipeline is completion-
@@ -271,20 +272,25 @@ def check_stat_registered(root, findings):
                                     "`// mar-lint: unregistered-stat`)"))
 
 
-# --- R5: TraceKind members registered and uses valid -----------------------
+# --- R5: EventKind members registered and uses valid -----------------------
 
-TRACE_ENUM_RE = re.compile(
-    r"enum\s+class\s+TraceKind\s*\{(.*?)\}", re.DOTALL)
-TRACE_MEMBER_RE = re.compile(r"^\s*(\w+)\s*,?\s*(?://.*)?$")
-TRACE_CASE_RE = re.compile(r"case\s+TraceKind::(\w+)")
-TRACE_USE_RE = re.compile(r"TraceKind::(\w+)")
+EVENT_ENUM_RE = re.compile(
+    r"enum\s+class\s+EventKind\b[^{]*\{(.*?)\}", re.DOTALL)
+EVENT_CASE_RE = re.compile(r"case\s+EventKind::(\w+)")
+# The to_string(EventKind) definition, up to its closing brace at column 0
+# (span.cc switches on EventKind elsewhere too, e.g. to render notes).
+EVENT_TO_STRING_RE = re.compile(
+    r"to_string\(EventKind\s+\w+\)\s*\{(.*?)\n\}", re.DOTALL)
+EVENT_USE_RE = re.compile(r"EventKind::(\w+)")
+EVENT_HEADER = ("src", "util", "span.h")
+EVENT_IMPL = ("src", "util", "span.cc")
 
 
-def parse_trace_kinds(root):
-    header = root / "src" / "util" / "trace.h"
+def parse_event_kinds(root):
+    header = root.joinpath(*EVENT_HEADER)
     if not header.is_file():
         return None, None
-    m = TRACE_ENUM_RE.search(header.read_text())
+    m = EVENT_ENUM_RE.search(header.read_text())
     if not m:
         return None, None
     members = []
@@ -292,32 +298,33 @@ def parse_trace_kinds(root):
         token = strip_noise(raw.replace("///<", "//")).split(",")[0].strip()
         if token and re.fullmatch(r"\w+", token):
             members.append(token)
-    impl = root / "src" / "util" / "trace.cc"
-    cases = set(TRACE_CASE_RE.findall(impl.read_text())) \
-        if impl.is_file() else set()
+    impl = root.joinpath(*EVENT_IMPL)
+    body = EVENT_TO_STRING_RE.search(impl.read_text()) \
+        if impl.is_file() else None
+    cases = set(EVENT_CASE_RE.findall(body.group(1))) if body else set()
     return members, cases
 
 
-def check_trace_registered(root, findings):
-    members, cases = parse_trace_kinds(root)
+def check_event_registered(root, findings):
+    members, cases = parse_event_kinds(root)
     if members is None:
         return
-    header = rel(root, root / "src" / "util" / "trace.h")
+    header = rel(root, root.joinpath(*EVENT_HEADER))
     for member in members:
         if member not in cases:
             findings.append(Finding(header, 1, "R5",
-                                    f"TraceKind::{member} has no "
-                                    "to_string case in util/trace.cc; it "
+                                    f"EventKind::{member} has no "
+                                    "to_string case in util/span.cc; it "
                                     "would render as \"?\""))
     declared = set(members)
     for p in iter_source_files(root, None):
         text = p.read_text()
         for i, line in enumerate(text.split("\n"), 1):
-            for use in TRACE_USE_RE.findall(strip_noise(line)):
+            for use in EVENT_USE_RE.findall(strip_noise(line)):
                 if use not in declared:
                     findings.append(Finding(rel(root, p), i, "R5",
-                                            f"TraceKind::{use} is not a "
-                                            "declared trace category"))
+                                            f"EventKind::{use} is not a "
+                                            "declared event kind"))
 
 
 # --- driver ----------------------------------------------------------------
@@ -335,7 +342,7 @@ def run_lint(root, explicit_files=None):
         check_no_blocking_wait(relpath, relpath, lines, findings)
         check_record_scope(relpath, relpath, lines, findings)
     if not explicit_files:
-        check_trace_registered(root, findings)
+        check_event_registered(root, findings)
         check_stat_registered(root, findings)
     return findings
 
@@ -366,8 +373,8 @@ serial::Bytes rogue_encode() {
   enc.write_u64(1);
   return std::move(enc).take();
 }
-void rogue_trace(mar::TraceSink& t) {
-  t.emit(0, mar::TraceKind::bogus_kind, 0, "x");
+void rogue_event(mar::SpanSink& t) {
+  t.event(mar::EventKind::bogus_kind, 0, 0, 0);
 }
 void rogue_record(mar::storage::StableStorage& st) {
   st.record_append("agentimg:7", {});
@@ -440,9 +447,9 @@ def self_test():
     with tempfile.TemporaryDirectory(prefix="mar-lint-") as td:
         root = pathlib.Path(td)
         real_root = pathlib.Path(__file__).resolve().parent.parent
-        for name in ("src/util/trace.h", "src/util/trace.cc"):
-            src = real_root / name
-            dst = root / name
+        for parts in (EVENT_HEADER, EVENT_IMPL):
+            src = real_root.joinpath(*parts)
+            dst = root.joinpath(*parts)
             dst.parent.mkdir(parents=True, exist_ok=True)
             dst.write_text(src.read_text())
         for name, body in {**SEEDED, **CLEAN}.items():

@@ -11,6 +11,11 @@ spans (queue_wait / lock_wait / step_exec / commit_flush) as direct
 children of their hop. Ship-side spans (convoy_wait / wire / apply)
 nest inside the commit_flush window of the migrating hop and are shown
 as detail, not counted as coverage (they would double-count the flush).
+Instant records (kind "instant", begin_us == end_us, plus a "name" such
+as "step_commit" or "migrate") are the protocol events of the same
+rings: they are shown inline in the hop timeline, under the hop during
+which they happened, and take no part in phase coverage or parent
+resolution.
 
 For every trace the tool prints the hop timeline — node, interval,
 duration and the per-phase breakdown — plus a critical-path summary:
@@ -33,6 +38,7 @@ import json
 import sys
 from collections import defaultdict
 
+INSTANT = "instant"
 COVERAGE_KINDS = ("queue_wait", "lock_wait", "step_exec", "commit_flush")
 DETAIL_KINDS = ("convoy_wait", "wire", "apply")
 MIN_COVERAGE = 0.95
@@ -82,13 +88,37 @@ def hop_phases(hop, children):
 
 
 def build_timeline(trace_spans):
-    """(hops sorted by begin, children-by-parent map) of one trace."""
+    """(hops sorted by begin, children-by-parent map) of one trace.
+    Instant records are nobody's children."""
     children = defaultdict(list)
     for s in trace_spans:
-        children[s["parent"]].append(s)
+        if s["kind"] != INSTANT:
+            children[s["parent"]].append(s)
     hops = [s for s in trace_spans if s["kind"] == "hop"]
     hops.sort(key=lambda s: (s["begin_us"], s["span_id"]))
     return hops, children
+
+
+def instants_by_hop(hops, trace_spans):
+    """Instant records grouped under the last hop opened before them (span
+    ids are allocated in one order across spans and instants; index -1:
+    before the first hop), in record order."""
+    grouped = defaultdict(list)
+    for s in trace_spans:
+        if s["kind"] != INSTANT:
+            continue
+        at = -1
+        for i, h in enumerate(hops):
+            if h["span_id"] < s["span_id"]:
+                at = i
+        grouped[at].append(s)
+    return grouped
+
+
+def print_instants(instants):
+    for s in instants:
+        note = f" {s['note']}" if s["note"] else ""
+        print(f"         @{s['begin_us']:>10}  N{s['node']}  {s['name']}{note}")
 
 
 def coverage_of(hop, children):
@@ -114,6 +144,8 @@ def print_trace(trace_id, trace_spans):
               f"{'queue':>7}  {'lock':>6}  {'exec':>7}  {'flush':>8}  "
               f"{'cov%':>5}  detail")
     print(header)
+    instants = instants_by_hop(hops, trace_spans)
+    print_instants(instants.get(-1, []))
     totals = defaultdict(int)
     grand = 0
     for i, hop in enumerate(hops):
@@ -134,6 +166,7 @@ def print_trace(trace_id, trace_spans):
               f"{phases.get('step_exec', 0):>7}  "
               f"{phases.get('commit_flush', 0):>8}  {cov:>5.1f}"
               f"  {detail}{comp}")
+        print_instants(instants.get(i, []))
     if grand > 0:
         parts = "  ".join(
             f"{k} {totals[k]} ({totals[k] / grand * 100.0:.1f}%)"
@@ -152,9 +185,12 @@ def self_check(path):
     checked_hops = 0
     for trace_id, trace_spans in traces.items():
         if trace_id == 0:
-            # Node-scoped spans (recovery_replay) carry no trace id.
+            # Node-scoped records (crash, convoy, tx_pipeline,
+            # storage_recovery instants) carry no trace id.
             continue
-        ids = {s["span_id"] for s in trace_spans}
+        if all(s["kind"] == INSTANT for s in trace_spans):
+            continue  # only protocol events retained: no causal structure
+        ids = {s["span_id"] for s in trace_spans if s["kind"] != INSTANT}
         agents = {s["agent"] for s in trace_spans}
         if len(agents) != 1:
             problems.append(
@@ -213,7 +249,7 @@ def main():
             sys.exit(1)
     for trace_id, trace_spans in traces.items():
         if trace_id == 0 and args.trace != 0:
-            continue  # node-scoped spans (recovery_replay)
+            continue  # node-scoped records
         print_trace(trace_id, trace_spans)
 
 
