@@ -143,6 +143,12 @@ class Itinerary {
   [[nodiscard]] const StepEntry& step_at(const Position& pos) const;
   /// Whether `pos` addresses a step entry.
   [[nodiscard]] bool valid_step(const Position& pos) const;
+  /// Every node a step at or after `pos` (DFS order) may run on, sorted
+  /// and unique: all locations of each step, conditional steps included,
+  /// and every option of each alternatives entry on the way. A `pos`
+  /// addressing a sub-itinerary covers all of it; an empty `pos` covers
+  /// the whole itinerary.
+  [[nodiscard]] std::vector<NodeId> locations_from(const Position& pos) const;
 
   /// What a (proper, non-empty) position prefix addresses.
   enum class PrefixKind {
@@ -186,6 +192,8 @@ class Itinerary {
   [[nodiscard]] std::optional<Position> first_step_from(Position base,
                                                         std::size_t index)
       const;
+  /// Append the locations of every step in entries [from, size()).
+  void add_locations(std::vector<NodeId>& out, std::size_t from = 0) const;
 
   std::vector<Entry> entries_;
 };

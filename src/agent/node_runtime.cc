@@ -327,7 +327,7 @@ void NodeRuntime::after(sim::TimeUs delay, std::function<void()> fn) {
 
 void NodeRuntime::enqueue_initial(QueueRecord record) {
   record.enqueued_us = p_.sim().now();
-  storage_.enqueue(std::move(record));
+  storage_.enqueue(std::move(record), /*transfer=*/false);
   pump();
 }
 
@@ -779,6 +779,7 @@ void NodeRuntime::fail_agent(TxId tx, const QueueRecord& rec, Status status) {
           out.final_node = id_;
           out.finished_at = p_.sim().now();
           p_.record_outcome(rec.agent, std::move(out));
+          ship_.forget_agent(rec.agent);
           span_commit_flush(rec, commit_begin);
           span_hop_end(rec);
           attempts_.erase(rec.record_id);
@@ -822,6 +823,7 @@ void NodeRuntime::finish_agent(TxId tx, const QueueRecord& rec,
           out.final_node = id_;
           out.finished_at = p_.sim().now();
           p_.record_outcome(rec.agent, std::move(out));
+          ship_.forget_agent(rec.agent);
           span_commit_flush(rec, commit_begin);
           span_hop_end(rec);
           attempts_.erase(rec.record_id);
@@ -909,6 +911,7 @@ void NodeRuntime::finish_cancelled(TxId tx, const QueueRecord& rec,
           out.final_node = id_;
           out.finished_at = p_.sim().now();
           p_.record_outcome(rec.agent, std::move(out));
+          ship_.forget_agent(rec.agent);
           span_commit_flush(rec, commit_begin);
           span_hop_end(rec);
           attempts_.erase(rec.record_id);

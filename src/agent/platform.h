@@ -100,8 +100,12 @@ struct PlatformConfig {
   // automatic fallback to a full image on cache miss, receiver epoch
   // mismatch, base-hash divergence or an unprofitable delta.
   /// Per-node byte budget of each shipment cache side (send channels,
-  /// receive channels); least-recently-used bases are evicted beyond it.
-  /// 0 caches no base, so every migration ships as a full image.
+  /// receive channels), counted in serialized base-image bytes — the
+  /// decoded agent each base memoizes is not counted. Least-recently-used
+  /// bases are evicted beyond it. Independently of the budget, a base
+  /// goes once the agent's remaining route cannot cross its channel again
+  /// and when the agent terminates (DESIGN.md §6). 0 caches no base, so
+  /// every migration ships as a full image.
   std::size_t ship_cache_bytes = 4u << 20;
   /// Ship a delta only while delta/full-image size stays below this
   /// ratio; larger deltas fall back to (and re-establish) the base.
@@ -257,7 +261,11 @@ class Platform {
   bool run_until_finished(AgentId id);
   /// Drive the simulation until EVERY listed agent finishes (or events
   /// drain). Returns true when all reached a terminal state. Multi-agent
-  /// benches use this instead of polling one id at a time.
+  /// benches use this instead of polling one id at a time. It returns the
+  /// moment the last agent terminates: a migrating hop's coordinator
+  /// commit callback — and with it that hop's `step_commit` event — can
+  /// still be in flight then. Readers that need exact event totals drain
+  /// the simulator first (sim.run()).
   bool run_until_all_finished(std::span<const AgentId> ids);
   /// Decode a captured agent (e.g. AgentOutcome::final_agent).
   [[nodiscard]] std::unique_ptr<Agent> decode(

@@ -24,6 +24,46 @@ constexpr std::uint8_t kPrepareFlag = 2;
 constexpr std::uint8_t kStaged = 0;
 constexpr std::uint8_t kNeedFull = 1;
 
+/// Every node the agent captured in `image`, shipped as a `kind` record,
+/// may still occupy. An executing agent moves on through the rest of its
+/// itinerary only. A rolling-back one first revisits the nodes its log
+/// names, then resumes from a savepoint inside its current top-level sub;
+/// an agent retaining its full log may roll back to its launch.
+std::vector<NodeId> reachable_nodes(const agent::Agent& image,
+                                    storage::RecordKind kind) {
+  const auto& position = image.position();
+  if (kind != storage::RecordKind::compensate && !image.retain_full_log()) {
+    return image.itinerary().locations_from(position);
+  }
+  rollback::Position from;
+  if (!image.retain_full_log() && !position.empty()) {
+    from.push_back(position.front());
+  }
+  auto nodes = image.itinerary().locations_from(from);
+  for (const auto& e : image.log().entries()) {
+    switch (e.kind()) {
+      case rollback::EntryKind::begin_of_step:
+        nodes.push_back(e.begin_of_step().node);
+        break;
+      case rollback::EntryKind::end_of_step:
+        nodes.push_back(e.end_of_step().node);
+        nodes.insert(nodes.end(), e.end_of_step().alternatives.begin(),
+                     e.end_of_step().alternatives.end());
+        break;
+      case rollback::EntryKind::operation:
+        if (e.operation().resource_node.valid()) {
+          nodes.push_back(e.operation().resource_node);
+        }
+        break;
+      case rollback::EntryKind::savepoint:
+        break;
+    }
+  }
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  return nodes;
+}
+
 }  // namespace
 
 std::uint64_t image_hash(std::span<const std::uint8_t> bytes) {
@@ -101,6 +141,20 @@ void ShipmentManager::BaseCache<Decoded>::erase(NodeId peer, AgentId agent) {
   if (it == entries_.end()) return;
   total_ -= it->second.image.size();
   entries_.erase(it);
+}
+
+template <class Decoded>
+template <class Pred>
+void ShipmentManager::BaseCache<Decoded>::erase_if(AgentId agent, Pred dead) {
+  auto it = entries_.lower_bound(Key{agent.value(), 0});
+  while (it != entries_.end() && it->first.first == agent.value()) {
+    if (dead(NodeId(it->first.second))) {
+      total_ -= it->second.image.size();
+      it = entries_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 template <class Decoded>
@@ -357,7 +411,7 @@ void ShipmentManager::on_convoy(const net::Message& m) {
         recv_cache_.put(m.from, rec.agent, rec.payload, epoch_tag_,
                         p_.config().ship_cache_bytes, std::move(rebuilt));
         txm_.note_remote_staged(tx);
-        qm_.stage_enqueue(tx, std::move(rec));
+        qm_.stage_transfer(tx, std::move(rec));
       }
     } else {
       MAR_CHECK_MSG(mode == kFullFrame, "unknown convoy entry mode");
@@ -368,7 +422,7 @@ void ShipmentManager::on_convoy(const net::Message& m) {
                         p_.config().ship_cache_bytes);
       }
       txm_.note_remote_staged(tx);
-      qm_.stage_enqueue(tx, std::move(rec));
+      qm_.stage_transfer(tx, std::move(rec));
     }
     if (status == kStaged && p_.spans().enabled()) {
       const auto now = p_.sim().now();
@@ -419,15 +473,7 @@ void ShipmentManager::on_convoy_ack(const net::Message& m) {
     if (status == kStaged) {
       Pending p = std::move(it->second);
       awaiting_.erase(it);
-      // The shipped image is now the channel base on both ends, valid
-      // under the receiver epoch the ack reported. A diffed shipment's
-      // agent is memoized with it as the decoded base; after a first
-      // crossing the next delta decodes the base once.
-      if (!p.record.payload.empty()) {
-        send_cache_.put(p.dest, p.record.agent, std::move(p.record.payload),
-                        peer_epoch, p_.config().ship_cache_bytes,
-                        p.diffed ? std::move(p.agent) : nullptr);
-      }
+      if (!p.record.payload.empty()) settle_bases(p, peer_epoch);
       p.done(true);
       continue;
     }
@@ -444,6 +490,35 @@ void ShipmentManager::on_convoy_ack(const net::Message& m) {
     retry.push_back(std::move(p));
     dispatch_convoy(dest, std::move(retry));
   }
+}
+
+void ShipmentManager::settle_bases(Pending& p, std::uint64_t peer_epoch) {
+  const auto reach = reachable_nodes(*p.agent, p.record.kind);
+  const auto may_visit = [&reach](NodeId n) {
+    return std::binary_search(reach.begin(), reach.end(), n);
+  };
+  // Every base held here is a channel between this node and a peer; the
+  // agent can cross it again only if its route still touches both ends.
+  const auto dead = [&](NodeId peer) {
+    return !may_visit(self_) || !may_visit(peer);
+  };
+  if (!dead(p.dest)) {
+    // The shipped image is now the channel base on both ends, valid under
+    // the receiver epoch the ack reported. A diffed shipment's agent is
+    // memoized with it as the decoded base; after a first crossing the
+    // next delta decodes the base once.
+    send_cache_.put(p.dest, p.record.agent, std::move(p.record.payload),
+                    peer_epoch, p_.config().ship_cache_bytes,
+                    p.diffed ? std::move(p.agent) : nullptr);
+  }
+  send_cache_.erase_if(p.record.agent, dead);
+  recv_cache_.erase_if(p.record.agent, dead);
+}
+
+void ShipmentManager::forget_agent(AgentId agent) {
+  const auto all = [](NodeId) { return true; };
+  send_cache_.erase_if(agent, all);
+  recv_cache_.erase_if(agent, all);
 }
 
 void ShipmentManager::on_node_state(bool up) {

@@ -10,7 +10,9 @@
 //
 //   * per destination, a TransferChannel caches the last full image
 //     shipped per agent (epoch- and hash-tagged, LRU-bounded under
-//     PlatformConfig::ship_cache_bytes). The first migration of an agent
+//     PlatformConfig::ship_cache_bytes, and dropped once the agent's
+//     remaining route cannot cross the channel again or the agent
+//     terminates — DESIGN.md §6). The first migration of an agent
 //     establishes the base; later migrations over the same pair ship only
 //     encode_agent_delta_between(base, current) — the receiver holds the
 //     matching base and reconstructs via apply_agent_delta;
@@ -89,7 +91,8 @@ class ShipmentManager {
   /// exactly-once protocol relies on). `agent` is the committed agent
   /// `record.payload` encodes, and is never mutated again: the delta is
   /// diffed against it directly, and once acknowledged it becomes the
-  /// channel's decoded base (unless this was the channel's first crossing).
+  /// channel's decoded base (unless this was the channel's first crossing,
+  /// or its remaining route cannot cross the channel again).
   void stage_remote(TxId tx, NodeId dest, storage::QueueRecord record,
                     std::shared_ptr<const agent::Agent> agent,
                     std::function<void(bool)> done);
@@ -111,11 +114,18 @@ class ShipmentManager {
   /// wholesale; the channel epoch bump makes stale remote bases
   /// unreferencable.
   void on_node_state(bool up);
+  /// The agent terminated here: no hop of it crosses any channel again,
+  /// so every base this node holds for it goes.
+  void forget_agent(AgentId agent);
 
   [[nodiscard]] const ShipStats& stats() const { return stats_; }
   /// Image bytes held as channel bases, send and receive side together.
   [[nodiscard]] std::size_t cached_base_bytes() const {
     return send_cache_.bytes() + recv_cache_.bytes();
+  }
+  /// Channel bases held, send and receive side together.
+  [[nodiscard]] std::size_t cached_bases() const {
+    return send_cache_.size() + recv_cache_.size();
   }
   /// This node's receive-channel epoch (bumped per crash/recovery);
   /// deltas referencing an older epoch are answered with need_full.
@@ -150,13 +160,18 @@ class ShipmentManager {
     void put(NodeId peer, AgentId agent, serial::Bytes image,
              std::uint64_t epoch, std::size_t budget, Decoded decoded = {});
     void erase(NodeId peer, AgentId agent);
+    /// Erase `agent`'s bases whose peer satisfies `dead`.
+    template <class Pred>
+    void erase_if(AgentId agent, Pred dead);
     void clear();
     [[nodiscard]] std::size_t bytes() const { return total_; }
+    [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
    private:
-    using Key = std::pair<std::uint32_t, std::uint64_t>;
+    /// Agent first, so one agent's bases are one contiguous range.
+    using Key = std::pair<std::uint64_t, std::uint32_t>;
     [[nodiscard]] static Key key_of(NodeId peer, AgentId agent) {
-      return {peer.value(), agent.value()};
+      return {agent.value(), peer.value()};
     }
     std::map<Key, Entry> entries_;
     std::size_t total_ = 0;
@@ -191,6 +206,11 @@ class ShipmentManager {
   void flush_convoy(NodeId dest);
   void arm_flush(NodeId dest);
   void timeout_pending(TxId tx);
+  /// An acknowledged shipment of `p.record`: keep its image as the
+  /// channel base only while the agent's remaining route can cross the
+  /// channel again, and drop this node's other bases of the agent that
+  /// route can no longer use.
+  void settle_bases(Pending& p, std::uint64_t peer_epoch);
   /// Schedule `fn` after `delay`, cancelled automatically by crash.
   void after(sim::TimeUs delay, std::function<void()> fn);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <tuple>
 
 namespace mar::storage {
 namespace {
@@ -84,15 +85,20 @@ SegmentLog::Segment& SegmentLog::active_segment(
         tail.bytes.empty()) {
       return tail;
     }
-    // Seal the tail; a sealed, fully-dead segment retires on the spot.
-    if (tail.live == 0) {
-      retired_segments_ += segments_.erase(tail.id);
-    }
+  }
+  // Seal the tail; a sealed, fully-dead segment retires on the spot (once
+  // the new segment is open, so the cascade sees the tail sealed).
+  std::optional<std::uint64_t> dead_tail;
+  if (!segments_.empty() && segments_.rbegin()->second.live == 0) {
+    dead_tail = segments_.rbegin()->first;
   }
   Segment seg;
   seg.id = next_segment_id_++;
   seg.first_lsn = next_lsn_;
-  return segments_.emplace(seg.id, std::move(seg)).first->second;
+  open_segment_ = seg.id;
+  Segment& fresh = segments_.emplace(seg.id, std::move(seg)).first->second;
+  if (dead_tail.has_value()) retire_segment(*dead_tail);
+  return fresh;
 }
 
 std::size_t SegmentLog::append_frame(Op op, const std::string& key,
@@ -117,36 +123,154 @@ std::size_t SegmentLog::append_frame(Op op, const std::string& key,
   frame[3] = static_cast<std::uint8_t>(crc >> 24);
 
   seg.bytes.insert(seg.bytes.end(), frame.begin(), frame.end());
+  appended_bytes_ += frame_size;
+  track_frame(op, key, seg, next_lsn_++);
+  return frame_size;
+}
+
+void SegmentLog::track_frame(Op op, const std::string& key, Segment& seg,
+                             std::uint64_t lsn) {
+  // A reset or erase supersedes every earlier frame of its key.
+  if (op != Op::append) kill_frames_of(key);
   ++seg.frames;
   ++seg.live;
-  ++next_lsn_;
-  appended_bytes_ += frame_size;
-  key_frame_segments_[key].push_back(seg.id);
-  return frame_size;
+  if (op == Op::erase) {
+    add_tombstone(key, lsn, seg);
+  } else {
+    key_frame_segments_[key].live.push_back(seg.id);
+  }
+}
+
+std::optional<std::uint64_t> SegmentLog::kill_frame(std::uint64_t seg_id) {
+  auto sit = segments_.find(seg_id);
+  if (sit == segments_.end()) return std::nullopt;  // already retired
+  Segment& seg = sit->second;
+  if (seg.live > 0) --seg.live;
+  // A sealed segment with nothing live left is pure garbage: every frame
+  // in it has been superseded by a younger reset/erase whose replay
+  // reproduces the final state without it.
+  if (seg.live == 0 && sealed(seg)) return seg_id;
+  return std::nullopt;
 }
 
 void SegmentLog::kill_frames_of(const std::string& key) {
   auto it = key_frame_segments_.find(key);
   if (it == key_frame_segments_.end()) return;
-  for (std::uint64_t seg_id : it->second) {
-    auto sit = segments_.find(seg_id);
-    if (sit == segments_.end()) continue;  // already retired
-    Segment& seg = sit->second;
-    if (seg.live > 0) --seg.live;
-    // A sealed segment with nothing live left is pure garbage: every
-    // frame in it has been superseded by a younger reset/erase whose
-    // replay reproduces the final state without it.
-    if (seg.live == 0 && seg.id != segments_.rbegin()->first) {
-      segments_.erase(sit);
-      ++retired_segments_;
+  KeyFrames& kf = it->second;
+  std::vector<std::uint64_t> emptied;
+  // A reset or erase over a live tombstone ends it: the new frame hides
+  // the older ones from here on.
+  if (kf.tombstone.has_value()) {
+    if (const auto e = end_tombstone(kf)) emptied.push_back(*e);
+  }
+  for (std::uint64_t seg_id : kf.live) {
+    if (!segments_.contains(seg_id)) continue;
+    if (kf.shadowed.empty() || kf.shadowed.back() != seg_id) {
+      kf.shadowed.push_back(seg_id);
+    }
+    if (const auto e = kill_frame(seg_id)) emptied.push_back(*e);
+  }
+  kf.live.clear();
+  std::erase_if(kf.shadowed, [this](std::uint64_t id) {
+    return !segments_.contains(id);
+  });
+  for (std::uint64_t seg_id : emptied) retire_segment(seg_id);
+}
+
+std::optional<std::uint64_t> SegmentLog::end_tombstone(KeyFrames& kf) {
+  const std::uint64_t lsn = *kf.tombstone;
+  kf.tombstone.reset();
+  parked_.erase(lsn);
+  auto tit = tombstones_.find(lsn);
+  const std::uint64_t own = tit->second.segment;
+  tombstones_.erase(tit);
+  // Older frames in the tombstone's own segment replay before its erase
+  // frame wherever they replay at all: they need no shadowing any more.
+  if (!kf.shadowed.empty() && kf.shadowed.back() == own) {
+    kf.shadowed.pop_back();
+  }
+  return kill_frame(own);
+}
+
+void SegmentLog::add_tombstone(const std::string& key, std::uint64_t lsn,
+                               const Segment& seg) {
+  KeyFrames& kf = key_frame_segments_[key];
+  Tombstone t;
+  t.key = key;
+  t.segment = seg.id;
+  for (std::uint64_t id : kf.shadowed) {
+    if (id == seg.id) continue;  // retires as a whole with the tombstone
+    auto sit = segments_.find(id);
+    if (sit == segments_.end()) continue;
+    sit->second.waiters.push_back(lsn);
+    ++t.waiting;
+  }
+  kf.tombstone = lsn;
+  const bool free = t.waiting == 0;
+  tombstones_.emplace(lsn, std::move(t));
+  if (free) {
+    if (const auto emptied = settle_tombstone(lsn)) retire_segment(*emptied);
+  }
+}
+
+bool SegmentLog::held_by_checkpoint(const std::string& key,
+                                    std::uint64_t lsn) const {
+  const auto holds = [&](const CheckpointSlot& slot) {
+    return slot.valid && slot.begin_lsn <= lsn && slot.snapshot.contains(key);
+  };
+  return holds(newest_) || holds(previous_) ||
+         (in_progress_.has_value() && in_progress_->begin_lsn <= lsn &&
+          in_progress_->snapshot.contains(key));
+}
+
+std::optional<std::uint64_t> SegmentLog::settle_tombstone(
+    std::uint64_t lsn) {
+  auto tit = tombstones_.find(lsn);
+  if (tit == tombstones_.end()) return std::nullopt;
+  if (held_by_checkpoint(tit->second.key, lsn)) {
+    parked_.insert(lsn);
+    return std::nullopt;
+  }
+  auto kit = key_frame_segments_.find(tit->second.key);
+  const auto emptied = end_tombstone(kit->second);
+  // Nothing of the key is left to hide: forget it. (Replay can meet
+  // appends past a tombstone whose reset retired; they keep it tracked
+  // until the frame that superseded them.)
+  if (kit->second.live.empty()) key_frame_segments_.erase(kit);
+  return emptied;
+}
+
+void SegmentLog::recheck_parked() {
+  const std::vector<std::uint64_t> parked(parked_.begin(), parked_.end());
+  for (std::uint64_t lsn : parked) {
+    if (const auto emptied = settle_tombstone(lsn)) retire_segment(*emptied);
+  }
+}
+
+void SegmentLog::retire_segment(std::uint64_t id) {
+  std::vector<std::uint64_t> work{id};
+  while (!work.empty()) {
+    auto sit = segments_.find(work.back());
+    work.pop_back();
+    if (sit == segments_.end()) continue;
+    const std::vector<std::uint64_t> waiters = std::move(sit->second.waiters);
+    segments_.erase(sit);
+    ++retired_segments_;
+    for (std::uint64_t lsn : waiters) {
+      auto tit = tombstones_.find(lsn);
+      if (tit == tombstones_.end()) continue;  // died or was superseded
+      if (--tit->second.waiting > 0) continue;
+      // A segment the dying tombstone leaves empty retires through the
+      // worklist, not by recursion: cascades can run the whole log.
+      if (const auto emptied = settle_tombstone(lsn)) {
+        work.push_back(*emptied);
+      }
     }
   }
-  key_frame_segments_.erase(it);
 }
 
 std::size_t SegmentLog::append_reset(const std::string& key,
                                      const serial::Bytes& base) {
-  kill_frames_of(key);
   const std::size_t framed = append_frame(Op::reset, key, base);
   auto& segs = index_[key];
   segs.clear();
@@ -162,7 +286,6 @@ std::size_t SegmentLog::append_delta(const std::string& key,
 }
 
 std::size_t SegmentLog::append_erase(const std::string& key) {
-  kill_frames_of(key);
   const std::size_t framed = append_frame(Op::erase, key, {});
   index_.erase(key);
   return framed;
@@ -215,9 +338,19 @@ std::size_t SegmentLog::complete_checkpoint() {
   in_progress_.reset();
   previous_ = std::move(newest_);
   newest_ = std::move(slot);
+  checkpoint_written_ = true;
   ++checkpoints_completed_;
+  // The dropped generation may have been the last holder of a parked
+  // tombstone's key. (Beginning a checkpoint only adds a holder, so it
+  // never releases one.)
+  recheck_parked();
   retire_covered_segments();
   return newest_.byte_size;
+}
+
+void SegmentLog::abandon_checkpoint() {
+  in_progress_.reset();
+  recheck_parked();
 }
 
 void SegmentLog::retire_covered_segments() {
@@ -227,16 +360,14 @@ void SegmentLog::retire_covered_segments() {
   // below the previous slot expendable.
   if (!newest_.valid || !previous_.valid || !previous_.complete) return;
   const std::uint64_t floor_lsn = previous_.begin_lsn;
-  for (auto it = segments_.begin(); it != segments_.end();) {
-    const Segment& seg = it->second;
-    const bool sealed = seg.id != segments_.rbegin()->first;
-    if (sealed && seg.first_lsn + seg.frames <= floor_lsn) {
-      it = segments_.erase(it);
-      ++retired_segments_;
-    } else {
-      ++it;
-    }
+  std::vector<std::uint64_t> covered;
+  for (const auto& [id, seg] : segments_) {
+    if (seg.first_lsn + seg.frames > floor_lsn) break;
+    if (sealed(seg)) covered.push_back(id);
   }
+  // Oldest first: the tombstones in a covered segment die with the older
+  // segments they wait on before their own segment goes.
+  for (std::uint64_t id : covered) retire_segment(id);
 }
 
 StorageFault SegmentLog::inject_fault(StorageFault fault, std::uint64_t seed) {
@@ -249,7 +380,11 @@ StorageFault SegmentLog::inject_fault(StorageFault fault, std::uint64_t seed) {
       // the last committed frame. The committed prefix is untouched, so
       // truncation at the first bad checksum restores exactly the
       // pre-crash committed state.
-      Segment& seg = active_segment(kFrameHeader + 1);
+      // It lands in the segment the append was filling: sealing one here
+      // would shift every later segment boundary away from the log that
+      // never crashed. With no segment retained there is nothing to tear.
+      if (segments_.empty()) return StorageFault::none;
+      Segment& seg = segments_.rbegin()->second;
       const std::size_t torn = 1 + mix64(rng) % (kFrameHeader + 24);
       for (std::size_t i = 0; i < torn; ++i) {
         seg.bytes.push_back(static_cast<std::uint8_t>(mix64(rng)));
@@ -289,7 +424,12 @@ StorageFault SegmentLog::inject_fault(StorageFault fault, std::uint64_t seed) {
       // its end marker, and whatever bytes it holds are untrustworthy.
       // Scramble the seal too so nothing downstream can mistake the slot
       // for intact.
-      if (!newest_.valid || !newest_.complete) return StorageFault::none;
+      // Only a slot written since the last recovery can be the write a
+      // crash interrupts: one that already survived a recovery is not
+      // being written any more.
+      if (!newest_.valid || !newest_.complete || !checkpoint_written_) {
+        return StorageFault::none;
+      }
       newest_.complete = false;
       newest_.crc ^= static_cast<std::uint32_t>(mix64(rng) | 1u);
       return StorageFault::torn_checkpoint;
@@ -301,8 +441,11 @@ StorageFault SegmentLog::inject_fault(StorageFault fault, std::uint64_t seed) {
 RecoveryReport SegmentLog::recover() {
   RecoveryReport report;
   in_progress_.reset();  // volatile: died with the node
+  checkpoint_written_ = false;
   index_.clear();
   key_frame_segments_.clear();
+  tombstones_.clear();
+  parked_.clear();
 
   // Choose the replay base: newest checkpoint, else previous, else empty.
   // A slot without its end marker was torn by a crash mid-write and is
@@ -328,21 +471,41 @@ RecoveryReport SegmentLog::recover() {
       // Both generations damaged after the log was trimmed against the
       // older one: a full replay can no longer reproduce the state.
       throw CorruptionError("no intact checkpoint generation survives");
+    } else {
+      // No previous slot ever completed => the log was never trimmed; a
+      // full replay from LSN 0 is still complete. The torn slot goes, so
+      // the next checkpoint cannot rotate it into the fallback position.
+      newest_ = CheckpointSlot{};
     }
-    // No previous slot ever completed => the log was never trimmed; a
-    // full replay from LSN 0 is still complete.
   }
 
-  // Replay retained segments in order. Liveness bookkeeping is rebuilt on
-  // the fly for every parsed frame (including pre-checkpoint ones) so
-  // post-recovery retirement decisions match a never-crashed log.
+  // Replay retained segments in order. Liveness bookkeeping (live counts,
+  // tombstones and their waits) is rebuilt on the fly for every parsed
+  // frame, including pre-checkpoint ones, by the write path's own
+  // track_frame(), so post-recovery retirement decisions match a
+  // never-crashed log. Retirement during the scan can only hit segments
+  // behind the one being scanned.
   const std::uint64_t tail_segment =
       segments_.empty() ? 0 : segments_.rbegin()->first;
   for (auto& [id, seg] : segments_) {
+    seg.frames = 0;
+    seg.live = 0;
+    seg.waiters.clear();
+  }
+  for (auto& [id, seg] : segments_) {
+    // Scanning this segment seals the previous one, as its first append
+    // did on the write path; if nothing in it is live any more it retires.
+    // That happens when a tombstone only the crashed node's in-progress
+    // checkpoint held dies during its own segment's scan — the same
+    // retirement abandon_checkpoint() makes on a log that never crashed.
+    const std::uint64_t sealing = open_segment_;
+    open_segment_ = id;
+    auto prev = segments_.find(sealing);
+    if (prev != segments_.end() && sealing < id && prev->second.live == 0) {
+      retire_segment(sealing);
+    }
     std::size_t off = 0;
     std::uint64_t lsn = seg.first_lsn;
-    std::uint64_t parsed_frames = 0;
-    std::uint64_t live = 0;
     bool scanned = false;
     auto torn_or_throw = [&](const char* what) {
       // Truncation is only sound for a torn in-flight write, i.e. damage
@@ -394,23 +557,7 @@ RecoveryReport SegmentLog::recover() {
       const std::uint8_t* data = payload + kPayloadHeader + key_len;
       const std::size_t data_len = len - kPayloadHeader - key_len;
 
-      // Liveness: this frame supersedes the key's earlier frames on
-      // reset/erase, exactly as the live write path would have.
-      if (op != Op::append) {
-        auto kit = key_frame_segments_.find(key);
-        if (kit != key_frame_segments_.end()) {
-          for (std::uint64_t sid : kit->second) {
-            auto sit = segments_.find(sid);
-            if (sit == segments_.end()) continue;
-            if (sit->second.live > 0) --sit->second.live;
-            if (sid == id && live > 0) --live;
-          }
-          key_frame_segments_.erase(kit);
-        }
-      }
-      key_frame_segments_[key].push_back(id);
-      ++live;
-
+      track_frame(op, key, seg, lsn);
       if (lsn >= start_lsn) {
         switch (op) {
           case Op::reset: {
@@ -432,10 +579,7 @@ RecoveryReport SegmentLog::recover() {
       }
       off += kFrameHeader + len;
       ++lsn;
-      ++parsed_frames;
     }
-    seg.frames = parsed_frames;
-    seg.live = live;
     if (scanned) ++report.segments_scanned;
   }
   // next_lsn resumes after the youngest surviving frame.
@@ -445,6 +589,74 @@ RecoveryReport SegmentLog::recover() {
   }
   next_lsn_ = std::max(next_lsn_, start_lsn);
   return report;
+}
+
+bool SegmentLog::same_state(const SegmentLog& other) const {
+  // Waiter entries of tombstones that died or were superseded are skipped
+  // lazily: compare the live ones.
+  const auto live_waiters = [](const SegmentLog& log, const Segment& seg) {
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t lsn : seg.waiters) {
+      if (log.tombstones_.contains(lsn)) out.push_back(lsn);
+    }
+    return out;
+  };
+  const auto same_segment = [&](const Segment& a, const Segment& b) {
+    return a.id == b.id && a.first_lsn == b.first_lsn &&
+           a.frames == b.frames && a.live == b.live && a.bytes == b.bytes &&
+           live_waiters(*this, a) == live_waiters(other, b);
+  };
+  const auto same_slot = [](const CheckpointSlot& a, const CheckpointSlot& b) {
+    return a.valid == b.valid && a.complete == b.complete &&
+           a.begin_lsn == b.begin_lsn && a.snapshot == b.snapshot;
+  };
+  // Ids of retired segments are pruned lazily (a checkpoint can retire
+  // a key's live frames): compare what refers to retained segments, and
+  // treat a key left with nothing retained as untracked.
+  using KeyView = std::tuple<std::vector<std::uint64_t>,
+                             std::vector<std::uint64_t>,
+                             std::optional<std::uint64_t>>;
+  const auto key_views = [](const SegmentLog& log) {
+    std::map<std::string, KeyView> out;
+    const auto retained = [&log](const std::vector<std::uint64_t>& ids) {
+      std::vector<std::uint64_t> kept;
+      for (std::uint64_t id : ids) {
+        if (log.segments_.contains(id)) kept.push_back(id);
+      }
+      return kept;
+    };
+    for (const auto& [key, kf] : log.key_frame_segments_) {
+      KeyView view{retained(kf.live), retained(kf.shadowed), kf.tombstone};
+      if (std::get<0>(view).empty() && std::get<1>(view).empty() &&
+          !kf.tombstone.has_value()) {
+        continue;
+      }
+      out.emplace(key, std::move(view));
+    }
+    return out;
+  };
+  if (index_ != other.index_ || next_lsn_ != other.next_lsn_ ||
+      parked_ != other.parked_ || open_segment_ != other.open_segment_ ||
+      !same_slot(newest_, other.newest_) ||
+      !same_slot(previous_, other.previous_) ||
+      segments_.size() != other.segments_.size() ||
+      tombstones_.size() != other.tombstones_.size() ||
+      key_views(*this) != key_views(other)) {
+    return false;
+  }
+  for (auto a = segments_.begin(), b = other.segments_.begin();
+       a != segments_.end(); ++a, ++b) {
+    if (!same_segment(a->second, b->second)) return false;
+  }
+  for (auto a = tombstones_.begin(), b = other.tombstones_.begin();
+       a != tombstones_.end(); ++a, ++b) {
+    if (a->first != b->first || a->second.key != b->second.key ||
+        a->second.segment != b->second.segment ||
+        a->second.waiting != b->second.waiting) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::size_t SegmentLog::log_bytes() const {

@@ -34,11 +34,22 @@
 // it was racing falls back one generation. Log segments retire when
 // every frame in them is superseded (fully dead) or when both checkpoint
 // slots cover them (last_lsn < the older slot's begin_lsn).
+//
+// An erase frame is a tombstone (the LSM rule, O'Neil et al. 1996): it
+// stays live only while replay could still meet an older frame of its key
+// without it. That holds while some retained segment other than its own
+// holds an older reset/append frame of the key (the own segment retires
+// as a whole), or while a checkpoint snapshot recovery may start from
+// (newest, previous, or the one in progress) holds the key at a
+// begin_lsn at or before the erase. Once neither holds, the tombstone
+// dies, the key's bookkeeping goes with it, and retirement cascades
+// forward.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -98,8 +109,9 @@ class SegmentLog {
   // bytes_written (the durable write is the frame, not the bare payload).
   std::size_t append_reset(const std::string& key, const serial::Bytes& base);
   std::size_t append_delta(const std::string& key, const serial::Bytes& delta);
-  /// Erase frames are live until a checkpoint covers them: dropping one
-  /// early would resurrect the key on full replay.
+  /// The erase frame is a tombstone: live while a retained older frame
+  /// of the key or a checkpoint snapshot holding the key could resurrect
+  /// it on replay, dead (and its key forgotten) from then on.
   std::size_t append_erase(const std::string& key);
 
   // --- read path (materialized index) -------------------------------------
@@ -121,8 +133,9 @@ class SegmentLog {
   /// previous), then retire segments both slots cover. Returns the
   /// serialized snapshot size (0 if none was in progress).
   std::size_t complete_checkpoint();
-  /// Crash path: an in-progress checkpoint evaporates with volatile state.
-  void abandon_checkpoint() { in_progress_.reset(); }
+  /// Crash path: an in-progress checkpoint evaporates with volatile state
+  /// (tombstones only its snapshot held die with it).
+  void abandon_checkpoint();
   [[nodiscard]] std::uint64_t checkpoints_completed() const {
     return checkpoints_completed_;
   }
@@ -151,17 +164,52 @@ class SegmentLog {
   [[nodiscard]] std::uint64_t appended_bytes() const {
     return appended_bytes_;
   }
+  /// Keys with liveness bookkeeping: live frames, or a live tombstone.
+  [[nodiscard]] std::size_t tracked_keys() const {
+    return key_frame_segments_.size();
+  }
+  /// Erase frames still live.
+  [[nodiscard]] std::size_t live_tombstones() const {
+    return tombstones_.size();
+  }
+  /// Whether `other` holds the same durable log, index and liveness
+  /// bookkeeping (recovery must rebuild what a never-crashed log holds).
+  [[nodiscard]] bool same_state(const SegmentLog& other) const;
 
  private:
   /// One rotated log extent. `live` counts frames not yet superseded by a
-  /// later reset/erase of their key; a sealed segment at live == 0 is
-  /// dead weight and retires immediately.
+  /// later reset/erase of their key, plus live tombstones; a sealed
+  /// segment at live == 0 is dead weight and retires immediately.
   struct Segment {
     std::uint64_t id = 0;
     std::uint64_t first_lsn = 0;
     std::uint64_t frames = 0;
     std::uint64_t live = 0;
     std::vector<std::uint8_t> bytes;
+    /// Erase LSNs of the tombstones waiting for this segment to retire
+    /// (entries of tombstones that died meanwhile are skipped).
+    std::vector<std::uint64_t> waiters;
+  };
+
+  /// Liveness bookkeeping of one key.
+  struct KeyFrames {
+    /// Segment of each live reset/append frame, oldest first (a live
+    /// erase frame is the key's tombstone).
+    std::vector<std::uint64_t> live;
+    /// Distinct segments holding superseded reset/append frames of the
+    /// key, ascending; retired ids are pruned lazily.
+    std::vector<std::uint64_t> shadowed;
+    /// LSN of the key's live tombstone, if its latest frame is one.
+    std::optional<std::uint64_t> tombstone;
+  };
+
+  /// A live erase frame.
+  struct Tombstone {
+    std::string key;
+    std::uint64_t segment = 0;
+    /// Retained segments (other than `segment`) holding older
+    /// reset/append frames of the key.
+    std::uint64_t waiting = 0;
   };
 
   /// A durable checkpoint generation. The snapshot map models the
@@ -191,9 +239,40 @@ class SegmentLog {
   Segment& active_segment(std::size_t incoming_frame_bytes);
   std::size_t append_frame(Op op, const std::string& key,
                            const serial::Bytes& data);
+  /// Liveness bookkeeping of one frame just placed in `seg` at `lsn` —
+  /// shared by the write path and recovery's replay, so both reach the
+  /// same state.
+  void track_frame(Op op, const std::string& key, Segment& seg,
+                   std::uint64_t lsn);
   /// Supersede every earlier frame of `key`, retiring segments that go
   /// fully dead.
   void kill_frames_of(const std::string& key);
+  /// Kill one frame of segment `seg_id`. Returns the segment when that
+  /// left it sealed and empty (the caller retires it).
+  [[nodiscard]] std::optional<std::uint64_t> kill_frame(std::uint64_t seg_id);
+  /// The key's tombstone stops being live (it died, or the key was
+  /// re-created); same return as kill_frame().
+  [[nodiscard]] std::optional<std::uint64_t> end_tombstone(KeyFrames& kf);
+  /// Register the tombstone of `key`'s erase frame at `lsn` in `seg`.
+  void add_tombstone(const std::string& key, std::uint64_t lsn,
+                     const Segment& seg);
+  /// Whether a checkpoint snapshot recovery may start from holds `key`
+  /// at a begin_lsn at or before `lsn`.
+  [[nodiscard]] bool held_by_checkpoint(const std::string& key,
+                                        std::uint64_t lsn) const;
+  /// A tombstone no older frame pins any more: kill it, or park it while
+  /// a checkpoint snapshot holds its key. Returns its segment when the
+  /// death left that segment sealed and empty (the caller retires it).
+  [[nodiscard]] std::optional<std::uint64_t> settle_tombstone(
+      std::uint64_t lsn);
+  /// Re-check parked tombstones after the checkpoint slots changed.
+  void recheck_parked();
+  /// Retire segment `id` (if still retained) and cascade: tombstones
+  /// waiting on it may die, and segments they leave empty retire too.
+  void retire_segment(std::uint64_t id);
+  [[nodiscard]] bool sealed(const Segment& seg) const {
+    return seg.id != open_segment_;
+  }
   void retire_covered_segments();
 
   SegmentLogConfig config_;
@@ -205,13 +284,23 @@ class SegmentLog {
   /// Volatile: read-path index and liveness bookkeeping, rebuilt by
   /// recover().
   std::map<std::string, std::vector<serial::Bytes>> index_;
-  std::map<std::string, std::vector<std::uint64_t>> key_frame_segments_;
+  std::map<std::string, KeyFrames> key_frame_segments_;
+  /// Live tombstones by erase LSN.
+  std::map<std::uint64_t, Tombstone> tombstones_;
+  /// Tombstones no older frame pins, kept live by a checkpoint snapshot.
+  std::set<std::uint64_t> parked_;
   std::optional<PendingCheckpoint> in_progress_;
+  /// The segment accepting appends (during replay: the one being
+  /// scanned). Every other segment is sealed.
+  std::uint64_t open_segment_ = 0;
   std::uint64_t next_lsn_ = 0;
   std::uint64_t next_segment_id_ = 0;
   std::uint64_t appended_bytes_ = 0;
   std::uint64_t retired_segments_ = 0;
   std::uint64_t checkpoints_completed_ = 0;
+  /// A checkpoint completed since the last recovery (the only slot write
+  /// a crash can tear).
+  bool checkpoint_written_ = false;
 };
 
 }  // namespace mar::storage

@@ -104,8 +104,10 @@ RecoveryReport StableStorage::recover_records() {
   return report;
 }
 
-void StableStorage::enqueue(QueueRecord record) {
-  if (!seen_records_.insert(record.record_id).second) return;  // duplicate
+void StableStorage::enqueue(QueueRecord record, bool transfer) {
+  if (transfer && !seen_records_.insert(record.record_id).second) {
+    return;  // duplicate
+  }
   stats_.bytes_written += record.byte_size();
   ++stats_.queue_ops;
   queue_.push_back(std::move(record));

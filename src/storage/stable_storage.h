@@ -208,8 +208,11 @@ class StableStorage {
   }
 
   // --- agent input queue ---------------------------------------------------
-  /// Append a record. Duplicate record_ids are ignored (exactly-once).
-  void enqueue(QueueRecord record);
+  /// Append a record. A `transfer` (a record another node's transaction
+  /// staged here, which can be delivered again) is deduplicated by id:
+  /// a duplicate is ignored (exactly-once). Any other enqueue is applied
+  /// once by construction and leaves no dedup entry.
+  void enqueue(QueueRecord record, bool transfer = true);
   /// Remove the record with this id. Returns false if absent.
   bool remove(std::uint64_t record_id);
   [[nodiscard]] bool contains_record(std::uint64_t record_id) const;
@@ -235,6 +238,10 @@ class StableStorage {
   void clear_claims();
 
   [[nodiscard]] const StorageStats& stats() const { return stats_; }
+  /// Record ids held for transfer dedup.
+  [[nodiscard]] std::size_t dedup_entries() const {
+    return seen_records_.size();
+  }
 
  private:
   std::map<std::string, serial::Bytes> kv_;
@@ -242,8 +249,9 @@ class StableStorage {
   std::deque<QueueRecord> queue_;
   /// Volatile: record ids currently claimed by an execution slot.
   std::unordered_set<std::uint64_t> claimed_;
-  /// Ids ever enqueued; dedup must outlive removal so a duplicate commit
-  /// of the same transfer cannot re-insert a consumed record.
+  /// Ids of every transfer ever enqueued; dedup must outlive removal so a
+  /// duplicate commit of the same transfer cannot re-insert a consumed
+  /// record.
   std::unordered_set<std::uint64_t> seen_records_;
   StorageStats stats_;
 };

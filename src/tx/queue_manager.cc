@@ -54,6 +54,12 @@ void QueueManager::stage_enqueue(TxId tx, storage::QueueRecord record) {
   staged_[tx].enqueues.push_back(std::move(record));
 }
 
+void QueueManager::stage_transfer(TxId tx, storage::QueueRecord record) {
+  Staged& s = staged_[tx];
+  s.transfer = true;
+  s.enqueues.push_back(std::move(record));
+}
+
 void QueueManager::stage_remove(TxId tx, std::uint64_t record_id) {
   staged_[tx].removes.push_back(record_id);
 }
@@ -164,7 +170,7 @@ void QueueManager::commit(TxId tx) {
   if (it == staged_.end()) return;  // idempotent
   for (auto& r : it->second.enqueues) {
     if (now_fn_) r.enqueued_us = now_fn_();
-    stable_.enqueue(std::move(r));
+    stable_.enqueue(std::move(r), it->second.transfer);
   }
   for (const auto id : it->second.removes) {
     stable_.remove(id);
@@ -211,6 +217,7 @@ void QueueManager::on_crash() {
         Staged s;
         s.deserialize(dec);
         s.prepared = true;
+        s.transfer = true;
         staged_.emplace(tx, std::move(s));
       });
 }

@@ -41,8 +41,13 @@ class QueueManager final : public Participant {
     abort_listener_ = std::move(fn);
   }
 
-  /// Stage "append this record to the local queue at commit".
+  /// Stage "append this record to the local queue at commit", for a
+  /// transaction this node coordinates.
   void stage_enqueue(TxId tx, storage::QueueRecord record);
+  /// Stage an inbound transfer: the enqueue of another node's
+  /// transaction. Its staging can be delivered again after it committed
+  /// here, so its record id is deduplicated (DESIGN.md §4).
+  void stage_transfer(TxId tx, storage::QueueRecord record);
   /// Stage "remove this record from the local queue at commit".
   void stage_remove(TxId tx, std::uint64_t record_id);
 
@@ -105,6 +110,9 @@ class QueueManager final : public Participant {
     std::vector<std::uint64_t> removes;
     std::vector<RecordOp> record_ops;
     bool prepared = false;
+    /// Staged by another node's transaction (volatile: only such stagings
+    /// are ever prepared, so a reloaded one is a transfer).
+    bool transfer = false;
 
     void serialize(serial::Encoder& enc) const;
     void deserialize(serial::Decoder& dec);

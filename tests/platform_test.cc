@@ -1,6 +1,11 @@
 // End-to-end tests of the agent platform: exactly-once step execution,
-// migration, itinerary handling, savepoints, and both rollback algorithms.
+// migration, itinerary handling, savepoints, both rollback algorithms, and
+// per-node state bounded by the live agents.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "harness/agents.h"
 #include "harness/world.h"
@@ -246,6 +251,108 @@ TEST(PlatformTest, LogDiscardedAfterTopLevelSubItinerary) {
   EXPECT_EQ(w.platform.spans().count(EventKind::log_discard), 2u);
   auto fin = w.platform.decode(w.platform.outcome(id.value()).final_agent);
   EXPECT_TRUE(fin->log().empty());
+}
+
+/// What the nodes keep once every agent they served has terminated.
+struct Retained {
+  std::size_t log_segments = 0;
+  std::size_t max_log_bytes = 0;  ///< largest per-node record log
+  std::size_t tracked_keys = 0;   ///< keys with log liveness bookkeeping
+  std::size_t ship_bases = 0;     ///< delta-shipping channel bases
+  std::size_t dedup_entries = 0;  ///< transfer record ids held for dedup
+};
+
+Retained retained(TestWorld& w, int nodes) {
+  Retained r;
+  for (int i = 1; i <= nodes; ++i) {
+    auto& node = w.platform.node(TestWorld::n(i));
+    const auto& log = node.storage().segment_log();
+    r.log_segments += log.live_segments();
+    r.max_log_bytes = std::max(r.max_log_bytes, log.log_bytes());
+    r.tracked_keys += log.tracked_keys();
+    r.ship_bases += node.shipments().cached_bases();
+    r.dedup_entries += node.storage().dedup_entries();
+  }
+  return r;
+}
+
+/// Launch `n` agents of each kind — local, migrating (a channel crossed
+/// twice, so deltas ride it) and rolling back (a compensation trip and a
+/// re-execution) — and run the world until it is quiet.
+void run_batch(TestWorld& w, int n) {
+  const auto rollbacks = w.platform.spans().count(EventKind::rollback_begin);
+  const auto migrations = w.platform.spans().count(EventKind::migrate);
+  std::vector<AgentId> ids;
+  for (int i = 0; i < n; ++i) {
+    auto local = std::make_unique<WorkloadAgent>();
+    local->itinerary() = single_sub(
+        {{"noop", 2}, {"work", 2}, {"work", 2}, {"work", 2}, {"work", 2}});
+    auto migrating = std::make_unique<WorkloadAgent>();
+    migrating->itinerary() = single_sub({{"noop", 1},
+                                         {"noop", 2},
+                                         {"noop", 3},
+                                         {"noop", 4},
+                                         {"noop", 1},
+                                         {"noop", 2}});
+    auto rolling = std::make_unique<WorkloadAgent>();
+    rolling->itinerary() =
+        single_sub({{"spend_cash", 1}, {"spend_cash", 2}, {"noop", 3}});
+    rolling->set_trigger("noop", 3, "sub");
+    for (auto* a : {&local, &migrating, &rolling}) {
+      auto id = w.platform.launch(std::move(*a));
+      ASSERT_TRUE(id.is_ok());
+      ids.push_back(id.value());
+    }
+  }
+  ASSERT_TRUE(w.platform.run_until_all_finished(ids));
+  w.sim.run();  // late commit callbacks and acks
+  for (const auto id : ids) {
+    ASSERT_EQ(w.platform.outcome(id).state, agent::AgentOutcome::State::done);
+  }
+  EXPECT_EQ(w.platform.spans().count(EventKind::rollback_begin) - rollbacks,
+            static_cast<std::uint64_t>(n));
+  // Migrating: 5 hops; rolling back: 2 forward, 2 back, 2 again.
+  EXPECT_EQ(w.platform.spans().count(EventKind::migrate) - migrations,
+            static_cast<std::uint64_t>(11 * n));
+}
+
+TEST(PlatformTest, RetainedStateTracksLiveAgentsNotServedOnes) {
+  // Per-node state must be bounded by the live agents: after N and then
+  // 2N more agents have come and gone, a node keeps the same amount of
+  // log, liveness bookkeeping and channel bases.
+  PlatformConfig cfg;
+  cfg.strategy = RollbackStrategy::basic;  // rollbacks move the agent
+  cfg.segment_bytes = 512;                 // rotate and retire often
+  TestWorld w(cfg);
+  register_workload(w.platform);
+
+  run_batch(w, 4);
+  const Retained after_n = retained(w, 4);
+  run_batch(w, 8);
+  const Retained after_3n = retained(w, 4);
+
+  EXPECT_EQ(after_n.log_segments, after_3n.log_segments);
+  EXPECT_LE(after_n.log_segments, 4u);  // at most the open segment each
+  EXPECT_LE(after_3n.max_log_bytes, cfg.segment_bytes);
+  EXPECT_EQ(after_n.tracked_keys, 0u);
+  EXPECT_EQ(after_3n.tracked_keys, 0u);
+  EXPECT_EQ(after_n.ship_bases, 0u);
+  EXPECT_EQ(after_3n.ship_bases, 0u);
+
+  // Record dedup: agents that never cross a node boundary after launch
+  // leave no entry behind. (Ids of inbound transfers are still kept for
+  // good, DESIGN.md §4.)
+  std::vector<AgentId> ids;
+  for (int i = 0; i < 8; ++i) {
+    auto local = std::make_unique<WorkloadAgent>();
+    local->itinerary() = single_sub({{"work", 3}, {"work", 3}, {"work", 3}});
+    auto id = w.platform.launch(std::move(local));
+    ASSERT_TRUE(id.is_ok());
+    ids.push_back(id.value());
+  }
+  ASSERT_TRUE(w.platform.run_until_all_finished(ids));
+  w.sim.run();
+  EXPECT_EQ(retained(w, 4).dedup_entries, after_3n.dedup_entries);
 }
 
 }  // namespace

@@ -9,6 +9,10 @@
 //   * mid-log damage (bit flip in a committed frame) hard-fails with
 //     CorruptionError instead of silently diverging;
 //   * a checkpoint torn by the crash it raced falls back one generation;
+//   * under random writes, checkpoints, crashes and faults (model-based),
+//     no erased key resurrects, recovery rebuilds exactly the liveness a
+//     never-crashed log holds, and a quiet log shrinks to its open
+//     segment;
 //   * at platform level, crashes with injected storage faults preserve
 //     exactly-once and bit-identity with the clean-run oracle, including
 //     crashes landing during compaction and during a checkpoint window;
@@ -18,8 +22,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <optional>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "agent/agent.h"
 #include "agent/node_runtime.h"
@@ -198,6 +206,161 @@ TEST(SegmentLogTest, CrashDuringCheckpointAbandonsTheAttempt) {
   EXPECT_FALSE(log.checkpoint_in_progress());
   EXPECT_EQ(log.checkpoints_completed(), 0u);
   EXPECT_EQ((*log.segments("k"))[0], bytes_of("v1"));
+}
+
+// Model-based check of the log's liveness rules: random write, checkpoint,
+// crash and recovery sequences run against a reference map. Asserts that
+//   * no erased key is ever resurrected, by the write path or a recovery;
+//   * after a recovery the index and every piece of liveness bookkeeping
+//     equal those of the same log had it never crashed (the in-progress
+//     checkpoint, volatile, is abandoned in both);
+//   * once every key is erased and the checkpoint slots moved past them,
+//     the log keeps at most its open segment: no tombstone outlives what
+//     it shadows.
+// MAR_STORAGE_FAULT forces one fault kind at every crash (CI matrix);
+// unset, crashes draw none / torn_tail / torn_checkpoint at random.
+class SegmentLogModel {
+ public:
+  static constexpr std::size_t kSegmentBytes = 160;
+
+  SegmentLogModel(std::uint64_t seed, bool checkpoints,
+                  std::optional<StorageFault> forced)
+      : rng_(seed),
+        seed_(seed),
+        checkpoints_(checkpoints),
+        forced_(forced),
+        log_(SegmentLogConfig{kSegmentBytes}) {}
+
+  /// Run `ops` random operations; false when an injected bit flip ended
+  /// the log (recovery must then have thrown).
+  bool run(int ops) {
+    for (int i = 0; i < ops; ++i) {
+      const auto r = rng_() % 100;
+      if (r < 28) {
+        reset(key(), data());
+      } else if (r < 58) {
+        append();
+      } else if (r < 76) {
+        erase();
+      } else if (r < 83 && checkpoints_) {
+        log_.begin_checkpoint();
+      } else if (r < 90 && checkpoints_) {
+        log_.complete_checkpoint();
+      } else if (!crash()) {
+        return false;
+      }
+      expect_matches_model();
+      if (::testing::Test::HasFailure()) return true;
+    }
+    return true;
+  }
+
+  /// Erase everything, let the checkpoint slots move past the erased
+  /// keys, and check the log shrank to its open segment.
+  void quiesce() {
+    while (!model_.empty()) erase();
+    if (checkpoints_) {
+      log_.complete_checkpoint();
+      for (int i = 0; i < 2; ++i) {
+        ASSERT_TRUE(log_.begin_checkpoint());
+        log_.complete_checkpoint();
+      }
+    }
+    expect_matches_model();
+    // Live framed bytes are zero: only the open segment may remain.
+    EXPECT_LE(log_.log_bytes(), kSegmentBytes) << "seed " << seed_;
+    EXPECT_LE(log_.live_segments(), 1u) << "seed " << seed_;
+    EXPECT_EQ(log_.tracked_keys(), 0u) << "seed " << seed_;
+    EXPECT_EQ(log_.live_tombstones(), 0u) << "seed " << seed_;
+  }
+
+ private:
+  std::string key() { return "k" + std::to_string(rng_() % 6); }
+  serial::Bytes data() {
+    serial::Bytes out(rng_() % 40);
+    for (auto& b : out) b = static_cast<std::uint8_t>(rng_());
+    return out;
+  }
+  void reset(const std::string& k, const serial::Bytes& d) {
+    log_.append_reset(k, d);
+    model_[k] = {d};
+  }
+  void append() {
+    if (model_.empty()) return reset(key(), data());
+    auto it = std::next(model_.begin(),
+                        static_cast<long>(rng_() % model_.size()));
+    const auto d = data();
+    log_.append_delta(it->first, d);
+    it->second.push_back(d);
+  }
+  void erase() {
+    if (model_.empty()) return;
+    auto it = std::next(model_.begin(),
+                        static_cast<long>(rng_() % model_.size()));
+    log_.append_erase(it->first);
+    model_.erase(it);
+  }
+  bool crash() {
+    StorageFault fault = StorageFault::none;
+    if (forced_.has_value()) {
+      fault = *forced_;
+    } else {
+      const StorageFault pick[] = {StorageFault::none, StorageFault::torn_tail,
+                                   StorageFault::torn_checkpoint};
+      fault = pick[rng_() % (checkpoints_ ? 3 : 2)];
+    }
+    SegmentLog never_crashed = log_;
+    never_crashed.abandon_checkpoint();
+    const auto applied = log_.inject_fault(fault, rng_());
+    if (applied == StorageFault::bit_flip) {
+      EXPECT_THROW(log_.recover(), CorruptionError) << "seed " << seed_;
+      return false;
+    }
+    log_.recover();
+    // A torn checkpoint legitimately leaves one slot fewer than the log
+    // that never crashed; every other crash must be invisible.
+    if (applied != StorageFault::torn_checkpoint) {
+      EXPECT_TRUE(log_.same_state(never_crashed)) << "seed " << seed_;
+    }
+    return true;
+  }
+  void expect_matches_model() {
+    for (int k = 0; k < 6; ++k) {
+      const std::string name = "k" + std::to_string(k);
+      const auto it = model_.find(name);
+      if (it == model_.end()) {
+        EXPECT_FALSE(log_.has(name)) << name << " resurrected, seed " << seed_;
+      } else {
+        ASSERT_NE(log_.segments(name), nullptr) << name << ", seed " << seed_;
+        EXPECT_EQ(*log_.segments(name), it->second) << name << ", seed "
+                                                    << seed_;
+      }
+    }
+  }
+
+  std::mt19937_64 rng_;
+  std::uint64_t seed_;
+  bool checkpoints_;
+  std::optional<StorageFault> forced_;
+  SegmentLog log_;
+  std::map<std::string, std::vector<serial::Bytes>> model_;
+};
+
+TEST(SegmentLogTest, ModelBasedLivenessAndRecovery) {
+  std::optional<StorageFault> forced;
+  if (const char* env = std::getenv("MAR_STORAGE_FAULT");
+      env != nullptr && *env != '\0') {
+    forced = storage::storage_fault_from_string(env);
+    ASSERT_TRUE(forced.has_value()) << "bad MAR_STORAGE_FAULT: " << env;
+  }
+  for (const bool checkpoints : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+      SegmentLogModel model(seed, checkpoints, forced);
+      if (model.run(300)) model.quiesce();
+      ASSERT_FALSE(HasFailure()) << "seed " << seed << " checkpoints "
+                                 << checkpoints;
+    }
+  }
 }
 
 TEST(StableStorageTest, CheckpointFreeRecoveryMetersEveryRetainedFrame) {

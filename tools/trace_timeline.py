@@ -29,8 +29,13 @@ Usage:
 --self-check validates the causal structure instead of printing it:
 every hop's parent resolves within its trace, every trace has exactly
 one root, one trace never spans two agents, and the four coverage
-phases account for >= 95% of every non-trivial hop's latency. Exit 0
-when all checks hold, 1 otherwise (2 = usage).
+phases account for >= 95% of every non-trivial hop's latency. A flight
+dump holds one node's ring per `flight_dump` header (a file may append
+many, from several worlds): each is checked on its own, and a parent
+outside it — a hop of another node, or one the ring already evicted —
+is counted as external instead of broken; a trace may then lack its
+root, but never have two. Exit 0 when all checks hold, 1 otherwise
+(2 = usage).
 """
 
 import argparse
@@ -47,10 +52,12 @@ MIN_COVERAGE = 0.95
 TRIVIAL_HOP_US = 10
 
 
-def load_spans(path):
-    """Parse a span dump; returns spans deduplicated by span_id (a crash
-    flight recorder dumps overlapping rings — last occurrence wins)."""
-    by_id = {}
+def load_sections(path):
+    """Parse a span dump into sections: (flight_dump header, spans) per
+    header, or one (None, spans) section for a whole-world dump. Spans are
+    deduplicated by span_id within a section."""
+    sections = []
+    header, by_id = None, {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -61,9 +68,25 @@ def load_spans(path):
             except json.JSONDecodeError as e:
                 print(f"{path}:{lineno}: bad JSON: {e}", file=sys.stderr)
                 sys.exit(2)
-            if "event" in obj:  # flight_dump header line
+            if "event" in obj:  # flight_dump header: a new node ring
+                if by_id or header is not None:
+                    sections.append((header, by_id))
+                header, by_id = obj, {}
                 continue
             by_id[obj["span_id"]] = obj
+    if by_id or header is not None:
+        sections.append((header, by_id))
+    return [(h, sorted(b.values(), key=lambda s: s["span_id"]))
+            for h, b in sections]
+
+
+def load_spans(path):
+    """All spans of a dump, deduplicated by span_id (a crash flight
+    recorder dumps overlapping rings — last occurrence wins)."""
+    by_id = {}
+    for _, spans in load_sections(path):
+        for s in spans:
+            by_id[s["span_id"]] = s
     return sorted(by_id.values(), key=lambda s: s["span_id"])
 
 
@@ -175,15 +198,16 @@ def print_trace(trace_id, trace_spans):
     print()
 
 
-def self_check(path):
-    spans = load_spans(path)
-    if not spans:
-        print(f"self-check: {path}: no spans", file=sys.stderr)
-        return 1
-    traces = group_traces(spans)
+def check_spans(spans, ring):
+    """Causal-structure problems of one dump section, the number of hops
+    whose coverage was checked, and the number of external parents. With
+    `ring` (one node's flight dump) parents outside the section are
+    external, and a trace need not contain its root."""
     problems = []
     checked_hops = 0
-    for trace_id, trace_spans in traces.items():
+    external = 0
+    in_dump = {s["span_id"] for s in spans}
+    for trace_id, trace_spans in group_traces(spans).items():
         if trace_id == 0:
             # Node-scoped records (crash, convoy, tx_pipeline,
             # storage_recovery instants) carry no trace id.
@@ -201,15 +225,19 @@ def self_check(path):
             problems.append(f"trace {trace_id}: no hop spans")
             continue
         roots = [h for h in hops if h["parent"] == 0]
-        if len(roots) != 1:
+        if len(roots) > 1 or (not roots and not ring):
             problems.append(
                 f"trace {trace_id}: {len(roots)} root hops (want exactly 1 "
                 "launch hop with parent 0)")
         for h in hops:
-            if h["parent"] != 0 and h["parent"] not in ids:
-                problems.append(
-                    f"trace {trace_id}: hop span {h['span_id']} parent "
-                    f"{h['parent']} not in this trace — broken causal chain")
+            if h["parent"] == 0 or h["parent"] in ids:
+                continue
+            if ring and h["parent"] not in in_dump:
+                external += 1
+                continue
+            problems.append(
+                f"trace {trace_id}: hop span {h['span_id']} parent "
+                f"{h['parent']} not in this trace — broken causal chain")
         for h in hops:
             if dur(h) < TRIVIAL_HOP_US:
                 continue
@@ -220,10 +248,31 @@ def self_check(path):
                     f"trace {trace_id}: hop span {h['span_id']} on node "
                     f"{h['node']} covered {cov * 100.0:.1f}% "
                     f"(< {MIN_COVERAGE * 100.0:.0f}%) of {dur(h)} us")
+    return problems, checked_hops, external
+
+
+def self_check(path):
+    sections = load_sections(path)
+    if not any(spans for _, spans in sections):
+        print(f"self-check: {path}: no spans", file=sys.stderr)
+        return 1
+    problems = []
+    checked_hops = 0
+    external = 0
+    traces = 0
+    for header, spans in sections:
+        found, checked, ext = check_spans(spans, ring=header is not None)
+        where = (f"node {header['node']} dump at {header['time_us']} us: "
+                 if header is not None else "")
+        problems += [where + p for p in found]
+        checked_hops += checked
+        external += ext
+        traces += len(group_traces(spans))
     for p in problems:
         print(f"self-check: {p}", file=sys.stderr)
-    print(f"self-check: {len(traces)} trace(s), {checked_hops} hop(s) "
-          f"checked >= {MIN_COVERAGE * 100.0:.0f}% phase coverage: "
+    print(f"self-check: {len(sections)} section(s), {traces} trace(s), "
+          f"{checked_hops} hop(s) checked >= {MIN_COVERAGE * 100.0:.0f}% "
+          f"phase coverage, {external} parent(s) outside the dump: "
           f"{'OK' if not problems else 'FAILED'}")
     return 0 if not problems else 1
 
