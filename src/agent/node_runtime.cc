@@ -318,9 +318,10 @@ QueueRecord NodeRuntime::make_record(const Agent& agent, RecordKind kind,
   return rec;
 }
 
-void NodeRuntime::after(sim::TimeUs delay, std::function<void()> fn) {
+template <class F>
+void NodeRuntime::after(sim::TimeUs delay, F fn) {
   const auto epoch = epoch_;
-  p_.sim().schedule_after(delay, [this, epoch, fn = std::move(fn)] {
+  p_.sim().schedule_after(delay, [this, epoch, fn = std::move(fn)]() mutable {
     if (epoch == epoch_) fn();
   });
 }

@@ -270,8 +270,10 @@ class NodeRuntime {
   [[nodiscard]] storage::QueueRecord make_record(
       const Agent& agent, storage::RecordKind kind,
       SavepointId rollback_target);
-  /// Schedule `fn` after `delay`, cancelled automatically by crash.
-  void after(sim::TimeUs delay, std::function<void()> fn);
+  /// Schedule `fn` after `delay`; a crash or recovery (the epoch bump)
+  /// turns it into a no-op. `fn` is captured as is, not boxed.
+  template <class F>
+  void after(sim::TimeUs delay, F fn);
 
   Platform& p_;
   NodeId id_;

@@ -4,17 +4,20 @@ namespace mar::net {
 
 void FaultInjector::crash_at(NodeId node, sim::TimeUs at,
                              sim::TimeUs downtime) {
-  sim_.schedule_at(at, [this, node] {
+  // The injected faults always happen: each timer is a one-shot.
+  sim_.schedule_at(at, [this, node] {  // mar-lint: one-shot
     ++crashes_;
     net_.crash_node(node);
   });
-  sim_.schedule_at(at + downtime, [this, node] { net_.recover_node(node); });
+  sim_.schedule_at(at + downtime,  // mar-lint: one-shot
+                   [this, node] { net_.recover_node(node); });
 }
 
 void FaultInjector::link_down_at(NodeId a, NodeId b, sim::TimeUs at,
                                  sim::TimeUs duration) {
-  sim_.schedule_at(at, [this, a, b] { net_.set_link_up(a, b, false); });
-  sim_.schedule_at(at + duration,
+  sim_.schedule_at(at,  // mar-lint: one-shot
+                   [this, a, b] { net_.set_link_up(a, b, false); });
+  sim_.schedule_at(at + duration,  // mar-lint: one-shot
                    [this, a, b] { net_.set_link_up(a, b, true); });
 }
 

@@ -8,10 +8,16 @@
 //     dropping it if the destination or the link is down at delivery time;
 //   * the reliable layer retransmits until acknowledged, so transient
 //     outages only delay delivery;
-//   * receivers deduplicate by message id, giving at-most-once dispatch to
-//     the handler under retransmission (handlers stay idempotent anyway,
-//     because dedup state is volatile and lost on a crash — exactly the
-//     situation a real messaging layer faces).
+//   * receivers deduplicate by per-channel sequence number, giving
+//     at-most-once dispatch to the handler under retransmission. The
+//     dedup state per (sender, sender incarnation) is a cumulative
+//     watermark plus the few numbers delivered above it, so it is bounded
+//     by the sender's unacknowledged window (DESIGN.md §13). It is volatile
+//     and lost in the receiver's crash, so handlers stay idempotent —
+//     exactly the situation a real messaging layer faces.
+//
+// The outbox and every in-flight transmission share one immutable
+// Message: retransmissions copy a pointer, never the payload.
 //
 // The cost model (per-message latency plus size over bandwidth) is the one
 // Straßer & Schwehm's performance model for mobile agent systems uses
@@ -19,12 +25,12 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
-#include <optional>
+#include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "serial/encoder.h"
@@ -41,6 +47,11 @@ struct Message {
   std::string type;
   serial::Bytes payload;
   MsgId id = MsgId::invalid();  ///< Assigned by the reliable layer.
+  /// Assigned by the reliable layer too: the sender's incarnation (bumped
+  /// by each of its crashes) and the message's number on the (from, to)
+  /// channel within it, counted from 1.
+  std::uint32_t incarnation = 0;
+  std::uint64_t seq = 0;
 
   /// Wire size used by the cost model: payload plus a fixed header.
   [[nodiscard]] std::size_t wire_size() const {
@@ -107,29 +118,72 @@ class Network {
   /// Retransmission interval for unacknowledged messages.
   void set_retransmit_interval(sim::TimeUs t) { retransmit_interval_ = t; }
 
+  /// Dedup state `receiver` holds: one watermark per (sender, sender
+  /// incarnation) with possible arrivals, plus each sequence number
+  /// delivered above its watermark.
+  [[nodiscard]] std::size_t dedup_entries(NodeId receiver) const;
+  /// Reliable messages sent and not yet acknowledged (all senders).
+  [[nodiscard]] std::size_t unacked() const { return outbox_.size(); }
+
  private:
+  using MessagePtr = std::shared_ptr<const Message>;
   struct NodeState {
     Handler handler;
     bool up = true;
-    /// Dedup of delivered reliable message ids (volatile: cleared on crash).
-    std::unordered_set<MsgId> seen;
+    std::uint32_t incarnation = 0;  ///< bumped by each crash
+  };
+  /// Receiver-side dedup of one sender incarnation: every number <= floor
+  /// was delivered or can never arrive; `above` holds the delivered ones
+  /// past it, sorted.
+  struct Window {
+    std::uint32_t incarnation = 0;
+    std::uint64_t floor = 0;
+    std::vector<std::uint64_t> above;
+  };
+  /// One direction of a node pair.
+  struct Channel {
+    /// Sender side, for its current `incarnation`: `holds[i]` counts what
+    /// can still bring number `base + i` to the receiver — its unacked
+    /// outbox entry and each copy in flight. `base` passes a number once
+    /// nothing holds it; no number below `base` can ever arrive again.
+    std::uint32_t incarnation = 0;
+    std::uint64_t base = 1;
+    std::deque<std::uint32_t> holds;
+    /// Latest arrival time of any transmission so far, and the time by
+    /// which every transmission of an older sender incarnation landed.
+    sim::TimeUs last_arrival = 0;
+    sim::TimeUs stale_until = 0;
+    /// Receiver side (volatile), one window per sender incarnation.
+    std::vector<Window> windows;
   };
   struct Pending {
-    Message msg;
-    bool acked = false;
+    MessagePtr msg;
+    sim::EventId retransmit;
   };
 
   [[nodiscard]] const LinkParams& link_params(NodeId a, NodeId b) const;
-  void transmit(const Message& msg, bool count_bytes);
+  [[nodiscard]] static std::uint64_t channel_key(NodeId from, NodeId to) {
+    return (static_cast<std::uint64_t>(from.value()) << 32) | to.value();
+  }
+  Channel& channel(NodeId from, NodeId to) {
+    return channels_[channel_key(from, to)];
+  }
+  void transmit(Channel& ch, const MessagePtr& msg);
   void deliver(const Message& msg);
+  /// Dedup verdict for an arriving `msg`: true the first time since the
+  /// receiver's last crash.
+  bool first_arrival(Channel& ch, const Message& msg);
+  /// One hold on `msg`'s number ended; advance the channel base.
+  static void release(Channel& ch, const Message& msg);
   void deliver_ack(NodeId receiver, NodeId sender, MsgId id);
-  void schedule_retransmit(MsgId id);
+  void arm_retransmit(MsgId id, Pending& p);
 
   sim::Simulator& sim_;
   LinkParams default_link_;
   std::map<std::pair<NodeId, NodeId>, LinkParams> links_;
   std::map<std::pair<NodeId, NodeId>, bool> link_state_;
   std::unordered_map<NodeId, NodeState> nodes_;
+  std::unordered_map<std::uint64_t, Channel> channels_;
   std::unordered_map<MsgId, Pending> outbox_;
   std::vector<NodeStateListener> listeners_;
   NetStats stats_;

@@ -172,13 +172,6 @@ ShipmentManager::ShipmentManager(agent::Platform& platform, NodeId self,
                                  storage::StableStorage& storage)
     : p_(platform), self_(self), txm_(txm), qm_(qm), storage_(storage) {}
 
-void ShipmentManager::after(sim::TimeUs delay, std::function<void()> fn) {
-  const auto epoch = run_epoch_;
-  p_.sim().schedule_after(delay, [this, epoch, fn = std::move(fn)] {
-    if (epoch == run_epoch_) fn();
-  });
-}
-
 void ShipmentManager::encode_frame(Pending& p) {
   const auto& cfg = p_.config();
   // Frame size depends on the delta-vs-full branch below; pre-sizing
@@ -259,7 +252,8 @@ void ShipmentManager::stage_remote(TxId tx, NodeId dest,
     const auto wire = std::max(p.frame.size(), p.record.payload.size());
     const auto timeout = cfg.stage_timeout_us + cfg.ship_convoy_flush_us +
                          4 * p_.net().transfer_time(self_, dest, wire);
-    after(timeout, [this, tx] { timeout_pending(tx); });
+    p.timeout = p_.sim().schedule_after(
+        timeout, [this, tx] { timeout_pending(tx); });
   }
   auto& queue = convoy_queue_[dest];
   queue.push_back(std::move(p));
@@ -271,21 +265,17 @@ void ShipmentManager::stage_remote(TxId tx, NodeId dest,
 }
 
 void ShipmentManager::arm_flush(NodeId dest) {
-  if (flush_armed_.contains(dest)) return;
-  flush_armed_.insert(dest);
-  const auto gen = flush_gen_[dest];
-  after(p_.config().ship_convoy_flush_us, [this, dest, gen] {
-    // A window-full flush in the meantime bumped the generation: this
-    // timer must not cut the NEXT partial convoy's dwell time short.
-    if (gen != flush_gen_[dest]) return;
-    flush_armed_.erase(dest);
-    flush_convoy(dest);
-  });
+  auto& timer = flush_timer_[dest];
+  if (p_.sim().scheduled(timer)) return;
+  timer = p_.sim().schedule_after(p_.config().ship_convoy_flush_us,
+                                  [this, dest] { flush_convoy(dest); });
 }
 
 void ShipmentManager::flush_convoy(NodeId dest) {
-  ++flush_gen_[dest];
-  flush_armed_.erase(dest);
+  if (auto t = flush_timer_.find(dest); t != flush_timer_.end()) {
+    p_.sim().cancel(t->second);
+    flush_timer_.erase(t);
+  }
   auto it = convoy_queue_.find(dest);
   if (it == convoy_queue_.end() || it->second.empty()) return;
   auto batch = std::move(it->second);
@@ -340,8 +330,10 @@ void ShipmentManager::timeout_pending(TxId tx) {
       return;
     }
   }
+  // The staged ack and the crash cancel this timer, so the shipment is
+  // still queued or awaited.
   auto it = awaiting_.find(tx);
-  if (it == awaiting_.end()) return;  // already acked
+  MAR_CHECK_MSG(it != awaiting_.end(), "stage timeout of unknown tx " << tx);
   auto done = std::move(it->second.done);
   awaiting_.erase(it);
   done(false);
@@ -473,6 +465,7 @@ void ShipmentManager::on_convoy_ack(const net::Message& m) {
     if (status == kStaged) {
       Pending p = std::move(it->second);
       awaiting_.erase(it);
+      p_.sim().cancel(p.timeout);
       if (!p.record.payload.empty()) settle_bases(p, peer_epoch);
       p.done(true);
       continue;
@@ -523,16 +516,20 @@ void ShipmentManager::forget_agent(AgentId agent) {
 
 void ShipmentManager::on_node_state(bool up) {
   (void)up;
-  // Every transition invalidates the channel world: timers die with the
-  // run epoch, in-flight shipments are dropped (their coordinator-side
-  // transactions resolve through 2PC recovery), and both cache sides are
-  // cleared — the epoch bump makes any base a remote still references
-  // unmatchable, so the next delta against it is answered need_full.
-  ++run_epoch_;
+  // Every transition invalidates the channel world: timers are cancelled,
+  // in-flight shipments are dropped (their coordinator-side transactions
+  // resolve through 2PC recovery), and both cache sides are cleared — the
+  // epoch bump makes any base a remote still references unmatchable, so
+  // the next delta against it is answered need_full.
+  auto& sim = p_.sim();
+  for (const auto& [dest, queue] : convoy_queue_) {
+    for (const auto& p : queue) sim.cancel(p.timeout);
+  }
+  for (const auto& [tx, p] : awaiting_) sim.cancel(p.timeout);
+  for (const auto& [dest, timer] : flush_timer_) sim.cancel(timer);
   ++epoch_tag_;
   convoy_queue_.clear();
-  flush_armed_.clear();
-  flush_gen_.clear();
+  flush_timer_.clear();
   awaiting_.clear();
   send_cache_.clear();
   recv_cache_.clear();

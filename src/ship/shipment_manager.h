@@ -37,7 +37,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -193,6 +192,7 @@ class ShipmentManager {
     std::uint64_t staged_at = 0;  ///< stage_remote time (convoy_wait span)
     std::shared_ptr<const agent::Agent> agent;  ///< what record.payload encodes
     std::function<void(bool)> done;
+    sim::EventId timeout;  ///< stage timeout; the staged ack cancels it
   };
 
   /// Encode `p.record` as a convoy entry into `p.frame`: a delta against
@@ -211,8 +211,6 @@ class ShipmentManager {
   /// channel again, and drop this node's other bases of the agent that
   /// route can no longer use.
   void settle_bases(Pending& p, std::uint64_t peer_epoch);
-  /// Schedule `fn` after `delay`, cancelled automatically by crash.
-  void after(sim::TimeUs delay, std::function<void()> fn);
 
   agent::Platform& p_;
   NodeId self_;
@@ -228,19 +226,15 @@ class ShipmentManager {
   HandoffListener handoff_;
   /// Entries collecting towards the next convoy, per destination.
   std::map<NodeId, std::vector<Pending>> convoy_queue_;
-  std::set<NodeId> flush_armed_;
-  /// Bumped per destination on every flush: a window-full flush must not
-  /// leave its armed timer behind to cut the NEXT partial convoy's dwell
-  /// time short (same pattern as TxManager's flush generations).
-  std::map<NodeId, std::uint64_t> flush_gen_;
+  /// Armed dwell timer per destination. Every flush cancels it, so it
+  /// never cuts the NEXT partial convoy's dwell time short.
+  std::map<NodeId, sim::EventId> flush_timer_;
   /// Shipments whose convoy left, keyed by transaction.
   std::map<TxId, Pending> awaiting_;
   /// Receive-channel epoch: starts at 1, bumped on every crash/recovery
   /// transition. Carried in every ack so senders tag their bases with the
   /// epoch the receiver held them under.
   std::uint64_t epoch_tag_ = 1;
-  /// Bumped with the node runtime's epoch; cancels pending timers.
-  std::uint64_t run_epoch_ = 0;
   ShipStats stats_;
 };
 

@@ -163,17 +163,15 @@ void TxManager::commit_async(TxId tx, CommitCallback cb) {
   // For piggybacked remotes this is the fallback when the convoy (and its
   // embedded prepare) was lost to a crash: an explicit PREPARE finds no
   // staged state, draws a NO vote, and resolves to presumed abort.
-  const auto epoch = epoch_;
-  auto redrive = [this, tx, epoch](auto&& self_fn) -> void {
-    if (epoch != epoch_) return;
-    auto cit = coords_.find(tx);
-    if (cit == coords_.end() || cit->second.phase != Phase::preparing) return;
-    for (const auto n : cit->second.votes_pending) send(n, msg::prepare, tx);
-    sim_.schedule_after(inquiry_interval_,
-                        [self_fn]() mutable { self_fn(self_fn); });
-  };
-  sim_.schedule_after(inquiry_interval_,
-                      [redrive]() mutable { redrive(redrive); });
+  arm_prepare_redrive(tx, c);
+}
+
+void TxManager::arm_prepare_redrive(TxId tx, Coord& c) {
+  c.redrive = sim_.schedule_after(inquiry_interval_, [this, tx] {
+    Coord& cur = coords_.at(tx);  // leaving `preparing` cancels this timer
+    for (const auto n : cur.votes_pending) send(n, msg::prepare, tx);
+    arm_prepare_redrive(tx, cur);
+  });
 }
 
 void TxManager::abort_tx(TxId tx) {
@@ -195,11 +193,9 @@ void TxManager::note_piggybacked(TxId tx, NodeId node) {
 }
 
 void TxManager::flush_commit_group() {
-  // A direct (window-full) flush supersedes any armed flush timer: the
-  // generation bump keeps a later batch from inheriting the stale, now
-  // too-early deadline.
-  ++flush_gen_;
-  flush_pending_ = false;
+  // A direct (window-full) flush supersedes the armed flush timer: a
+  // later batch must not inherit its stale, now too-early deadline.
+  sim_.cancel(group_flush_);
   if (commit_queue_.empty()) return;
   auto batch = std::move(commit_queue_);
   commit_queue_.clear();
@@ -227,11 +223,9 @@ void TxManager::maybe_begin_checkpoint() {
   if (!stable_.begin_checkpoint()) return;
   trace_pipeline(TxStage::ckpt_begin, TxId(0));
   // The fuzzy window: commits keep flowing while the snapshot "writes".
-  // The epoch guard makes a crash inside the window abandon the attempt —
-  // the previous checkpoint generation stays the recovery base.
-  const auto epoch = epoch_;
-  sim_.schedule_after(checkpoint_write_us_, [this, epoch] {
-    if (epoch != epoch_) return;
+  // A crash inside the window cancels the completion and so abandons the
+  // attempt — the previous checkpoint generation stays the recovery base.
+  checkpoint_done_ = sim_.schedule_after(checkpoint_write_us_, [this] {
     if (stable_.complete_checkpoint()) {
       trace_pipeline(TxStage::ckpt_done, TxId(0));
     }
@@ -239,17 +233,13 @@ void TxManager::maybe_begin_checkpoint() {
 }
 
 void TxManager::schedule_group_flush() {
-  if (flush_pending_) return;
-  flush_pending_ = true;
-  const auto epoch = epoch_;
-  const auto gen = flush_gen_;
-  sim_.schedule_after(group_flush_us_, [this, epoch, gen] {
-    if (epoch != epoch_ || gen != flush_gen_) return;
-    flush_commit_group();
-  });
+  if (sim_.scheduled(group_flush_)) return;
+  group_flush_ =
+      sim_.schedule_after(group_flush_us_, [this] { flush_commit_group(); });
 }
 
 void TxManager::decide_commit(TxId tx, Coord& c) {
+  sim_.cancel(c.redrive);  // no more PREPAREs: every vote is in
   if (group_window_ > 1) {
     // Pipelined coordinator: the decision is made but its durability
     // record queues for the batched flush — many decisions, one sync.
@@ -268,28 +258,22 @@ void TxManager::decide_commit(TxId tx, Coord& c) {
   c.phase = Phase::committing;
   c.acks_pending = c.remotes;
   for (const auto n : c.remotes) send(n, msg::commit, tx);
-  arm_commit_redrive(tx);
+  arm_commit_redrive(tx, c);
 }
 
-void TxManager::arm_commit_redrive(TxId tx) {
-  // Re-drive COMMIT until every participant acknowledged.
-  const auto epoch = epoch_;
-  auto redrive = [this, tx, epoch](auto&& self_fn) -> void {
-    if (epoch != epoch_) return;
-    auto cit = coords_.find(tx);
-    if (cit == coords_.end() || cit->second.phase != Phase::committing) return;
-    for (const auto n : cit->second.acks_pending) send(n, msg::commit, tx);
-    sim_.schedule_after(inquiry_interval_,
-                        [self_fn]() mutable { self_fn(self_fn); });
-  };
-  sim_.schedule_after(inquiry_interval_,
-                      [redrive]() mutable { redrive(redrive); });
+void TxManager::arm_commit_redrive(TxId tx, Coord& c) {
+  // Re-drive COMMIT until every participant acknowledged; the ack drain
+  // (finish) cancels it.
+  c.redrive = sim_.schedule_after(inquiry_interval_, [this, tx] {
+    Coord& cur = coords_.at(tx);
+    for (const auto n : cur.acks_pending) send(n, msg::commit, tx);
+    arm_commit_redrive(tx, cur);
+  });
 }
 
 void TxManager::flush_decision_group() {
-  ++decision_flush_gen_;
-  decision_flush_pending_ = false;
-  decision_flush_hot_ = false;
+  sim_.cancel(decision_dwell_);
+  sim_.cancel(decision_hot_);
   if (decision_queue_.empty()) return;
   auto batch = std::move(decision_queue_);
   decision_queue_.clear();
@@ -317,33 +301,26 @@ void TxManager::flush_decision_group() {
     auto it = coords_.find(tx);
     MAR_CHECK(it != coords_.end());
     for (const auto n : it->second.acks_pending) send(n, msg::commit, tx);
-    arm_commit_redrive(tx);
+    arm_commit_redrive(tx, it->second);
     trace_pipeline(TxStage::flushed, tx);
   }
   maybe_begin_checkpoint();
 }
 
 void TxManager::schedule_decision_flush(bool hot) {
-  const auto epoch = epoch_;
-  const auto gen = decision_flush_gen_;
   if (hot) {
-    if (decision_flush_hot_) return;
-    decision_flush_hot_ = true;
+    if (sim_.scheduled(decision_hot_)) return;
     // after(0) runs behind the message deliveries already queued for this
     // instant, so a burst of votes larger than the window still lands in
     // ONE batch (the window is a floor for the flush, not a batch cap).
-    sim_.schedule_after(0, [this, epoch, gen] {
-      if (epoch != epoch_ || gen != decision_flush_gen_) return;
-      flush_decision_group();
-    });
+    decision_hot_ = sim_.schedule_after(0, [this] { flush_decision_group(); });
     return;
   }
-  if (decision_flush_pending_ || decision_flush_hot_) return;
-  decision_flush_pending_ = true;
-  sim_.schedule_after(group_flush_us_, [this, epoch, gen] {
-    if (epoch != epoch_ || gen != decision_flush_gen_) return;
-    flush_decision_group();
-  });
+  if (sim_.scheduled(decision_dwell_) || sim_.scheduled(decision_hot_)) {
+    return;
+  }
+  decision_dwell_ =
+      sim_.schedule_after(group_flush_us_, [this] { flush_decision_group(); });
 }
 
 void TxManager::decide_abort(TxId tx, Coord& c) {
@@ -353,6 +330,7 @@ void TxManager::decide_abort(TxId tx, Coord& c) {
 }
 
 void TxManager::finish(TxId tx, Coord& c, bool committed) {
+  sim_.cancel(c.redrive);
   auto cb = std::move(c.callback);
   if (c.counted) inflight_remove();
   coords_.erase(tx);
@@ -374,7 +352,7 @@ void TxManager::clear_prepared_marker(TxId tx) {
 void TxManager::note_remote_staged(TxId tx) {
   const NodeId coord = coordinator_of(tx);
   if (coord == self_) return;
-  if (in_doubt_.emplace(tx, coord).second) schedule_inquiry(tx);
+  if (in_doubt_.emplace(tx, InDoubt{coord, {}}).second) schedule_inquiry(tx);
 }
 
 void TxManager::handle_prepare(TxId tx, NodeId coordinator) {
@@ -412,7 +390,7 @@ void TxManager::handle_prepare(TxId tx, NodeId coordinator) {
     persist_prepared_marker(tx);
     stable_.sync();  // durable before the YES vote leaves this node
     ++participant_syncs_;
-    in_doubt_.emplace(tx, coordinator);
+    in_doubt_.emplace(tx, InDoubt{coordinator, {}});
     schedule_inquiry(tx);
   }
   send(coordinator, msg::vote, tx, ok);
@@ -434,13 +412,12 @@ void TxManager::handle_commit(TxId tx, NodeId coordinator) {
   commit_locals(tx);
   stable_.sync();
   ++participant_syncs_;
-  in_doubt_.erase(tx);
+  end_in_doubt(tx);
   send(coordinator, msg::commit_ack, tx);
 }
 
 void TxManager::flush_participant_group() {
-  ++part_flush_gen_;
-  part_flush_pending_ = false;
+  sim_.cancel(part_flush_);
   if (prepare_queue_.empty() && apply_queue_.empty()) return;
   auto applies = std::move(apply_queue_);
   apply_queue_.clear();
@@ -451,7 +428,7 @@ void TxManager::flush_participant_group() {
   // apply only needs the shared barrier before the ack leaves.
   for (const auto& a : applies) {
     commit_locals(a.tx);
-    in_doubt_.erase(a.tx);
+    end_in_doubt(a.tx);
     durable_work = true;
   }
   struct Vote {
@@ -475,7 +452,7 @@ void TxManager::flush_participant_group() {
     if (any && ok) {
       persist_prepared_marker(pnd.tx);
       durable_work = true;
-      in_doubt_.emplace(pnd.tx, pnd.coordinator);
+      in_doubt_.emplace(pnd.tx, InDoubt{pnd.coordinator, {}});
       schedule_inquiry(pnd.tx);
     }
     votes.push_back(Vote{pnd.tx, pnd.coordinator, any && ok});
@@ -493,19 +470,14 @@ void TxManager::flush_participant_group() {
 }
 
 void TxManager::schedule_participant_flush() {
-  if (part_flush_pending_) return;
-  part_flush_pending_ = true;
-  const auto epoch = epoch_;
-  const auto gen = part_flush_gen_;
-  sim_.schedule_after(group_flush_us_, [this, epoch, gen] {
-    if (epoch != epoch_ || gen != part_flush_gen_) return;
-    flush_participant_group();
-  });
+  if (sim_.scheduled(part_flush_)) return;
+  part_flush_ = sim_.schedule_after(group_flush_us_,
+                                    [this] { flush_participant_group(); });
 }
 
 void TxManager::handle_abort(TxId tx) {
   abort_locals(tx);
-  in_doubt_.erase(tx);
+  end_in_doubt(tx);
 }
 
 void TxManager::handle_inquiry(TxId tx, NodeId from) {
@@ -528,17 +500,24 @@ void TxManager::handle_decision(TxId tx, bool committed) {
 }
 
 void TxManager::schedule_inquiry(TxId tx) {
-  const auto epoch = epoch_;
-  auto again = [this, tx, epoch](auto&& self_fn) -> void {
-    if (epoch != epoch_) return;
-    auto it = in_doubt_.find(tx);
-    if (it == in_doubt_.end()) return;
-    send(it->second, msg::inquiry, tx);
-    sim_.schedule_after(inquiry_interval_,
-                        [self_fn]() mutable { self_fn(self_fn); });
-  };
-  sim_.schedule_after(inquiry_interval_,
-                      [again]() mutable { again(again); });
+  auto& chains = in_doubt_.at(tx).inquiries;
+  chains.emplace_back();
+  arm_inquiry(tx, chains.size() - 1);
+}
+
+void TxManager::arm_inquiry(TxId tx, std::size_t chain) {
+  in_doubt_.at(tx).inquiries[chain] =
+      sim_.schedule_after(inquiry_interval_, [this, tx, chain] {
+        send(in_doubt_.at(tx).coordinator, msg::inquiry, tx);
+        arm_inquiry(tx, chain);
+      });
+}
+
+void TxManager::end_in_doubt(TxId tx) {
+  auto it = in_doubt_.find(tx);
+  if (it == in_doubt_.end()) return;
+  for (const auto id : it->second.inquiries) sim_.cancel(id);
+  in_doubt_.erase(it);
 }
 
 // --------------------------------------------------------------------------
@@ -591,21 +570,26 @@ void TxManager::on_message(const net::Message& m) {
 }
 
 void TxManager::on_crash() {
-  ++epoch_;
+  // Every timer of this node dies with the volatile state it served.
+  for (const auto& [tx, c] : coords_) sim_.cancel(c.redrive);
+  for (const auto& [tx, d] : in_doubt_) {
+    for (const auto id : d.inquiries) sim_.cancel(id);
+  }
+  for (const auto id : {group_flush_, decision_dwell_, decision_hot_,
+                        part_flush_, checkpoint_done_}) {
+    sim_.cancel(id);
+  }
   coords_.clear();
   in_doubt_.clear();
   // Queued-but-unflushed group commits die with the crash: nothing of
   // them reached stable storage, their staging is volatile, and their
   // records stay queued (restartability).
   commit_queue_.clear();
-  flush_pending_ = false;
   // Queued decisions were never persisted: their prepared remote
   // participants resolve to presumed abort through the inquiry protocol,
   // the local staging dies with the crash — exactly-once holds because
   // nothing was applied anywhere.
   decision_queue_.clear();
-  decision_flush_pending_ = false;
-  decision_flush_hot_ = false;
   inflight_ = 0;
   stats_.inflight_tx.store(0);
   // Likewise the participant-side batch: queued prepares never voted (the
@@ -613,12 +597,10 @@ void TxManager::on_crash() {
   // are re-driven by the coordinator / resolved by inquiry.
   prepare_queue_.clear();
   apply_queue_.clear();
-  part_flush_pending_ = false;
   for (auto* p : participants_) p->on_crash();
 }
 
 void TxManager::on_recover() {
-  ++epoch_;
   // Participant side: every prepared marker is a remote coordinator's
   // transaction (this node's own participants never persist a prepare);
   // ask its coordinator for the outcome.
@@ -627,7 +609,7 @@ void TxManager::on_recover() {
         const TxId tx(std::stoull(key.substr(7)));
         MAR_DCHECK_MSG(coordinator_of(tx) != self_,
                        "prepared marker of self-coordinated tx " << tx);
-        in_doubt_.emplace(tx, coordinator_of(tx));
+        in_doubt_.emplace(tx, InDoubt{coordinator_of(tx), {}});
         schedule_inquiry(tx);
       });
   // Coordinator side: re-drive every decided-but-unfinished transaction.
@@ -654,7 +636,7 @@ void TxManager::on_recover() {
     MAR_CHECK(inserted);
     // Re-arm the COMMIT re-drive loop. The rebuilt entry is not counted
     // in the inflight gauge: its caller's callback died with the crash.
-    arm_commit_redrive(tx);
+    arm_commit_redrive(tx, it->second);
   }
 }
 

@@ -190,8 +190,8 @@ class TxManager {
   /// Fuzzy record-log checkpoints: whenever a group-commit flush observes
   /// >= `interval_bytes` of new record-log writes since the last
   /// checkpoint, begin one — snapshot at the current LSN without stalling
-  /// the pipeline — and complete it `write_us` later on an epoch-guarded
-  /// timer, so a crash inside the window simply abandons the attempt (the
+  /// the pipeline — and complete it `write_us` later on a timer the crash
+  /// cancels, so a crash inside the window simply abandons the attempt (the
   /// previous generation stays valid). 0 disables.
   void set_checkpoint(std::size_t interval_bytes, sim::TimeUs write_us) {
     checkpoint_interval_bytes_ = interval_bytes;
@@ -223,6 +223,16 @@ class TxManager {
     bool counted = false;
     std::uint32_t voters = 0;  ///< local votes, see prepare_locals
     CommitCallback callback;
+    /// PREPARE re-drive while preparing, COMMIT re-drive while committing;
+    /// cancelled when the phase ends.
+    sim::EventId redrive;
+  };
+  /// A participant awaiting its outcome. Each chain re-sends an INQUIRY
+  /// every inquiry_interval_; the staging, each YES vote and recovery
+  /// start one, and all die when the outcome arrives.
+  struct InDoubt {
+    NodeId coordinator;
+    std::vector<sim::EventId> inquiries;
   };
 
   // Coordinator internals.
@@ -240,7 +250,8 @@ class TxManager {
   /// already queued for this timestamp, so a burst of votes larger than
   /// the window shares one barrier; otherwise dwell group_flush_us_.
   void schedule_decision_flush(bool hot);
-  void arm_commit_redrive(TxId tx);
+  void arm_prepare_redrive(TxId tx, Coord& c);
+  void arm_commit_redrive(TxId tx, Coord& c);
   /// Inflight gauge maintenance (mirrors into stats_, tracks high water).
   void inflight_add();
   void inflight_remove();
@@ -264,7 +275,11 @@ class TxManager {
   void handle_decision(TxId tx, bool committed);
   void persist_prepared_marker(TxId tx);
   void clear_prepared_marker(TxId tx);
+  /// Start one more inquiry chain for the in-doubt `tx`.
   void schedule_inquiry(TxId tx);
+  void arm_inquiry(TxId tx, std::size_t chain);
+  /// The outcome of `tx` is known here: stop asking for it.
+  void end_in_doubt(TxId tx);
   void trace_pipeline(TxStage stage, TxId tx);
   /// Checkpoint trigger, evaluated at every batched flush point (the
   /// moments this node already pays a durability barrier).
@@ -280,21 +295,19 @@ class TxManager {
   std::vector<Participant*> participants_;
   std::map<TxId, Coord> coords_;
   /// Transactions this node has prepared as a participant and whose
-  /// outcome is still unknown (coordinator field for inquiries).
-  std::map<TxId, NodeId> in_doubt_;
+  /// outcome is still unknown.
+  std::map<TxId, InDoubt> in_doubt_;
   std::uint64_t next_tx_ = 1;
   sim::TimeUs inquiry_interval_ = 200'000;  // 200 ms
-  std::uint64_t epoch_ = 0;  ///< bumped on crash; cancels stale timers
 
   /// Decided-but-unsynced local commits (tx, voters, callback) awaiting
   /// the group flush. Their participants still hold locks and volatile
   /// staging, nothing durable; a crash before the flush loses both
   /// (nothing was applied), which is the crash atomicity of a batched sync.
   std::vector<std::tuple<TxId, std::uint32_t, CommitCallback>> commit_queue_;
-  bool flush_pending_ = false;
-  /// Bumped on every flush; invalidates armed flush timers so a batch
+  /// Dwell timer of commit_queue_; every flush cancels it, so a batch
   /// never inherits the previous batch's deadline.
-  std::uint64_t flush_gen_ = 0;
+  sim::EventId group_flush_;
   std::uint32_t group_window_ = 1;
   sim::TimeUs group_flush_us_ = 100;
 
@@ -303,6 +316,8 @@ class TxManager {
   sim::TimeUs checkpoint_write_us_ = 500;
   /// appended_bytes() watermark at the last checkpoint begin.
   std::uint64_t checkpoint_mark_ = 0;
+  /// Completes the checkpoint in progress; a crash cancels it.
+  sim::EventId checkpoint_done_;
 
   /// Pipelined coordinator (window > 1): fully-voted distributed commits
   /// whose decision records await the batched durability flush. Volatile —
@@ -310,9 +325,8 @@ class TxManager {
   /// participants resolve to presumed abort through their inquiries,
   /// exactly as if the coordinator had never decided.
   std::vector<TxId> decision_queue_;
-  bool decision_flush_pending_ = false;  ///< dwell timer armed
-  bool decision_flush_hot_ = false;      ///< same-instant flush armed
-  std::uint64_t decision_flush_gen_ = 0;
+  sim::EventId decision_dwell_;  ///< dwell flush timer
+  sim::EventId decision_hot_;    ///< same-instant flush
 
   /// Coordinated transactions begun but not yet done (plain counter: all
   /// mutation happens on the owning sim thread; stats_ carries the
@@ -333,8 +347,7 @@ class TxManager {
   };
   std::vector<PendingPart> prepare_queue_;
   std::vector<PendingPart> apply_queue_;
-  bool part_flush_pending_ = false;
-  std::uint64_t part_flush_gen_ = 0;
+  sim::EventId part_flush_;
   std::function<void()> apply_listener_;
   std::uint64_t participant_syncs_ = 0;
 };

@@ -355,5 +355,51 @@ TEST(PlatformTest, RetainedStateTracksLiveAgentsNotServedOnes) {
   EXPECT_EQ(retained(w, 4).dedup_entries, after_3n.dedup_entries);
 }
 
+TEST(PlatformTest, NoTimerOutlivesItsReason) {
+  // Once the last message of a crash-free run has landed, the world must
+  // go quiet within one link round trip: no retransmit (50 ms), inquiry or
+  // re-drive (200 ms) or stage-timeout (2 s) timer may still be armed for
+  // a reason that already ended. Both commit paths: pipelined (convoy
+  // frames carry the PREPARE) and one sync per commit.
+  for (const std::uint32_t window : {4u, 1u}) {
+    SCOPED_TRACE(window);
+    PlatformConfig cfg;
+    cfg.group_commit_window = window;
+    cfg.ship_convoy_window = window;
+    TestWorld w(cfg);
+    register_workload(w.platform);
+    std::vector<AgentId> ids;
+    for (int i = 0; i < 4; ++i) {
+      auto migrating = std::make_unique<WorkloadAgent>();
+      migrating->itinerary() = single_sub(
+          {{"noop", 1}, {"noop", 2}, {"noop", 3}, {"noop", 4}, {"noop", 1}});
+      auto id = w.platform.launch(std::move(migrating));
+      ASSERT_TRUE(id.is_ok());
+      ids.push_back(id.value());
+    }
+    ASSERT_TRUE(w.platform.run_until_all_finished(ids));
+    sim::TimeUs last_delivery = w.sim.now();
+    std::uint64_t delivered = w.net.stats().messages_delivered;
+    while (w.sim.step()) {
+      if (w.net.stats().messages_delivered != delivered) {
+        delivered = w.net.stats().messages_delivered;
+        last_delivery = w.sim.now();
+      }
+    }
+    for (const auto id : ids) {
+      ASSERT_EQ(w.platform.outcome(id).state,
+                agent::AgentOutcome::State::done);
+    }
+    EXPECT_GT(w.platform.spans().count(EventKind::migrate), 0u);
+    const auto round_trip =
+        2 * w.net.transfer_time(TestWorld::n(1), TestWorld::n(2),
+                                net::Message::kHeaderBytes);
+    EXPECT_LE(w.sim.now() - last_delivery, round_trip)
+        << "drained at " << w.sim.now() << " us, last delivery at "
+        << last_delivery << " us";
+    EXPECT_EQ(w.net.unacked(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace mar

@@ -2,6 +2,11 @@
 // (latency/bandwidth cost model, reliable transport, fault handling).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <memory>
+#include <utility>
+
 #include "net/fault_injector.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -70,6 +75,113 @@ TEST(SimulatorTest, RunWhilePendingStopsOnPredicate) {
   const bool hit = sim.run_while_pending([&] { return count == 4; });
   EXPECT_TRUE(hit);
   EXPECT_EQ(count, 4);
+}
+
+TEST(SimulatorTest, CancelMatchesReferenceModel) {
+  // Random schedule / cancel / step sequences against a reference queue
+  // ordered by (at, seq): the executed order and pending() must agree,
+  // and cancel must report exactly the ids the reference still holds.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    sim::Simulator sim;
+    std::map<std::pair<sim::TimeUs, std::uint64_t>, int> ref;
+    std::vector<std::pair<sim::EventId, std::pair<sim::TimeUs, std::uint64_t>>>
+        ids;
+    std::vector<int> ran;
+    std::vector<int> expected;
+    std::uint64_t seq = 0;
+    int label = 0;
+    for (int op = 0; op < 3000; ++op) {
+      const auto dice = rng.next_below(10);
+      if (dice < 5) {
+        const sim::TimeUs at = sim.now() + rng.next_below(21);
+        const int l = label++;
+        const auto id = sim.schedule_at(at, [&ran, l] { ran.push_back(l); });
+        ref.emplace(std::make_pair(at, seq), l);
+        ids.emplace_back(id, std::make_pair(at, seq));
+        ++seq;
+      } else if (dice < 7 && !ids.empty()) {
+        const auto& [id, key] =
+            ids[rng.next_below(ids.size())];
+        EXPECT_EQ(sim.cancel(id), ref.erase(key) == 1);
+      } else if (!ref.empty()) {
+        expected.push_back(ref.begin()->second);
+        ref.erase(ref.begin());
+        ASSERT_TRUE(sim.step());
+      }
+      ASSERT_EQ(sim.pending(), ref.size());
+    }
+    for (const auto& [key, l] : ref) expected.push_back(l);
+    sim.run();
+    EXPECT_EQ(ran, expected);
+    EXPECT_EQ(sim.pending(), 0u);
+  }
+}
+
+TEST(SimulatorTest, StaleIdCannotCancelReusedSlot) {
+  sim::Simulator sim;
+  int fired = 0;
+  const auto first = sim.schedule_at(10, [&] { ++fired; });
+  sim.run();
+  const auto second = sim.schedule_at(20, [&] { fired += 10; });
+  ASSERT_EQ(first.slot, second.slot);  // the slot was reused
+  EXPECT_FALSE(sim.scheduled(first));
+  EXPECT_FALSE(sim.cancel(first));     // generation check
+  EXPECT_TRUE(sim.scheduled(second));
+  sim.run();
+  EXPECT_EQ(fired, 11);
+  EXPECT_FALSE(sim.cancel(second));    // already ran
+  EXPECT_FALSE(sim.cancel(sim::EventId{}));
+}
+
+TEST(SimulatorTest, EventCancelsSameInstantSibling) {
+  sim::Simulator sim;
+  std::vector<int> order;
+  sim::EventId sibling;
+  sim.schedule_at(5, [&] {
+    order.push_back(1);
+    EXPECT_TRUE(sim.cancel(sibling));
+    EXPECT_FALSE(sim.cancel(sibling));  // cancelled ids stay cancelled
+  });
+  sibling = sim.schedule_at(5, [&] { order.push_back(2); });
+  sim.schedule_at(5, [&] { order.push_back(3); });
+  EXPECT_EQ(sim.pending(), 3u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+TEST(SimulatorTest, CancellingTheRunningEventIsANoOp) {
+  sim::Simulator sim;
+  sim::EventId self;
+  int runs = 0;
+  self = sim.schedule_at(7, [&] {
+    ++runs;
+    EXPECT_FALSE(sim.scheduled(self));
+    EXPECT_FALSE(sim.cancel(self));
+    // Its slot is free already: a new event may take it and must survive.
+    const auto next = sim.schedule_after(1, [&] { ++runs; });
+    EXPECT_FALSE(sim.cancel(self));
+    EXPECT_TRUE(sim.scheduled(next));
+  });
+  sim.run();
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(sim.now(), 8u);
+}
+
+TEST(SimulatorTest, LargeCapturesAreMovedNotCopied) {
+  sim::Simulator sim;
+  auto payload = std::make_unique<std::array<std::uint64_t, 32>>();
+  (*payload)[31] = 42;
+  std::uint64_t seen = 0;
+  std::array<std::uint64_t, 16> wide{};  // beyond the inline buffer
+  wide[15] = 1;
+  sim.schedule_after(1, [&seen, wide, p = std::move(payload)] {
+    seen = (*p)[31] + wide[15];
+  });
+  sim.run();
+  EXPECT_EQ(seen, 43u);
 }
 
 struct NetFixture : ::testing::Test {
@@ -178,6 +290,82 @@ TEST_F(NetFixture, CrashNotifiesSubscribers) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_FALSE(events[0].second);
   EXPECT_TRUE(events[1].second);
+}
+
+TEST_F(NetFixture, DedupStateIsBoundedByTheUnackedWindow) {
+  add(1);
+  add(2);
+  for (int round = 0; round < 10; ++round) {
+    for (int i = 0; i < 100; ++i) net.send(msg(1, 2, "x", i % 7 * 100));
+    // Mid-flight: never more than a watermark per sender plus the
+    // numbers delivered above it, all of them still unacked.
+    for (int i = 0; i < 150 && sim.step(); ++i) {
+      ASSERT_LE(net.dedup_entries(NodeId(2)), 1 + net.unacked());
+    }
+    sim.run();
+  }
+  EXPECT_EQ(received.size(), 1000u);
+  EXPECT_EQ(net.unacked(), 0u);
+  EXPECT_EQ(net.dedup_entries(NodeId(2)), 1u);  // one watermark, nothing else
+
+  // A receiver crash forgets the watermark; the sender's low-water mark
+  // restores it at the next arrival instead of leaving a gap to fill.
+  net.crash_node(NodeId(2));
+  net.recover_node(NodeId(2));
+  for (int i = 0; i < 10; ++i) net.send(msg(1, 2, "y"));
+  sim.run();
+  EXPECT_EQ(received.size(), 1010u);
+  EXPECT_EQ(net.dedup_entries(NodeId(2)), 1u);
+
+  // A sender crash loses its unacked numbers for good; the new
+  // incarnation's numbering does not wait for them.
+  net.crash_node(NodeId(2));
+  for (int i = 0; i < 5; ++i) net.send(msg(1, 2, "lost"));
+  sim.run_until(sim.now() + 10'000);  // dropped at the crashed receiver
+  net.crash_node(NodeId(1));
+  net.recover_node(NodeId(1));
+  net.recover_node(NodeId(2));
+  for (int i = 0; i < 50; ++i) net.send(msg(1, 2, "z"));
+  sim.run();
+  EXPECT_EQ(received.size(), 1060u);
+  EXPECT_EQ(received.back().second, "z");
+  EXPECT_EQ(net.dedup_entries(NodeId(2)), 1u);
+
+  // Copies of the old incarnation already in flight when the sender
+  // crashes still land once, under their own window, which goes once the
+  // last of them has landed.
+  for (int i = 0; i < 5; ++i) net.send(msg(1, 2, "straggler"));
+  net.crash_node(NodeId(1));
+  net.recover_node(NodeId(1));
+  net.send(msg(1, 2, "fresh"));
+  sim.run();
+  EXPECT_EQ(received.size(), 1066u);
+  EXPECT_EQ(net.dedup_entries(NodeId(2)), 2u);  // both incarnations
+  sim.run_until(sim.now() + 1'000);
+  net.send(msg(1, 2, "later"));
+  sim.run();
+  EXPECT_EQ(received.size(), 1067u);
+  EXPECT_EQ(net.dedup_entries(NodeId(2)), 1u);
+}
+
+TEST_F(NetFixture, RetransmissionWhoseAckWasLostIsSuppressed) {
+  add(1);
+  add(2);
+  net.send(msg(1, 2, "x"));
+  // Delivered at 539 us; its ack would land at 1051 us. Take the link
+  // down in between, past the first retransmission (lost as well), so the
+  // second retransmission reaches a receiver that already has the message.
+  net::FaultInjector faults(sim, net);
+  faults.link_down_at(NodeId(1), NodeId(2), 600, 60'000);
+  sim.run();
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(net.stats().messages_delivered, 1u);
+  EXPECT_EQ(net.stats().transmissions, 3u);
+  EXPECT_EQ(net.unacked(), 0u);
+  // The drain ends at the duplicate's ack: no retransmit timer survives it.
+  EXPECT_EQ(sim.now(), 100'000u +
+                           net.transfer_time(NodeId(1), NodeId(2), 49) +
+                           net.transfer_time(NodeId(2), NodeId(1), 16));
 }
 
 TEST(FaultInjectorTest, ScheduledCrashesFire) {

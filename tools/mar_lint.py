@@ -46,6 +46,15 @@ Rules (each with a stable id used in messages and suppressions):
                         flight recorder report. Intentionally private
                         counters annotate
                         `// mar-lint: unregistered-stat`.
+  R9 timer-owned        In src/net/, src/tx/ and src/ship/ the EventId a
+                        schedule_at / schedule_after / after( call returns
+                        is kept, so the timer can be cancelled when its
+                        reason ends instead of firing later to find
+                        nothing to do. A discarded result is allowed only
+                        for timers that always do work when they fire
+                        (deliveries, same-instant hand-offs), annotated
+                        `// mar-lint: one-shot` on the line or the line
+                        above.
 
 Usage:
   tools/mar_lint.py [--root REPO] [FILES...]   lint src/ (or FILES)
@@ -229,6 +238,41 @@ def check_record_scope(relpath, path, lines, findings):
                                     "liveness; stage via stage_record_*"))
 
 
+# --- R9: timers in the protocol layers keep their EventId ----------------
+
+TIMER_OWNED_PREFIXES = ("src/net/", "src/tx/", "src/ship/")
+# A statement that starts with the call: its result is discarded.
+DISCARDED_TIMER_RE = re.compile(
+    r"^(?:[\w:]+(?:\(\))?\s*(?:\.|->)\s*)*"
+    r"(schedule_at|schedule_after|after)\s*\(")
+# A previous line ending like this makes the call part of a longer
+# expression (an assignment or return split over two lines).
+CONTINUED_RE = re.compile(r"(?:=|\(|,|\?|:|&&|\|\||\breturn)\s*$")
+
+
+def check_timer_owned(relpath, path, lines, findings):
+    if not relpath.startswith(TIMER_OWNED_PREFIXES):
+        return
+    prev = ""
+    for i, line in enumerate(lines, 1):
+        code = strip_noise(line).strip()
+        m = DISCARDED_TIMER_RE.match(code)
+        continued = CONTINUED_RE.search(prev) is not None
+        if code:
+            prev = code
+        if not m or continued:
+            continue
+        here_or_above = line + (lines[i - 2] if i >= 2 else "")
+        if "mar-lint: one-shot" in here_or_above:
+            continue
+        findings.append(Finding(path, i, "R9",
+                                f"discarded `{m.group(1)}` result: keep "
+                                "the EventId and cancel the timer when "
+                                "its reason ends (or annotate a timer "
+                                "that always does work `// mar-lint: "
+                                "one-shot`)"))
+
+
 # --- R8: RelaxedCounter fields registered with the metrics registry --------
 
 COUNTER_FIELD_RE = re.compile(r"\bRelaxedCounter\s+(\w+)\s*;")
@@ -341,6 +385,7 @@ def run_lint(root, explicit_files=None):
         check_raw_random(relpath, relpath, lines, findings)
         check_no_blocking_wait(relpath, relpath, lines, findings)
         check_record_scope(relpath, relpath, lines, findings)
+        check_timer_owned(relpath, relpath, lines, findings)
     if not explicit_files:
         check_event_registered(root, findings)
         check_stat_registered(root, findings)
@@ -388,6 +433,15 @@ void rogue_blocking_commit(std::condition_variable& cv,
   cv.wait(lk);
 }
 """,
+    "src/net/rogue_timer.cc": """
+void mar::net::Rogue::arm(MsgId id) {
+  // A guard-and-return timer: fires long after the ack made it moot.
+  sim_.schedule_after(retransmit_interval_, [this, id] {
+    if (!outbox_.contains(id)) return;
+    resend(id);
+  });
+}
+""",
     "src/net/rogue_stats.h": """
 #include "util/counters.h"
 namespace mar::net {
@@ -419,8 +473,12 @@ void good_staged_record(mar::tx::TxHandle& tx) {
 """,
     "src/tx/good_timer.cc": """
 void good_flush_timer(mar::sim::Simulator& sim, mar::FlushHelper& helper) {
-  // Dwell is a simulator timer, never a blocking wait.
-  sim.schedule_after(100, [] {});
+  // Dwell is a simulator timer, never a blocking wait; its id is kept.
+  helper.flush = sim.schedule_after(100, [] {});
+  helper.hot =
+      sim.schedule_after(0, [] {});
+  // mar-lint: one-shot (a delivery)
+  sim.schedule_after(5, [&helper] { helper.deliver(); });
   helper.cv.wait(helper.lk);  // mar-lint: flush-timer
   auto pending = helper.awaiting_.find(7);  // `awaiting_` is not a wait
   (void)pending;
@@ -459,7 +517,8 @@ def self_test():
 
         findings = run_lint(root)
         fired = {f.rule for f in findings}
-        expected = {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"}
+        expected = {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
+                    "R9"}
         ok = True
         for rule in sorted(expected):
             status = "fires" if rule in fired else "MISSED"
