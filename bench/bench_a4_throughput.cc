@@ -64,7 +64,8 @@ FleetResult run_fleet(int fleet, std::uint32_t concurrency, bool contended,
   cfg.node_concurrency = concurrency;
   cfg.span_tracing = tracing;
   // A4 measures the slotted scheduler against exact serialized makespans,
-  // so group commit is pinned off; A6/A7 sweep that knob deliberately.
+  // so every commit flushes at once (window 1); A6/A7 sweep that knob
+  // deliberately.
   cfg.group_commit_window = 1;
   TestWorld w(cfg, /*node_count=*/1, seed);
   harness::register_workload(w.platform);

@@ -713,33 +713,25 @@ void NodeRuntime::stage_and_commit(TxId tx, NodeId dest, QueueRecord record,
   // Remote staging rides the destination's convoy: the shipment manager
   // batches transfers, delta-ships against the channel cache and handles
   // full-image fallback and timeouts.
+  // The convoy frame carries the PREPARE, so the commit machinery starts
+  // now: one round trip covers transfer + vote, and the batched decision
+  // flush amortizes the coordinator sync across every transaction decided
+  // in the window. The continuation in `done` re-pumps the scheduler slot
+  // at ack drain. Until the staged ack the shipment timeout owns the
+  // failure window; it aborts only while votes are still outstanding
+  // (once decided, it is stale). From the staged ack on, the PREPARE
+  // re-drive covers a lost vote.
   txm_.enlist_remote(tx, dest);
-  if (txm_.pipelined()) {
-    // Pipelined commit: the convoy frame carries the PREPARE, so the
-    // commit machinery starts NOW instead of after a staging ack round
-    // trip — one round trip covers transfer + vote, and the batched
-    // decision flush amortizes the coordinator sync across every
-    // transaction decided in the window. The continuation in `done`
-    // re-pumps the scheduler slot at ack drain. A shipment timeout
-    // aborts only while votes are still outstanding (once decided, the
-    // timeout is stale).
-    txm_.note_piggybacked(tx, dest);
-    ship_.stage_remote(tx, dest, std::move(record), std::move(agent),
-                       [this, tx](bool ok) {
-                         if (!ok) txm_.abort_if_preparing(tx);
-                       });
-    txm_.commit_async(tx, std::move(done));
-    return;
-  }
+  txm_.note_piggybacked(tx, dest);
   ship_.stage_remote(tx, dest, std::move(record), std::move(agent),
-                     [this, tx, done = std::move(done)](bool ok) {
-                       if (!ok) {
-                         txm_.abort_tx(tx);
-                         done(false);
-                         return;
+                     [this, tx, dest](bool ok) {
+                       if (ok) {
+                         txm_.note_staged(tx, dest);
+                       } else {
+                         txm_.abort_if_preparing(tx);
                        }
-                       txm_.commit_async(tx, done);
                      });
+  txm_.commit_async(tx, std::move(done));
 }
 
 void NodeRuntime::fail_agent(TxId tx, const QueueRecord& rec, Status status) {

@@ -84,11 +84,12 @@ struct PlatformConfig {
   /// flushed — participants applied, one metered stable-storage sync,
   /// callbacks — once this many commits are pending or after
   /// group_commit_flush_us. Amortizes the per-commit sync across the
-  /// slots of a busy node (syncs/step < 1); 1 syncs every commit. A
-  /// window > 1 also coalesces PARTICIPANT-side 2PC work: prepares and
-  /// commit-applies arriving within the window share one metered sync
-  /// each (votes/acks leave only after the batched sync), with
-  /// crash-before-flush presuming abort exactly like the local queue.
+  /// slots of a busy node (syncs/step < 1). The same window batches the
+  /// rest of 2PC: coordinator decisions, and PARTICIPANT-side prepares
+  /// and commit-applies, share one metered sync per flush (votes/acks
+  /// leave only after the batched sync), with crash-before-flush
+  /// presuming abort exactly like the local queue. 1 flushes each
+  /// commit at once, through the same pipeline.
   std::uint32_t group_commit_window = 4;
   sim::TimeUs group_commit_flush_us = 100;
 

@@ -12,14 +12,11 @@ namespace mar::ship {
 
 namespace {
 
-/// Convoy entry modes.
+/// Convoy entry modes. Every entry doubles as the 2PC PREPARE for its
+/// transaction, so a transfer costs one round trip — no tx.prepare
+/// message crosses the wire for a convoyed hop.
 constexpr std::uint8_t kFullFrame = 0;
 constexpr std::uint8_t kDeltaFrame = 1;
-/// OR'd into the frame-mode byte when the coordinator runs the pipelined
-/// commit path: the convoy entry doubles as the 2PC PREPARE for its
-/// transaction, so a transfer costs one round trip — no tx.prepare
-/// message ever crosses the wire for a convoyed hop.
-constexpr std::uint8_t kPrepareFlag = 2;
 /// Per-entry ack statuses.
 constexpr std::uint8_t kStaged = 0;
 constexpr std::uint8_t kNeedFull = 1;
@@ -178,9 +175,6 @@ void ShipmentManager::encode_frame(Pending& p) {
   // would have to run the diff twice.
   serial::Encoder enc;  // mar-lint: small-frame
   enc.write_u64(p.tx.value());
-  // Piggybacked PREPARE: with the pipelined coordinator the frame itself
-  // asks the receiver to prepare-and-vote once it staged the transfer.
-  const std::uint8_t prep = txm_.pipelined() ? kPrepareFlag : 0;
   p.delta = false;
   p.diffed = false;
   if (!p.record.payload.empty()) {
@@ -201,7 +195,7 @@ void ShipmentManager::encode_frame(Pending& p) {
               cfg.ship_delta_max_ratio *
                   static_cast<double>(p.record.payload.size())) {
         p.delta = true;
-        enc.write_u8(kDeltaFrame | prep);
+        enc.write_u8(kDeltaFrame);
         // The delta frame carries the record verbatim minus its payload
         // (the delta follows instead). Swapping the payload aside keeps
         // the copy cheap AND future record fields on the delta path.
@@ -220,7 +214,7 @@ void ShipmentManager::encode_frame(Pending& p) {
     }
   }
   if (!p.delta) {
-    enc.write_u8(kFullFrame | prep);
+    enc.write_u8(kFullFrame);
     p.record.serialize(enc);
     ++stats_.full_images;
   }
@@ -349,9 +343,7 @@ void ShipmentManager::on_convoy(const net::Message& m) {
   for (std::uint64_t i = 0; i < count; ++i) {
     serial::Decoder entry(dec.read_bytes_view());
     const TxId tx(entry.read_u64());
-    const auto mode_byte = entry.read_u8();
-    const bool prepare_rides = (mode_byte & kPrepareFlag) != 0;
-    const std::uint8_t mode = mode_byte & static_cast<std::uint8_t>(~kPrepareFlag);
+    const auto mode = entry.read_u8();
     storage::QueueRecord rec;
     rec.deserialize(entry);
     // The record is consumed by the staging below; keep what the spans
@@ -443,9 +435,7 @@ void ShipmentManager::on_convoy(const net::Message& m) {
     // prepare-and-vote now that the staged state exists. A kNeedFull
     // entry staged nothing, so no vote leaves — the full-image retry
     // carries the prepare again.
-    if (prepare_rides && status == kStaged) {
-      txm_.on_piggybacked_prepare(tx, m.from);
-    }
+    if (status == kStaged) txm_.on_piggybacked_prepare(tx, m.from);
     ack.write_u64(tx.value());
     ack.write_u8(status);
   }

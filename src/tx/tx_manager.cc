@@ -140,7 +140,7 @@ void TxManager::commit_async(TxId tx, CommitCallback cb) {
     // Group commit: the outcome is decided (every local participant
     // voted), but the stable-storage apply, the metered sync and the
     // callback wait for the window flush — several step transactions
-    // share one sync batch. At window <= 1 the flush runs right here.
+    // share one sync batch. At window 1 the flush runs right here.
     commit_queue_.emplace_back(tx, c.voters, std::move(c.callback));
     coords_.erase(tx);
     if (commit_queue_.size() >= group_window_) {
@@ -160,16 +160,18 @@ void TxManager::commit_async(TxId tx, CommitCallback cb) {
   }
   // Re-drive PREPARE until all votes arrive: a participant that crashed
   // before staging will answer NO, resolving the transaction either way.
-  // For piggybacked remotes this is the fallback when the convoy (and its
-  // embedded prepare) was lost to a crash: an explicit PREPARE finds no
-  // staged state, draws a NO vote, and resolves to presumed abort.
+  // A piggybacked remote joins only once its convoy ack reported the
+  // staging (note_staged): before that, a slow convoy could still be on
+  // the wire, and the ship stage timeout covers one that never lands.
   arm_prepare_redrive(tx, c);
 }
 
 void TxManager::arm_prepare_redrive(TxId tx, Coord& c) {
   c.redrive = sim_.schedule_after(inquiry_interval_, [this, tx] {
     Coord& cur = coords_.at(tx);  // leaving `preparing` cancels this timer
-    for (const auto n : cur.votes_pending) send(n, msg::prepare, tx);
+    for (const auto n : cur.votes_pending) {
+      if (!cur.piggybacked.contains(n)) send(n, msg::prepare, tx);
+    }
     arm_prepare_redrive(tx, cur);
   });
 }
@@ -190,6 +192,11 @@ void TxManager::note_piggybacked(TxId tx, NodeId node) {
   auto it = coords_.find(tx);
   MAR_CHECK_MSG(it != coords_.end(), "piggyback on unknown tx " << tx);
   it->second.piggybacked.insert(node);
+}
+
+void TxManager::note_staged(TxId tx, NodeId node) {
+  auto it = coords_.find(tx);
+  if (it != coords_.end()) it->second.piggybacked.erase(node);
 }
 
 void TxManager::flush_commit_group() {
@@ -240,25 +247,14 @@ void TxManager::schedule_group_flush() {
 
 void TxManager::decide_commit(TxId tx, Coord& c) {
   sim_.cancel(c.redrive);  // no more PREPAREs: every vote is in
-  if (group_window_ > 1) {
-    // Pipelined coordinator: the decision is made but its durability
-    // record queues for the batched flush — many decisions, one sync.
-    // Until the flush nothing of the transaction is durable here, so a
-    // crash resolves to presumed abort exactly like an undecided one.
-    c.phase = Phase::deciding;
-    decision_queue_.push_back(tx);
-    trace_pipeline(TxStage::decided, tx);
-    schedule_decision_flush(decision_queue_.size() >= group_window_);
-    return;
-  }
-  persist_decision(tx, c.remotes);
-  commit_decided(tx, c.voters);
-  stable_.sync();
-  ++stats_.coordinator_syncs;
-  c.phase = Phase::committing;
-  c.acks_pending = c.remotes;
-  for (const auto n : c.remotes) send(n, msg::commit, tx);
-  arm_commit_redrive(tx, c);
+  // The decision is made but its durability record queues for the batched
+  // flush — many decisions, one sync. Until the flush nothing of the
+  // transaction is durable here, so a crash resolves to presumed abort
+  // exactly like an undecided one.
+  c.phase = Phase::deciding;
+  decision_queue_.push_back(tx);
+  trace_pipeline(TxStage::decided, tx);
+  schedule_decision_flush(decision_queue_.size() >= group_window_);
 }
 
 void TxManager::arm_commit_redrive(TxId tx, Coord& c) {
@@ -351,69 +347,31 @@ void TxManager::clear_prepared_marker(TxId tx) {
 
 void TxManager::note_remote_staged(TxId tx) {
   const NodeId coord = coordinator_of(tx);
-  if (coord == self_) return;
-  if (in_doubt_.emplace(tx, InDoubt{coord, {}}).second) schedule_inquiry(tx);
+  if (coord != self_) enter_in_doubt(tx, coord);
 }
 
 void TxManager::handle_prepare(TxId tx, NodeId coordinator) {
-  if (group_window_ > 1) {
-    // Participant-side group commit: the prepare work (and its sync)
-    // waits for the batch flush; the vote leaves with it. Convoyed agent
-    // transfers arrive together, so their prepares share one barrier.
-    const auto queued = std::any_of(
-        prepare_queue_.begin(), prepare_queue_.end(),
-        [tx](const PendingPart& p) { return p.tx == tx; });
-    if (!queued) prepare_queue_.push_back(PendingPart{tx, coordinator});
-    if (prepare_queue_.size() + apply_queue_.size() >= group_window_) {
-      flush_participant_group();
-    } else {
-      schedule_participant_flush();
-    }
-    return;
-  }
-  bool any = false;
-  bool ok = true;
-  for (auto* p : participants_) {
-    if (!p->has_tx(tx)) continue;
-    any = true;
-    ok = p->prepare(tx) && ok;
-  }
-  if (!any) {
-    // Nothing staged: either this node crashed and lost the staged state,
-    // or the transaction already finished here. Vote NO; a duplicate
-    // PREPARE after commit cannot happen because the coordinator stops
-    // re-driving PREPARE once decided.
-    send(coordinator, msg::vote, tx, false);
-    return;
-  }
-  if (ok) {
-    persist_prepared_marker(tx);
-    stable_.sync();  // durable before the YES vote leaves this node
-    ++participant_syncs_;
-    in_doubt_.emplace(tx, InDoubt{coordinator, {}});
-    schedule_inquiry(tx);
-  }
-  send(coordinator, msg::vote, tx, ok);
+  // Participant-side group commit: the prepare work (and its sync) waits
+  // for the batch flush; the vote leaves with it. Convoyed agent transfers
+  // arrive together, so their prepares share one barrier.
+  queue_participant_work(prepare_queue_, tx, coordinator);
 }
 
 void TxManager::handle_commit(TxId tx, NodeId coordinator) {
-  if (group_window_ > 1) {
-    const auto queued = std::any_of(
-        apply_queue_.begin(), apply_queue_.end(),
-        [tx](const PendingPart& p) { return p.tx == tx; });
-    if (!queued) apply_queue_.push_back(PendingPart{tx, coordinator});
-    if (prepare_queue_.size() + apply_queue_.size() >= group_window_) {
-      flush_participant_group();
-    } else {
-      schedule_participant_flush();
-    }
-    return;
+  queue_participant_work(apply_queue_, tx, coordinator);
+}
+
+void TxManager::queue_participant_work(std::vector<PendingPart>& queue,
+                                       TxId tx, NodeId coordinator) {
+  const auto queued = std::any_of(
+      queue.begin(), queue.end(),
+      [tx](const PendingPart& p) { return p.tx == tx; });
+  if (!queued) queue.push_back(PendingPart{tx, coordinator});
+  if (prepare_queue_.size() + apply_queue_.size() >= group_window_) {
+    flush_participant_group();
+  } else {
+    schedule_participant_flush();
   }
-  commit_locals(tx);
-  stable_.sync();
-  ++participant_syncs_;
-  end_in_doubt(tx);
-  send(coordinator, msg::commit_ack, tx);
 }
 
 void TxManager::flush_participant_group() {
@@ -446,14 +404,15 @@ void TxManager::flush_participant_group() {
       any = true;
       ok = p->prepare(pnd.tx) && ok;
     }
-    // An abort that arrived while the prepare was queued cleared the
-    // staged state; the NO vote below resolves the transaction either
-    // way, exactly like the unbatched path.
+    // Nothing staged: this node crashed and lost the staged state, an
+    // abort arrived while the prepare was queued, or the transaction
+    // already finished here. The NO vote resolves it either way; a
+    // duplicate PREPARE after commit cannot happen because the
+    // coordinator stops re-driving PREPARE once decided.
     if (any && ok) {
       persist_prepared_marker(pnd.tx);
       durable_work = true;
-      in_doubt_.emplace(pnd.tx, InDoubt{pnd.coordinator, {}});
-      schedule_inquiry(pnd.tx);
+      enter_in_doubt(pnd.tx, pnd.coordinator);
     }
     votes.push_back(Vote{pnd.tx, pnd.coordinator, any && ok});
   }
@@ -499,24 +458,22 @@ void TxManager::handle_decision(TxId tx, bool committed) {
   }
 }
 
-void TxManager::schedule_inquiry(TxId tx) {
-  auto& chains = in_doubt_.at(tx).inquiries;
-  chains.emplace_back();
-  arm_inquiry(tx, chains.size() - 1);
+void TxManager::enter_in_doubt(TxId tx, NodeId coordinator) {
+  if (in_doubt_.emplace(tx, InDoubt{coordinator, {}}).second) arm_inquiry(tx);
 }
 
-void TxManager::arm_inquiry(TxId tx, std::size_t chain) {
-  in_doubt_.at(tx).inquiries[chain] =
-      sim_.schedule_after(inquiry_interval_, [this, tx, chain] {
+void TxManager::arm_inquiry(TxId tx) {
+  in_doubt_.at(tx).inquiry =
+      sim_.schedule_after(inquiry_interval_, [this, tx] {
         send(in_doubt_.at(tx).coordinator, msg::inquiry, tx);
-        arm_inquiry(tx, chain);
+        arm_inquiry(tx);
       });
 }
 
 void TxManager::end_in_doubt(TxId tx) {
   auto it = in_doubt_.find(tx);
   if (it == in_doubt_.end()) return;
-  for (const auto id : it->second.inquiries) sim_.cancel(id);
+  sim_.cancel(it->second.inquiry);
   in_doubt_.erase(it);
 }
 
@@ -555,7 +512,7 @@ void TxManager::on_message(const net::Message& m) {
     c.acks_pending.erase(m.from);
     if (c.acks_pending.empty()) {
       stable_.erase(decision_key(tx));
-      if (group_window_ > 1) trace_pipeline(TxStage::acked, tx);
+      trace_pipeline(TxStage::acked, tx);
       finish(tx, c, true);
     }
   } else if (t == msg::abort) {
@@ -572,9 +529,7 @@ void TxManager::on_message(const net::Message& m) {
 void TxManager::on_crash() {
   // Every timer of this node dies with the volatile state it served.
   for (const auto& [tx, c] : coords_) sim_.cancel(c.redrive);
-  for (const auto& [tx, d] : in_doubt_) {
-    for (const auto id : d.inquiries) sim_.cancel(id);
-  }
+  for (const auto& [tx, d] : in_doubt_) sim_.cancel(d.inquiry);
   for (const auto id : {group_flush_, decision_dwell_, decision_hot_,
                         part_flush_, checkpoint_done_}) {
     sim_.cancel(id);
@@ -609,8 +564,7 @@ void TxManager::on_recover() {
         const TxId tx(std::stoull(key.substr(7)));
         MAR_DCHECK_MSG(coordinator_of(tx) != self_,
                        "prepared marker of self-coordinated tx " << tx);
-        in_doubt_.emplace(tx, InDoubt{coordinator_of(tx), {}});
-        schedule_inquiry(tx);
+        enter_in_doubt(tx, coordinator_of(tx));
       });
   // Coordinator side: re-drive every decided-but-unfinished transaction.
   // commit_locals mutates stable storage, so snapshot the decisions first.

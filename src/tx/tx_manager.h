@@ -44,12 +44,11 @@ namespace mar::tx {
 /// monitor thread mid-run).
 struct TxStats {
   /// Gauge: transactions this node coordinates that have begun but not
-  /// reached `done` (callback fired AND protocol forgotten). With the
-  /// pipelined coordinator this is the number of overlapping commits.
+  /// reached `done` (callback fired AND protocol forgotten): the number
+  /// of overlapping commits in the pipeline.
   RelaxedCounter inflight_tx;
-  /// Stable-storage syncs paid for coordinator decision durability. At
-  /// window <= 1 this is one per decided distributed commit; the pipelined
-  /// decision queue amortizes many decisions into one.
+  /// Stable-storage syncs paid for coordinator decision durability: one
+  /// per decision-queue flush, which covers every decision of its batch.
   RelaxedCounter coordinator_syncs;
   /// High-water mark of inflight_tx.
   RelaxedCounter pipeline_depth_max;
@@ -103,22 +102,22 @@ class TxManager {
   /// Abort a transaction this node coordinates.
   void abort_tx(TxId tx);
   /// Abort `tx` only if it is still collecting votes. Used by transfer
-  /// timeouts in the pipelined path, where the commit machinery runs
-  /// concurrently with the shipment: once a decision exists (or the
-  /// transaction is gone) the timeout is stale and must not fire the
-  /// callback a second time.
+  /// timeouts, where the commit machinery runs concurrently with the
+  /// shipment: once a decision exists (or the transaction is gone) the
+  /// timeout is stale and must not fire the callback a second time.
   void abort_if_preparing(TxId tx);
   /// Mark `node` as receiving its PREPARE piggybacked on the shipment
-  /// frame itself (ship.convoy): commit_async must not send a separate
-  /// tx.prepare to it. The vote arrives as usual; the re-drive loop falls
-  /// back to explicit PREPAREs, which a participant that never saw the
-  /// convoy answers with NO (presumed abort + caller retry).
+  /// frame itself (ship.convoy): commit_async sends it no tx.prepare, and
+  /// the PREPARE re-drive leaves it alone until note_staged. Until then a
+  /// convoy that never lands is the ship stage timeout's to abort; an
+  /// explicit PREPARE could overtake a convoy still on the wire and draw
+  /// a NO from a participant that has nothing staged yet.
   void note_piggybacked(TxId tx, NodeId node);
-
-  /// True when the coordinator runs the pipelined commit path (window >
-  /// 1): decisions queue for a batched single-sync flush and PREPAREs
-  /// ride the convoy frames (one round trip per hop).
-  [[nodiscard]] bool pipelined() const { return group_window_ > 1; }
+  /// The convoy ack reports `tx`'s staging at `node`: from now on a lost
+  /// vote is the PREPARE re-drive's to recover (a participant that lost
+  /// the staging to a crash answers NO, presumed abort). No-op once the
+  /// transaction is gone.
+  void note_staged(TxId tx, NodeId node);
 
   // --- participant side -----------------------------------------------------
   /// Note that a remote coordinator staged state at this node (e.g. an
@@ -126,10 +125,10 @@ class TxManager {
   /// inquiry timer so an orphaned transaction is eventually presumed
   /// aborted and its staged state (and locks) released.
   void note_remote_staged(TxId tx);
-  /// A PREPARE carried inside a ship.convoy frame (one round trip: the
-  /// transfer IS the prepare). Routes into the same vote machinery as a
-  /// tx.prepare message; convoys deliver whole batches of these at once,
-  /// so the participant window flushes them under one shared barrier.
+  /// A PREPARE carried inside a ship.convoy frame (one round trip: every
+  /// convoy entry IS the prepare). Routes into the same vote machinery as
+  /// a tx.prepare message; convoys deliver whole batches of these at
+  /// once, so the participant window flushes them under one shared barrier.
   void on_piggybacked_prepare(TxId tx, NodeId coordinator) {
     handle_prepare(tx, coordinator);
   }
@@ -172,16 +171,16 @@ class TxManager {
   /// one-phase local fast path): decided local-only commits enter a queue
   /// that is flushed — participants applied, ONE metered sync, callbacks —
   /// when `window` commits are pending or `flush_us` after the first one.
-  /// window <= 1 reproduces the sync-per-commit path bit for bit.
   ///
-  /// A window > 1 additionally coalesces the PARTICIPANT side of 2PC:
-  /// incoming PREPAREs and COMMIT applies queue up and flush with a
-  /// shared sync each — votes and commit-acks leave only after the
-  /// batched barrier, so convoyed agent transfers towards one node pay
-  /// ~2 syncs per batch instead of 2 per transfer. A crash before the
-  /// flush loses the queued (volatile, unvoted) prepares, so their
-  /// coordinators read the silence as presumed abort — the same crash
-  /// atomicity the local commit queue has.
+  /// The same window coalesces the rest of 2PC. Coordinator decisions
+  /// queue for one batched sync; participant PREPAREs and COMMIT applies
+  /// queue and flush with a shared sync — votes and commit-acks leave
+  /// only after the batched barrier, so convoyed agent transfers towards
+  /// one node pay ~2 syncs per batch instead of 2 per transfer. A crash
+  /// before the flush loses the queued (volatile, unvoted) prepares, so
+  /// their coordinators read the silence as presumed abort — the same
+  /// crash atomicity the local commit queue has. Window 1 is the
+  /// degenerate batch: every queue flushes each entry at once.
   void set_group_commit(std::uint32_t window, sim::TimeUs flush_us) {
     group_window_ = window;
     group_flush_us_ = flush_us;
@@ -199,11 +198,10 @@ class TxManager {
   }
 
  private:
-  /// Coordinator-side per-transaction state machine. The pipelined path
-  /// (window > 1) adds `deciding`: all votes are in, the decision record
-  /// sits in decision_queue_ awaiting the batched durability flush (ONE
-  /// sync for the whole batch), after which the transaction drains acks
-  /// in `committing`. The callback fires at ack drain, preserving the
+  /// Coordinator-side per-transaction state machine. In `deciding` all
+  /// votes are in and the decision record sits in decision_queue_
+  /// awaiting the batched durability flush (ONE sync for the whole
+  /// batch), after which the transaction drains acks in `committing`. The callback fires at ack drain, preserving the
   /// caller-visible invariant that a finished transaction's effects are
   /// applied at every participant.
   ///
@@ -215,7 +213,8 @@ class TxManager {
     std::set<NodeId> remotes;
     std::set<NodeId> votes_pending;
     std::set<NodeId> acks_pending;
-    /// Remotes whose PREPARE rides the convoy frame (no tx.prepare sent).
+    /// Remotes whose PREPARE rides a convoy frame not yet acked as
+    /// staged: no tx.prepare is sent to them, not even by the re-drive.
     std::set<NodeId> piggybacked;
     Phase phase = Phase::preparing;
     /// Whether this entry came through begin() and is counted in the
@@ -227,12 +226,18 @@ class TxManager {
     /// cancelled when the phase ends.
     sim::EventId redrive;
   };
-  /// A participant awaiting its outcome. Each chain re-sends an INQUIRY
-  /// every inquiry_interval_; the staging, each YES vote and recovery
-  /// start one, and all die when the outcome arrives.
+  /// A participant awaiting its outcome. Its one inquiry chain re-sends
+  /// an INQUIRY every inquiry_interval_ from the moment the entry is made
+  /// (staging, YES vote or recovery, whichever comes first) and dies when
+  /// the outcome arrives.
   struct InDoubt {
     NodeId coordinator;
-    std::vector<sim::EventId> inquiries;
+    sim::EventId inquiry;
+  };
+  /// A participant PREPARE or COMMIT apply awaiting the batched flush.
+  struct PendingPart {
+    TxId tx;
+    NodeId coordinator;
   };
 
   // Coordinator internals.
@@ -243,7 +248,7 @@ class TxManager {
   void flush_commit_group();
   void schedule_group_flush();
   /// Persist every queued commit decision, pay ONE metered sync, send the
-  /// COMMITs (pipelined coordinator; callbacks fire later, at ack drain).
+  /// COMMITs (callbacks fire later, at ack drain).
   void flush_decision_group();
   /// Arm the decision flush: `hot` schedules an immediate (same-instant)
   /// flush once the window filled — it still runs after every event
@@ -266,6 +271,10 @@ class TxManager {
   // Participant internals.
   void handle_prepare(TxId tx, NodeId coordinator);
   void handle_commit(TxId tx, NodeId coordinator);
+  /// Queue `tx` in `queue` (once) and flush the participant batch when
+  /// the window is full, else arm its dwell flush.
+  void queue_participant_work(std::vector<PendingPart>& queue,
+                              TxId tx, NodeId coordinator);
   /// Run queued participant prepares and commit applies, pay one shared
   /// sync, then release the votes and acks.
   void flush_participant_group();
@@ -275,9 +284,10 @@ class TxManager {
   void handle_decision(TxId tx, bool committed);
   void persist_prepared_marker(TxId tx);
   void clear_prepared_marker(TxId tx);
-  /// Start one more inquiry chain for the in-doubt `tx`.
-  void schedule_inquiry(TxId tx);
-  void arm_inquiry(TxId tx, std::size_t chain);
+  /// Mark `tx` in doubt here and start its inquiry chain, unless it
+  /// already is.
+  void enter_in_doubt(TxId tx, NodeId coordinator);
+  void arm_inquiry(TxId tx);
   /// The outcome of `tx` is known here: stop asking for it.
   void end_in_doubt(TxId tx);
   void trace_pipeline(TxStage stage, TxId tx);
@@ -319,7 +329,7 @@ class TxManager {
   /// Completes the checkpoint in progress; a crash cancels it.
   sim::EventId checkpoint_done_;
 
-  /// Pipelined coordinator (window > 1): fully-voted distributed commits
+  /// Coordinator decision queue: fully-voted distributed commits
   /// whose decision records await the batched durability flush. Volatile —
   /// a crash before the flush persisted nothing, so the prepared
   /// participants resolve to presumed abort through their inquiries,
@@ -336,15 +346,11 @@ class TxManager {
   TxStats stats_;
   SpanSink* events_;
 
-  /// Participant-side pending work awaiting the batched flush (window >
-  /// 1): PREPAREs not yet persisted/voted and COMMITs not yet
-  /// applied/acked. Volatile — a crash drops queued prepares unvoted
-  /// (presumed abort) and leaves queued commits to the coordinator's
-  /// COMMIT re-drive / the inquiry protocol.
-  struct PendingPart {
-    TxId tx;
-    NodeId coordinator;
-  };
+  /// Participant-side pending work awaiting the batched flush: PREPAREs
+  /// not yet persisted/voted and COMMITs not yet applied/acked. Volatile —
+  /// a crash drops queued prepares unvoted (presumed abort) and leaves
+  /// queued commits to the coordinator's COMMIT re-drive / the inquiry
+  /// protocol.
   std::vector<PendingPart> prepare_queue_;
   std::vector<PendingPart> apply_queue_;
   sim::EventId part_flush_;

@@ -359,8 +359,8 @@ TEST(PlatformTest, NoTimerOutlivesItsReason) {
   // Once the last message of a crash-free run has landed, the world must
   // go quiet within one link round trip: no retransmit (50 ms), inquiry or
   // re-drive (200 ms) or stage-timeout (2 s) timer may still be armed for
-  // a reason that already ended. Both commit paths: pipelined (convoy
-  // frames carry the PREPARE) and one sync per commit.
+  // a reason that already ended. Batched (window 4) and flushing each
+  // commit at once (window 1).
   for (const std::uint32_t window : {4u, 1u}) {
     SCOPED_TRACE(window);
     PlatformConfig cfg;

@@ -55,8 +55,8 @@ FleetRun run_fleet(std::uint32_t concurrency, const std::string& step,
                    int agents, int steps, std::uint64_t seed = 7) {
   agent::PlatformConfig cfg;
   cfg.node_concurrency = concurrency;
-  // These tests pin exact serialized makespans, so group-commit batching
-  // is switched off here; it has its own suites (keylock_test, ship_test).
+  // These tests pin exact serialized makespans, so every commit flushes at
+  // once (window 1); batching has its own suites (keylock_test, ship_test).
   cfg.group_commit_window = 1;
   TestWorld w(cfg, /*node_count=*/1, seed);
   harness::register_workload(w.platform);

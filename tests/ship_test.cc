@@ -292,9 +292,11 @@ using statuses_t = std::vector<std::uint8_t>;
 /// A hand-driven peer N3 that ships one agent (id 77) to N2 as raw convoy
 /// entries. Entry layout (ShipmentManager::encode_frame): u64 tx, u8 mode
 /// (0 full, 1 delta), the queue record; a delta entry then carries the
-/// base's channel epoch and hash and the delta blob. The peer records
-/// N2's per-entry ack statuses; it answers N2's 2PC inquiries with a
-/// presumed abort once `answer_inquiries` is set, and stays silent before.
+/// base's channel epoch and hash and the delta blob. Every staged entry is
+/// also the transaction's PREPARE, so N2 votes on it. The peer records
+/// N2's per-entry ack statuses and counts its 2PC inquiries; it answers
+/// them with a presumed abort once `answer_inquiries` is set, and stays
+/// silent before.
 class HandDrivenSender {
  public:
   static constexpr std::uint8_t kStaged = 0;
@@ -348,6 +350,13 @@ class HandDrivenSender {
     w.sim.run_until(w.sim.now() + 20'000);
   }
 
+  /// The coordinator re-drives an explicit PREPARE for `tx` (tx.prepare).
+  void prepare(TxId tx) {
+    w.net.send(
+        net::Message{kPeer, kReceiver, tx::msg::prepare, tx_bytes(tx)});
+    w.sim.run_until(w.sim.now() + 20'000);
+  }
+
   [[nodiscard]] std::size_t handoffs() {
     return w.platform.node(kReceiver).resident_agents();
   }
@@ -359,6 +368,7 @@ class HandDrivenSender {
   serial::Bytes cur_image;
   serial::Bytes delta;
   std::vector<std::uint8_t> statuses;
+  std::uint64_t inquiries = 0;
   bool answer_inquiries = false;
 
  private:
@@ -378,7 +388,9 @@ class HandDrivenSender {
         (void)dec.read_u64();  // tx
         statuses.push_back(dec.read_u8());
       }
-    } else if (m.type == tx::msg::inquiry && answer_inquiries) {
+    } else if (m.type == tx::msg::inquiry) {
+      ++inquiries;
+      if (!answer_inquiries) return;
       // No decision record at this coordinator: presumed abort.
       w.net.send(net::Message{kPeer, m.from, tx::msg::decision,
                               tx_bytes(TxId(dec.read_u64()), false)});
@@ -408,6 +420,19 @@ TEST(ShipTest, BaseHashDivergenceIsAnsweredWithNeedFull) {
   EXPECT_EQ(st.ship_bytes_received, base_image.size() + peer.delta.size());
   EXPECT_EQ(st.ship_bytes_reconstructed,
             base_image.size() + peer.cur_image.size());
+}
+
+TEST(ShipTest, InDoubtParticipantRunsOneInquiryChain) {
+  // N2 stages a convoy entry (which is its PREPARE), votes YES, and then
+  // sees the coordinator re-drive the PREPARE. The coordinator stays
+  // silent, so N2 is in doubt; however often it was staged or prepared,
+  // it asks once per inquiry interval.
+  HandDrivenSender peer;
+  const TxId tx = peer.ship(false);
+  peer.prepare(tx);
+  const auto before = peer.inquiries;
+  peer.w.sim.run_until(peer.w.sim.now() + 1'000'000);
+  EXPECT_EQ(peer.inquiries - before, 5u);  // 1 s / 200 ms, one chain
 }
 
 TEST(HandoffTest, NoHandoffOutlivesItsStaging) {
@@ -503,6 +528,45 @@ TEST(ShipTest, ConvoyWindowBatchesTransfersAndCoalescesSyncs) {
   // Participant-side group commit: prepares/applies of one convoy share
   // their syncs — at least the required 2x reduction.
   EXPECT_LE(batched.participant_syncs * 2, solo.participant_syncs);
+}
+
+TEST(ShipTest, ConvoySlowerThanThePrepareRedriveStillCommits) {
+  // On an 80 kbit/s link every convoy of this agent spends more than one
+  // PREPARE re-drive interval (200 ms) on the wire. The re-drive must not
+  // overtake the convoy with an explicit PREPARE: the receiver has nothing
+  // staged yet, would vote NO, and every retry would end the same way.
+  PlatformConfig cfg;  // default group-commit window
+  TestWorld w(cfg, /*node_count=*/2, /*seed=*/11);
+  register_workload(w.platform);
+  w.net.set_link(TestWorld::n(1), TestWorld::n(2),
+                 net::LinkParams{/*latency_us=*/500,
+                                 /*bandwidth_bytes_per_us=*/0.01});
+  constexpr int kHops = 4;
+  auto ag = std::make_unique<WorkloadAgent>();
+  ag->itinerary() = ping_pong(1, kHops);
+  ag->set_config("param_bytes", 4096);  // each hop's delta carries >4 KB
+  auto id = w.platform.launch(std::move(ag));
+  ASSERT_TRUE(id.is_ok());
+  const auto wire = w.net.transfer_time(TestWorld::n(1), TestWorld::n(2),
+                                        std::size_t{4096});
+  ASSERT_GT(wire, 200'000);
+  const sim::TimeUs bound = 60'000'000;  // 1 min of simulated time
+  while (!w.platform.finished(id.value()) && w.sim.now() < bound &&
+         w.sim.step()) {
+  }
+  ASSERT_TRUE(w.platform.finished(id.value()))
+      << "agent still running at " << w.sim.now() << " us";
+  ASSERT_EQ(w.platform.outcome(id.value()).state, AgentOutcome::State::done);
+  auto fin = w.platform.decode(w.platform.outcome(id.value()).final_agent);
+  EXPECT_EQ(fin->data().weak("visits").as_int(), 1 + kHops);  // exactly once
+  // Every hop migrated once: no hop was aborted and shipped again.
+  std::uint64_t hop_migrations = 0;
+  for (const auto& e : w.platform.spans().of_kind(EventKind::migrate)) {
+    if (e.code == static_cast<std::uint8_t>(MigrateCause::step)) {
+      ++hop_migrations;
+    }
+  }
+  EXPECT_EQ(hop_migrations, static_cast<std::uint64_t>(kHops));
 }
 
 // --------------------------------------------------------------------------
