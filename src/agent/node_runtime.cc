@@ -31,6 +31,23 @@ template <typename E>
 std::uint8_t as_code(E e) {
   return static_cast<std::uint8_t>(e);
 }
+
+/// A shipped compensation request (rce.exec, mce.exec): the tx, the
+/// operation entries in execution order, then the weak-state snapshot of
+/// a mixed step's request.
+serial::Bytes encode_comp_request(TxId tx,
+                                  const std::vector<OperationEntry>& ops,
+                                  const serial::Value* weak) {
+  std::size_t frame = 8 + serial::varint_size(ops.size()) +
+                      (weak != nullptr ? weak->encoded_size() : 0);
+  for (const auto& op : ops) frame += op.byte_size();
+  serial::Encoder enc(frame);
+  enc.write_u64(tx.value());
+  enc.write_varint(ops.size());
+  for (const auto& op : ops) op.serialize(enc);
+  if (weak != nullptr) weak->serialize(enc);
+  return std::move(enc).take();
+}
 }  // namespace
 
 NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
@@ -258,25 +275,11 @@ std::size_t NodeRuntime::committed_agent_bytes(
 }
 
 bool NodeRuntime::should_compact(const std::string& key) const {
-  const auto& cfg = p_.config();
   const auto interval =
-      std::max<std::uint32_t>(1, cfg.compaction_interval_steps);
+      std::max<std::uint32_t>(1, p_.config().compaction_interval_steps);
   const auto* segments = storage_.record_segments(key);
-  if (segments == nullptr || segments->size() < 2) return false;
-  // Hard cap: bound the recovery replay length regardless of sizes.
-  if (segments->size() >= interval + 1) return true;
-  // Bytes-ratio policy: compact once the delta chain outweighs the base,
-  // so the stale-segment footprint stays proportional to the agent
-  // (amortized-flat) instead of rewriting on a fixed cadence.
-  if (cfg.compaction_ratio > 0) {
-    std::size_t delta_bytes = 0;
-    for (std::size_t i = 1; i < segments->size(); ++i) {
-      delta_bytes += (*segments)[i].size();
-    }
-    return static_cast<double>(delta_bytes) >
-           cfg.compaction_ratio * static_cast<double>(segments->front().size());
-  }
-  return false;
+  // Bound the recovery replay length regardless of sizes.
+  return segments != nullptr && segments->size() >= interval + 1;
 }
 
 storage::QueueRecord NodeRuntime::stage_incremental_image(
@@ -321,9 +324,20 @@ QueueRecord NodeRuntime::make_record(const Agent& agent, RecordKind kind,
 template <class F>
 void NodeRuntime::after(sim::TimeUs delay, F fn) {
   const auto epoch = epoch_;
+  // mar-lint: epoch-owned (a crash or recovery bumps epoch_)
   p_.sim().schedule_after(delay, [this, epoch, fn = std::move(fn)]() mutable {
     if (epoch == epoch_) fn();
   });
+}
+
+template <class F>
+void NodeRuntime::serve_remote(NodeId caller, TxId tx, sim::TimeUs service,
+                               const char* reply_type, F serve) {
+  txm_.note_remote_staged(tx);
+  after(service,
+        [this, caller, reply_type, serve = std::move(serve)]() mutable {
+          p_.net().send(net::Message{id_, caller, reply_type, serve()});
+        });
 }
 
 void NodeRuntime::enqueue_initial(QueueRecord record) {
@@ -399,28 +413,9 @@ void NodeRuntime::execute_launch(const QueueRecord& rec) {
   const TxId tx = txm_.begin();
   qm_.stage_remove(tx, rec.record_id);
   std::shared_ptr<Agent> agent = decode(rec.payload);
-  const StepEntry step = current_step(*agent);
-  const auto attempt = attempt_count(rec.record_id);
-  const NodeId dest = step.locations[attempt % step.locations.size()];
-  QueueRecord next_rec =
-      make_record(*agent, RecordKind::execute, SavepointId::invalid());
-  propagate_trace(rec, next_rec);
-  if (dest != id_) {
-    record_event(EventKind::migrate, rec.agent, dest.value(),
-                 next_rec.payload.size(), as_code(MigrateCause::launch));
-  }
-  stage_and_commit(tx, dest, std::move(next_rec), agent,
-                   [this, rec](bool committed) {
-                     release_slot(rec);
-                     if (committed) {
-                       span_hop_end(rec);
-                       attempts_.erase(rec.record_id);
-                       pump();
-                     } else {
-                       ++attempts_[rec.record_id];
-                       retry_later(rec);
-                     }
-                   });
+  hand_off(tx, rec,
+           make_record(*agent, RecordKind::execute, SavepointId::invalid()),
+           current_step(*agent).locations, agent, MigrateCause::launch);
 }
 
 void NodeRuntime::execute_cancel(const QueueRecord& rec) {
@@ -459,7 +454,8 @@ void NodeRuntime::initiate_cancel_rollback(const QueueRecord& rec,
   }
   if (log.trailing_savepoint() == target) {
     // Nothing committed since launch: terminate right away.
-    finish_cancelled(tx, rec, *agent);
+    terminate(tx, rec, *agent, AgentOutcome::State::cancelled,
+              Status(Errc::tx_aborted, "cancelled"));
     return;
   }
   const auto dests =
@@ -469,28 +465,9 @@ void NodeRuntime::initiate_cancel_rollback(const QueueRecord& rec,
                                "cancel: rollback log has no end-of-step"));
     return;
   }
-  const auto attempt = attempt_count(rec.record_id);
-  const NodeId dest = dests[attempt % dests.size()];
   QueueRecord comp_rec = make_record(*agent, RecordKind::compensate, target);
   comp_rec.completion = QueueRecord::Completion::cancel;
-  propagate_trace(rec, comp_rec);
-  if (dest != id_) {
-    ++p_.rollback_transfers();
-    record_event(EventKind::migrate, rec.agent, dest.value(),
-                 comp_rec.payload.size(), as_code(MigrateCause::cancel));
-  }
-  stage_and_commit(tx, dest, std::move(comp_rec), agent,
-                   [this, rec](bool committed) {
-                     release_slot(rec);
-                     if (committed) {
-                       span_hop_end(rec);
-                       attempts_.erase(rec.record_id);
-                       pump();
-                     } else {
-                       ++attempts_[rec.record_id];
-                       retry_later(rec);
-                     }
-                   });
+  hand_off(tx, rec, std::move(comp_rec), dests, agent, MigrateCause::cancel);
 }
 
 void NodeRuntime::retry_later(const QueueRecord& rec) {
@@ -525,9 +502,8 @@ void NodeRuntime::on_node_state(bool up) {
   resident_.clear();  // volatile cache; recovery decodes from the record area
   hop_traces_.clear();  // re-offered records open fresh hop spans
   storage_.clear_claims();
-  rce_waiters_.clear();
-  mce_waiters_.clear();
-  rpc_waiters_.clear();
+  for (const auto& [tx, waiter] : waiters_) p_.sim().cancel(waiter.timeout);
+  waiters_.clear();
   ship_.on_node_state(up);
   if (up) {
     // Rebuild the record read path BEFORE the tx layer re-drives decided
@@ -579,113 +555,73 @@ void NodeRuntime::handle_message(const net::Message& m) {
     return;
   }
   serial::Decoder dec(m.payload);
-  if (m.type == msg::rce_exec) {
-    // Shipped resource compensation entries (optimized algorithm): run
-    // them here inside the coordinator's compensation transaction.
-    const TxId tx(dec.read_u64());
-    const auto n = dec.read_count();
-    std::vector<OperationEntry> ops(n);
-    for (auto& op : ops) op.deserialize(dec);
-    txm_.note_remote_staged(tx);
-    const auto service =
-        static_cast<sim::TimeUs>(ops.size()) * p_.config().comp_op_service_us;
-    after(service, [this, tx, ops = std::move(ops), from = m.from] {
-      Status st = Status::ok();
-      for (const auto& op : ops) {
-        st = run_comp_op(tx, op, nullptr);
-        if (!st.is_ok()) break;
-      }
-      serial::Encoder enc(8 + 1);
-      enc.write_u64(tx.value());
-      enc.write_bool(st.is_ok());
-      p_.net().send(
-          net::Message{id_, from, msg::rce_ack, std::move(enc).take()});
-    });
-    return;
-  }
-  if (m.type == msg::mce_exec) {
-    // Adaptive strategy (Sec. 4.4.1): a mixed step's complete operation
-    // entry list plus a snapshot of the agent's weakly reversible objects,
-    // executed here (the resource node) inside the coordinator's
-    // compensation transaction. The weak-state mutations travel back with
-    // the acknowledgement; they become durable only when the coordinator
+  if (m.type == msg::rce_exec || m.type == msg::mce_exec) {
+    // Shipped compensation entries, run here (the resource node) inside
+    // the coordinator's compensation transaction: resource entries of the
+    // optimized algorithm, or (adaptive strategy, Sec. 4.4.1) a mixed
+    // step's complete entry list plus a snapshot of the agent's weakly
+    // reversible objects. The weak-state mutations travel back with the
+    // acknowledgement; they become durable only when the coordinator
     // commits the transaction, so a lost reply or an abort discards them.
     const TxId tx(dec.read_u64());
-    const auto n = dec.read_count();
-    std::vector<OperationEntry> ops(n);
+    std::vector<OperationEntry> ops(dec.read_count());
     for (auto& op : ops) op.deserialize(dec);
+    const bool mixed = m.type == msg::mce_exec;
     serial::Value weak;
-    weak.deserialize(dec);
-    txm_.note_remote_staged(tx);
+    if (mixed) weak.deserialize(dec);
     const auto service =
         static_cast<sim::TimeUs>(ops.size()) * p_.config().comp_op_service_us;
-    after(service, [this, tx, ops = std::move(ops), weak = std::move(weak),
-                    from = m.from]() mutable {
-      Status st = Status::ok();
-      for (const auto& op : ops) {
-        st = run_comp_op(tx, op, &weak);
-        if (!st.is_ok()) break;
-      }
-      serial::Encoder enc(8 + 1 + weak.encoded_size());
-      enc.write_u64(tx.value());
-      enc.write_bool(st.is_ok());
-      weak.serialize(enc);
-      p_.net().send(
-          net::Message{id_, from, msg::mce_ack, std::move(enc).take()});
-    });
-    return;
-  }
-  if (m.type == msg::mce_ack) {
-    const TxId tx(dec.read_u64());
-    const bool ok = dec.read_bool();
-    serial::Value weak;
-    weak.deserialize(dec);
-    auto it = mce_waiters_.find(tx);
-    if (it == mce_waiters_.end()) return;  // timed out / duplicate
-    auto cb = std::move(it->second);
-    mce_waiters_.erase(it);
-    cb(ok, std::move(weak));
+    serve_remote(m.from, tx, service, mixed ? msg::mce_ack : msg::rce_ack,
+                 [this, tx, mixed, ops = std::move(ops),
+                  weak = std::move(weak)]() mutable {
+                   Status st = Status::ok();
+                   for (const auto& op : ops) {
+                     st = run_comp_op(tx, op, mixed ? &weak : nullptr);
+                     if (!st.is_ok()) break;
+                   }
+                   serial::Encoder enc(8 + 1 +
+                                       (mixed ? weak.encoded_size() : 0));
+                   enc.write_u64(tx.value());
+                   enc.write_bool(st.is_ok());
+                   if (mixed) weak.serialize(enc);
+                   return std::move(enc).take();
+                 });
     return;
   }
   if (m.type == contract::msg::invoke) {
     // Remote resource access by RPC: used by the ConTract-style central
     // baseline and available as the Sec. 4.4.1 "further optimization".
     auto req = contract::decode_invoke(m);
-    txm_.note_remote_staged(req.tx);
-    const auto service = p_.config().resource_op_service_us;
-    after(service, [this, req = std::move(req), from = m.from] {
-      Status st;
-      if (req.comp_op.empty()) {
-        st = rm_.invoke(req.tx, req.resource, req.op, req.params).status();
-      } else {
-        // A shipped compensating operation in a resource-entry context.
-        rollback::CompensationContext ctx(rollback::OpEntryKind::resource,
-                                          req.params, p_.sim().now(), &rm_,
-                                          req.tx, nullptr);
-        st = p_.compensations().run(req.comp_op, ctx);
-      }
-      p_.net().send(net::Message{id_, from, contract::msg::result,
-                                 contract::encode_result(req.tx, st)});
-    });
+    const TxId tx = req.tx;
+    serve_remote(m.from, tx, p_.config().resource_op_service_us,
+                 contract::msg::result, [this, req = std::move(req)] {
+                   Status st;
+                   if (req.comp_op.empty()) {
+                     st = rm_.invoke(req.tx, req.resource, req.op,
+                                     req.params)
+                              .status();
+                   } else {
+                     // A shipped compensating operation in a
+                     // resource-entry context.
+                     rollback::CompensationContext ctx(
+                         rollback::OpEntryKind::resource, req.params,
+                         p_.sim().now(), &rm_, req.tx, nullptr);
+                     st = p_.compensations().run(req.comp_op, ctx);
+                   }
+                   return contract::encode_result(req.tx, st);
+                 });
     return;
   }
-  if (m.type == contract::msg::result) {
-    const auto [tx, status] = contract::decode_result(m);
-    auto it = rpc_waiters_.find(tx);
-    if (it == rpc_waiters_.end()) return;  // timed out / duplicate
-    auto cb = std::move(it->second);
-    rpc_waiters_.erase(it);
-    cb(status.is_ok());
-    return;
-  }
-  if (m.type == msg::rce_ack) {
-    const TxId tx(dec.read_u64());
-    const bool ok = dec.read_bool();
-    auto it = rce_waiters_.find(tx);
-    if (it == rce_waiters_.end()) return;
-    auto cb = std::move(it->second);
-    rce_waiters_.erase(it);
-    cb(ok);
+  if (m.type == msg::rce_ack || m.type == msg::mce_ack ||
+      m.type == contract::msg::result) {
+    // Every reply starts with the tx of its call.
+    const auto it = waiters_.find(TxId(dec.read_u64()));
+    if (it == waiters_.end() || m.type != it->second.reply_type) {
+      return;  // timed out, duplicate, or not the awaited kind
+    }
+    auto waiter = waiters_.extract(it);
+    p_.sim().cancel(waiter.mapped().timeout);
+    waiter.mapped().on_reply(&dec);
     return;
   }
   MAR_CHECK_MSG(false, "unknown message type " << m.type);
@@ -734,85 +670,92 @@ void NodeRuntime::stage_and_commit(TxId tx, NodeId dest, QueueRecord record,
   txm_.commit_async(tx, std::move(done));
 }
 
+void NodeRuntime::hand_off(TxId tx, const QueueRecord& rec, QueueRecord next,
+                           const std::vector<NodeId>& dests,
+                           std::shared_ptr<const Agent> agent,
+                           MigrateCause cause) {
+  // Rotate through the candidates on repeated failures (fault-tolerant
+  // execution, ref [11]; Sec. 4.3's alternative compensation nodes).
+  const NodeId dest = dests[attempt_count(rec.record_id) % dests.size()];
+  propagate_trace(rec, next);
+  if (dest != id_) {
+    if (next.kind == RecordKind::compensate) ++p_.rollback_transfers();
+    record_event(EventKind::migrate, rec.agent, dest.value(),
+                 next.payload.size(), as_code(cause));
+  }
+  stage_and_commit(
+      tx, dest, std::move(next), std::move(agent), [this, rec](bool committed) {
+        const bool comp = rec.kind == RecordKind::compensate;
+        release_slot(rec);
+        if (committed) {
+          if (comp) record_event(EventKind::comp_commit, rec.agent);
+          span_hop_end(rec);
+          attempts_.erase(rec.record_id);
+          pump();
+        } else {
+          if (comp) {
+            record_event(EventKind::comp_abort, rec.agent, 0, 0,
+                         as_code(Errc::tx_aborted));
+          }
+          ++attempts_[rec.record_id];
+          retry_later(rec);
+        }
+      });
+}
+
 void NodeRuntime::fail_agent(TxId tx, const QueueRecord& rec, Status status) {
   txm_.abort_tx(tx);
   const TxId cleanup = txm_.begin();
   qm_.stage_remove(cleanup, rec.record_id);
-  const auto image_key = agent_image_key(rec.agent);
-  if (storage_.has_record(image_key)) {
-    qm_.stage_record_erase(cleanup, image_key);
-  }
   // Multi-agent executions: a waiting parent learns of the failure
   // through the mailbox, within the same cleanup transaction.
-  auto failed = load_committed_agent(rec);
-  serial::Bytes final_bytes =
-      rec.payload.empty() ? encode_agent(*failed) : rec.payload;
-  const auto commit_begin = p_.sim().now();
-  deliver_result(
-      cleanup, *failed, /*ok=*/false, status,
-      [this, cleanup, rec, status, commit_begin,
-       final_bytes = std::move(final_bytes)](bool delivered) {
-        if (!delivered) {
-          txm_.abort_tx(cleanup);
-          release_slot(rec);
-          retry_later(rec);
-          return;
-        }
-        txm_.commit_async(cleanup, [this, rec, status, commit_begin,
-                                    final_bytes](bool committed) {
-          if (!committed) {
-            release_slot(rec);
-            retry_later(rec);
-            return;
-          }
-          AgentOutcome out;
-          out.state = AgentOutcome::State::failed;
-          out.status = status;
-          out.final_agent = final_bytes;
-          out.final_node = id_;
-          out.finished_at = p_.sim().now();
-          p_.record_outcome(rec.agent, std::move(out));
-          ship_.forget_agent(rec.agent);
-          span_commit_flush(rec, commit_begin);
-          span_hop_end(rec);
-          attempts_.erase(rec.record_id);
-          release_slot(rec);
-          pump();
-        });
-      });
+  terminate(cleanup, rec, *load_committed_agent(rec),
+            AgentOutcome::State::failed, std::move(status));
 }
 
-void NodeRuntime::finish_agent(TxId tx, const QueueRecord& rec,
-                               Agent& agent) {
+void NodeRuntime::terminate(TxId tx, const QueueRecord& rec,
+                            const Agent& agent, AgentOutcome::State state,
+                            Status status) {
   const auto image_key = agent_image_key(rec.agent);
   if (storage_.has_record(image_key)) qm_.stage_record_erase(tx, image_key);
-  serial::Bytes final_bytes = encode_agent(agent);
+  // A failed agent ends in its committed state: the record's payload,
+  // when it carries one, is that state's image.
+  serial::Bytes final_bytes =
+      state == AgentOutcome::State::failed && !rec.payload.empty()
+          ? rec.payload
+          : encode_agent(agent);
   const auto commit_begin = p_.sim().now();
   // Multi-agent executions: the result is delivered to the parent's
-  // mailbox within this final step transaction — exactly once.
+  // mailbox within this terminal transaction — exactly once.
   deliver_result(
-      tx, agent, /*ok=*/true, Status::ok(),
-      [this, tx, rec, commit_begin,
-       final_bytes = std::move(final_bytes)](bool delivered) {
+      tx, agent, state == AgentOutcome::State::done, status,
+      [this, tx, rec, state, status, commit_begin,
+       final_bytes = std::move(final_bytes)](bool delivered) mutable {
         if (!delivered) {
           txm_.abort_tx(tx);
           release_slot(rec);
           retry_later(rec);
           return;
         }
-        txm_.commit_async(tx, [this, rec, commit_begin,
-                               final_bytes = std::move(
-                                   final_bytes)](bool ok) {
-          if (!ok) {
+        txm_.commit_async(tx, [this, rec, state, status, commit_begin,
+                               final_bytes = std::move(final_bytes)](
+                                  bool committed) mutable {
+          if (!committed) {
             release_slot(rec);
             retry_later(rec);
             return;
           }
-          record_event(EventKind::step_commit, rec.agent, rec.record_id, 0,
-                       1);
+          if (state == AgentOutcome::State::done) {
+            record_event(EventKind::step_commit, rec.agent, rec.record_id, 0,
+                         1);
+          } else if (state == AgentOutcome::State::cancelled) {
+            record_event(EventKind::rollback_done, rec.agent, 0, 0,
+                         as_code(QueueRecord::Completion::cancel));
+          }
           AgentOutcome out;
-          out.state = AgentOutcome::State::done;
-          out.final_agent = final_bytes;
+          out.state = state;
+          out.status = std::move(status);
+          out.final_agent = std::move(final_bytes);
           out.final_node = id_;
           out.finished_at = p_.sim().now();
           p_.record_outcome(rec.agent, std::move(out));
@@ -855,63 +798,32 @@ void NodeRuntime::deliver_result(TxId tx, const Agent& agent, bool ok,
   // Remote delivery: a transactional RPC to the mailbox node, enlisted in
   // this transaction (the Sec. 4.4.1 RPC mechanism) — delivery commits
   // atomically with the agent's terminal transaction.
-  txm_.enlist_remote(tx, agent.result_node());
-  p_.net().send(net::Message{
-      id_, agent.result_node(), contract::msg::invoke,
-      contract::encode_invoke(tx, "mailbox", "put", params, "")});
-  rpc_waiters_[tx] = done;
-  if (p_.config().stage_timeout_us > 0) {
-    const auto timeout = p_.config().stage_timeout_us;
-    after(timeout, [this, tx, done] {
-      auto it = rpc_waiters_.find(tx);
-      if (it == rpc_waiters_.end()) return;
-      rpc_waiters_.erase(it);
-      done(false);
-    });
-  }
+  call_remote(tx, agent.result_node(), contract::msg::invoke,
+              contract::encode_invoke(tx, "mailbox", "put", params, ""),
+              contract::msg::result, /*transfer_slack=*/0,
+              [done = std::move(done)](serial::Decoder* reply) {
+                done(reply != nullptr &&
+                     static_cast<Errc>(reply->read_u8()) == Errc::ok);
+              });
 }
 
-void NodeRuntime::finish_cancelled(TxId tx, const QueueRecord& rec,
-                                   Agent& agent) {
-  const auto image_key = agent_image_key(rec.agent);
-  if (storage_.has_record(image_key)) qm_.stage_record_erase(tx, image_key);
-  serial::Bytes final_bytes = encode_agent(agent);
-  const auto commit_begin = p_.sim().now();
-  deliver_result(
-      tx, agent, /*ok=*/false, Status(Errc::tx_aborted, "cancelled"),
-      [this, tx, rec, commit_begin,
-       final_bytes = std::move(final_bytes)](bool delivered) {
-        if (!delivered) {
-          txm_.abort_tx(tx);
-          release_slot(rec);
-          retry_later(rec);
-          return;
-        }
-        txm_.commit_async(tx, [this, rec, commit_begin,
-                               final_bytes =
-                                   std::move(final_bytes)](bool ok) {
-          if (!ok) {
-            release_slot(rec);
-            retry_later(rec);
-            return;
-          }
-          record_event(EventKind::rollback_done, rec.agent, 0, 0,
-                       as_code(QueueRecord::Completion::cancel));
-          AgentOutcome out;
-          out.state = AgentOutcome::State::cancelled;
-          out.status = Status(Errc::tx_aborted, "cancelled");
-          out.final_agent = final_bytes;
-          out.final_node = id_;
-          out.finished_at = p_.sim().now();
-          p_.record_outcome(rec.agent, std::move(out));
-          ship_.forget_agent(rec.agent);
-          span_commit_flush(rec, commit_begin);
-          span_hop_end(rec);
-          attempts_.erase(rec.record_id);
-          release_slot(rec);
-          pump();
-        });
-      });
+void NodeRuntime::call_remote(TxId tx, NodeId dest, const char* type,
+                              serial::Bytes request, const char* reply_type,
+                              sim::TimeUs transfer_slack, Reply on_reply) {
+  txm_.enlist_remote(tx, dest);
+  const auto timeout =
+      p_.config().stage_timeout_us +
+      transfer_slack * p_.net().transfer_time(id_, dest, request.size());
+  p_.net().send(net::Message{id_, dest, type, std::move(request)});
+  const auto [it, fresh] =
+      waiters_.try_emplace(tx, Waiter{reply_type, std::move(on_reply), {}});
+  MAR_CHECK_MSG(fresh, "a transaction waits for one remote call at a time");
+  if (p_.config().stage_timeout_us > 0) {
+    it->second.timeout = p_.sim().schedule_after(timeout, [this, tx] {
+      // Armed only while the call waits: its reply or a crash cancels it.
+      waiters_.extract(tx).mapped().on_reply(nullptr);
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1134,7 +1046,7 @@ void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
       p_.spans().record(std::move(se));
     }
     if (agent->run_state() == Agent::RunState::done) {
-      finish_agent(tx, rec, *agent);
+      terminate(tx, rec, *agent, AgentOutcome::State::done, Status::ok());
       return;
     }
     // Route to the next step's node; rotate through the alternatives on
@@ -1271,30 +1183,15 @@ void NodeRuntime::initiate_rollback(const QueueRecord& rec,
     agent->note_rollback_completed();
     if (completion == QueueRecord::Completion::skip_sub &&
         !apply_skip(*agent, target)) {
-      finish_agent(tx, rec, *agent);
+      terminate(tx, rec, *agent, AgentOutcome::State::done, Status::ok());
       return;
     }
     if (completion == QueueRecord::Completion::next_alt) {
       apply_next_alternative(*agent, target);
     }
-    const StepEntry step = current_step(*agent);
-    const auto attempt = attempt_count(rec.record_id);
-    const NodeId dest = step.locations[attempt % step.locations.size()];
-    QueueRecord next_rec =
-        make_record(*agent, RecordKind::execute, SavepointId::invalid());
-    propagate_trace(rec, next_rec);
-    stage_and_commit(tx, dest, std::move(next_rec), agent,
-                     [this, rec](bool committed) {
-                       release_slot(rec);
-                       if (committed) {
-                         span_hop_end(rec);
-                         attempts_.erase(rec.record_id);
-                         pump();
-                       } else {
-                         ++attempts_[rec.record_id];
-                         retry_later(rec);
-                       }
-                     });
+    hand_off(tx, rec,
+             make_record(*agent, RecordKind::execute, SavepointId::invalid()),
+             current_step(*agent).locations, agent, MigrateCause::resume);
     return;
   }
 
@@ -1307,28 +1204,9 @@ void NodeRuntime::initiate_rollback(const QueueRecord& rec,
                                "rollback log has no end-of-step entry"));
     return;
   }
-  const auto attempt = attempt_count(rec.record_id);
-  const NodeId dest = dests[attempt % dests.size()];
   QueueRecord comp_rec = make_record(*agent, RecordKind::compensate, target);
   comp_rec.completion = completion;
-  propagate_trace(rec, comp_rec);
-  if (dest != id_) {
-    ++p_.rollback_transfers();
-    record_event(EventKind::migrate, rec.agent, dest.value(),
-                 comp_rec.payload.size(), as_code(MigrateCause::rollback));
-  }
-  stage_and_commit(tx, dest, std::move(comp_rec), agent,
-                   [this, rec](bool committed) {
-                     release_slot(rec);
-                     if (committed) {
-                       span_hop_end(rec);
-                       attempts_.erase(rec.record_id);
-                       pump();
-                     } else {
-                       ++attempts_[rec.record_id];
-                       retry_later(rec);
-                     }
-                   });
+  hand_off(tx, rec, std::move(comp_rec), dests, agent, MigrateCause::rollback);
 }
 
 std::vector<NodeId> NodeRuntime::next_compensation_nodes(
@@ -1453,41 +1331,27 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
     // log order at one place — the resource node) together with a weak
     // snapshot; merge the updated weak state back on acknowledgement.
     ++p_.mixed_ships();
-    txm_.enlist_remote(tx, eos.node);
-    std::size_t frame = 8 + serial::varint_size(ops.size()) +
-                        agent->data().weak_image().encoded_size();
-    for (const auto& op : ops) frame += op.byte_size();
-    serial::Encoder enc(frame);
-    enc.write_u64(tx.value());
-    enc.write_varint(ops.size());
-    for (const auto& op : ops) op.serialize(enc);
-    agent->data().weak_image().serialize(enc);
-    const auto wire_bytes = enc.size();
+    auto request = encode_comp_request(tx, ops, &agent->data().weak_image());
     record_event(EventKind::mce_shipped, rec.agent, eos.node.value(),
-                 wire_bytes);
-    p_.net().send(
-        net::Message{id_, eos.node, msg::mce_exec, std::move(enc).take()});
-    mce_waiters_[tx] = [this, tx, rec, agent,
-                        comp_failed](bool ok, serial::Value weak) {
-      if (!ok) {
-        comp_failed(Status(Errc::compensation_failed,
-                           "shipped mixed compensation failed"));
-        return;
-      }
-      *agent->data().weak_slots() = std::move(weak);
-      finish_compensation(tx, rec, agent);
-    };
-    if (cfg.stage_timeout_us > 0) {
-      const auto timeout =
-          cfg.stage_timeout_us +
-          4 * p_.net().transfer_time(id_, eos.node, wire_bytes);
-      after(timeout, [this, tx, comp_failed] {
-        auto it = mce_waiters_.find(tx);
-        if (it == mce_waiters_.end()) return;
-        mce_waiters_.erase(it);
-        comp_failed(Status(Errc::unreachable, "mce shipment unacknowledged"));
-      });
-    }
+                 request.size());
+    call_remote(tx, eos.node, msg::mce_exec, std::move(request),
+                msg::mce_ack, /*transfer_slack=*/4,
+                [this, tx, rec, agent, comp_failed](serial::Decoder* reply) {
+                  if (reply == nullptr) {
+                    comp_failed(Status(Errc::unreachable,
+                                       "mce shipment unacknowledged"));
+                    return;
+                  }
+                  if (!reply->read_bool()) {
+                    comp_failed(Status(Errc::compensation_failed,
+                                       "shipped mixed compensation failed"));
+                    return;
+                  }
+                  serial::Value weak;
+                  weak.deserialize(*reply);
+                  *agent->data().weak_slots() = std::move(weak);
+                  finish_compensation(tx, rec, agent);
+                });
     return;
   }
 
@@ -1550,35 +1414,18 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
 
   if (!rces.empty()) {
     ++join->pending;
-    txm_.enlist_remote(tx, eos.node);
-    std::size_t frame = 8 + serial::varint_size(rces.size());
-    for (const auto& op : rces) frame += op.byte_size();
-    serial::Encoder enc(frame);
-    enc.write_u64(tx.value());
-    enc.write_varint(rces.size());
-    for (const auto& op : rces) op.serialize(enc);
-    const auto wire_bytes = enc.size();
+    auto request = encode_comp_request(tx, rces, nullptr);
     record_event(EventKind::rce_shipped, rec.agent, eos.node.value(),
-                 wire_bytes);
-    p_.net().send(
-        net::Message{id_, eos.node, msg::rce_exec, std::move(enc).take()});
-    rce_waiters_[tx] = [arrived](bool ok) {
-      arrived(ok ? Status::ok()
-                 : Status(Errc::compensation_failed,
-                          "shipped resource compensation failed"));
-    };
-    if (cfg.stage_timeout_us > 0) {
-      const auto timeout =
-          cfg.stage_timeout_us +
-          4 * p_.net().transfer_time(id_, eos.node, wire_bytes);
-      after(timeout, [this, tx] {
-        auto it = rce_waiters_.find(tx);
-        if (it == rce_waiters_.end()) return;
-        auto cb = std::move(it->second);
-        rce_waiters_.erase(it);
-        cb(false);
-      });
-    }
+                 request.size());
+    call_remote(tx, eos.node, msg::rce_exec, std::move(request),
+                msg::rce_ack, /*transfer_slack=*/4,
+                [arrived](serial::Decoder* reply) {
+                  arrived(reply != nullptr && reply->read_bool()
+                              ? Status::ok()
+                              : Status(Errc::compensation_failed,
+                                       "shipped resource compensation "
+                                       "failed"));
+                });
   }
 
   // Agent compensation entries run locally, overlapping the shipped RCEs.
@@ -1614,42 +1461,21 @@ void NodeRuntime::finish_compensation(TxId tx, const QueueRecord& rec,
     if (rec.completion == QueueRecord::Completion::cancel) {
       // Multi-agent executions: a complete rollback that terminates the
       // agent instead of resuming it.
-      finish_cancelled(tx, rec, *agent);
+      terminate(tx, rec, *agent, AgentOutcome::State::cancelled,
+                Status(Errc::tx_aborted, "cancelled"));
       return;
     }
     if (rec.completion == QueueRecord::Completion::skip_sub &&
         !apply_skip(*agent, target)) {
-      finish_agent(tx, rec, *agent);
+      terminate(tx, rec, *agent, AgentOutcome::State::done, Status::ok());
       return;
     }
     if (rec.completion == QueueRecord::Completion::next_alt) {
       apply_next_alternative(*agent, target);
     }
-    const StepEntry step = current_step(*agent);
-    const auto attempt = attempt_count(rec.record_id);
-    const NodeId dest = step.locations[attempt % step.locations.size()];
-    QueueRecord next_rec =
-        make_record(*agent, RecordKind::execute, SavepointId::invalid());
-    propagate_trace(rec, next_rec);
-    if (dest != id_) {
-      record_event(EventKind::migrate, rec.agent, dest.value(),
-                   next_rec.payload.size(), as_code(MigrateCause::resume));
-    }
-    stage_and_commit(tx, dest, std::move(next_rec), agent,
-                     [this, rec](bool committed) {
-                       release_slot(rec);
-                       if (committed) {
-                         record_event(EventKind::comp_commit, rec.agent);
-                         span_hop_end(rec);
-                         attempts_.erase(rec.record_id);
-                         pump();
-                       } else {
-                         record_event(EventKind::comp_abort, rec.agent, 0, 0,
-                                      as_code(Errc::tx_aborted));
-                         ++attempts_[rec.record_id];
-                         retry_later(rec);
-                       }
-                     });
+    hand_off(tx, rec,
+             make_record(*agent, RecordKind::execute, SavepointId::invalid()),
+             current_step(*agent).locations, agent, MigrateCause::resume);
     return;
   }
 
@@ -1663,31 +1489,9 @@ void NodeRuntime::finish_compensation(TxId tx, const QueueRecord& rec,
                       "target savepoint not reached but log is exhausted"));
     return;
   }
-  const auto attempt = attempt_count(rec.record_id);
-  const NodeId dest = dests[attempt % dests.size()];
   QueueRecord comp_rec = make_record(*agent, RecordKind::compensate, target);
   comp_rec.completion = rec.completion;
-  propagate_trace(rec, comp_rec);
-  if (dest != id_) {
-    ++p_.rollback_transfers();
-    record_event(EventKind::migrate, rec.agent, dest.value(),
-                 comp_rec.payload.size(), as_code(MigrateCause::rollback));
-  }
-  stage_and_commit(tx, dest, std::move(comp_rec), agent,
-                   [this, rec](bool committed) {
-                     release_slot(rec);
-                     if (committed) {
-                       record_event(EventKind::comp_commit, rec.agent);
-                       span_hop_end(rec);
-                       attempts_.erase(rec.record_id);
-                       pump();
-                     } else {
-                       record_event(EventKind::comp_abort, rec.agent, 0, 0,
-                                    as_code(Errc::tx_aborted));
-                       ++attempts_[rec.record_id];
-                       retry_later(rec);
-                     }
-                   });
+  hand_off(tx, rec, std::move(comp_rec), dests, agent, MigrateCause::rollback);
 }
 
 bool NodeRuntime::apply_skip(Agent& agent, SavepointId target) {

@@ -36,6 +36,7 @@
 #include "agent/platform.h"
 #include "agent/step_context.h"
 #include "resource/resource_manager.h"
+#include "serial/decoder.h"
 #include "ship/shipment_manager.h"
 #include "storage/stable_storage.h"
 #include "tx/queue_manager.h"
@@ -189,17 +190,46 @@ class NodeRuntime {
   void stage_and_commit(TxId tx, NodeId dest, storage::QueueRecord record,
                         std::shared_ptr<const Agent> agent,
                         std::function<void(bool)> done);
+  /// The one exit of a transaction that consumes `rec` and hands the
+  /// agent on as `next` (launch, cancel, rollback start, compensation,
+  /// resume): stage it at `dests[attempt % n]` and commit. A commit ends
+  /// the hop; an abort counts an attempt and retries. Compensation
+  /// records report comp_commit / comp_abort; a compensate record that
+  /// leaves the node counts as a rollback transfer.
+  void hand_off(TxId tx, const storage::QueueRecord& rec,
+                storage::QueueRecord next, const std::vector<NodeId>& dests,
+                std::shared_ptr<const Agent> agent, MigrateCause cause);
   void retry_later(const storage::QueueRecord& rec);
+  /// Abort `tx` and terminate the agent as failed in a cleanup
+  /// transaction that consumes `rec`.
   void fail_agent(TxId tx, const storage::QueueRecord& rec, Status status);
-  void finish_agent(TxId tx, const storage::QueueRecord& rec, Agent& agent);
-  /// Terminate a cancelled agent after its complete rollback (multi-agent
-  /// executions): record the `cancelled` outcome and notify the mailbox.
-  void finish_cancelled(TxId tx, const storage::QueueRecord& rec,
-                        Agent& agent);
+  /// The one terminal commit: drop the agent's stable image, deliver its
+  /// result to its mailbox (multi-agent executions) and commit `tx`, then
+  /// record the outcome `state` with `status`. A failed delivery or
+  /// commit retries without counting an attempt.
+  void terminate(TxId tx, const storage::QueueRecord& rec, const Agent& agent,
+                 AgentOutcome::State state, Status status);
   /// Deliver an agent's result record to its result mailbox within `tx`
   /// (locally or by transactional RPC), then run `done(ok)`.
   void deliver_result(TxId tx, const Agent& agent, bool ok,
                       const Status& error, std::function<void(bool)> done);
+
+  // --- remote calls inside a transaction (RCE, MCE, RPC) ---------------------
+  /// A remote call's continuation: `reply` reads the reply payload past
+  /// its tx field, or is null when no reply came in time.
+  using Reply = std::function<void(serial::Decoder* reply)>;
+  /// Enlist `dest` in `tx`, send it `request` as `type`, and wait for its
+  /// `reply_type` reply. Without one within config.stage_timeout_us plus
+  /// `transfer_slack` times the request's transfer time (0 disables the
+  /// timeout), `on_reply` runs with null.
+  void call_remote(TxId tx, NodeId dest, const char* type,
+                   serial::Bytes request, const char* reply_type,
+                   sim::TimeUs transfer_slack, Reply on_reply);
+  /// Serve a remote call inside `caller`'s transaction `tx`: after
+  /// `service`, send `serve()`'s bytes back to `caller` as `reply_type`.
+  template <class F>
+  void serve_remote(NodeId caller, TxId tx, sim::TimeUs service,
+                    const char* reply_type, F serve);
 
   // --- incremental durability (delta savepoint commits) -----------------------
   /// The committed (pre-step) agent state of a record: its payload, or —
@@ -217,9 +247,7 @@ class NodeRuntime {
   [[nodiscard]] std::size_t committed_agent_bytes(
       const storage::QueueRecord& rec) const;
   /// Whether the agent's delta chain under `key` should be folded back
-  /// into one full image: at the interval cap, or — with
-  /// PlatformConfig::compaction_ratio set — once the accumulated delta
-  /// bytes outweigh the base image.
+  /// into one full image: at the compaction_interval_steps cap.
   [[nodiscard]] bool should_compact(const std::string& key) const;
   /// Stage the agent's post-step durable image for a local handoff:
   /// an O(delta) append when the step was append-only and the chain is
@@ -324,15 +352,14 @@ class NodeRuntime {
   std::unordered_map<AgentId, Resident> resident_;
   /// Steps that ran from a resident entry instead of a decode.
   RelaxedCounter resident_hits_;
-  /// Continuations waiting for rce.ack, keyed by tx.
-  std::unordered_map<TxId, std::function<void(bool)>> rce_waiters_;
-  /// Continuations waiting for mce.ack; receive the updated weak-state
-  /// snapshot produced by the remotely executed mixed compensation.
-  std::unordered_map<TxId, std::function<void(bool, serial::Value)>>
-      mce_waiters_;
-  /// Continuations waiting for a transactional RPC reply (ctr.result),
-  /// e.g. remote result delivery into a mailbox.
-  std::unordered_map<TxId, std::function<void(bool)>> rpc_waiters_;
+  /// A remote call waiting for its reply (see call_remote). A reply of
+  /// another type is dropped; the reply and a crash cancel the timeout.
+  struct Waiter {
+    const char* reply_type = nullptr;
+    Reply on_reply;
+    sim::EventId timeout;
+  };
+  std::unordered_map<TxId, Waiter> waiters_;
 };
 
 }  // namespace mar::agent

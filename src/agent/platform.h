@@ -130,12 +130,6 @@ struct PlatformConfig {
   /// after this many delta segments (bounds recovery replay length and
   /// stale-segment space). Minimum 1.
   std::uint32_t compaction_interval_steps = 32;
-  /// Bytes-ratio compaction: additionally compact once the accumulated
-  /// delta bytes exceed this ratio of the base image, which keeps the
-  /// record-area footprint proportional to the agent (amortized-flat)
-  /// instead of rewriting on a fixed cadence. 0 disables the ratio
-  /// policy; compaction_interval_steps always remains the hard cap.
-  double compaction_ratio = 0.0;
 
   // --- segmented record log + crash recovery (src/storage/segment_log.h) ---
   // Each node's record area lives in rotated, CRC32-framed log segments:

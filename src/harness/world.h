@@ -94,6 +94,27 @@ class TestWorld {
     rm.poke_state("exchange", std::move(state));
   }
 
+  /// Run the simulator dry. Returns how long the world stayed busy after
+  /// its last message delivery: a timer still armed for a reason that
+  /// already ended shows up as a late drain.
+  sim::TimeUs drain_after_last_delivery() {
+    sim::TimeUs last = sim.now();
+    auto delivered = net.stats().messages_delivered;
+    while (sim.step()) {
+      if (net.stats().messages_delivered != delivered) {
+        delivered = net.stats().messages_delivered;
+        last = sim.now();
+      }
+    }
+    return sim.now() - last;
+  }
+
+  /// One link round trip of a header-only frame: how long a crash-free
+  /// world may stay busy after its last delivery (the final acks).
+  [[nodiscard]] sim::TimeUs header_round_trip() const {
+    return 2 * net.transfer_time(n(1), n(2), net::Message::kHeaderBytes);
+  }
+
   sim::Simulator sim;
   net::Network net;
   net::FaultInjector faults;

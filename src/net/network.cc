@@ -206,7 +206,7 @@ void Network::release(Channel& ch, const Message& msg) {
 
 void Network::deliver_ack(NodeId receiver, NodeId sender, MsgId id) {
   // An ack is a tiny frame travelling back over the same link.
-  const auto delay = transfer_time(receiver, sender, /*bytes=*/16);
+  const auto delay = transfer_time(receiver, sender, kAckBytes);
   // mar-lint: one-shot (a delivery)
   sim_.schedule_after(delay, [this, receiver, sender, id] {
     if (!link_up(receiver, sender)) return;  // lost; duplicate will re-ack
@@ -221,7 +221,14 @@ void Network::deliver_ack(NodeId receiver, NodeId sender, MsgId id) {
 }
 
 void Network::arm_retransmit(MsgId id, Pending& p) {
-  p.retransmit = sim_.schedule_after(retransmit_interval_, [this, id] {
+  // Wait at least twice the round trip of this message and its ack: a
+  // slow link must not carry a second copy of a message whose first is
+  // still on the wire.
+  const auto& m = *p.msg;
+  const auto round_trip = transfer_time(m.from, m.to, m.wire_size()) +
+                          transfer_time(m.to, m.from, kAckBytes);
+  const auto interval = std::max(retransmit_interval_, 2 * round_trip);
+  p.retransmit = sim_.schedule_after(interval, [this, id] {
     // Armed only while the message is unacked: an ack or the sender's
     // crash cancels it.
     Pending& pending = outbox_.at(id);

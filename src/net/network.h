@@ -115,7 +115,9 @@ class Network {
   [[nodiscard]] const NetStats& stats() const { return stats_; }
   NetStats& mutable_stats() { return stats_; }
 
-  /// Retransmission interval for unacknowledged messages.
+  /// Retransmission interval for unacknowledged messages. A message whose
+  /// round trip (with its ack) exceeds half of it waits twice its round
+  /// trip instead.
   void set_retransmit_interval(sim::TimeUs t) { retransmit_interval_ = t; }
 
   /// Dedup state `receiver` holds: one watermark per (sender, sender
@@ -177,6 +179,9 @@ class Network {
   static void release(Channel& ch, const Message& msg);
   void deliver_ack(NodeId receiver, NodeId sender, MsgId id);
   void arm_retransmit(MsgId id, Pending& p);
+
+  /// Wire size of an acknowledgement frame.
+  static constexpr std::size_t kAckBytes = 16;
 
   sim::Simulator& sim_;
   LinkParams default_link_;

@@ -250,6 +250,10 @@ TEST(AlternativesTest, ThreeOptionsTriedInOrder) {
   EXPECT_EQ(touched_keys(w, 3), 1);
   auto fin = w.platform.decode(w.platform.outcome(id.value()).final_agent);
   EXPECT_EQ(fin->rollbacks_completed(), 2u);
+  // Each failure sits at its option's first step, so its rollback is done
+  // at once, and the agent moves on to the next option's node (N1 -> N2
+  // -> N3): two resume hand-offs, each recorded as a migration.
+  EXPECT_EQ(w.platform.spans().count(EventKind::migrate), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -134,13 +134,10 @@ struct RunOutcome {
 };
 
 RunOutcome run_steady(bool incremental, int steps, bool crash_mid_run,
-                      std::uint32_t compaction_interval = 32,
-                      double compaction_ratio = 0.0,
-                      std::uint64_t* record_resets = nullptr) {
+                      std::uint32_t compaction_interval = 32) {
   PlatformConfig cfg;
   cfg.incremental_commit = incremental;
   cfg.compaction_interval_steps = compaction_interval;
-  cfg.compaction_ratio = compaction_ratio;
   cfg.discard_log_on_top_level = false;
   TestWorld w(cfg, /*node_count=*/1, /*seed=*/9);
   harness::register_workload(w.platform);
@@ -166,39 +163,7 @@ RunOutcome run_steady(bool incremental, int steps, bool crash_mid_run,
   out.final_agent = o.final_agent;
   out.stable_bytes =
       w.platform.node(TestWorld::n(1)).storage().stats().bytes_written;
-  if (record_resets != nullptr) {
-    *record_resets =
-        w.platform.node(TestWorld::n(1)).storage().stats().record_resets;
-  }
   return out;
-}
-
-TEST(IncrementalCommitTest, BytesRatioCompactionBoundsChainByFootprint) {
-  // With the interval cap pushed out of reach, the bytes-ratio policy
-  // alone must keep compacting: once the delta chain outweighs the base
-  // image the record is folded. spend_logged deltas (~param_bytes each)
-  // quickly outweigh the young agent's base, so ratio=1.0 compacts many
-  // times where ratio=0 never does — with identical execution results.
-  std::uint64_t resets_ratio = 0;
-  std::uint64_t resets_off = 0;
-  const auto with_ratio = run_steady(true, 32, false,
-                                     /*compaction_interval=*/4096,
-                                     /*compaction_ratio=*/1.0, &resets_ratio);
-  const auto without = run_steady(true, 32, false,
-                                  /*compaction_interval=*/4096,
-                                  /*compaction_ratio=*/0.0, &resets_off);
-  const auto full = run_steady(false, 32, false);
-  ASSERT_TRUE(with_ratio.done);
-  ASSERT_TRUE(without.done);
-  ASSERT_TRUE(full.done);
-  // Pure durability policy: bit-identical terminal agents.
-  EXPECT_EQ(with_ratio.final_agent, without.final_agent);
-  EXPECT_EQ(with_ratio.final_agent, full.final_agent);
-  // The ratio policy compacts where the interval-only config cannot.
-  EXPECT_GT(resets_ratio, resets_off);
-  // And it stays amortized: compactions are a fraction of the steps, not
-  // one per step.
-  EXPECT_LT(resets_ratio, 32u);
 }
 
 TEST(IncrementalCommitTest, MatchesFullImageExecutionBitForBit) {

@@ -354,5 +354,34 @@ TEST(MultiAgentTest, RemoteResultDeliveryIsTransactional) {
   EXPECT_EQ(fin->data().weak("sum").as_int(), 6);
 }
 
+TEST(MultiAgentTest, RemoteResultDeliveryLeavesNoTimerBehind) {
+  // The crash-free run of the setup above: each delivery RPC's timeout
+  // dies with its reply, so the world goes quiet within one link round
+  // trip of its last delivery. The parent only spawns; a join would park
+  // it in retry backoff, a continuation of its own.
+  TestWorld w(PlatformConfig{}, 5, 31);
+  register_agents(w.platform);
+  auto parent = master(2, 3, false);
+  Itinerary sub;
+  sub.step("spawn", TestWorld::n(1));
+  Itinerary main;
+  main.sub(std::move(sub));
+  parent->itinerary() = std::move(main);
+  auto id = w.platform.launch(std::move(parent));
+  ASSERT_TRUE(id.is_ok());
+  ASSERT_TRUE(w.platform.run_until_finished(id.value()));
+  const auto children = w.platform.children_of(id.value());
+  ASSERT_EQ(children.size(), 2u);
+  ASSERT_TRUE(w.platform.run_until_all_finished(children));
+  const auto quiet_after = w.drain_after_last_delivery();
+  for (const auto child : children) {
+    EXPECT_EQ(w.platform.outcome(child).state, AgentOutcome::State::done);
+  }
+  // Both results landed in the parent node's mailbox.
+  EXPECT_EQ(w.committed(1, "mailbox").at("slots").as_map().size(), 2u);
+  EXPECT_LE(quiet_after, w.header_round_trip())
+      << "drained " << quiet_after << " us after the last delivery";
+}
+
 }  // namespace
 }  // namespace mar

@@ -358,45 +358,76 @@ TEST(PlatformTest, RetainedStateTracksLiveAgentsNotServedOnes) {
 TEST(PlatformTest, NoTimerOutlivesItsReason) {
   // Once the last message of a crash-free run has landed, the world must
   // go quiet within one link round trip: no retransmit (50 ms), inquiry or
-  // re-drive (200 ms) or stage-timeout (2 s) timer may still be armed for
-  // a reason that already ended. Batched (window 4) and flushing each
-  // commit at once (window 1).
-  for (const std::uint32_t window : {4u, 1u}) {
-    SCOPED_TRACE(window);
+  // re-drive (200 ms), stage-timeout or remote-call timeout (2 s) timer
+  // may still be armed for a reason that already ended. Cases: migrations
+  // batched (window 4) and flushing each commit at once (window 1); an
+  // optimized rollback that ships resource compensation entries (RCEs);
+  // an adaptive rollback that ships a mixed step's entries (MCE).
+  enum class Case { migrate_window_4, migrate_window_1, ship_rces, ship_mce };
+  for (const auto c : {Case::migrate_window_4, Case::migrate_window_1,
+                       Case::ship_rces, Case::ship_mce}) {
+    SCOPED_TRACE(static_cast<int>(c));
     PlatformConfig cfg;
-    cfg.group_commit_window = window;
-    cfg.ship_convoy_window = window;
+    std::vector<std::unique_ptr<WorkloadAgent>> agents;
+    EventKind shipped = EventKind::migrate;
+    switch (c) {
+      case Case::migrate_window_4:
+      case Case::migrate_window_1: {
+        const std::uint32_t window = c == Case::migrate_window_4 ? 4 : 1;
+        cfg.group_commit_window = window;
+        cfg.ship_convoy_window = window;
+        for (int i = 0; i < 4; ++i) {
+          auto& a = agents.emplace_back(std::make_unique<WorkloadAgent>());
+          a->itinerary() = single_sub({{"noop", 1},
+                                       {"noop", 2},
+                                       {"noop", 3},
+                                       {"noop", 4},
+                                       {"noop", 1}});
+        }
+        break;
+      }
+      case Case::ship_rces: {
+        cfg.strategy = RollbackStrategy::optimized;
+        shipped = EventKind::rce_shipped;
+        auto& a = agents.emplace_back(std::make_unique<WorkloadAgent>());
+        a->itinerary() = single_sub(
+            {{"withdraw", 1}, {"withdraw", 2}, {"withdraw", 3}, {"noop", 4}});
+        a->set_trigger("noop", 4, "sub", 0);
+        break;
+      }
+      case Case::ship_mce: {
+        // A heavy agent with a light weak state: shipping the mixed
+        // step's entries beats moving the agent back.
+        cfg.strategy = RollbackStrategy::adaptive;
+        shipped = EventKind::mce_shipped;
+        auto& a = agents.emplace_back(std::make_unique<WorkloadAgent>());
+        a->itinerary() = single_sub(
+            {{"grow_strong", 1}, {"touch_mixed", 2}, {"noop", 3}});
+        a->set_trigger("noop", 3, "sub", 0);
+        a->set_config("strong_bytes", 16 * 1024);
+        a->set_config("weak_bytes", 16);
+        a->set_config("param_bytes", 16);
+        break;
+      }
+    }
     TestWorld w(cfg);
     register_workload(w.platform);
+    for (int n = 1; n <= 3; ++n) w.open_account(n, "acct", 1000);  // RCEs
     std::vector<AgentId> ids;
-    for (int i = 0; i < 4; ++i) {
-      auto migrating = std::make_unique<WorkloadAgent>();
-      migrating->itinerary() = single_sub(
-          {{"noop", 1}, {"noop", 2}, {"noop", 3}, {"noop", 4}, {"noop", 1}});
-      auto id = w.platform.launch(std::move(migrating));
+    for (auto& a : agents) {
+      auto id = w.platform.launch(std::move(a));
       ASSERT_TRUE(id.is_ok());
       ids.push_back(id.value());
     }
     ASSERT_TRUE(w.platform.run_until_all_finished(ids));
-    sim::TimeUs last_delivery = w.sim.now();
-    std::uint64_t delivered = w.net.stats().messages_delivered;
-    while (w.sim.step()) {
-      if (w.net.stats().messages_delivered != delivered) {
-        delivered = w.net.stats().messages_delivered;
-        last_delivery = w.sim.now();
-      }
-    }
+    const auto quiet_after = w.drain_after_last_delivery();
     for (const auto id : ids) {
       ASSERT_EQ(w.platform.outcome(id).state,
                 agent::AgentOutcome::State::done);
     }
-    EXPECT_GT(w.platform.spans().count(EventKind::migrate), 0u);
-    const auto round_trip =
-        2 * w.net.transfer_time(TestWorld::n(1), TestWorld::n(2),
-                                net::Message::kHeaderBytes);
-    EXPECT_LE(w.sim.now() - last_delivery, round_trip)
-        << "drained at " << w.sim.now() << " us, last delivery at "
-        << last_delivery << " us";
+    EXPECT_GT(w.platform.spans().count(shipped), 0u);
+    EXPECT_LE(quiet_after, w.header_round_trip())
+        << "drained " << quiet_after << " us after the last delivery";
     EXPECT_EQ(w.net.unacked(), 0u);
   }
 }

@@ -567,6 +567,10 @@ TEST(ShipTest, ConvoySlowerThanThePrepareRedriveStillCommits) {
     }
   }
   EXPECT_EQ(hop_migrations, static_cast<std::uint64_t>(kHops));
+  // Nor was any message resent while its first copy was still on the
+  // wire: the retransmit interval covers the slow link's round trip.
+  w.sim.run();
+  EXPECT_EQ(w.net.stats().transmissions, w.net.stats().messages_sent);
 }
 
 // --------------------------------------------------------------------------

@@ -46,15 +46,20 @@ Rules (each with a stable id used in messages and suppressions):
                         flight recorder report. Intentionally private
                         counters annotate
                         `// mar-lint: unregistered-stat`.
-  R9 timer-owned        In src/net/, src/tx/ and src/ship/ the EventId a
-                        schedule_at / schedule_after / after( call returns
-                        is kept, so the timer can be cancelled when its
-                        reason ends instead of firing later to find
-                        nothing to do. A discarded result is allowed only
-                        for timers that always do work when they fire
-                        (deliveries, same-instant hand-offs), annotated
-                        `// mar-lint: one-shot` on the line or the line
-                        above.
+  R9 timer-owned        In src/net/, src/tx/, src/ship/ and src/agent/
+                        the EventId a schedule_at / schedule_after /
+                        after( call returns is kept, so the timer can be
+                        cancelled when its reason ends instead of firing
+                        later to find nothing to do. A discarded result
+                        is allowed only for timers that always do work
+                        when they fire (deliveries, same-instant
+                        hand-offs), annotated `// mar-lint: one-shot` on
+                        the line or the line above. In src/agent/,
+                        NodeRuntime::after is exempt by name: its
+                        continuations (service delays, backoff, slot
+                        dispatch) die with the node's epoch, which a
+                        crash bumps; the one schedule call inside it is
+                        annotated `// mar-lint: epoch-owned`.
 
 Usage:
   tools/mar_lint.py [--root REPO] [FILES...]   lint src/ (or FILES)
@@ -240,7 +245,11 @@ def check_record_scope(relpath, path, lines, findings):
 
 # --- R9: timers in the protocol layers keep their EventId ----------------
 
-TIMER_OWNED_PREFIXES = ("src/net/", "src/tx/", "src/ship/")
+TIMER_OWNED_PREFIXES = ("src/net/", "src/tx/", "src/ship/", "src/agent/")
+# NodeRuntime's epoch-owned continuations: a crash or recovery bumps the
+# node's epoch, which turns every one of them into a no-op, so none can
+# outlive its reason by more than the delay it was armed with.
+EPOCH_OWNED_PREFIX = "src/agent/"
 # A statement that starts with the call: its result is discarded.
 DISCARDED_TIMER_RE = re.compile(
     r"^(?:[\w:]+(?:\(\))?\s*(?:\.|->)\s*)*"
@@ -262,8 +271,13 @@ def check_timer_owned(relpath, path, lines, findings):
             prev = code
         if not m or continued:
             continue
+        epoch_owned = relpath.startswith(EPOCH_OWNED_PREFIX)
+        if epoch_owned and m.group(1) == "after":
+            continue
         here_or_above = line + (lines[i - 2] if i >= 2 else "")
         if "mar-lint: one-shot" in here_or_above:
+            continue
+        if epoch_owned and "mar-lint: epoch-owned" in here_or_above:
             continue
         findings.append(Finding(path, i, "R9",
                                 f"discarded `{m.group(1)}` result: keep "
@@ -442,6 +456,15 @@ void mar::net::Rogue::arm(MsgId id) {
   });
 }
 """,
+    "src/agent/rogue_timer.cc": """
+void mar::agent::Rogue::call(TxId tx) {
+  // A reply timeout outside the waiter table: fires long after the reply.
+  p_.sim().schedule_after(timeout, [this, tx] {
+    if (!waiting_.contains(tx)) return;
+    expire(tx);
+  });
+}
+""",
     "src/net/rogue_stats.h": """
 #include "util/counters.h"
 namespace mar::net {
@@ -484,6 +507,16 @@ void good_flush_timer(mar::sim::Simulator& sim, mar::FlushHelper& helper) {
   (void)pending;
 }
 """,
+    "src/agent/good_timer.cc": """
+void mar::agent::Good::call(TxId tx) {
+  after(service, [this, tx] { serve(tx); });  // dies with the epoch
+  waiter.timeout = p_.sim().schedule_after(timeout, [this, tx] {
+    expire(tx);
+  });
+  // mar-lint: epoch-owned (a crash bumps the epoch)
+  p_.sim().schedule_after(delay, [this, epoch] { run(epoch); });
+}
+""",
     "src/net/good_stats.h": """
 #include "util/counters.h"
 namespace mar::net {
@@ -524,6 +557,13 @@ def self_test():
             status = "fires" if rule in fired else "MISSED"
             print(f"self-test: {rule} {status}")
             ok &= rule in fired
+        # Each layer R9 covers must be checked, not just one of them.
+        for layer in ("src/net/", "src/agent/"):
+            hit = any(f.rule == "R9" and str(f.path).startswith(layer)
+                      for f in findings)
+            print(f"self-test: R9 in {layer} "
+                  f"{'fires' if hit else 'MISSED'}")
+            ok &= hit
         false_pos = [f for f in findings if "good" in str(f.path)]
         for f in false_pos:
             print(f"self-test: FALSE POSITIVE {f}")
