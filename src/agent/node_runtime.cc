@@ -8,47 +8,14 @@
 #include "contract/contract.h"
 #include "resource/lock_audit.h"
 #include "serial/decoder.h"
-#include "serial/encoder.h"
 #include "util/check.h"
 
 namespace mar::agent {
 
-using rollback::EntryKind;
 using rollback::OpEntryKind;
 using rollback::OperationEntry;
 using storage::QueueRecord;
 using storage::RecordKind;
-
-namespace {
-/// The step entry at the agent's position, read through the const view:
-/// the mutable itinerary accessor would unshare the itinerary.
-const StepEntry& current_step(const Agent& agent) {
-  return agent.itinerary().step_at(agent.position());
-}
-
-/// The small-enum field of a protocol event (Span::code).
-template <typename E>
-std::uint8_t as_code(E e) {
-  return static_cast<std::uint8_t>(e);
-}
-
-/// A shipped compensation request (rce.exec, mce.exec): the tx, the
-/// operation entries in execution order, then the weak-state snapshot of
-/// a mixed step's request.
-serial::Bytes encode_comp_request(TxId tx,
-                                  const std::vector<OperationEntry>& ops,
-                                  const serial::Value* weak) {
-  std::size_t frame = 8 + serial::varint_size(ops.size()) +
-                      (weak != nullptr ? weak->encoded_size() : 0);
-  for (const auto& op : ops) frame += op.byte_size();
-  serial::Encoder enc(frame);
-  enc.write_u64(tx.value());
-  enc.write_varint(ops.size());
-  for (const auto& op : ops) op.serialize(enc);
-  if (weak != nullptr) weak->serialize(enc);
-  return std::move(enc).take();
-}
-}  // namespace
 
 NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
     : p_(platform), id_(id),
@@ -64,8 +31,7 @@ NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
   if (platform.config().lock_audit) rm_.enable_lock_audit();
   txm_.set_group_commit(platform.config().group_commit_window,
                         platform.config().group_commit_flush_us);
-  txm_.set_checkpoint(platform.config().checkpoint_interval_bytes,
-                      platform.config().checkpoint_write_us);
+  txm_.set_checkpoint(platform.config().checkpoint_interval_bytes);
   qm_.set_clock([this] { return p_.sim().now(); });
   // Delta migrations hand the receiver's reconstructed agent to the first
   // execution of its staged record; a staging that aborts drops it.
@@ -321,25 +287,6 @@ QueueRecord NodeRuntime::make_record(const Agent& agent, RecordKind kind,
   return rec;
 }
 
-template <class F>
-void NodeRuntime::after(sim::TimeUs delay, F fn) {
-  const auto epoch = epoch_;
-  // mar-lint: epoch-owned (a crash or recovery bumps epoch_)
-  p_.sim().schedule_after(delay, [this, epoch, fn = std::move(fn)]() mutable {
-    if (epoch == epoch_) fn();
-  });
-}
-
-template <class F>
-void NodeRuntime::serve_remote(NodeId caller, TxId tx, sim::TimeUs service,
-                               const char* reply_type, F serve) {
-  txm_.note_remote_staged(tx);
-  after(service,
-        [this, caller, reply_type, serve = std::move(serve)]() mutable {
-          p_.net().send(net::Message{id_, caller, reply_type, serve()});
-        });
-}
-
 void NodeRuntime::enqueue_initial(QueueRecord record) {
   record.enqueued_us = p_.sim().now();
   storage_.enqueue(std::move(record), /*transfer=*/false);
@@ -416,58 +363,6 @@ void NodeRuntime::execute_launch(const QueueRecord& rec) {
   hand_off(tx, rec,
            make_record(*agent, RecordKind::execute, SavepointId::invalid()),
            current_step(*agent).locations, agent, MigrateCause::launch);
-}
-
-void NodeRuntime::execute_cancel(const QueueRecord& rec) {
-  std::shared_ptr<Agent> agent = load_committed_agent(rec);
-  const auto target = agent->log().first_savepoint();
-  if (!target.valid()) {
-    // Sec. 4.4.2: a complete rollback (abort) is only possible while the
-    // first top-level sub-itinerary executes. The log was discarded: the
-    // cancellation is void; the agent runs on to completion.
-    p_.clear_cancel(rec.agent);
-    if (rec.kind == RecordKind::execute) {
-      execute_step(rec);
-    } else {
-      execute_launch(rec);
-    }
-    return;
-  }
-  p_.clear_cancel(rec.agent);
-  record_event(EventKind::rollback_begin, rec.agent, target.value(), 0,
-               as_code(QueueRecord::Completion::cancel));
-  initiate_cancel_rollback(rec, target);
-}
-
-void NodeRuntime::initiate_cancel_rollback(const QueueRecord& rec,
-                                           SavepointId target) {
-  const TxId tx = txm_.begin();
-  qm_.stage_remove(tx, rec.record_id);
-  // The cancel consumes the record without running its step: drop the
-  // record's resident agent, if any.
-  resident_.erase(rec.agent);
-  std::shared_ptr<Agent> agent = load_committed_agent(rec);
-  auto& log = agent->log();
-  for (auto sp = log.trailing_savepoint(); sp.has_value() && *sp != target;
-       sp = log.trailing_savepoint()) {
-    (void)log.pop();
-  }
-  if (log.trailing_savepoint() == target) {
-    // Nothing committed since launch: terminate right away.
-    terminate(tx, rec, *agent, AgentOutcome::State::cancelled,
-              Status(Errc::tx_aborted, "cancelled"));
-    return;
-  }
-  const auto dests =
-      next_compensation_nodes(log, *agent, committed_agent_bytes(rec));
-  if (dests.empty()) {
-    fail_agent(tx, rec, Status(Errc::protocol_error,
-                               "cancel: rollback log has no end-of-step"));
-    return;
-  }
-  QueueRecord comp_rec = make_record(*agent, RecordKind::compensate, target);
-  comp_rec.completion = QueueRecord::Completion::cancel;
-  hand_off(tx, rec, std::move(comp_rec), dests, agent, MigrateCause::cancel);
 }
 
 void NodeRuntime::retry_later(const QueueRecord& rec) {
@@ -556,36 +451,7 @@ void NodeRuntime::handle_message(const net::Message& m) {
   }
   serial::Decoder dec(m.payload);
   if (m.type == msg::rce_exec || m.type == msg::mce_exec) {
-    // Shipped compensation entries, run here (the resource node) inside
-    // the coordinator's compensation transaction: resource entries of the
-    // optimized algorithm, or (adaptive strategy, Sec. 4.4.1) a mixed
-    // step's complete entry list plus a snapshot of the agent's weakly
-    // reversible objects. The weak-state mutations travel back with the
-    // acknowledgement; they become durable only when the coordinator
-    // commits the transaction, so a lost reply or an abort discards them.
-    const TxId tx(dec.read_u64());
-    std::vector<OperationEntry> ops(dec.read_count());
-    for (auto& op : ops) op.deserialize(dec);
-    const bool mixed = m.type == msg::mce_exec;
-    serial::Value weak;
-    if (mixed) weak.deserialize(dec);
-    const auto service =
-        static_cast<sim::TimeUs>(ops.size()) * p_.config().comp_op_service_us;
-    serve_remote(m.from, tx, service, mixed ? msg::mce_ack : msg::rce_ack,
-                 [this, tx, mixed, ops = std::move(ops),
-                  weak = std::move(weak)]() mutable {
-                   Status st = Status::ok();
-                   for (const auto& op : ops) {
-                     st = run_comp_op(tx, op, mixed ? &weak : nullptr);
-                     if (!st.is_ok()) break;
-                   }
-                   serial::Encoder enc(8 + 1 +
-                                       (mixed ? weak.encoded_size() : 0));
-                   enc.write_u64(tx.value());
-                   enc.write_bool(st.is_ok());
-                   if (mixed) weak.serialize(enc);
-                   return std::move(enc).take();
-                 });
+    serve_compensation(m, dec);
     return;
   }
   if (m.type == contract::msg::invoke) {
@@ -703,8 +569,7 @@ void NodeRuntime::hand_off(TxId tx, const QueueRecord& rec, QueueRecord next,
       });
 }
 
-void NodeRuntime::fail_agent(TxId tx, const QueueRecord& rec, Status status) {
-  txm_.abort_tx(tx);
+void NodeRuntime::fail_agent(const QueueRecord& rec, Status status) {
   const TxId cleanup = txm_.begin();
   qm_.stage_remove(cleanup, rec.record_id);
   // Multi-agent executions: a waiting parent learns of the failure
@@ -748,9 +613,6 @@ void NodeRuntime::terminate(TxId tx, const QueueRecord& rec,
           if (state == AgentOutcome::State::done) {
             record_event(EventKind::step_commit, rec.agent, rec.record_id, 0,
                          1);
-          } else if (state == AgentOutcome::State::cancelled) {
-            record_event(EventKind::rollback_done, rec.agent, 0, 0,
-                         as_code(QueueRecord::Completion::cancel));
           }
           AgentOutcome out;
           out.state = state;
@@ -866,103 +728,29 @@ void NodeRuntime::execute_step(const QueueRecord& rec) {
     return;
   }
 
-  if (ctx.failed_permanently()) {
-    // The step cannot succeed, ever (e.g. missing permission, Sec. 1).
-    // Flexible-itinerary semantics: try the next option of the innermost
-    // enclosing alternatives entry (ref [14]); otherwise abandon the
-    // innermost non-vital sub-itinerary (Sec. 5); otherwise the agent
-    // fails.
-    auto pre_agent = load_committed_agent(rec);
+  if (ctx.failed_permanently() || ctx.rollback_request().has_value()) {
+    // The step is abandoned (Fig. 4a/5a): abort the step transaction; the
+    // agent state and log read from stable storage (the queue record) are
+    // the pre-step state. A permanent failure tries the next option of the
+    // innermost enclosing alternatives entry (ref [14]), else abandons the
+    // innermost non-vital sub-itinerary (Sec. 5), else fails the agent.
+    std::shared_ptr<Agent> pre_agent = load_committed_agent(rec);
+    const auto plan = rollback_plan(*pre_agent, ctx);
     txm_.abort_tx(tx);
     record_event(EventKind::step_abort, rec.agent, rec.record_id, 0,
-                 as_code(ctx.permanent_status().code()));
-    const auto plan = failure_plan_for(*pre_agent);
-    if (!plan.has_value()) {
-      const TxId dummy = txm_.begin();
-      fail_agent(dummy, rec, ctx.permanent_status());
+                 as_code(ctx.failed_permanently()
+                             ? ctx.permanent_status().code()
+                             : Errc::ok));
+    if (!plan.is_ok()) {
+      fail_agent(rec, plan.status());
       return;
     }
-    const auto check = check_rollback_target(*pre_agent, plan->target);
-    if (!check.is_ok()) {
-      const TxId dummy = txm_.begin();
-      fail_agent(dummy, rec, check);
-      return;
-    }
-    record_event(EventKind::rollback_begin, rec.agent, plan->target.value(),
-                 0, as_code(plan->completion));
-    initiate_rollback(rec, plan->target, plan->completion);
-    return;
-  }
-
-  if (ctx.rollback_request().has_value()) {
-    // Fig. 4a/5a: abort the step transaction; the agent state and log read
-    // from stable storage (the queue record) are the pre-step state.
-    auto pre_agent = load_committed_agent(rec);
-    const auto target =
-        resolve_rollback_target(*pre_agent, *ctx.rollback_request());
-    txm_.abort_tx(tx);
-    record_event(EventKind::step_abort, rec.agent, rec.record_id, 0,
-                 as_code(Errc::ok));
-    if (!target.is_ok()) {
-      const TxId dummy = txm_.begin();
-      fail_agent(dummy, rec, target.status());
-      return;
-    }
-    const auto completion = ctx.rollback_request()->skip
-                                ? QueueRecord::Completion::skip_sub
-                                : QueueRecord::Completion::resume;
-    record_event(EventKind::rollback_begin, rec.agent, target.value().value(),
-                 0, as_code(completion));
-    initiate_rollback(rec, target.value(), completion);
+    begin_rollback(rec, std::move(pre_agent), plan.value().target,
+                   plan.value().completion);
     return;
   }
 
   complete_step(tx, rec, std::move(agent), ctx);
-}
-
-SavepointId NodeRuntime::savepoint_at_depth(const Agent& agent,
-                                            std::uint32_t depth) {
-  const auto& stack = agent.savepoint_stack();
-  for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-    if (it->origin == rollback::SavepointOrigin::sub_itinerary &&
-        it->depth == depth) {
-      return it->id;
-    }
-  }
-  return SavepointId::invalid();
-}
-
-std::optional<NodeRuntime::FailurePlan> NodeRuntime::failure_plan_for(
-    const Agent& agent) const {
-  const auto& itinerary = agent.itinerary();
-  const auto levels = Itinerary::active_subs(agent.position());
-  for (auto p = levels.rbegin(); p != levels.rend(); ++p) {
-    const auto depth = static_cast<std::uint32_t>(p->size());
-    switch (itinerary.prefix_kind(*p)) {
-      case Itinerary::PrefixKind::alt_option: {
-        // Untried options left? Roll this option back and enter the next.
-        if (p->back() + 1 < itinerary.alt_option_count(*p)) {
-          const auto sp = savepoint_at_depth(agent, depth);
-          if (sp.valid()) {
-            return FailurePlan{sp, QueueRecord::Completion::next_alt};
-          }
-        }
-        break;  // options exhausted: keep searching outward
-      }
-      case Itinerary::PrefixKind::sub: {
-        if (!itinerary.entry_at(*p).vital()) {
-          const auto sp = savepoint_at_depth(agent, depth);
-          if (sp.valid()) {
-            return FailurePlan{sp, QueueRecord::Completion::skip_sub};
-          }
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  return std::nullopt;
 }
 
 void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
@@ -1118,448 +906,6 @@ void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
                        }
                      });
   });
-}
-
-// ---------------------------------------------------------------------------
-// Rollback (Sec. 4.3 / 4.4)
-// ---------------------------------------------------------------------------
-
-Result<SavepointId> NodeRuntime::resolve_rollback_target(
-    const Agent& agent, const RollbackRequest& request) const {
-  SavepointId target = SavepointId::invalid();
-  if (std::holds_alternative<SavepointId>(request.target)) {
-    target = std::get<SavepointId>(request.target);
-  } else {
-    target = agent.sub_savepoint(std::get<std::uint32_t>(request.target));
-  }
-  if (!target.valid()) {
-    return Status(Errc::not_found, "no such rollback target");
-  }
-  MAR_RETURN_IF_ERROR(check_rollback_target(agent, target));
-  return target;
-}
-
-Status NodeRuntime::check_rollback_target(const Agent& agent,
-                                          SavepointId target) const {
-  const auto& log = agent.log();
-  if (!log.contains_savepoint(target)) {
-    return Status(Errc::not_found,
-                  "savepoint " + std::to_string(target.value()) +
-                      " is not in the rollback log");
-  }
-  // Sec. 3.2: a step containing a non-compensatable operation cannot be
-  // rolled back after commit — scan the segment that would be compensated.
-  if (log.poisoned_after(target)) {
-    return Status(Errc::not_compensatable,
-                  "a step between here and the target savepoint is not "
-                  "compensatable");
-  }
-  return Status::ok();
-}
-
-void NodeRuntime::initiate_rollback(const QueueRecord& rec,
-                                    SavepointId target,
-                                    QueueRecord::Completion completion) {
-  // Fig. 4a / 5a: new transaction; read agent + LOG from stable storage.
-  const TxId tx = txm_.begin();
-  qm_.stage_remove(tx, rec.record_id);
-  std::shared_ptr<Agent> agent = load_committed_agent(rec);
-  auto& log = agent->log();
-
-  // Trailing savepoints that are not the target are dead: they belong to
-  // sub-itineraries being rolled back (this is the "tested before the
-  // agent is written to stable storage" of Fig. 4b, generalized to the
-  // nested case where several savepoints were established back-to-back).
-  for (auto sp = log.trailing_savepoint(); sp.has_value() && *sp != target;
-       sp = log.trailing_savepoint()) {
-    (void)log.pop();
-  }
-
-  if (log.trailing_savepoint() == target) {
-    // The savepoint was set directly before the aborting step: the
-    // rollback is already finished; start the next step transaction.
-    record_event(EventKind::rollback_done, rec.agent, target.value(), 0,
-                 as_code(completion));
-    agent->note_rollback_completed();
-    if (completion == QueueRecord::Completion::skip_sub &&
-        !apply_skip(*agent, target)) {
-      terminate(tx, rec, *agent, AgentOutcome::State::done, Status::ok());
-      return;
-    }
-    if (completion == QueueRecord::Completion::next_alt) {
-      apply_next_alternative(*agent, target);
-    }
-    hand_off(tx, rec,
-             make_record(*agent, RecordKind::execute, SavepointId::invalid()),
-             current_step(*agent).locations, agent, MigrateCause::resume);
-    return;
-  }
-
-  // Send the agent (or just the record, when it can stay) towards the
-  // first compensation transaction.
-  const auto dests =
-      next_compensation_nodes(log, *agent, committed_agent_bytes(rec));
-  if (dests.empty()) {
-    fail_agent(tx, rec, Status(Errc::protocol_error,
-                               "rollback log has no end-of-step entry"));
-    return;
-  }
-  QueueRecord comp_rec = make_record(*agent, RecordKind::compensate, target);
-  comp_rec.completion = completion;
-  hand_off(tx, rec, std::move(comp_rec), dests, agent, MigrateCause::rollback);
-}
-
-std::vector<NodeId> NodeRuntime::next_compensation_nodes(
-    const rollback::RollbackLog& log, const Agent& agent,
-    std::size_t agent_bytes) const {
-  const auto eos = log.last_end_of_step();
-  if (!eos.has_value()) return {};
-  const auto strategy = p_.config().strategy;
-  std::vector<NodeId> dests;
-  if (strategy != RollbackStrategy::basic && !eos->has_mixed) {
-    // Fig. 5a/5b: without a mixed compensation entry the agent stays where
-    // it is; resource compensation entries are shipped instead.
-    dests.push_back(id_);
-    return dests;
-  }
-  if (strategy == RollbackStrategy::adaptive && eos->node != id_ &&
-      ship_mixed_is_cheaper(log, agent, eos->node, agent_bytes)) {
-    // Sec. 4.4.1 "further optimizations": the performance model says
-    // shipping the compensation objects beats transferring the agent.
-    dests.push_back(id_);
-    return dests;
-  }
-  dests.push_back(eos->node);
-  for (const auto n : eos->alternatives) dests.push_back(n);
-  return dests;
-}
-
-bool NodeRuntime::ship_mixed_is_cheaper(const rollback::RollbackLog& log,
-                                        const Agent& agent, NodeId dest,
-                                        std::size_t agent_bytes) const {
-  // Price the two options with the ref [16] cost structure (latency +
-  // size/bandwidth), evaluated on the actual link parameters:
-  //   ship:    request (operation entries + weak-state snapshot) there,
-  //            reply (updated weak state) back;
-  //   migrate: the whole agent — state, itinerary and attached rollback
-  //            log — travels there (and would later have to travel on).
-  std::size_t ops_bytes = 0;
-  for (const auto& op : log.last_step_ops()) ops_bytes += op.byte_size();
-  const auto weak_bytes = agent.data().weak_image().encoded_size();
-  const auto request = ops_bytes + weak_bytes + 16;
-  const auto reply = weak_bytes + 16;
-  const auto ship_time = p_.net().transfer_time(id_, dest, request) +
-                         p_.net().transfer_time(dest, id_, reply);
-  const auto migrate_time = p_.net().transfer_time(id_, dest, agent_bytes);
-  return ship_time <= migrate_time;
-}
-
-Status NodeRuntime::run_comp_op(TxId tx, const OperationEntry& op,
-                                serial::Value* weak) {
-  rollback::CompensationContext ctx(op.kind, op.params, p_.sim().now(), &rm_,
-                                    tx, weak);
-  Status st = p_.compensations().run(op.comp_op, ctx);
-  record_event(EventKind::comp_op, AgentId(), 0, 0, as_code(st.code()));
-  return st;
-}
-
-void NodeRuntime::execute_compensation(const QueueRecord& rec) {
-  const TxId tx = txm_.begin();
-  qm_.stage_remove(tx, rec.record_id);
-  std::shared_ptr<Agent> agent = decode(rec.payload);
-  const SavepointId target = rec.rollback_target;
-  record_event(EventKind::comp_begin, rec.agent, target.value());
-  // Sec. 4.3: strongly reversible objects must not be accessed until the
-  // savepoint is reached.
-  agent->data().set_mode(DataSpace::Mode::compensating);
-  auto& log = agent->log();
-
-  // Fig. 4b/5b: drop trailing savepoint entries (they cannot be the target
-  // — that was checked before the agent was written to stable storage).
-  for (auto sp = log.trailing_savepoint(); sp.has_value();
-       sp = log.trailing_savepoint()) {
-    MAR_CHECK_MSG(*sp != target, "target savepoint would be deleted");
-    (void)log.pop();
-  }
-  if (log.empty() || log.kind_at(log.size() - 1) != EntryKind::end_of_step) {
-    fail_agent(tx, rec, Status(Errc::protocol_error,
-                               "malformed rollback log (no EOS)"));
-    return;
-  }
-  const rollback::EndOfStepEntry eos = log.pop().end_of_step();
-  // Collect this step's operation entries; popping yields them in reverse
-  // logging order, which is exactly the compensation execution order.
-  std::vector<OperationEntry> ops;
-  for (;;) {
-    MAR_CHECK_MSG(!log.empty(), "rollback log has no begin-of-step entry");
-    auto entry = log.pop();
-    if (entry.kind() == EntryKind::begin_of_step) break;
-    MAR_CHECK(entry.kind() == EntryKind::operation);
-    ops.push_back(entry.operation());
-  }
-
-  const auto& cfg = p_.config();
-  const bool ship_rces = cfg.strategy != RollbackStrategy::basic &&
-                         !eos.has_mixed && eos.node != id_;
-  // Adaptive strategy (Sec. 4.4.1 "further optimizations"): the routing
-  // decision already kept the agent here because shipping the step's
-  // operation entries + weak-state snapshot is cheaper than transferring
-  // the agent to the resource node.
-  const bool ship_mixed = cfg.strategy == RollbackStrategy::adaptive &&
-                          eos.has_mixed && eos.node != id_;
-
-  auto comp_failed = [this, tx, rec](Status st) {
-    record_event(EventKind::comp_abort, rec.agent, 0, 0, as_code(st.code()));
-    const auto attempts = ++attempts_[rec.record_id];
-    const auto max = p_.config().max_compensation_attempts;
-    if (max > 0 && attempts >= max) {
-      // Sec. 3.2: some compensations cannot succeed (e.g. the withdrawn
-      // deposit); surface the permanently failed rollback to the owner.
-      fail_agent(tx, rec,
-                 Status(Errc::compensation_failed,
-                        "compensation permanently failed: " + st.to_string()));
-      return;
-    }
-    txm_.abort_tx(tx);
-    release_slot(rec);
-    retry_later(rec);
-  };
-
-  if (ship_mixed) {
-    // Ship the complete operation-entry list (mixed entries need both the
-    // resource and the weak agent state, so everything must execute in
-    // log order at one place — the resource node) together with a weak
-    // snapshot; merge the updated weak state back on acknowledgement.
-    ++p_.mixed_ships();
-    auto request = encode_comp_request(tx, ops, &agent->data().weak_image());
-    record_event(EventKind::mce_shipped, rec.agent, eos.node.value(),
-                 request.size());
-    call_remote(tx, eos.node, msg::mce_exec, std::move(request),
-                msg::mce_ack, /*transfer_slack=*/4,
-                [this, tx, rec, agent, comp_failed](serial::Decoder* reply) {
-                  if (reply == nullptr) {
-                    comp_failed(Status(Errc::unreachable,
-                                       "mce shipment unacknowledged"));
-                    return;
-                  }
-                  if (!reply->read_bool()) {
-                    comp_failed(Status(Errc::compensation_failed,
-                                       "shipped mixed compensation failed"));
-                    return;
-                  }
-                  serial::Value weak;
-                  weak.deserialize(*reply);
-                  *agent->data().weak_slots() = std::move(weak);
-                  finish_compensation(tx, rec, agent);
-                });
-    return;
-  }
-
-  if (!ship_rces) {
-    // Basic algorithm (Fig. 4b), or a mixed/step-local compensation in the
-    // optimized algorithm: everything runs here, sequentially. Sec. 4.3's
-    // fault-tolerant extension allows the EOS entry's alternative nodes.
-    if (cfg.strategy == RollbackStrategy::basic || eos.has_mixed) {
-      const bool allowed =
-          eos.node == id_ ||
-          cfg.strategy == RollbackStrategy::adaptive ||
-          std::find(eos.alternatives.begin(), eos.alternatives.end(), id_) !=
-              eos.alternatives.end();
-      MAR_CHECK_MSG(allowed,
-                    "compensation transaction routed to the wrong node");
-    }
-    Status st = Status::ok();
-    for (const auto& op : ops) {
-      st = run_comp_op(tx, op, agent->data().weak_slots());
-      if (!st.is_ok()) break;
-    }
-    const auto service =
-        static_cast<sim::TimeUs>(ops.size()) * cfg.comp_op_service_us;
-    after(service, [this, tx, rec, agent = std::move(agent), st,
-                    comp_failed] {
-      if (!st.is_ok()) {
-        comp_failed(st);
-        return;
-      }
-      finish_compensation(tx, rec, agent);
-    });
-    return;
-  }
-
-  // Optimized algorithm, no mixed entries (Fig. 5b): group the operation
-  // entries; ship the RCE list to the resource node; run the ACE list
-  // locally, concurrently with the shipped list.
-  std::vector<OperationEntry> aces;
-  std::vector<OperationEntry> rces;
-  for (auto& op : ops) {
-    MAR_CHECK_MSG(op.kind != OpEntryKind::mixed,
-                  "mixed entry in a step whose EOS mixed-flag is false");
-    (op.kind == OpEntryKind::agent ? aces : rces).push_back(std::move(op));
-  }
-
-  struct Join {
-    int pending = 0;
-    Status status;
-  };
-  auto join = std::make_shared<Join>();
-  auto arrived = [this, tx, rec, agent, join, comp_failed](Status st) {
-    if (!st.is_ok() && join->status.is_ok()) join->status = st;
-    if (--join->pending > 0) return;
-    if (!join->status.is_ok()) {
-      comp_failed(join->status);
-      return;
-    }
-    finish_compensation(tx, rec, agent);
-  };
-
-  if (!rces.empty()) {
-    ++join->pending;
-    auto request = encode_comp_request(tx, rces, nullptr);
-    record_event(EventKind::rce_shipped, rec.agent, eos.node.value(),
-                 request.size());
-    call_remote(tx, eos.node, msg::rce_exec, std::move(request),
-                msg::rce_ack, /*transfer_slack=*/4,
-                [arrived](serial::Decoder* reply) {
-                  arrived(reply != nullptr && reply->read_bool()
-                              ? Status::ok()
-                              : Status(Errc::compensation_failed,
-                                       "shipped resource compensation "
-                                       "failed"));
-                });
-  }
-
-  // Agent compensation entries run locally, overlapping the shipped RCEs.
-  ++join->pending;
-  Status ace_status = Status::ok();
-  for (const auto& op : aces) {
-    ace_status = run_comp_op(tx, op, agent->data().weak_slots());
-    if (!ace_status.is_ok()) break;
-  }
-  const auto ace_service =
-      static_cast<sim::TimeUs>(aces.size()) * cfg.comp_op_service_us;
-  after(ace_service, [arrived, ace_status] { arrived(ace_status); });
-}
-
-void NodeRuntime::finish_compensation(TxId tx, const QueueRecord& rec,
-                                      std::shared_ptr<Agent> agent) {
-  const SavepointId target = rec.rollback_target;
-  auto& log = agent->log();
-
-  // Dead trailing savepoints (inner sub-itineraries being rolled across)
-  // are dropped before the target check — see initiate_rollback.
-  for (auto sp = log.trailing_savepoint(); sp.has_value() && *sp != target;
-       sp = log.trailing_savepoint()) {
-    (void)log.pop();
-  }
-
-  if (log.trailing_savepoint() == target) {
-    // Target reached: restore the strongly reversible objects from the
-    // savepoint entry (without deleting it) and start the next step.
-    restore_at_savepoint(*agent, target);
-    record_event(EventKind::rollback_done, rec.agent, target.value(), 0,
-                 as_code(rec.completion));
-    if (rec.completion == QueueRecord::Completion::cancel) {
-      // Multi-agent executions: a complete rollback that terminates the
-      // agent instead of resuming it.
-      terminate(tx, rec, *agent, AgentOutcome::State::cancelled,
-                Status(Errc::tx_aborted, "cancelled"));
-      return;
-    }
-    if (rec.completion == QueueRecord::Completion::skip_sub &&
-        !apply_skip(*agent, target)) {
-      terminate(tx, rec, *agent, AgentOutcome::State::done, Status::ok());
-      return;
-    }
-    if (rec.completion == QueueRecord::Completion::next_alt) {
-      apply_next_alternative(*agent, target);
-    }
-    hand_off(tx, rec,
-             make_record(*agent, RecordKind::execute, SavepointId::invalid()),
-             current_step(*agent).locations, agent, MigrateCause::resume);
-    return;
-  }
-
-  // Not there yet: write the agent (and log) towards the next compensation
-  // transaction (Fig. 4b), or keep it local when the optimized algorithm
-  // can ship the next step's RCEs (Fig. 5b).
-  const auto dests = next_compensation_nodes(log, *agent, rec.payload.size());
-  if (dests.empty()) {
-    fail_agent(tx, rec,
-               Status(Errc::protocol_error,
-                      "target savepoint not reached but log is exhausted"));
-    return;
-  }
-  QueueRecord comp_rec = make_record(*agent, RecordKind::compensate, target);
-  comp_rec.completion = rec.completion;
-  hand_off(tx, rec, std::move(comp_rec), dests, agent, MigrateCause::rollback);
-}
-
-bool NodeRuntime::apply_skip(Agent& agent, SavepointId target) {
-  const auto sp = agent.log().find_savepoint(target);
-  MAR_CHECK(sp.has_value());
-  MAR_CHECK_MSG(sp->origin == rollback::SavepointOrigin::sub_itinerary,
-                "abandon targets must be sub-itinerary savepoints");
-  // The abandoned sub-itinerary is the depth-long prefix of the position
-  // the savepoint would normally resume at.
-  MAR_CHECK(sp->depth > 0 && sp->depth < sp->resume_position.size());
-  const Position from = sp->resume_position;
-  const Position prefix(from.begin(),
-                        from.begin() + static_cast<long>(sp->depth));
-  const auto next = std::as_const(agent).itinerary().next_step(prefix);
-  // Treat the abandoned sub-itinerary as exited: its savepoint entry is
-  // garbage-collected (or the whole log discarded for a top-level sub),
-  // and savepoints for newly entered sub-itineraries are established —
-  // the same bookkeeping as a normal step boundary (Sec. 4.4.2).
-  p_.advance_itinerary(id_, agent, from, next, {});
-  if (!next.has_value()) {
-    agent.set_run_state(Agent::RunState::done);
-    return false;
-  }
-  agent.set_position(*next);
-  return true;
-}
-
-void NodeRuntime::apply_next_alternative(Agent& agent, SavepointId target) {
-  const auto sp = agent.log().find_savepoint(target);
-  MAR_CHECK(sp.has_value());
-  MAR_CHECK_MSG(sp->depth >= 2, "alternative option savepoints sit at least "
-                                "two levels deep");
-  const Position from = sp->resume_position;
-  Position option(from.begin(), from.begin() + static_cast<long>(sp->depth));
-  const Itinerary& itinerary = std::as_const(agent).itinerary();
-  MAR_CHECK(itinerary.prefix_kind(option) ==
-            Itinerary::PrefixKind::alt_option);
-  Position next_option = option;
-  ++next_option.back();
-  MAR_CHECK_MSG(next_option.back() < itinerary.alt_option_count(option),
-                "no alternative option left to enter");
-  const auto next = itinerary.first_step_under(next_option);
-  MAR_CHECK_MSG(next.has_value(), "alternative option contains no steps");
-  // Exits the failed option (GC its savepoint) and enters the next one
-  // (fresh savepoint) — the alternatives entry itself stays active.
-  p_.advance_itinerary(id_, agent, from, next, {});
-  agent.set_position(*next);
-}
-
-void NodeRuntime::restore_at_savepoint(Agent& agent, SavepointId target) {
-  auto strong = agent.log().strong_state_at(target);
-  MAR_CHECK_MSG(strong.is_ok(), "cannot reconstruct strong state: "
-                                    << strong.status());
-  const auto sp = agent.log().find_savepoint(target);
-  MAR_CHECK(sp.has_value());
-  agent.data().restore_strong(strong.value());
-  agent.data().set_mode(DataSpace::Mode::normal);
-  agent.set_position(sp->resume_position);
-  agent.set_run_state(Agent::RunState::running);
-  // Savepoints established after the target died with the rollback.
-  auto& stack = agent.savepoint_stack();
-  std::erase_if(stack, [target](const SavepointStackEntry& e) {
-    return e.id.value() > target.value();
-  });
-  agent.set_last_savepoint_strong(strong.value());
-  agent.set_force_full_savepoint(false);
-  agent.note_rollback_completed();
-  record_event(EventKind::restore, agent.id(), target.value());
 }
 
 }  // namespace mar::agent

@@ -17,6 +17,10 @@
 //                        reached and the strongly reversible objects are
 //                        restored.
 //
+// node_runtime.cc holds the queue, the step protocol and the transfer /
+// commit plumbing; rollback_driver.cc holds the rollback driver: one start,
+// one advance toward the savepoint, one compensation executor.
+//
 // Concurrent slots are isolated by their transactions: resource locks are
 // strict and exclusive, so two slots touching the same resource surface a
 // lock conflict that aborts the loser into backoff/retry. Any abort — lock
@@ -105,33 +109,59 @@ class NodeRuntime {
   /// Processing attempts so far, without creating an entry.
   [[nodiscard]] std::uint32_t attempt_count(std::uint64_t record_id) const;
   void execute_step(const storage::QueueRecord& rec);
-  void execute_compensation(const storage::QueueRecord& rec);
   /// Route a freshly spawned child to its first step's node (multi-agent
   /// executions: the spawn itself committed with the parent's step; this
   /// record performs the initial transfer with the usual retry machinery).
   void execute_launch(const storage::QueueRecord& rec);
-  /// A cancellation was requested for this agent: initiate a complete
-  /// rollback (to the oldest savepoint in its log) that terminates it, or
-  /// let it run on if the log no longer reaches back to launch.
-  void execute_cancel(const storage::QueueRecord& rec);
-  void initiate_cancel_rollback(const storage::QueueRecord& rec,
-                                SavepointId target);
 
   // --- step machinery -----------------------------------------------------------
   /// After the step body ran: append log entries, write savepoints,
   /// advance the itinerary, route the agent, commit.
   void complete_step(TxId tx, const storage::QueueRecord& rec,
                      std::shared_ptr<Agent> agent, StepContext& ctx);
-  /// Begin the rollback towards `target` (Fig. 4a/5a). `completion`
-  /// chooses what happens when the savepoint is reached: resume,
-  /// abandon the sub-itinerary (Sec. 5), terminate as cancelled
-  /// (Sec. 6), or enter the next alternative (ref [14]).
-  void initiate_rollback(const storage::QueueRecord& rec, SavepointId target,
-                         storage::QueueRecord::Completion completion =
-                             storage::QueueRecord::Completion::resume);
-  /// Resolve a rollback request against the (pre-step) agent state.
-  [[nodiscard]] Result<SavepointId> resolve_rollback_target(
-      const Agent& agent, const RollbackRequest& request) const;
+  /// The step entry at the agent's position, read through the const view:
+  /// the mutable itinerary accessor would unshare the itinerary.
+  [[nodiscard]] static const StepEntry& current_step(const Agent& agent) {
+    return agent.itinerary().step_at(agent.position());
+  }
+
+  // --- rollback driver (rollback_driver.cc, DESIGN.md §2) --------------------
+  using Completion = storage::QueueRecord::Completion;
+  /// A cancellation was requested for this agent: a complete rollback (to
+  /// the oldest savepoint in its log) that terminates it, or — when the
+  /// log no longer reaches back to launch — the record runs on.
+  void execute_cancel(const storage::QueueRecord& rec);
+  /// The one rollback start (Fig. 4a/5a): a new transaction consumes
+  /// `rec`, whose committed (pre-step) state is `agent`, and advances
+  /// towards `target`. `completion` chooses what happens at the
+  /// savepoint: resume, abandon the sub-itinerary (Sec. 5), terminate as
+  /// cancelled (Sec. 6), or enter the next alternative (ref [14]).
+  void begin_rollback(const storage::QueueRecord& rec,
+                      std::shared_ptr<Agent> agent, SavepointId target,
+                      Completion completion);
+  /// The one advance toward the savepoint, inside `tx`, which consumes
+  /// `rec`: drop dead trailing savepoints; at the target, complete the
+  /// rollback (restore when `rec` is a compensate record); otherwise hand
+  /// the agent on as the next compensate record.
+  void advance_rollback(TxId tx, const storage::QueueRecord& rec,
+                        std::shared_ptr<Agent> agent, SavepointId target,
+                        Completion completion);
+  /// The one compensation executor (Fig. 4b/5b): pop the last step's
+  /// operation entries, split them into a shipped list (rce.exec /
+  /// mce.exec) and a local list, run both, join, then advance.
+  void execute_compensation(const storage::QueueRecord& rec);
+  /// Serve a shipped compensation request (rce.exec, mce.exec) inside the
+  /// caller's compensation transaction.
+  void serve_compensation(const net::Message& m, serial::Decoder& dec);
+  /// Where an abandoned step rolls back to.
+  struct RollbackPlan {
+    SavepointId target;
+    Completion completion;
+  };
+  /// The plan of a step that failed permanently or requested a rollback,
+  /// resolved and checked against the (pre-step) agent state.
+  [[nodiscard]] Result<RollbackPlan> rollback_plan(
+      const Agent& agent, const StepContext& ctx) const;
   /// The target must be in the log and not poisoned by a
   /// non-compensatable step (Sec. 3.2).
   [[nodiscard]] Status check_rollback_target(const Agent& agent,
@@ -140,11 +170,7 @@ class NodeRuntime {
   /// option of an enclosing alternatives entry (ref [14]), or the entry
   /// savepoint of an enclosing non-vital sub-itinerary (Sec. 5) — or
   /// nowhere (the agent fails).
-  struct FailurePlan {
-    SavepointId target;
-    storage::QueueRecord::Completion completion;
-  };
-  [[nodiscard]] std::optional<FailurePlan> failure_plan_for(
+  [[nodiscard]] std::optional<RollbackPlan> failure_plan_for(
       const Agent& agent) const;
   /// Topmost savepoint-stack entry for nesting depth `depth`.
   [[nodiscard]] static SavepointId savepoint_at_depth(const Agent& agent,
@@ -157,17 +183,14 @@ class NodeRuntime {
   /// After restoring at a failed alternatives option's savepoint: enter
   /// the next option (ref [14] flexible itineraries).
   void apply_next_alternative(Agent& agent, SavepointId target);
-
-  // --- compensation machinery ---------------------------------------------------
-  /// Execute one compensating operation locally within `tx`. `weak` is the
-  /// weakly-reversible slot map the operation may touch (the agent's own
-  /// map, or a shipped snapshot; null for pure resource entries).
-  Status run_comp_op(TxId tx, const rollback::OperationEntry& op,
-                     serial::Value* weak);
-  /// Finish a compensation transaction: target check, restore, routing.
-  void finish_compensation(TxId tx, const storage::QueueRecord& rec,
-                           std::shared_ptr<Agent> agent);
   void restore_at_savepoint(Agent& agent, SavepointId target);
+  /// Execute one compensating operation locally within `tx` for `agent`
+  /// (AgentId() for a shipped request, which names only its tx). `weak`
+  /// is the weakly-reversible slot map the operation may touch (the
+  /// agent's own map, or a shipped snapshot; null for pure resource
+  /// entries).
+  Status run_comp_op(TxId tx, AgentId agent, const rollback::OperationEntry& op,
+                     serial::Value* weak);
   /// Destination of the next compensation transaction (Fig. 4a vs 5a).
   /// `agent_bytes` is the serialized agent size the adaptive strategy
   /// weighs against shipping the step's compensation objects.
@@ -200,9 +223,9 @@ class NodeRuntime {
                 storage::QueueRecord next, const std::vector<NodeId>& dests,
                 std::shared_ptr<const Agent> agent, MigrateCause cause);
   void retry_later(const storage::QueueRecord& rec);
-  /// Abort `tx` and terminate the agent as failed in a cleanup
-  /// transaction that consumes `rec`.
-  void fail_agent(TxId tx, const storage::QueueRecord& rec, Status status);
+  /// Terminate the agent as failed in a cleanup transaction that consumes
+  /// `rec`. The caller has aborted the transaction it was working in.
+  void fail_agent(const storage::QueueRecord& rec, Status status);
   /// The one terminal commit: drop the agent's stable image, deliver its
   /// result to its mailbox (multi-agent executions) and commit `tx`, then
   /// record the outcome `state` with `status`. A failed delivery or
@@ -290,6 +313,11 @@ class NodeRuntime {
   void flight_dump(std::string_view reason);
 
   // --- small helpers ---------------------------------------------------------
+  /// The small-enum field of a protocol event (Span::code).
+  template <typename E>
+  [[nodiscard]] static std::uint8_t as_code(E e) {
+    return static_cast<std::uint8_t>(e);
+  }
   /// Record a protocol event on this node (DESIGN.md §12).
   void record_event(EventKind kind, AgentId agent, std::uint64_t value = 0,
                     std::uint64_t value2 = 0, std::uint8_t code = 0);
@@ -361,5 +389,24 @@ class NodeRuntime {
   };
   std::unordered_map<TxId, Waiter> waiters_;
 };
+
+template <class F>
+void NodeRuntime::after(sim::TimeUs delay, F fn) {
+  const auto epoch = epoch_;
+  // mar-lint: epoch-owned (a crash or recovery bumps epoch_)
+  p_.sim().schedule_after(delay, [this, epoch, fn = std::move(fn)]() mutable {
+    if (epoch == epoch_) fn();
+  });
+}
+
+template <class F>
+void NodeRuntime::serve_remote(NodeId caller, TxId tx, sim::TimeUs service,
+                               const char* reply_type, F serve) {
+  txm_.note_remote_staged(tx);
+  after(service,
+        [this, caller, reply_type, serve = std::move(serve)]() mutable {
+          p_.net().send(net::Message{id_, caller, reply_type, serve()});
+        });
+}
 
 }  // namespace mar::agent

@@ -115,8 +115,6 @@ struct PlatformConfig {
   /// within this window ride ONE convoy message (and their participant
   /// 2PC syncs coalesce, see group_commit_window). 1 sends immediately.
   std::uint32_t ship_convoy_window = 1;
-  /// How long a convoy waits for further riders after its first entry.
-  sim::TimeUs ship_convoy_flush_us = 200;
 
   /// Incremental durability (the Sec. 4.2 transition-logging idea applied
   /// to the commit path itself): when an agent's next step runs on the
@@ -145,9 +143,6 @@ struct PlatformConfig {
   /// Off by default: the periodic O(state) snapshot writes would skew
   /// steady-state byte meters (A5); recovery-focused runs opt in.
   std::size_t checkpoint_interval_bytes = 0;
-  /// Simulated time between checkpoint begin and completion (the fuzzy
-  /// window during which commits keep flowing).
-  sim::TimeUs checkpoint_write_us = 500;
   /// Crash-time storage damage injected on every node-down transition
   /// (tests / CI fault matrix). none leaves crashes clean.
   storage::StorageFault storage_fault = storage::StorageFault::none;

@@ -244,7 +244,7 @@ void ShipmentManager::stage_remote(TxId tx, NodeId dest,
     // round trip — which re-ships the FULL image, so the transfer term is
     // sized from the payload even when the first frame is a small delta.
     const auto wire = std::max(p.frame.size(), p.record.payload.size());
-    const auto timeout = cfg.stage_timeout_us + cfg.ship_convoy_flush_us +
+    const auto timeout = cfg.stage_timeout_us + kConvoyFlushUs +
                          4 * p_.net().transfer_time(self_, dest, wire);
     p.timeout = p_.sim().schedule_after(
         timeout, [this, tx] { timeout_pending(tx); });
@@ -261,7 +261,7 @@ void ShipmentManager::stage_remote(TxId tx, NodeId dest,
 void ShipmentManager::arm_flush(NodeId dest) {
   auto& timer = flush_timer_[dest];
   if (p_.sim().scheduled(timer)) return;
-  timer = p_.sim().schedule_after(p_.config().ship_convoy_flush_us,
+  timer = p_.sim().schedule_after(kConvoyFlushUs,
                                   [this, dest] { flush_convoy(dest); });
 }
 

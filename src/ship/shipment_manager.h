@@ -57,6 +57,10 @@ inline constexpr const char* convoy = "ship.convoy";
 inline constexpr const char* convoy_ack = "ship.convoy_ack";
 }  // namespace msg
 
+/// How long a convoy waits for further riders after its first entry
+/// (PlatformConfig::ship_convoy_window > 1).
+inline constexpr sim::TimeUs kConvoyFlushUs = 200;
+
 /// Content identity of a base image (64-bit, word-at-a-time). Both channel
 /// ends hash the exact bytes a delta applies to; a mismatch (lost ack,
 /// divergent caches) downgrades the shipment to a full image instead of

@@ -232,7 +232,7 @@ void TxManager::maybe_begin_checkpoint() {
   // The fuzzy window: commits keep flowing while the snapshot "writes".
   // A crash inside the window cancels the completion and so abandons the
   // attempt — the previous checkpoint generation stays the recovery base.
-  checkpoint_done_ = sim_.schedule_after(checkpoint_write_us_, [this] {
+  checkpoint_done_ = sim_.schedule_after(kCheckpointWriteUs, [this] {
     if (stable_.complete_checkpoint()) {
       trace_pipeline(TxStage::ckpt_done, TxId(0));
     }

@@ -74,6 +74,10 @@ inline constexpr const char* inquiry = "tx.inquiry";
 inline constexpr const char* decision = "tx.decision";
 }  // namespace msg
 
+/// Simulated time between a fuzzy checkpoint's begin and its completion:
+/// the window during which commits keep flowing.
+inline constexpr sim::TimeUs kCheckpointWriteUs = 500;
+
 class TxManager {
  public:
   using CommitCallback = std::function<void(bool committed)>;
@@ -189,12 +193,11 @@ class TxManager {
   /// Fuzzy record-log checkpoints: whenever a group-commit flush observes
   /// >= `interval_bytes` of new record-log writes since the last
   /// checkpoint, begin one — snapshot at the current LSN without stalling
-  /// the pipeline — and complete it `write_us` later on a timer the crash
-  /// cancels, so a crash inside the window simply abandons the attempt (the
-  /// previous generation stays valid). 0 disables.
-  void set_checkpoint(std::size_t interval_bytes, sim::TimeUs write_us) {
+  /// the pipeline — and complete it kCheckpointWriteUs later on a timer the
+  /// crash cancels, so a crash inside the window simply abandons the
+  /// attempt (the previous generation stays valid). 0 disables.
+  void set_checkpoint(std::size_t interval_bytes) {
     checkpoint_interval_bytes_ = interval_bytes;
-    checkpoint_write_us_ = write_us;
   }
 
  private:
@@ -321,9 +324,8 @@ class TxManager {
   std::uint32_t group_window_ = 1;
   sim::TimeUs group_flush_us_ = 100;
 
-  /// Fuzzy-checkpoint cadence (0 = off) and simulated snapshot write time.
+  /// Fuzzy-checkpoint cadence (0 = off).
   std::size_t checkpoint_interval_bytes_ = 0;
-  sim::TimeUs checkpoint_write_us_ = 500;
   /// appended_bytes() watermark at the last checkpoint begin.
   std::uint64_t checkpoint_mark_ = 0;
   /// Completes the checkpoint in progress; a crash cancels it.

@@ -70,7 +70,8 @@ enum class EventKind : std::uint8_t {
                     ///< savepoint; code: QueueRecord::Completion)
   comp_begin,       ///< compensation transaction started (value: target)
   comp_op,          ///< compensating operation executed on the node
-                    ///< (code: Errc result; not agent-bound)
+                    ///< (code: Errc result; agent: the rolling-back
+                    ///< agent, none for an op served for rce/mce.exec)
   comp_commit,      ///< compensation transaction committed
   comp_abort,       ///< compensation transaction aborted (code: Errc cause)
   restore,          ///< strongly reversible objects restored (value: sp id)

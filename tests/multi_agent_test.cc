@@ -239,6 +239,9 @@ TEST(MultiAgentTest, CancelRequestRollsBackARunningAgent) {
   ASSERT_TRUE(w.platform.run_until_finished(id.value()));
   EXPECT_EQ(w.platform.outcome(id.value()).state,
             AgentOutcome::State::cancelled);
+  // One rollback: it begins once and completes once.
+  EXPECT_EQ(w.platform.spans().count(EventKind::rollback_begin), 1u);
+  EXPECT_EQ(w.platform.spans().count(EventKind::rollback_done), 1u);
   // Everything it committed was compensated, and no node keeps a
   // resident agent for a record that is gone.
   w.sim.run();

@@ -348,6 +348,32 @@ TEST(RollbackE2eTest, TwoSequentialRollbacksInOneRun) {
   EXPECT_EQ(resource::Bank::balance_in(w.committed(2, "bank"), "acct"), 800);
 }
 
+TEST(RollbackE2eTest, LocalCompOpInstantsNameTheirAgent) {
+  // Under the basic strategy every compensating operation runs in the
+  // agent's own compensation transaction, so each comp_op instant can be
+  // attributed to the rolling-back agent.
+  PlatformConfig cfg;
+  cfg.strategy = RollbackStrategy::basic;
+  TestWorld w(cfg, 4);
+  register_workload(w.platform);
+  auto agent = std::make_unique<WorkloadAgent>();
+  agent->itinerary() = single_sub({{"touch_split", 1},
+                                   {"touch_split", 2},
+                                   {"touch_split", 3},
+                                   {"noop", 4}});
+  agent->set_trigger("noop", 4, "sub", 0);
+  auto id = w.platform.launch(std::move(agent));
+  ASSERT_TRUE(id.is_ok());
+  ASSERT_TRUE(w.platform.run_until_finished(id.value()));
+  ASSERT_EQ(w.platform.outcome(id.value()).state,
+            agent::AgentOutcome::State::done);
+  const auto ops = w.platform.spans().of_kind(EventKind::comp_op);
+  ASSERT_FALSE(ops.empty());
+  for (const auto& op : ops) {
+    EXPECT_EQ(op.agent, id.value().value()) << "comp_op on node " << op.node;
+  }
+}
+
 TEST(RollbackE2eTest, ConcurrentAgentsStayIsolated) {
   // Two agents tour the same banks; locking serializes their step
   // transactions, aborted steps restart, and both terminate with

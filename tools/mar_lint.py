@@ -60,6 +60,14 @@ Rules (each with a stable id used in messages and suppressions):
                         dispatch) die with the node's epoch, which a
                         crash bumps; the one schedule call inside it is
                         annotated `// mar-lint: epoch-owned`.
+  R10 one-rollback-exit Under src/, a compensate successor record
+                        (make_record(..., RecordKind::compensate, ...))
+                        and the trailing-savepoint drop loop (a for/while
+                        header calling trailing_savepoint()) appear once
+                        each, in src/agent/rollback_driver.cc: the rollback
+                        driver's one advance toward the savepoint. A
+                        second copy is a second rollback tail, free to
+                        drift from the first.
 
 Usage:
   tools/mar_lint.py [--root REPO] [FILES...]   lint src/ (or FILES)
@@ -287,6 +295,33 @@ def check_timer_owned(relpath, path, lines, findings):
                                 "one-shot`)"))
 
 
+# --- R10: one rollback exit ------------------------------------------------
+
+ROLLBACK_DRIVER = "src/agent/rollback_driver.cc"
+ROLLBACK_TAIL_RES = (
+    ("compensate successor record",
+     re.compile(r"\bmake_record\s*\([^;]*?RecordKind::compensate\b")),
+    ("trailing-savepoint drop loop",
+     re.compile(r"\b(?:for|while)\s*\((?:[^()]|\([^()]*\))*?"
+                r"trailing_savepoint\s*\(")),
+)
+
+
+def check_one_rollback_exit(relpath, path, lines, findings):
+    text = "\n".join(strip_noise(line) for line in lines)
+    for what, pattern in ROLLBACK_TAIL_RES:
+        for n, m in enumerate(pattern.finditer(text)):
+            if relpath == ROLLBACK_DRIVER and n == 0:
+                continue
+            line = text.count("\n", 0, m.start()) + 1
+            where = ("repeated in" if relpath == ROLLBACK_DRIVER else
+                     "outside")
+            findings.append(Finding(path, line, "R10",
+                                    f"{what} {where} {ROLLBACK_DRIVER}: "
+                                    "advance_rollback is the one rollback "
+                                    "exit; route through it"))
+
+
 # --- R8: RelaxedCounter fields registered with the metrics registry --------
 
 COUNTER_FIELD_RE = re.compile(r"\bRelaxedCounter\s+(\w+)\s*;")
@@ -400,6 +435,7 @@ def run_lint(root, explicit_files=None):
         check_no_blocking_wait(relpath, relpath, lines, findings)
         check_record_scope(relpath, relpath, lines, findings)
         check_timer_owned(relpath, relpath, lines, findings)
+        check_one_rollback_exit(relpath, relpath, lines, findings)
     if not explicit_files:
         check_event_registered(root, findings)
         check_stat_registered(root, findings)
@@ -465,6 +501,19 @@ void mar::agent::Rogue::call(TxId tx) {
   });
 }
 """,
+    "src/agent/rogue_rollback.cc": """
+void mar::agent::Rogue::finish(TxId tx, const QueueRecord& rec, Agent& a) {
+  // A second rollback tail beside the driver's advance.
+  auto& log = a.log();
+  for (auto sp = log.trailing_savepoint(); sp.has_value();
+       sp = log.trailing_savepoint()) {
+    (void)log.pop();
+  }
+  QueueRecord next =
+      make_record(a, RecordKind::compensate, rec.rollback_target);
+  hand_off(tx, rec, std::move(next));
+}
+""",
     "src/net/rogue_stats.h": """
 #include "util/counters.h"
 namespace mar::net {
@@ -517,6 +566,27 @@ void mar::agent::Good::call(TxId tx) {
   p_.sim().schedule_after(delay, [this, epoch] { run(epoch); });
 }
 """,
+    "src/agent/rollback_driver.cc": """
+void mar::agent::NodeRuntime::advance_rollback(TxId tx, Agent& a) {
+  auto& log = a.log();
+  for (auto sp = log.trailing_savepoint(); sp.has_value() && *sp != target;
+       sp = log.trailing_savepoint()) {
+    (void)log.pop();
+  }
+  if (log.trailing_savepoint() == target) return;
+  QueueRecord next = make_record(a, RecordKind::compensate, target);
+  hand_off(tx, std::move(next));
+}
+""",
+    "src/agent/good_rollback.cc": """
+void good_resume(mar::agent::Agent& a, SavepointId target) {
+  // Reading the trailing savepoint and making other records is fine.
+  if (a.log().trailing_savepoint() == target) {
+    auto rec = make_record(a, RecordKind::execute, SavepointId::invalid());
+    (void)rec;
+  }
+}
+""",
     "src/net/good_stats.h": """
 #include "util/counters.h"
 namespace mar::net {
@@ -551,7 +621,7 @@ def self_test():
         findings = run_lint(root)
         fired = {f.rule for f in findings}
         expected = {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
-                    "R9"}
+                    "R9", "R10"}
         ok = True
         for rule in sorted(expected):
             status = "fires" if rule in fired else "MISSED"
@@ -564,7 +634,9 @@ def self_test():
             print(f"self-test: R9 in {layer} "
                   f"{'fires' if hit else 'MISSED'}")
             ok &= hit
-        false_pos = [f for f in findings if "good" in str(f.path)]
+        false_pos = [f for f in findings
+                     if "good" in str(f.path) or
+                     str(f.path).endswith("rollback_driver.cc")]
         for f in false_pos:
             print(f"self-test: FALSE POSITIVE {f}")
         ok &= not false_pos
