@@ -14,6 +14,7 @@
 #include "harness/agents.h"
 #include "serial/serializable.h"
 #include "serial/value.h"
+#include "ship/shipment_manager.h"
 
 namespace {
 
@@ -58,7 +59,8 @@ BENCHMARK(BM_DecodeAgent)->Arg(4)->Arg(64)->Arg(1024);
 // Aged agents: the rollback log migrates with the agent (Sec. 4.2), so a
 // long-lived agent's images are dominated by its log. Each aged step logs
 // what the perf agent's `spend` step logs: BOS, one agent-compensation OE
-// whose params are a 3-key map with a 64 B pad, EOS.
+// whose params are a 3-key map with a 64 B pad, EOS. Like a ring_aged
+// agent, it carries one sub-itinerary of 48 spend steps around 8 nodes.
 void log_spend_step(agent::Agent& agent, std::int64_t step) {
   const NodeId node(static_cast<std::uint32_t>(1 + step % 8));
   agent.log().push(rollback::BeginOfStepEntry{node, "spend"});
@@ -77,6 +79,11 @@ void log_spend_step(agent::Agent& agent, std::int64_t step) {
 
 harness::WorkloadAgent make_aged_agent(std::int64_t steps) {
   auto agent = make_agent(4, 256);
+  agent::Itinerary ring;
+  for (std::uint32_t hop = 0; hop < 48; ++hop) {
+    ring.step("spend", NodeId(1 + hop % 8));
+  }
+  agent.itinerary().sub(std::move(ring));
   for (std::int64_t s = 0; s < steps; ++s) log_spend_step(agent, s);
   return agent;
 }
@@ -89,7 +96,7 @@ agent::AgentTypeRegistry workload_registry() {
 
 void BM_EncodeAgentAged(benchmark::State& state) {
   // Decoded from its image, like every agent a node migrates.
-  const auto registry = workload_registry();
+  auto registry = workload_registry();
   const auto agent = agent::decode_agent(
       registry, agent::encode_agent(make_aged_agent(state.range(0))));
   std::size_t bytes = 0;
@@ -105,7 +112,7 @@ BENCHMARK(BM_EncodeAgentAged)->Arg(8)->Arg(48)->Arg(128);
 
 void BM_DecodeAgentAged(benchmark::State& state) {
   const auto bytes = agent::encode_agent(make_aged_agent(state.range(0)));
-  const auto registry = workload_registry();
+  auto registry = workload_registry();
   for (auto _ : state) {
     auto decoded = agent::decode_agent(registry, bytes);
     benchmark::DoNotOptimize(decoded);
@@ -115,11 +122,27 @@ void BM_DecodeAgentAged(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeAgentAged)->Arg(8)->Arg(48)->Arg(128);
 
+// A decode while an earlier decode of the same agent is alive, as on a hop
+// whose agent a channel base or resident copy still holds: the itinerary
+// is shared after one memcmp instead of rebuilt.
+void BM_DecodeAgentAgedShared(benchmark::State& state) {
+  const auto bytes = agent::encode_agent(make_aged_agent(state.range(0)));
+  auto registry = workload_registry();
+  const auto live = agent::decode_agent(registry, bytes);
+  for (auto _ : state) {
+    auto decoded = agent::decode_agent(registry, bytes);
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_DecodeAgentAgedShared)->Arg(8)->Arg(48)->Arg(128);
+
 // The receiver side of a delta-shipping hop: the runtime's private copy of
 // the reconstructed agent (clone_agent shares the itinerary and copies the
 // data space and the wire-form log) in place of a payload decode.
 void BM_CloneAgentAged(benchmark::State& state) {
-  const auto registry = workload_registry();
+  auto registry = workload_registry();
   const auto agent = agent::decode_agent(
       registry, agent::encode_agent(make_aged_agent(state.range(0))));
   for (auto _ : state) {
@@ -132,7 +155,7 @@ BENCHMARK(BM_CloneAgentAged)->Arg(8)->Arg(48)->Arg(128);
 // The sender side of a delta-shipping hop: diff the channel's cached base
 // against the agent one step later (log-prefix check plus appended tail).
 void BM_DeltaBetweenAged(benchmark::State& state) {
-  const auto registry = workload_registry();
+  auto registry = workload_registry();
   auto aged = make_aged_agent(state.range(0));
   const auto base = agent::decode_agent(registry, agent::encode_agent(aged));
   aged.data().weak("cash") = std::int64_t{-1};
@@ -144,6 +167,22 @@ void BM_DeltaBetweenAged(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeltaBetweenAged)->Arg(8)->Arg(48)->Arg(128);
+
+// The channel-base identity both ends of a delta hop compute over the
+// base image (ship::image_hash), at image sizes of young to aged agents.
+void BM_ImageHash(benchmark::State& state) {
+  serial::Bytes bytes(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    auto h = ship::image_hash(bytes);
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_ImageHash)->Arg(1024)->Arg(4096)->Arg(16384);
 
 // The size-hint encode path: computing the exact wire size arithmetically
 // and pre-sizing the buffer turns a large-map encode into one allocation.

@@ -1,5 +1,6 @@
 #include "agent/agent.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "util/check.h"
@@ -23,6 +24,27 @@ Itinerary& Agent::itinerary() {
 
 std::uint64_t Agent::itinerary_copies() {
   return g_itinerary_copies.load(std::memory_order_relaxed);
+}
+
+std::shared_ptr<SharedItinerary> ItineraryTable::decode(AgentId agent,
+                                                        serial::Decoder& dec) {
+  auto& entry = live_[agent.value()];
+  // An empty memo marks an itinerary edited in place: never a match.
+  if (auto live = entry.lock(); live != nullptr && !live->wire.empty() &&
+                                 dec.consume_if_next(live->wire)) {
+    return live;
+  }
+  const auto mark = dec.position();
+  auto fresh = std::make_shared<SharedItinerary>();
+  fresh->itinerary.deserialize(dec);
+  const auto wire = dec.span_since(mark);
+  fresh->wire.assign(wire.begin(), wire.end());
+  entry = fresh;
+  if (live_.size() >= sweep_at_) {
+    std::erase_if(live_, [](const auto& kv) { return kv.second.expired(); });
+    sweep_at_ = std::max(kMinSweep, 2 * live_.size());
+  }
+  return fresh;
 }
 
 void SavepointStackEntry::serialize(serial::Encoder& enc) const {
@@ -71,16 +93,11 @@ void Agent::serialize(serial::Encoder& enc) const {
   log_.serialize(enc);
 }
 
-void Agent::deserialize(serial::Decoder& dec) {
+void Agent::deserialize(serial::Decoder& dec, ItineraryTable& itineraries) {
   id_ = AgentId(dec.read_u64());
   run_state_ = static_cast<RunState>(dec.read_u8());
   data_.deserialize(dec);
-  const auto mark = dec.position();
-  auto itinerary = std::make_shared<SharedItinerary>();
-  itinerary->itinerary.deserialize(dec);
-  const auto wire = dec.span_since(mark);
-  itinerary->wire.assign(wire.begin(), wire.end());
-  itinerary_ = std::move(itinerary);
+  itinerary_ = itineraries.decode(id_, dec);
   position_.resize(dec.read_count());
   for (auto& i : position_) i = dec.read_u32();
   sp_stack_.resize(dec.read_count());
@@ -122,7 +139,7 @@ serial::Bytes encode_agent(const Agent& agent) {
   return std::move(enc).take();
 }
 
-std::unique_ptr<Agent> decode_agent(const AgentTypeRegistry& registry,
+std::unique_ptr<Agent> decode_agent(AgentTypeRegistry& registry,
                                     std::span<const std::uint8_t> bytes) {
   serial::Decoder dec(bytes);
   const auto type = dec.read_string_view();
@@ -132,18 +149,16 @@ std::unique_ptr<Agent> decode_agent(const AgentTypeRegistry& registry,
     throw serial::DecodeError("unknown agent type: " + std::string(type));
   }
   auto agent = registry.create(type);
-  agent->deserialize(dec);
+  agent->deserialize(dec, registry.itineraries_);
   dec.expect_end();
   return agent;
 }
 
 std::unique_ptr<Agent> clone_agent(const AgentTypeRegistry& registry,
                                   const Agent& agent) {
-  auto copy = registry.create(agent.type_name());
-  // Agent state is exactly the base-class members (subclasses keep none),
-  // so the base assignment copies all of it; the itinerary pointer is
-  // shared, not deep-copied.
-  static_cast<Agent&>(*copy) = agent;
+  // The copy constructor copies the slots as they are instead of
+  // declaring them anew; the itinerary pointer is shared, not deep-copied.
+  auto copy = registry.copy(agent.type_name(), agent);
   copy->mark_commit_baseline();
   return copy;
 }
@@ -326,7 +341,7 @@ std::optional<serial::Bytes> encode_agent_delta_between(const Agent& base,
 }
 
 std::unique_ptr<Agent> decode_agent_segments(
-    const AgentTypeRegistry& registry,
+    AgentTypeRegistry& registry,
     const std::vector<serial::Bytes>& segments) {
   MAR_CHECK_MSG(!segments.empty(), "agent record has no base segment");
   auto agent = decode_agent(registry, segments.front());

@@ -14,14 +14,17 @@
 //
 // The itinerary is immutable after launch. An agent holds it as one
 // shared object that also memoizes its wire encoding: copies of the agent
-// (clone_agent, the delta-shipping channel bases) share it, and capture
-// copies the memoized bytes instead of walking the entries.
+// (clone_agent, the delta-shipping channel bases) share it, capture
+// copies the memoized bytes instead of walking the entries, and a decode
+// reuses a live itinerary of the same agent whose memo equals the
+// image's bytes instead of rebuilding the tree.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 
 #include "agent/data_space.h"
 #include "agent/itinerary.h"
@@ -32,6 +35,41 @@
 namespace mar::agent {
 
 class StepContext;
+class AgentTypeRegistry;
+
+/// An itinerary plus its memoized serialize() bytes. Immutable while
+/// shared; `wire` is empty when the itinerary was built (or edited)
+/// through Agent's mutable accessor rather than decoded.
+struct SharedItinerary {
+  Itinerary itinerary;
+  serial::Bytes wire;
+};
+
+/// The live decoded itineraries of one AgentTypeRegistry, one weak
+/// reference per agent id: the newest decode of that agent. An agent's
+/// itinerary never changes after launch, so consecutive images of one
+/// agent carry the same bytes, and while any copy of the agent is alive
+/// (a resident agent, a channel base, a staged handoff) its next decode
+/// shares that copy's itinerary instead of rebuilding it.
+class ItineraryTable {
+ public:
+  /// The itinerary encoded at `dec`'s position in an image of `agent`.
+  /// A live entry whose memo equals the next bytes is shared (one
+  /// memcmp, so a hit is exact) and the bytes are consumed; otherwise the
+  /// bytes are decoded into a new object, which becomes the entry.
+  [[nodiscard]] std::shared_ptr<SharedItinerary> decode(AgentId agent,
+                                                        serial::Decoder& dec);
+  /// Entries held; expired ones count until the next sweep.
+  [[nodiscard]] std::size_t size() const { return live_.size(); }
+
+ private:
+  static constexpr std::size_t kMinSweep = 64;
+  std::unordered_map<std::uint64_t, std::weak_ptr<SharedItinerary>> live_;
+  /// Size at which the next new entry sweeps out the expired ones; reset
+  /// to twice the survivors, so the sweeps cost O(1) per decode and the
+  /// table stays within twice the agents alive.
+  std::size_t sweep_at_ = kMinSweep;
+};
 
 /// Entry of the agent's savepoint stack: the savepoints that can currently
 /// be targeted by a rollback, innermost last.
@@ -46,11 +84,11 @@ struct SavepointStackEntry {
   [[nodiscard]] static constexpr std::size_t byte_size() { return 4 + 1 + 4; }
 };
 
-class Agent : public serial::Serializable {
+class Agent {
  public:
   enum class RunState : std::uint8_t { fresh = 0, running = 1, done = 2 };
 
-  ~Agent() override = default;
+  virtual ~Agent() = default;
 
   /// Registered type name used to re-instantiate the agent after transfer.
   [[nodiscard]] virtual std::string type_name() const = 0;
@@ -164,12 +202,22 @@ class Agent : public serial::Serializable {
   }
 
   // --- capture / re-instantiation -------------------------------------------
-  void serialize(serial::Encoder& enc) const final;
-  void deserialize(serial::Decoder& dec) final;
+  void serialize(serial::Encoder& enc) const;
   /// Exact wire size of serialize() (pre-sizing full images).
   [[nodiscard]] std::size_t serialized_size() const;
 
+ protected:
+  Agent() = default;
+  /// Copies are whole objects made through the type registry
+  /// (clone_agent); the base part is never copied or assigned alone.
+  Agent(const Agent&) = default;
+  Agent& operator=(const Agent&) = delete;
+
  private:
+  /// decode_agent's body: restore every member from `dec`, taking the
+  /// itinerary from `itineraries`.
+  void deserialize(serial::Decoder& dec, ItineraryTable& itineraries);
+
   AgentId id_;
   // The one-byte fields share the padding after id_.
   RunState run_state_ = RunState::fresh;
@@ -178,13 +226,6 @@ class Agent : public serial::Serializable {
   /// Runtime-only: last_sp_strong_ changed since the baseline.
   bool last_sp_dirty_ = false;
   DataSpace data_;
-  /// The itinerary plus its memoized serialize() bytes. Immutable while
-  /// shared; `wire` is empty when the itinerary was built (or edited)
-  /// through the mutable accessor rather than decoded.
-  struct SharedItinerary {
-    Itinerary itinerary;
-    serial::Bytes wire;
-  };
   std::shared_ptr<SharedItinerary> itinerary_ =
       std::make_shared<SharedItinerary>();
   Position position_;
@@ -197,6 +238,8 @@ class Agent : public serial::Serializable {
   Value last_sp_strong_;
   rollback::RollbackLog log_;
 
+  friend std::unique_ptr<Agent> decode_agent(
+      AgentTypeRegistry& registry, std::span<const std::uint8_t> bytes);
   friend serial::Bytes encode_agent_delta(const Agent& agent);
   friend void apply_agent_delta(Agent& agent,
                                 std::span<const std::uint8_t> delta);
@@ -204,18 +247,33 @@ class Agent : public serial::Serializable {
       const Agent& base, const Agent& cur);
 };
 
-/// Registry of agent types shared by all nodes (code availability).
-using AgentTypeRegistry = serial::TypeRegistry<Agent>;
+/// Registry of agent types shared by all nodes of a Platform (code
+/// availability), and the table of the Platform's live decoded
+/// itineraries. Like the rest of a world it is used by one thread.
+class AgentTypeRegistry : public serial::TypeRegistry<Agent> {
+ public:
+  [[nodiscard]] const ItineraryTable& itineraries() const {
+    return itineraries_;
+  }
+
+ private:
+  friend std::unique_ptr<Agent> decode_agent(
+      AgentTypeRegistry& registry, std::span<const std::uint8_t> bytes);
+  ItineraryTable itineraries_;
+};
 
 /// Capture an agent: type name + full state. Single allocation: the
 /// buffer is pre-sized from the agent's exact serialized size.
 [[nodiscard]] serial::Bytes encode_agent(const Agent& agent);
-/// Re-instantiate an agent from captured bytes via the registry.
+/// Re-instantiate an agent from captured bytes via the registry (the one
+/// place agents are created by type name). The itinerary is shared with
+/// a live decode of the same agent when its bytes match.
 [[nodiscard]] std::unique_ptr<Agent> decode_agent(
-    const AgentTypeRegistry& registry, std::span<const std::uint8_t> bytes);
+    AgentTypeRegistry& registry, std::span<const std::uint8_t> bytes);
 /// An independent copy of `agent`, equal to decode_agent(encode_agent())
-/// without the round trip: it shares the immutable itinerary, copies the
-/// rest, and sets the commit baseline as decode does.
+/// without the round trip: the type's copy constructor shares the
+/// immutable itinerary and copies the rest; the copy's commit baseline is
+/// set as decode sets it.
 [[nodiscard]] std::unique_ptr<Agent> clone_agent(
     const AgentTypeRegistry& registry, const Agent& agent);
 
@@ -246,7 +304,7 @@ void apply_agent_delta(Agent& agent, std::span<const std::uint8_t> delta);
 /// Reconstruct an agent from its stable record: segments[0] is a full
 /// image (encode_agent format), the rest are deltas, oldest first.
 [[nodiscard]] std::unique_ptr<Agent> decode_agent_segments(
-    const AgentTypeRegistry& registry,
+    AgentTypeRegistry& registry,
     const std::vector<serial::Bytes>& segments);
 
 }  // namespace mar::agent

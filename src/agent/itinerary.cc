@@ -280,36 +280,35 @@ std::optional<Position> Itinerary::first_step_from(Position base,
   return std::nullopt;
 }
 
-void Itinerary::add_locations(std::vector<NodeId>& out,
-                              std::size_t from) const {
+void Itinerary::visit_locations(const std::function<void(NodeId)>& visit,
+                                std::size_t from) const {
   for (std::size_t i = from; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
     if (e.is_step()) {
-      out.insert(out.end(), e.step().locations.begin(),
-                 e.step().locations.end());
+      for (const auto n : e.step().locations) visit(n);
     } else if (e.is_sub()) {
-      e.sub().add_locations(out);
+      e.sub().visit_locations(visit);
     } else {
-      for (const auto& option : e.alt().options) option.add_locations(out);
+      for (const auto& option : e.alt().options) option.visit_locations(visit);
     }
   }
 }
 
-std::vector<NodeId> Itinerary::locations_from(const Position& pos) const {
-  std::vector<NodeId> out;
+void Itinerary::for_each_location_from(
+    std::span<const std::uint32_t> pos,
+    const std::function<void(NodeId)>& visit) const {
   const Itinerary* it = this;
   std::size_t i = 0;
   while (it != nullptr) {
     if (i == pos.size()) {  // the path ends at a container: all of it
-      it->add_locations(out);
+      it->visit_locations(visit);
       break;
     }
     MAR_CHECK(pos[i] < it->entries_.size());
-    it->add_locations(out, pos[i] + 1);
+    it->visit_locations(visit, pos[i] + 1);
     const Entry& e = it->entries_[pos[i]];
     if (e.is_step()) {
-      out.insert(out.end(), e.step().locations.begin(),
-                 e.step().locations.end());
+      for (const auto n : e.step().locations) visit(n);
       it = nullptr;
     } else if (e.is_sub()) {
       it = &e.sub();
@@ -319,15 +318,12 @@ std::vector<NodeId> Itinerary::locations_from(const Position& pos) const {
       // the entry completes: count the others too.
       MAR_CHECK(i + 1 < pos.size() && pos[i + 1] < e.alt().options.size());
       for (std::size_t k = 0; k < e.alt().options.size(); ++k) {
-        if (k != pos[i + 1]) e.alt().options[k].add_locations(out);
+        if (k != pos[i + 1]) e.alt().options[k].visit_locations(visit);
       }
       it = &e.alt().options[pos[i + 1]];
       i += 2;
     }
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 std::optional<Position> Itinerary::first_step() const {

@@ -31,7 +31,9 @@
 // entered/exited sub-itinerary computations the platform needs.
 #pragma once
 
+#include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -143,12 +145,13 @@ class Itinerary {
   [[nodiscard]] const StepEntry& step_at(const Position& pos) const;
   /// Whether `pos` addresses a step entry.
   [[nodiscard]] bool valid_step(const Position& pos) const;
-  /// Every node a step at or after `pos` (DFS order) may run on, sorted
-  /// and unique: all locations of each step, conditional steps included,
-  /// and every option of each alternatives entry on the way. A `pos`
-  /// addressing a sub-itinerary covers all of it; an empty `pos` covers
-  /// the whole itinerary.
-  [[nodiscard]] std::vector<NodeId> locations_from(const Position& pos) const;
+  /// Visit every node a step at or after `pos` (DFS order) may run on:
+  /// all locations of each step, conditional steps included, and every
+  /// option of each alternatives entry on the way. A `pos` addressing a
+  /// sub-itinerary covers all of it; an empty `pos` covers the whole
+  /// itinerary. A node may be visited more than once.
+  void for_each_location_from(std::span<const std::uint32_t> pos,
+                              const std::function<void(NodeId)>& visit) const;
 
   /// What a (proper, non-empty) position prefix addresses.
   enum class PrefixKind {
@@ -192,8 +195,9 @@ class Itinerary {
   [[nodiscard]] std::optional<Position> first_step_from(Position base,
                                                         std::size_t index)
       const;
-  /// Append the locations of every step in entries [from, size()).
-  void add_locations(std::vector<NodeId>& out, std::size_t from = 0) const;
+  /// Visit the locations of every step in entries [from, size()).
+  void visit_locations(const std::function<void(NodeId)>& visit,
+                       std::size_t from = 0) const;
 
   std::vector<Entry> entries_;
 };

@@ -208,7 +208,7 @@ bool Platform::run_until_all_finished(std::span<const AgentId> ids) {
 }
 
 std::unique_ptr<Agent> Platform::decode(
-    std::span<const std::uint8_t> bytes) const {
+    std::span<const std::uint8_t> bytes) {
   return decode_agent(agent_types_, bytes);
 }
 

@@ -259,7 +259,7 @@ class Platform {
   bool run_until_all_finished(std::span<const AgentId> ids);
   /// Decode a captured agent (e.g. AgentOutcome::final_agent).
   [[nodiscard]] std::unique_ptr<Agent> decode(
-      std::span<const std::uint8_t> bytes) const;
+      std::span<const std::uint8_t> bytes);
 
   // --- services shared by node runtimes ---------------------------------------
   [[nodiscard]] sim::Simulator& sim() { return sim_; }

@@ -397,6 +397,36 @@ bool RollbackLog::contains_savepoint(SavepointId id) const {
   return index_of(id).has_value();
 }
 
+void RollbackLog::for_each_node(
+    const std::function<void(NodeId)>& visit) const {
+  for (std::size_t i = 0; i < ends_.size(); ++i) {
+    serial::Decoder dec(encoded_entry(i).subspan(1));  // past the tag
+    switch (kind_at(i)) {
+      case EntryKind::begin_of_step:
+        visit(NodeId(dec.read_u32()));
+        break;
+      case EntryKind::end_of_step: {
+        visit(NodeId(dec.read_u32()));
+        (void)dec.read_bool();
+        (void)dec.read_bool();
+        const auto n = dec.read_count();
+        for (std::uint64_t k = 0; k < n; ++k) visit(NodeId(dec.read_u32()));
+        break;
+      }
+      case EntryKind::operation: {
+        (void)dec.read_u8();
+        (void)dec.read_string_view();
+        serial::Value::skip(dec);
+        const NodeId node(dec.read_u32());
+        if (node.valid()) visit(node);
+        break;
+      }
+      case EntryKind::savepoint:
+        break;
+    }
+  }
+}
+
 bool RollbackLog::poisoned_after(SavepointId id) const {
   for (std::size_t i = ends_.size(); i-- > 0;) {
     const auto kind = kind_at(i);

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -262,6 +263,10 @@ class RollbackLog {
   [[nodiscard]] std::optional<EndOfStepEntry> last_end_of_step() const;
   /// Whether the log contains a savepoint with this id.
   [[nodiscard]] bool contains_savepoint(SavepointId id) const;
+  /// Visit every node an entry names, read in place: each BOS and EOS
+  /// node, each EOS alternative and each valid OE resource node. A node
+  /// may be visited more than once.
+  void for_each_node(const std::function<void(NodeId)>& visit) const;
   /// Whether an end-of-step entry flagged cannot_compensate lies after
   /// savepoint `id` (Sec. 3.2: rollback to `id` is then impossible). Scans
   /// from the end, stopping at the savepoint.

@@ -1,6 +1,7 @@
 #include "serial/decoder.h"
 
 #include <bit>
+#include <cstring>
 
 namespace mar::serial {
 
@@ -9,6 +10,16 @@ void Decoder::need(std::size_t n) const {
     throw DecodeError("decode past end of buffer (need " + std::to_string(n) +
                       ", have " + std::to_string(data_.size() - pos_) + ")");
   }
+}
+
+bool Decoder::consume_if_next(std::span<const std::uint8_t> bytes) {
+  if (bytes.size() > remaining() ||
+      (!bytes.empty() &&
+       std::memcmp(data_.data() + pos_, bytes.data(), bytes.size()) != 0)) {
+    return false;
+  }
+  pos_ += bytes.size();
+  return true;
 }
 
 std::uint8_t Decoder::read_u8() {

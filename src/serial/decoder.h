@@ -60,6 +60,9 @@ class Decoder {
       std::size_t mark) const {
     return data_.subspan(mark, pos_ - mark);
   }
+  /// Consume `bytes` when the buffer continues with exactly them (one
+  /// memcmp); otherwise leave the position where it was.
+  [[nodiscard]] bool consume_if_next(std::span<const std::uint8_t> bytes);
 
   /// Assert the buffer has been fully consumed (catches framing bugs).
   void expect_end() const;

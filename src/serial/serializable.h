@@ -1,4 +1,4 @@
-// Serializable interface and polymorphic type registry.
+// Byte-capture helpers and the polymorphic type registry.
 //
 // Agent migration captures "the agent object with code and all private
 // data" (paper Sec. 2). In this C++ reproduction, *code* mobility is
@@ -8,28 +8,18 @@
 // endpoints already knew.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <typeinfo>
 
 #include "serial/decoder.h"
 #include "serial/encoder.h"
 #include "util/check.h"
 
 namespace mar::serial {
-
-/// An object whose full state can be captured into bytes and restored.
-class Serializable {
- public:
-  virtual ~Serializable() = default;
-
-  /// Append this object's state to the encoder.
-  virtual void serialize(Encoder& enc) const = 0;
-  /// Restore this object's state from the decoder.
-  virtual void deserialize(Decoder& dec) = 0;
-};
 
 /// Convenience: serialize to a fresh byte vector.
 template <typename T>
@@ -51,40 +41,65 @@ template <typename T>
   return obj;
 }
 
-/// Registry of polymorphic factories for one base class. Nodes share a
-/// registry instance via the simulation world: registering an agent or
-/// compensating-operation type makes it instantiable everywhere, which
-/// models code availability across the agent system.
+/// Registry of polymorphic types for one base class. Nodes share a
+/// registry instance via the simulation world: registering an agent type
+/// makes it instantiable everywhere, which models code availability
+/// across the agent system. Each type brings a factory (re-instantiation
+/// from the wire) and a copier (an in-memory copy through the type's own
+/// copy constructor).
 template <typename Base>
 class TypeRegistry {
  public:
-  using Factory = std::function<std::unique_ptr<Base>()>;
-
-  void register_type(std::string name, Factory factory) {
-    MAR_CHECK_MSG(!factories_.contains(name),
-                  "duplicate type registration: " << name);
-    factories_.emplace(std::move(name), std::move(factory));
-  }
-
-  template <typename Derived>
+  template <typename T>
   void register_type(std::string name) {
-    register_type(std::move(name),
-                  [] { return std::make_unique<Derived>(); });
+    static_assert(std::is_base_of_v<Base, T>, "T must derive from Base");
+    static_assert(std::is_copy_constructible_v<T>,
+                  "a registered type is copied by its copy constructor");
+    MAR_CHECK_MSG(!types_.contains(name),
+                  "duplicate type registration: " << name);
+    types_.emplace(std::move(name),
+                   Type{[]() -> std::unique_ptr<Base> {
+                          return std::make_unique<T>();
+                        },
+                        [](const Base& obj) -> std::unique_ptr<Base> {
+                          MAR_CHECK_MSG(typeid(obj) == typeid(T),
+                                        "copy of a " << typeid(obj).name()
+                                                     << " registered as a "
+                                                     << typeid(T).name());
+                          return std::make_unique<T>(
+                              static_cast<const T&>(obj));
+                        }});
   }
 
   [[nodiscard]] bool contains(std::string_view name) const {
     // Heterogeneous lookup (std::less<>): no temporary std::string.
-    return factories_.find(name) != factories_.end();
+    return types_.find(name) != types_.end();
   }
 
+  /// A default-constructed instance of the type registered as `name`.
   [[nodiscard]] std::unique_ptr<Base> create(std::string_view name) const {
-    auto it = factories_.find(name);
-    MAR_CHECK_MSG(it != factories_.end(), "unknown type: " << name);
-    return it->second();
+    return find(name).create();
+  }
+
+  /// A copy of `obj`, whose type is registered as `name`.
+  [[nodiscard]] std::unique_ptr<Base> copy(std::string_view name,
+                                           const Base& obj) const {
+    return find(name).copy(obj);
   }
 
  private:
-  std::map<std::string, Factory, std::less<>> factories_;
+  struct Type {
+    std::unique_ptr<Base> (*create)();
+    std::unique_ptr<Base> (*copy)(const Base&);
+  };
+
+  [[nodiscard]] const Type& find(std::string_view name) const {
+    auto it = types_.find(name);
+    MAR_CHECK_MSG(it != types_.end(), "unknown type: " << name);
+    return it->second;
+  }
+
+  std::map<std::string, Type, std::less<>> types_;
 };
 
 }  // namespace mar::serial

@@ -21,70 +21,73 @@ constexpr std::uint8_t kDeltaFrame = 1;
 constexpr std::uint8_t kStaged = 0;
 constexpr std::uint8_t kNeedFull = 1;
 
-/// Every node the agent captured in `image`, shipped as a `kind` record,
-/// may still occupy. An executing agent moves on through the rest of its
-/// itinerary only. A rolling-back one first revisits the nodes its log
-/// names, then resumes from a savepoint inside its current top-level sub;
-/// an agent retaining its full log may roll back to its launch.
-std::vector<NodeId> reachable_nodes(const agent::Agent& image,
-                                    storage::RecordKind kind) {
+/// Mark in `reach` (indexed by node id) every node the agent captured in
+/// `image`, shipped as a `kind` record, may still occupy. An executing
+/// agent moves on through the rest of its itinerary only. A rolling-back
+/// one first revisits the nodes its log names, then resumes from a
+/// savepoint inside its current top-level sub; an agent retaining its
+/// full log may roll back to its launch.
+void mark_reachable(const agent::Agent& image, storage::RecordKind kind,
+                    std::vector<bool>& reach) {
+  const std::function<void(NodeId)> mark = [&reach](NodeId n) {
+    if (n.value() >= reach.size()) reach.resize(n.value() + 1, false);
+    reach[n.value()] = true;
+  };
   const auto& position = image.position();
   if (kind != storage::RecordKind::compensate && !image.retain_full_log()) {
-    return image.itinerary().locations_from(position);
+    image.itinerary().for_each_location_from(position, mark);
+    return;
   }
-  rollback::Position from;
-  if (!image.retain_full_log() && !position.empty()) {
-    from.push_back(position.front());
-  }
-  auto nodes = image.itinerary().locations_from(from);
-  for (const auto& e : image.log().entries()) {
-    switch (e.kind()) {
-      case rollback::EntryKind::begin_of_step:
-        nodes.push_back(e.begin_of_step().node);
-        break;
-      case rollback::EntryKind::end_of_step:
-        nodes.push_back(e.end_of_step().node);
-        nodes.insert(nodes.end(), e.end_of_step().alternatives.begin(),
-                     e.end_of_step().alternatives.end());
-        break;
-      case rollback::EntryKind::operation:
-        if (e.operation().resource_node.valid()) {
-          nodes.push_back(e.operation().resource_node);
-        }
-        break;
-      case rollback::EntryKind::savepoint:
-        break;
-    }
-  }
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  return nodes;
+  // The current top-level sub (a one-index prefix), or the whole route.
+  const auto from = std::span(position).first(
+      !image.retain_full_log() && !position.empty() ? 1 : 0);
+  image.itinerary().for_each_location_from(from, mark);
+  image.log().for_each_node(mark);
 }
 
 }  // namespace
 
 std::uint64_t image_hash(std::span<const std::uint8_t> bytes) {
-  // 8 bytes per round: xor a word in, multiply, fold the high bits down.
-  // Words are loaded in host order — both channel ends run the same
-  // binary, so equal bytes hash equal, which is the whole contract.
+  // Four independent lanes, one 8-byte word each per 32-byte block, so
+  // four multiply chains run side by side. A round is a bijection of its
+  // lane for a fixed word and of the word for a fixed lane, and so is
+  // every step of the final fold: a change confined to one word always
+  // changes the hash. Words are loaded in host order — both channel ends
+  // run the same binary, so equal bytes hash equal, which is the whole
+  // contract.
   constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;
   const auto mix = [](std::uint64_t h, std::uint64_t w) {
     h = (h ^ w) * kMul;
     return h ^ (h >> 29);
   };
-  std::uint64_t h = 0x243F6A8885A308D3ull ^ (bytes.size() * kMul);
-  const std::uint8_t* p = bytes.data();
-  std::size_t n = bytes.size();
-  for (; n >= 8; p += 8, n -= 8) {
+  const auto load = [](const std::uint8_t* p) {
     std::uint64_t w;
     std::memcpy(&w, p, 8);
-    h = mix(h, w);
+    return w;
+  };
+  const std::uint64_t seed = bytes.size() * kMul;
+  std::uint64_t lane[4] = {0x243F6A8885A308D3ull ^ seed,
+                           0x13198A2E03707344ull ^ seed,
+                           0xA4093822299F31D0ull ^ seed,
+                           0x082EFA98EC4E6C89ull ^ seed};
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 32; p += 32, n -= 32) {
+    lane[0] = mix(lane[0], load(p));
+    lane[1] = mix(lane[1], load(p + 8));
+    lane[2] = mix(lane[2], load(p + 16));
+    lane[3] = mix(lane[3], load(p + 24));
   }
+  // The tail: up to three whole words, then the partial one tagged with
+  // its length, each into the next lane.
+  std::size_t k = 0;
+  for (; n >= 8; p += 8, n -= 8, ++k) lane[k] = mix(lane[k], load(p));
   if (n > 0) {
     std::uint64_t w = 0;
     std::memcpy(&w, p, n);
-    h = mix(h, w ^ (static_cast<std::uint64_t>(n) << 56));
+    lane[k] = mix(lane[k], w ^ (static_cast<std::uint64_t>(n) << 56));
   }
+  std::uint64_t h = mix(mix(mix(lane[0], lane[1]), lane[2]), lane[3]);
   // Final avalanche (MurmurHash3 fmix64).
   h ^= h >> 33;
   h *= 0xFF51AFD7ED558CCDull;
@@ -476,9 +479,10 @@ void ShipmentManager::on_convoy_ack(const net::Message& m) {
 }
 
 void ShipmentManager::settle_bases(Pending& p, std::uint64_t peer_epoch) {
-  const auto reach = reachable_nodes(*p.agent, p.record.kind);
-  const auto may_visit = [&reach](NodeId n) {
-    return std::binary_search(reach.begin(), reach.end(), n);
+  std::fill(reach_.begin(), reach_.end(), false);
+  mark_reachable(*p.agent, p.record.kind, reach_);
+  const auto may_visit = [this](NodeId n) {
+    return n.value() < reach_.size() && reach_[n.value()];
   };
   // Every base held here is a channel between this node and a peer; the
   // agent can cross it again only if its route still touches both ends.

@@ -228,6 +228,9 @@ class ShipmentManager {
   /// Receive bases own their decoded agent, advanced in place per delta.
   BaseCache<std::unique_ptr<agent::Agent>> recv_cache_;
   HandoffListener handoff_;
+  /// settle_bases' scratch set of the nodes an agent may still visit,
+  /// indexed by node id; kept between acks so marking allocates nothing.
+  std::vector<bool> reach_;
   /// Entries collecting towards the next convoy, per destination.
   std::map<NodeId, std::vector<Pending>> convoy_queue_;
   /// Armed dwell timer per destination. Every flush cancels it, so it

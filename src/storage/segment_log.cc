@@ -8,34 +8,18 @@
 namespace mar::storage {
 namespace {
 
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-std::uint32_t crc32(const std::uint8_t* data, std::size_t n,
-                    std::uint32_t seed = 0) {
-  static constexpr auto kTable = make_crc_table();
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = kTable[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
-
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
   out.push_back(static_cast<std::uint8_t>(v >> 8));
   out.push_back(static_cast<std::uint8_t>(v >> 16));
   out.push_back(static_cast<std::uint8_t>(v >> 24));
+}
+
+void store_u32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
 std::uint32_t get_u32(const std::uint8_t* p) {
@@ -44,6 +28,28 @@ std::uint32_t get_u32(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[2]) << 16 |
          static_cast<std::uint32_t>(p[3]) << 24;
 }
+
+// Slicing-by-8 tables: kCrcTables[0] is the bytewise table; entry i of
+// table s is the CRC of byte i followed by s zero bytes, so eight table
+// lookups advance the register over eight bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    t[0][i] = c;
+  }
+  for (std::size_t s = 1; s < t.size(); ++s) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 constexpr std::size_t kFrameHeader = 8;  // crc32 + len
 constexpr std::size_t kPayloadHeader = 5;  // op + key_len
@@ -58,6 +64,22 @@ std::uint64_t mix64(std::uint64_t& state) {
 }
 
 }  // namespace
+
+std::uint32_t crc32(std::span<const std::uint8_t> data) {
+  const auto& t = kCrcTables;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ get_u32(p);
+    const std::uint32_t hi = get_u32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
 
 const char* to_string(StorageFault fault) {
   switch (fault) {
@@ -107,22 +129,18 @@ std::size_t SegmentLog::append_frame(Op op, const std::string& key,
   const std::size_t frame_size = kFrameHeader + payload_size;
   Segment& seg = active_segment(frame_size);
 
-  std::vector<std::uint8_t> frame;
-  frame.reserve(frame_size);
-  put_u32(frame, 0);  // crc placeholder
-  put_u32(frame, static_cast<std::uint32_t>(payload_size));
-  frame.push_back(static_cast<std::uint8_t>(op));
-  put_u32(frame, static_cast<std::uint32_t>(key.size()));
-  frame.insert(frame.end(), key.begin(), key.end());
-  frame.insert(frame.end(), data.begin(), data.end());
+  // The frame is written in place at the segment's end.
+  const std::size_t start = seg.bytes.size();
+  seg.bytes.resize(start + frame_size);
+  std::uint8_t* frame = seg.bytes.data() + start;
+  store_u32(frame + 4, static_cast<std::uint32_t>(payload_size));
+  frame[kFrameHeader] = static_cast<std::uint8_t>(op);
+  store_u32(frame + kFrameHeader + 1, static_cast<std::uint32_t>(key.size()));
+  std::uint8_t* body = frame + kFrameHeader + kPayloadHeader;
+  if (!key.empty()) std::memcpy(body, key.data(), key.size());
+  if (!data.empty()) std::memcpy(body + key.size(), data.data(), data.size());
   // CRC covers len + payload so a torn length header fails the same check.
-  const std::uint32_t crc = crc32(frame.data() + 4, frame.size() - 4);
-  frame[0] = static_cast<std::uint8_t>(crc);
-  frame[1] = static_cast<std::uint8_t>(crc >> 8);
-  frame[2] = static_cast<std::uint8_t>(crc >> 16);
-  frame[3] = static_cast<std::uint8_t>(crc >> 24);
-
-  seg.bytes.insert(seg.bytes.end(), frame.begin(), frame.end());
+  store_u32(frame, crc32(std::span(frame + 4, frame_size - 4)));
   appended_bytes_ += frame_size;
   track_frame(op, key, seg, next_lsn_++);
   return frame_size;
@@ -270,18 +288,18 @@ void SegmentLog::retire_segment(std::uint64_t id) {
 }
 
 std::size_t SegmentLog::append_reset(const std::string& key,
-                                     const serial::Bytes& base) {
+                                     serial::Bytes base) {
   const std::size_t framed = append_frame(Op::reset, key, base);
   auto& segs = index_[key];
   segs.clear();
-  segs.push_back(base);
+  segs.push_back(std::move(base));
   return framed;
 }
 
 std::size_t SegmentLog::append_delta(const std::string& key,
-                                     const serial::Bytes& delta) {
+                                     serial::Bytes delta) {
   const std::size_t framed = append_frame(Op::append, key, delta);
-  index_[key].push_back(delta);
+  index_[key].push_back(std::move(delta));
   return framed;
 }
 
@@ -330,7 +348,7 @@ std::size_t SegmentLog::complete_checkpoint() {
       out.insert(out.end(), seg.begin(), seg.end());
     }
   }
-  slot.crc = crc32(out.data(), out.size());
+  slot.crc = crc32(out);
   slot.byte_size = out.size();
   slot.snapshot = std::move(in_progress_->snapshot);
   slot.valid = true;
@@ -519,7 +537,7 @@ RecoveryReport SegmentLog::recover() {
           const std::uint32_t c = get_u32(seg.bytes.data() + p);
           const std::uint32_t l = get_u32(seg.bytes.data() + p + 4);
           if (p + kFrameHeader + l <= seg.bytes.size() &&
-              crc32(seg.bytes.data() + p + 4, 4 + l) == c) {
+              crc32(std::span(seg.bytes).subspan(p + 4, 4 + l)) == c) {
             valid_frame_follows = true;
             break;
           }
@@ -539,7 +557,8 @@ RecoveryReport SegmentLog::recover() {
       const std::uint32_t stored_crc = get_u32(seg.bytes.data() + off);
       const std::uint32_t len = get_u32(seg.bytes.data() + off + 4);
       if (off + kFrameHeader + len > seg.bytes.size() ||
-          crc32(seg.bytes.data() + off + 4, 4 + len) != stored_crc) {
+          crc32(std::span(seg.bytes).subspan(off + 4, 4 + len)) !=
+              stored_crc) {
         torn_or_throw("frame checksum mismatch");
         break;
       }

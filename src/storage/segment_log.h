@@ -50,6 +50,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -82,6 +83,10 @@ class CorruptionError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `data`: the
+/// seal of every frame and checkpoint. Slicing-by-8, eight bytes a round.
+[[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data);
+
 struct SegmentLogConfig {
   /// Rotation threshold: a segment accepting a frame that would push it
   /// past this many bytes is sealed first. One oversized frame still
@@ -107,8 +112,8 @@ class SegmentLog {
   // --- write path (mirrors the record-area mutators) ----------------------
   // Each returns the framed byte cost, which the owner meters as
   // bytes_written (the durable write is the frame, not the bare payload).
-  std::size_t append_reset(const std::string& key, const serial::Bytes& base);
-  std::size_t append_delta(const std::string& key, const serial::Bytes& delta);
+  std::size_t append_reset(const std::string& key, serial::Bytes base);
+  std::size_t append_delta(const std::string& key, serial::Bytes delta);
   /// The erase frame is a tombstone: live while a retained older frame
   /// of the key or a checkpoint snapshot holding the key could resurrect
   /// it on replay, dead (and its key forgotten) from then on.

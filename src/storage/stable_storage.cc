@@ -74,13 +74,13 @@ void StableStorage::for_each_with_prefix(
 
 void StableStorage::record_reset(const std::string& key, serial::Bytes base) {
   ++stats_.record_resets;
-  stats_.bytes_written += seg_log_.append_reset(key, base);
+  stats_.bytes_written += seg_log_.append_reset(key, std::move(base));
 }
 
 void StableStorage::record_append(const std::string& key,
                                   serial::Bytes delta) {
   ++stats_.record_appends;
-  stats_.bytes_written += seg_log_.append_delta(key, delta);
+  stats_.bytes_written += seg_log_.append_delta(key, std::move(delta));
 }
 
 bool StableStorage::record_erase(const std::string& key) {

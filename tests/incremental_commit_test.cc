@@ -72,7 +72,7 @@ void mutate_one_step(Agent& ag, int i) {
 }
 
 TEST(AgentDeltaTest, DeltaReconstructsBitIdentically) {
-  const auto reg = workload_registry();
+  auto reg = workload_registry();
   auto live = sample_agent();
   live->mark_commit_baseline();
   const serial::Bytes base = encode_agent(*live);
@@ -106,7 +106,7 @@ TEST(AgentDeltaTest, PopsAndDiscardForceFullImage) {
 }
 
 TEST(AgentDeltaTest, WholeMapReplacementTravelsInDelta) {
-  const auto reg = workload_registry();
+  auto reg = workload_registry();
   auto live = sample_agent();
   live->mark_commit_baseline();
   std::vector<serial::Bytes> segments{encode_agent(*live)};

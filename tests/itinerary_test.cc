@@ -154,7 +154,7 @@ AgentTypeRegistry workload_types() {
 }
 
 /// A Fig. 6 agent as a node holds it: decoded from its captured image.
-std::unique_ptr<Agent> decoded_fig6_agent(const AgentTypeRegistry& reg) {
+std::unique_ptr<Agent> decoded_fig6_agent(AgentTypeRegistry& reg) {
   harness::WorkloadAgent ag;
   ag.itinerary() = fig6();
   ag.set_id(AgentId(5));
@@ -163,7 +163,7 @@ std::unique_ptr<Agent> decoded_fig6_agent(const AgentTypeRegistry& reg) {
 }
 
 TEST(AgentItineraryTest, CloneSharesTheItineraryObject) {
-  const auto reg = workload_types();
+  auto reg = workload_types();
   const auto ag = decoded_fig6_agent(reg);
   const auto copies = Agent::itinerary_copies();
   const auto clone = clone_agent(reg, *ag);
@@ -174,7 +174,7 @@ TEST(AgentItineraryTest, CloneSharesTheItineraryObject) {
 }
 
 TEST(AgentItineraryTest, MutableAccessorUnsharesWithoutTouchingTheOther) {
-  const auto reg = workload_types();
+  auto reg = workload_types();
   const auto ag = decoded_fig6_agent(reg);
   const auto before = encode_agent(*ag);
   const auto clone = clone_agent(reg, *ag);
@@ -198,7 +198,7 @@ TEST(AgentItineraryTest, MutableAccessorUnsharesWithoutTouchingTheOther) {
 }
 
 TEST(AgentItineraryTest, MemoizedBytesEqualAFreshSerialize) {
-  const auto reg = workload_types();
+  auto reg = workload_types();
   const auto ag = decoded_fig6_agent(reg);  // carries the byte memo
   // A clone unshared through the mutable accessor has no memo: its
   // capture walks the itinerary.
@@ -211,7 +211,7 @@ TEST(AgentItineraryTest, MemoizedBytesEqualAFreshSerialize) {
 }
 
 TEST(AgentItineraryTest, DecodeEncodeIdentityHolds) {
-  const auto reg = workload_types();
+  auto reg = workload_types();
   harness::WorkloadAgent ag;
   ag.itinerary() = fig6();
   ag.set_id(AgentId(9));
@@ -222,6 +222,138 @@ TEST(AgentItineraryTest, DecodeEncodeIdentityHolds) {
   const auto twice = decode_agent(reg, encode_agent(*once));
   EXPECT_EQ(encode_agent(*twice), bytes);
   EXPECT_EQ(encode_agent(*clone_agent(reg, *twice)), bytes);
+}
+
+// ---------------------------------------------------------------------------
+// Decodes share a live byte-identical itinerary of the same agent
+// ---------------------------------------------------------------------------
+
+TEST(AgentItineraryTest, TwoDecodesOfOneImageShareOneItinerary) {
+  auto reg = workload_types();
+  const auto bytes = encode_agent(*decoded_fig6_agent(reg));
+  const auto copies = Agent::itinerary_copies();
+  const auto a = decode_agent(reg, bytes);
+  const auto b = decode_agent(reg, bytes);
+  EXPECT_EQ(&std::as_const(*a).itinerary(), &std::as_const(*b).itinerary());
+  EXPECT_EQ(encode_agent(*a), bytes);
+  EXPECT_EQ(encode_agent(*b), bytes);
+  EXPECT_EQ(Agent::itinerary_copies(), copies);
+}
+
+TEST(AgentItineraryTest, SameAgentWithOtherItineraryBytesGetsItsOwnObject) {
+  auto reg = workload_types();
+  const auto a = decoded_fig6_agent(reg);
+  harness::WorkloadAgent other;
+  other.itinerary() = fig6();
+  Itinerary extra;
+  extra.step("s11", n(11));
+  other.itinerary().sub(std::move(extra));
+  other.set_id(a->id());
+  const auto other_bytes = encode_agent(other);
+  const auto b = decode_agent(reg, other_bytes);
+  EXPECT_NE(&std::as_const(*a).itinerary(), &std::as_const(*b).itinerary());
+  EXPECT_EQ(std::as_const(*b).itinerary().size(), 4u);
+  EXPECT_EQ(encode_agent(*b), other_bytes);
+  // A different agent with the same itinerary bytes is not the same agent.
+  harness::WorkloadAgent stranger;
+  stranger.itinerary() = fig6();
+  stranger.set_id(AgentId(a->id().value() + 1));
+  stranger.set_position(*std::as_const(stranger).itinerary().first_step());
+  const auto c = decode_agent(reg, encode_agent(stranger));
+  EXPECT_NE(&std::as_const(*a).itinerary(), &std::as_const(*c).itinerary());
+}
+
+TEST(AgentItineraryTest, EditAfterSharedDecodeUnsharesAndLeavesTheOther) {
+  auto reg = workload_types();
+  const auto bytes = encode_agent(*decoded_fig6_agent(reg));
+  const auto a = decode_agent(reg, bytes);
+  const auto b = decode_agent(reg, bytes);
+  const auto copies = Agent::itinerary_copies();
+  Itinerary extra;
+  extra.step("s11", n(11));
+  a->itinerary().sub(std::move(extra));
+  EXPECT_EQ(Agent::itinerary_copies(), copies + 1);
+  EXPECT_NE(&std::as_const(*a).itinerary(), &std::as_const(*b).itinerary());
+  EXPECT_EQ(encode_agent(*b), bytes);
+  // A later decode of the original image still shares b's object, and the
+  // edited agent round-trips to its own itinerary.
+  const auto c = decode_agent(reg, bytes);
+  EXPECT_EQ(&std::as_const(*c).itinerary(), &std::as_const(*b).itinerary());
+  const auto edited = encode_agent(*a);
+  EXPECT_EQ(encode_agent(*decode_agent(reg, edited)), edited);
+}
+
+TEST(AgentItineraryTest, ALoneItineraryEditedInPlaceIsNeverMatched) {
+  auto reg = workload_types();
+  const auto bytes = encode_agent(*decoded_fig6_agent(reg));
+  const auto a = decode_agent(reg, bytes);
+  Itinerary extra;
+  extra.step("s11", n(11));
+  a->itinerary().sub(std::move(extra));  // sole owner: edited in place
+  const auto b = decode_agent(reg, bytes);
+  EXPECT_NE(&std::as_const(*a).itinerary(), &std::as_const(*b).itinerary());
+  EXPECT_EQ(encode_agent(*b), bytes);
+  EXPECT_EQ(std::as_const(*a).itinerary().size(), 4u);
+}
+
+TEST(AgentItineraryTest, TableDropsExpiredEntriesAndKeepsLiveOnes) {
+  auto reg = workload_types();
+  const auto image_of = [](std::uint64_t id) {
+    harness::WorkloadAgent ag;
+    ag.itinerary() = fig6();
+    ag.set_id(AgentId(id));
+    return encode_agent(ag);
+  };
+  std::vector<std::unique_ptr<Agent>> kept;
+  for (std::uint64_t id = 1; id <= 100; ++id) {
+    kept.push_back(decode_agent(reg, image_of(id)));
+  }
+  for (std::uint64_t id = 101; id <= 2000; ++id) {
+    (void)decode_agent(reg, image_of(id));  // dead on return
+  }
+  // Sweeps run when the table doubles past its survivors.
+  EXPECT_LE(reg.itineraries().size(), 2 * kept.size());
+  for (std::uint64_t id = 1; id <= 100; ++id) {
+    const auto again = decode_agent(reg, image_of(id));
+    EXPECT_EQ(&std::as_const(*again).itinerary(),
+              &std::as_const(*kept[id - 1]).itinerary())
+        << id;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// clone_agent copy-constructs through the registry
+// ---------------------------------------------------------------------------
+
+TEST(CloneAgentTest, CloneEncodesEqualAndNeverWritesThrough) {
+  auto reg = workload_types();
+  harness::WorkloadAgent src;
+  src.itinerary() = fig6();
+  src.set_id(AgentId(12));
+  src.set_position(*std::as_const(src).itinerary().first_step());
+  src.data().weak("cash") = std::int64_t{40};
+  src.data().strong("results").push_back(serial::Value("r1"));
+  src.log().push(rollback::BeginOfStepEntry{n(7), "s7"});
+  rollback::EndOfStepEntry eos;
+  eos.node = n(7);
+  src.log().push(eos);
+  const auto agent = decode_agent(reg, encode_agent(src));
+  const auto before = encode_agent(*agent);
+
+  const auto clone = clone_agent(reg, *agent);
+  ASSERT_NE(dynamic_cast<harness::WorkloadAgent*>(clone.get()), nullptr);
+  EXPECT_EQ(encode_agent(*clone), before);
+  EXPECT_TRUE(clone->delta_ready());  // the baseline is set as on decode
+
+  clone->data().weak("cash") = std::int64_t{1};
+  clone->data().strong("results").push_back(serial::Value("r2"));
+  clone->data().declare_weak("extra", serial::Value(std::int64_t{3}));
+  clone->log().push(rollback::BeginOfStepEntry{n(1), "s1"});
+  clone->set_position(Position{0, 1});
+  EXPECT_EQ(encode_agent(*agent), before);
+  EXPECT_NE(encode_agent(*clone), before);
+  EXPECT_EQ(agent->log().size(), 2u);
+  EXPECT_EQ(clone->log().size(), 3u);
 }
 
 TEST(ItineraryTest, ToStringRendersHierarchy) {

@@ -16,6 +16,9 @@
 //     compensation).
 #include <gtest/gtest.h>
 
+#include <typeinfo>
+#include <utility>
+
 #include "harness/agents.h"
 #include "harness/world.h"
 
@@ -150,6 +153,37 @@ int probe_keys(TestWorld& w, int nodes) {
     }
   }
   return found;
+}
+
+TEST(CloneAgentTest, EveryRegisteredTypeClonesIntoAnIndependentCopy) {
+  TestWorld w(PlatformConfig{}, 3);
+  register_agents(w.platform);
+  auto& types = w.platform.agent_types();
+  std::vector<std::unique_ptr<agent::Agent>> sources;
+  sources.push_back(std::make_unique<WorkloadAgent>());
+  sources.push_back(std::make_unique<ProbeAgent>());
+  sources.push_back(master(2, 2, false));
+  for (auto& src : sources) {
+    if (std::as_const(*src).itinerary().empty()) {
+      Itinerary sub;
+      sub.step("probe", TestWorld::n(2));
+      Itinerary main;
+      main.sub(std::move(sub));
+      src->itinerary() = std::move(main);
+    }
+    src->set_id(AgentId(7));
+    src->data().declare_weak("tag", serial::Value(src->type_name()));
+    src->log().push(rollback::BeginOfStepEntry{TestWorld::n(2), "probe"});
+    const auto agent = agent::decode_agent(types, agent::encode_agent(*src));
+    const auto before = agent::encode_agent(*agent);
+    const auto clone = agent::clone_agent(types, *agent);
+    EXPECT_EQ(typeid(*clone), typeid(*src)) << src->type_name();
+    EXPECT_EQ(agent::encode_agent(*clone), before) << src->type_name();
+    clone->data().weak("tag") = serial::Value("changed");
+    clone->data().declare_strong("fresh", serial::Value::empty_list());
+    clone->log().push(rollback::BeginOfStepEntry{TestWorld::n(3), "probe"});
+    EXPECT_EQ(agent::encode_agent(*agent), before) << src->type_name();
+  }
 }
 
 TEST(MultiAgentTest, SpawnJoinCollectsEveryChildResult) {

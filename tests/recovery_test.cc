@@ -26,6 +26,7 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,7 @@
 #include "storage/segment_log.h"
 #include "storage/stable_storage.h"
 #include "tx/tx_manager.h"
+#include "util/rng.h"
 
 namespace mar {
 namespace {
@@ -57,6 +59,39 @@ serial::Bytes bytes_of(const std::string& s) {
 // ---------------------------------------------------------------------------
 // Unit level: SegmentLog
 // ---------------------------------------------------------------------------
+
+/// The CRC-32 definition, one bit at a time: the reference the table
+/// form must reproduce.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const auto byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  const auto check = bytes_of("123456789");
+  EXPECT_EQ(storage::crc32(check), 0xCBF43926u);
+  EXPECT_EQ(crc32_bitwise(check), 0xCBF43926u);
+  EXPECT_EQ(storage::crc32({}), 0u);
+}
+
+TEST(Crc32Test, MatchesTheBitwiseReferenceAtEveryOffsetAndLength) {
+  Rng rng(26);
+  serial::Bytes buf(64 + 16);
+  for (int round = 0; round < 8; ++round) {
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      for (std::size_t len = 0; len <= 64; ++len) {
+        const auto slice = std::span(buf).subspan(offset, len);
+        ASSERT_EQ(storage::crc32(slice), crc32_bitwise(slice))
+            << "round " << round << " offset " << offset << " len " << len;
+      }
+    }
+  }
+}
 
 TEST(SegmentLogTest, RotationAndRetirement) {
   SegmentLog log(SegmentLogConfig{/*segment_bytes=*/128});

@@ -57,7 +57,7 @@ agent::AgentTypeRegistry registry_with_workload() {
 
 TEST(FuzzDecode, SampleAgentRoundTrips) {
   const auto bytes = encoded_sample_agent();
-  const auto reg = registry_with_workload();
+  auto reg = registry_with_workload();
   auto agent = agent::decode_agent(reg, bytes);
   EXPECT_EQ(agent->data().weak("cash").as_int(), 123);
   EXPECT_EQ(agent->log().size(), 3u);
@@ -66,7 +66,7 @@ TEST(FuzzDecode, SampleAgentRoundTrips) {
 
 TEST(FuzzDecode, EveryTruncationThrowsOrDecodes) {
   const auto bytes = encoded_sample_agent();
-  const auto reg = registry_with_workload();
+  auto reg = registry_with_workload();
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     serial::Bytes cut(bytes.begin(),
                       bytes.begin() + static_cast<long>(len));
@@ -77,7 +77,7 @@ TEST(FuzzDecode, EveryTruncationThrowsOrDecodes) {
 
 TEST(FuzzDecode, RandomByteFlipsNeverCrash) {
   const auto bytes = encoded_sample_agent();
-  const auto reg = registry_with_workload();
+  auto reg = registry_with_workload();
   Rng rng(0xf1e5);
   int decoded = 0;
   int rejected = 0;
@@ -126,7 +126,7 @@ TEST(FuzzDecode, QueueRecordTruncationsThrow) {
 
 TEST(FuzzDecode, RollbackLogTruncationsThrow) {
   const auto bytes = encoded_sample_agent();
-  const auto reg = registry_with_workload();
+  auto reg = registry_with_workload();
   auto agent = agent::decode_agent(reg, bytes);
   const auto log_bytes = serial::to_bytes(agent->log());
   for (std::size_t len = 0; len < log_bytes.size(); ++len) {

@@ -123,6 +123,48 @@ TEST(RollbackLogTest, Fig2Layout) {
             "SP_1 BOS(N3,step) OE[RCE,c1] OE[ACE,c2] OE[RCE,c3] EOS(N3)");
 }
 
+TEST(RollbackLogTest, ForEachNodeVisitsEveryNodeTheEntriesName) {
+  RollbackLog log;
+  log.push(full_sp(1, 0));
+  push_step(log, 3, {op(OpEntryKind::resource, "a")});
+  OperationEntry agent_op = op(OpEntryKind::agent, "b");
+  agent_op.resource_node = NodeId::invalid();
+  agent_op.params = strong_state(9);
+  push_step(log, 4, {std::move(agent_op)});
+  log.push(BeginOfStepEntry{NodeId(5), "step"});
+  EndOfStepEntry eos;
+  eos.node = NodeId(5);
+  eos.alternatives = {NodeId(6), NodeId(7)};
+  log.push(eos);
+  std::vector<NodeId> expected;
+  for (const auto& e : log.entries()) {
+    switch (e.kind()) {
+      case EntryKind::begin_of_step:
+        expected.push_back(e.begin_of_step().node);
+        break;
+      case EntryKind::end_of_step:
+        expected.push_back(e.end_of_step().node);
+        for (const auto n : e.end_of_step().alternatives) {
+          expected.push_back(n);
+        }
+        break;
+      case EntryKind::operation:
+        if (e.operation().resource_node.valid()) {
+          expected.push_back(e.operation().resource_node);
+        }
+        break;
+      case EntryKind::savepoint:
+        break;
+    }
+  }
+  std::vector<NodeId> visited;
+  log.for_each_node([&visited](NodeId n) { visited.push_back(n); });
+  EXPECT_EQ(visited, expected);
+  EXPECT_EQ(visited, (std::vector<NodeId>{NodeId(3), NodeId(1), NodeId(3),
+                                          NodeId(4), NodeId(4), NodeId(5),
+                                          NodeId(5), NodeId(6), NodeId(7)}));
+}
+
 TEST(RollbackLogTest, PopReturnsReverseOrder) {
   RollbackLog log;
   push_step(log, 1, {op(OpEntryKind::resource, "c1"),

@@ -429,15 +429,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PatchPropertyTest,
 // TypeRegistry
 // --------------------------------------------------------------------------
 
-struct Base : Serializable {
+struct Base {
+  virtual ~Base() = default;
   int x = 0;
-  void serialize(Encoder& enc) const override { enc.write_u32(x); }
-  void deserialize(Decoder& dec) override {
-    x = static_cast<int>(dec.read_u32());
-  }
 };
 struct DerivedA : Base {};
 struct DerivedB : Base {};
+struct DerivedOfA : DerivedA {};
 
 TEST(TypeRegistryTest, CreatesRegisteredTypes) {
   TypeRegistry<Base> reg;
@@ -447,6 +445,32 @@ TEST(TypeRegistryTest, CreatesRegisteredTypes) {
   EXPECT_FALSE(reg.contains("c"));
   auto obj = reg.create("a");
   EXPECT_NE(dynamic_cast<DerivedA*>(obj.get()), nullptr);
+}
+
+TEST(TypeRegistryTest, CopiesThroughTheRegisteredType) {
+  TypeRegistry<Base> reg;
+  reg.register_type<DerivedA>("a");
+  reg.register_type<DerivedB>("b");
+  DerivedB src;
+  src.x = 42;
+  auto copy = reg.copy("b", src);
+  ASSERT_NE(dynamic_cast<DerivedB*>(copy.get()), nullptr);
+  EXPECT_EQ(copy->x, 42);
+  EXPECT_NE(copy.get(), &src);
+  copy->x = 7;
+  EXPECT_EQ(src.x, 42);
+}
+
+TEST(TypeRegistryTest, CopyChecksNameAndDynamicType) {
+  TypeRegistry<Base> reg;
+  reg.register_type<DerivedA>("a");
+  const DerivedB b;
+  EXPECT_THROW((void)reg.copy("b", b), LogicError);  // unregistered name
+  EXPECT_THROW((void)reg.copy("a", b), LogicError);  // another type
+  // A subclass of a registered type is not that type: slicing it would
+  // drop its own state.
+  const DerivedOfA sub;
+  EXPECT_THROW((void)reg.copy("a", sub), LogicError);
 }
 
 TEST(TypeRegistryTest, DuplicateRegistrationChecks) {

@@ -267,18 +267,26 @@ TEST(ShipTest, ReceiverCrashForcesFullResync) {
 
 TEST(ImageHashTest, EqualBytesHashEqualAndAnyBitFlipChangesTheHash) {
   Rng rng(9);
-  for (const std::size_t len : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 64u, 301u}) {
+  // Every tail length after the 32-byte blocks (0-40 covers the empty
+  // input, each whole-word count and each partial word, inside and after
+  // a first block), then sizes of real images up to 4 KiB.
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 40; ++len) lengths.push_back(len);
+  for (const std::size_t len : {64u, 301u, 4096u}) lengths.push_back(len);
+  for (const std::size_t len : lengths) {
     serial::Bytes bytes(len);
     for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_below(256));
     const auto h = ship::image_hash(bytes);
     EXPECT_EQ(ship::image_hash(serial::Bytes(bytes)), h);
-    // Every round is a bijection of the running state for a fixed word,
-    // so a change confined to one 8-byte word always changes the hash.
+    // Each lane round and each step of the final fold is a bijection, so
+    // a change confined to one 8-byte word always changes the hash.
+    auto flipped = bytes;
     for (std::size_t i = 0; i < len; ++i) {
       for (int bit = 0; bit < 8; ++bit) {
-        auto flipped = bytes;
-        flipped[i] ^= static_cast<std::uint8_t>(1u << bit);
+        const auto mask = static_cast<std::uint8_t>(1u << bit);
+        flipped[i] ^= mask;
         EXPECT_NE(ship::image_hash(flipped), h) << len << "/" << i;
+        flipped[i] ^= mask;
       }
     }
     auto longer = bytes;

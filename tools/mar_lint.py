@@ -68,6 +68,16 @@ Rules (each with a stable id used in messages and suppressions):
                         driver's one advance toward the savepoint. A
                         second copy is a second rollback tail, free to
                         drift from the first.
+  R11 one-agent-copy    Under src/, a registry's create() (a receiver
+                        named like a registry: `registry.create(`,
+                        `agent_types().create(`) is called only inside
+                        decode_agent in src/agent/agent.cc, and nothing
+                        copy-assigns through static_cast<Agent&>. Agents
+                        come from decode (create, then deserialize) or
+                        from clone_agent (the type's copy constructor via
+                        TypeRegistry::copy); a create-then-assign copy
+                        runs the constructor's slot declarations for
+                        nothing and slices any state of the subclass.
 
 Usage:
   tools/mar_lint.py [--root REPO] [FILES...]   lint src/ (or FILES)
@@ -322,6 +332,54 @@ def check_one_rollback_exit(relpath, path, lines, findings):
                                     "exit; route through it"))
 
 
+# --- R11: one agent copy path -----------------------------------------------
+
+AGENT_CODEC = "src/agent/agent.cc"
+REGISTRY_CREATE_RE = re.compile(
+    r"\b\w*(?:reg|types)\w*(?:\(\))?\s*(?:\.|->)\s*create\s*\(")
+BASE_ASSIGN_RE = re.compile(
+    r"\bstatic_cast\s*<\s*(?:(?:mar::)?agent::)?Agent\s*&\s*>\s*"
+    r"\((?:[^()]|\([^()]*\))*\)\s*=(?!=)")
+DECODE_AGENT_DEF_RE = re.compile(r"\bdecode_agent\s*\([^;{]*\)\s*\{")
+
+
+def function_bodies(text, definition):
+    """(begin, end) offsets of the brace-matched body of every match of
+    `definition`, a pattern ending at the body's opening brace."""
+    spans = []
+    for m in definition.finditer(text):
+        depth = 0
+        for j in range(m.end() - 1, len(text)):
+            if text[j] == "{":
+                depth += 1
+            elif text[j] == "}":
+                depth -= 1
+                if depth == 0:
+                    spans.append((m.end(), j))
+                    break
+    return spans
+
+
+def check_one_agent_copy(relpath, path, lines, findings):
+    text = "\n".join(strip_noise(line) for line in lines)
+    allowed = (function_bodies(text, DECODE_AGENT_DEF_RE)
+               if relpath == AGENT_CODEC else [])
+    for m in REGISTRY_CREATE_RE.finditer(text):
+        if any(begin <= m.start() < end for begin, end in allowed):
+            continue
+        line = text.count("\n", 0, m.start()) + 1
+        findings.append(Finding(path, line, "R11",
+                                "registry create() outside decode_agent: "
+                                "copy an agent with clone_agent (the "
+                                "type's copy constructor), decode one "
+                                "with decode_agent"))
+    for m in BASE_ASSIGN_RE.finditer(text):
+        line = text.count("\n", 0, m.start()) + 1
+        findings.append(Finding(path, line, "R11",
+                                "copy-assignment through static_cast<Agent&> "
+                                "slices the agent; use clone_agent"))
+
+
 # --- R8: RelaxedCounter fields registered with the metrics registry --------
 
 COUNTER_FIELD_RE = re.compile(r"\bRelaxedCounter\s+(\w+)\s*;")
@@ -436,6 +494,7 @@ def run_lint(root, explicit_files=None):
         check_record_scope(relpath, relpath, lines, findings)
         check_timer_owned(relpath, relpath, lines, findings)
         check_one_rollback_exit(relpath, relpath, lines, findings)
+        check_one_agent_copy(relpath, relpath, lines, findings)
     if not explicit_files:
         check_event_registered(root, findings)
         check_stat_registered(root, findings)
@@ -514,6 +573,15 @@ void mar::agent::Rogue::finish(TxId tx, const QueueRecord& rec, Agent& a) {
   hand_off(tx, rec, std::move(next));
 }
 """,
+    "src/agent/rogue_clone.cc": """
+std::unique_ptr<Agent> rogue_clone(const AgentTypeRegistry& registry,
+                                   const Agent& agent) {
+  // Create-then-assign: declares every slot, then overwrites the base.
+  auto copy = registry.create(agent.type_name());
+  static_cast<Agent&>(*copy) = agent;
+  return copy;
+}
+""",
     "src/net/rogue_stats.h": """
 #include "util/counters.h"
 namespace mar::net {
@@ -587,6 +655,23 @@ void good_resume(mar::agent::Agent& a, SavepointId target) {
   }
 }
 """,
+    "src/agent/agent.cc": """
+std::unique_ptr<Agent> decode_agent(AgentTypeRegistry& registry,
+                                    std::span<const std::uint8_t> bytes) {
+  serial::Decoder dec(bytes);
+  const auto type = dec.read_string_view();
+  if (!registry.contains(type)) throw serial::DecodeError("unknown type");
+  auto agent = registry.create(type);
+  agent->deserialize(dec, registry.itineraries_);
+  return agent;
+}
+std::unique_ptr<Agent> clone_agent(const AgentTypeRegistry& registry,
+                                  const Agent& agent) {
+  auto copy = registry.copy(agent.type_name(), agent);
+  if (static_cast<const Agent&>(*copy) == agent) copy->mark();
+  return copy;
+}
+""",
     "src/net/good_stats.h": """
 #include "util/counters.h"
 namespace mar::net {
@@ -621,7 +706,7 @@ def self_test():
         findings = run_lint(root)
         fired = {f.rule for f in findings}
         expected = {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
-                    "R9", "R10"}
+                    "R9", "R10", "R11"}
         ok = True
         for rule in sorted(expected):
             status = "fires" if rule in fired else "MISSED"
@@ -636,7 +721,8 @@ def self_test():
             ok &= hit
         false_pos = [f for f in findings
                      if "good" in str(f.path) or
-                     str(f.path).endswith("rollback_driver.cc")]
+                     str(f.path).endswith(("rollback_driver.cc",
+                                           "agent/agent.cc"))]
         for f in false_pos:
             print(f"self-test: FALSE POSITIVE {f}")
         ok &= not false_pos
