@@ -34,10 +34,9 @@ Run run_central(int per_node, std::int64_t payload) {
   harness::TestWorld w(agent::PlatformConfig{}, kNodes, /*seed=*/3);
   harness::register_workload(w.platform);
   storage::StableStorage stable;
+  w.net.add_node(NodeId(100));
   contract::ContractManager manager(NodeId(100), w.sim, w.net, stable,
                                     w.platform.compensations());
-  w.net.add_node(NodeId(100),
-                 [&manager](const net::Message& m) { manager.on_message(m); });
 
   std::vector<contract::ScriptStep> script;
   for (int n = 1; n <= kNodes; ++n) {

@@ -132,13 +132,8 @@ RunResult run_course(bool delta, int node_count, int age, int hops,
              fin->data().weak("visits").as_int() == age + hops;
     if (fleet == 1) res.final_agent = out.final_agent;
   }
-  const auto& by_type = w.net.stats().bytes_by_type;
-  if (auto it = by_type.find("ship.convoy"); it != by_type.end()) {
-    res.convoy_bytes = it->second;
-  }
-  if (auto it = by_type.find(tx::msg::prepare); it != by_type.end()) {
-    res.prepare_bytes = it->second;
-  }
+  res.convoy_bytes = w.net.stats().bytes_of(net::MsgType::ship_convoy);
+  res.prepare_bytes = w.net.stats().bytes_of(net::MsgType::tx_prepare);
   for (int n = 1; n <= node_count; ++n) {
     auto& node = w.platform.node(TestWorld::n(n));
     res.participant_syncs += node.txm().participant_syncs();

@@ -43,55 +43,60 @@ Actuals simulate(const perfmodel::NetworkParams& np,
     sim::TimeUs finished = 0;
     std::int64_t remaining = task.interactions;
 
+    // The exchanges borrow the protocol's tags: an RPC is ctr.invoke and
+    // ctr.result, an agent trip is a ship.convoy each way. Payloads are
+    // sized so each message's wire size is the modeled byte count.
+    using net::MsgType;
+    const auto message = [](NodeId from, NodeId to, MsgType type,
+                            double wire_bytes) {
+      return net::Message{
+          from, to, type,
+          serial::Bytes(static_cast<std::size_t>(wire_bytes) -
+                        net::Message::kHeaderBytes - net::name(type).size())};
+    };
     std::function<void()> send_request;
-    net.add_node(client, [&](const net::Message&) {
-      // Reply received.
+    const auto on_reply = [&](const net::Message&) {
       if (--remaining > 0) {
         send_request();
       } else {
         finished = sim.now();
       }
+    };
+    net.add_node(client);
+    net.add_node(server);
+    net.on(client, MsgType::ctr_result, on_reply);
+    net.on(client, MsgType::ship_convoy, on_reply);
+    net.on(server, MsgType::ctr_invoke, [&](const net::Message&) {
+      sim.schedule_after(
+          static_cast<sim::TimeUs>(task.server_time_us), [&] {
+            net.send(message(server, client, MsgType::ctr_result,
+                             task.reply_bytes));
+          });
     });
-    net.add_node(server, [&](const net::Message& m) {
-      if (m.type == "req") {
-        sim.schedule_after(
-            static_cast<sim::TimeUs>(task.server_time_us), [&net, &task] {
-              net.send(net::Message{
-                  NodeId(2), NodeId(1), "rep",
-                  serial::Bytes(static_cast<std::size_t>(task.reply_bytes) -
-                                net::Message::kHeaderBytes - 3)});
-            });
-      } else {  // the agent arrived: local interactions, then return trip
-        sim.schedule_after(
-            static_cast<sim::TimeUs>(static_cast<double>(task.interactions) *
-                                     task.server_time_us),
-            [&net, &task] {
-              const auto back_bytes = static_cast<std::size_t>(
-                  task.agent_bytes + task.selectivity * task.result_bytes);
-              net.send(net::Message{
-                  NodeId(2), NodeId(1), "agent_back",
-                  serial::Bytes(back_bytes - net::Message::kHeaderBytes -
-                                10)});
-            });
-      }
+    net.on(server, MsgType::ship_convoy, [&](const net::Message&) {
+      // The agent arrived: local interactions, then the return trip.
+      sim.schedule_after(
+          static_cast<sim::TimeUs>(static_cast<double>(task.interactions) *
+                                   task.server_time_us),
+          [&] {
+            net.send(message(server, client, MsgType::ship_convoy,
+                             task.agent_bytes +
+                                 task.selectivity * task.result_bytes));
+          });
     });
 
     if (variant == 0) {
-      send_request = [&net, &task] {
-        net.send(net::Message{
-            NodeId(1), NodeId(2), "req",
-            serial::Bytes(static_cast<std::size_t>(task.request_bytes) -
-                          net::Message::kHeaderBytes - 3)});
+      send_request = [&] {
+        net.send(message(client, server, MsgType::ctr_invoke,
+                         task.request_bytes));
       };
       send_request();
       sim.run_while_pending([&] { return finished != 0; });
       out.rpc_us = finished;
     } else {
-      remaining = 1;  // one "agent_back" message ends the run
-      net.send(net::Message{
-          NodeId(1), NodeId(2), "agent_go",
-          serial::Bytes(static_cast<std::size_t>(task.agent_bytes) -
-                        net::Message::kHeaderBytes - 8)});
+      remaining = 1;  // the agent's return trip ends the run
+      net.send(message(client, server, MsgType::ship_convoy,
+                       task.agent_bytes));
       sim.run_while_pending([&] { return finished != 0; });
       out.migration_us = finished;
     }

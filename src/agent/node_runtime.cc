@@ -25,9 +25,19 @@ NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
       ship_(platform, id, txm_, qm_, storage_) {
   txm_.register_participant(qm_);
   txm_.register_participant(rm_);
-  txm_.set_apply_listener([this] {
-    if (up_) pump();
-  });
+  txm_.set_apply_listener([this] { pump(); });
+  // The remote-call endpoints (tx.* and ship.* belong to txm_ and ship_):
+  // the requests this node serves, and every reply into the waiter table.
+  using enum net::MsgType;
+  for (const auto request : {rce_exec, mce_exec}) {
+    p_.net().on(id_, request,
+                std::bind_front(&NodeRuntime::serve_compensation, this));
+  }
+  p_.net().on(id_, ctr_invoke,
+              std::bind_front(&NodeRuntime::serve_invoke, this));
+  for (const auto reply : {rce_ack, mce_ack, ctr_result}) {
+    p_.net().on(id_, reply, std::bind_front(&NodeRuntime::complete_call, this));
+  }
   if (platform.config().lock_audit) rm_.enable_lock_audit();
   txm_.set_group_commit(platform.config().group_commit_window,
                         platform.config().group_commit_flush_us);
@@ -430,70 +440,6 @@ void NodeRuntime::on_node_state(bool up) {
 }
 
 // ---------------------------------------------------------------------------
-// Message handling
-// ---------------------------------------------------------------------------
-
-void NodeRuntime::handle_message(const net::Message& m) {
-  if (m.type.rfind("tx.", 0) == 0) {
-    txm_.on_message(m);
-    pump();  // a tx.commit may have delivered a queue record
-    return;
-  }
-  if (m.type == ship::msg::convoy) {
-    // A remote coordinator's convoy stages agent transfers into our queue
-    // (full images or deltas against the channel cache).
-    ship_.on_convoy(m);
-    return;
-  }
-  if (m.type == ship::msg::convoy_ack) {
-    ship_.on_convoy_ack(m);
-    return;
-  }
-  serial::Decoder dec(m.payload);
-  if (m.type == msg::rce_exec || m.type == msg::mce_exec) {
-    serve_compensation(m, dec);
-    return;
-  }
-  if (m.type == contract::msg::invoke) {
-    // Remote resource access by RPC: used by the ConTract-style central
-    // baseline and available as the Sec. 4.4.1 "further optimization".
-    auto req = contract::decode_invoke(m);
-    const TxId tx = req.tx;
-    serve_remote(m.from, tx, p_.config().resource_op_service_us,
-                 contract::msg::result, [this, req = std::move(req)] {
-                   Status st;
-                   if (req.comp_op.empty()) {
-                     st = rm_.invoke(req.tx, req.resource, req.op,
-                                     req.params)
-                              .status();
-                   } else {
-                     // A shipped compensating operation in a
-                     // resource-entry context.
-                     rollback::CompensationContext ctx(
-                         rollback::OpEntryKind::resource, req.params,
-                         p_.sim().now(), &rm_, req.tx, nullptr);
-                     st = p_.compensations().run(req.comp_op, ctx);
-                   }
-                   return contract::encode_result(req.tx, st);
-                 });
-    return;
-  }
-  if (m.type == msg::rce_ack || m.type == msg::mce_ack ||
-      m.type == contract::msg::result) {
-    // Every reply starts with the tx of its call.
-    const auto it = waiters_.find(TxId(dec.read_u64()));
-    if (it == waiters_.end() || m.type != it->second.reply_type) {
-      return;  // timed out, duplicate, or not the awaited kind
-    }
-    auto waiter = waiters_.extract(it);
-    p_.sim().cancel(waiter.mapped().timeout);
-    waiter.mapped().on_reply(&dec);
-    return;
-  }
-  MAR_CHECK_MSG(false, "unknown message type " << m.type);
-}
-
-// ---------------------------------------------------------------------------
 // Transfer / commit plumbing
 // ---------------------------------------------------------------------------
 
@@ -660,17 +606,17 @@ void NodeRuntime::deliver_result(TxId tx, const Agent& agent, bool ok,
   // Remote delivery: a transactional RPC to the mailbox node, enlisted in
   // this transaction (the Sec. 4.4.1 RPC mechanism) — delivery commits
   // atomically with the agent's terminal transaction.
-  call_remote(tx, agent.result_node(), contract::msg::invoke,
+  call_remote(tx, agent.result_node(), net::MsgType::ctr_invoke,
               contract::encode_invoke(tx, "mailbox", "put", params, ""),
-              contract::msg::result, /*transfer_slack=*/0,
+              /*transfer_slack=*/0,
               [done = std::move(done)](serial::Decoder* reply) {
                 done(reply != nullptr &&
                      static_cast<Errc>(reply->read_u8()) == Errc::ok);
               });
 }
 
-void NodeRuntime::call_remote(TxId tx, NodeId dest, const char* type,
-                              serial::Bytes request, const char* reply_type,
+void NodeRuntime::call_remote(TxId tx, NodeId dest, net::MsgType type,
+                              serial::Bytes request,
                               sim::TimeUs transfer_slack, Reply on_reply) {
   txm_.enlist_remote(tx, dest);
   const auto timeout =
@@ -678,7 +624,8 @@ void NodeRuntime::call_remote(TxId tx, NodeId dest, const char* type,
       transfer_slack * p_.net().transfer_time(id_, dest, request.size());
   p_.net().send(net::Message{id_, dest, type, std::move(request)});
   const auto [it, fresh] =
-      waiters_.try_emplace(tx, Waiter{reply_type, std::move(on_reply), {}});
+      waiters_.try_emplace(tx, Waiter{net::reply_of(type).value(),
+                                      std::move(on_reply), {}});
   MAR_CHECK_MSG(fresh, "a transaction waits for one remote call at a time");
   if (p_.config().stage_timeout_us > 0) {
     it->second.timeout = p_.sim().schedule_after(timeout, [this, tx] {
@@ -686,6 +633,41 @@ void NodeRuntime::call_remote(TxId tx, NodeId dest, const char* type,
       waiters_.extract(tx).mapped().on_reply(nullptr);
     });
   }
+}
+
+void NodeRuntime::complete_call(const net::Message& m) {
+  // Every reply starts with the tx of its call.
+  serial::Decoder dec(m.payload);
+  const auto it = waiters_.find(TxId(dec.read_u64()));
+  if (it == waiters_.end() || m.type != it->second.reply) {
+    return;  // timed out, duplicate, or not the awaited kind
+  }
+  auto waiter = waiters_.extract(it);
+  p_.sim().cancel(waiter.mapped().timeout);
+  waiter.mapped().on_reply(&dec);
+}
+
+void NodeRuntime::serve_invoke(const net::Message& m) {
+  // Remote resource access by RPC: used by the ConTract-style central
+  // baseline and available as the Sec. 4.4.1 "further optimization".
+  auto req = contract::decode_invoke(m);
+  const TxId tx = req.tx;
+  serve_remote(m, tx, p_.config().resource_op_service_us,
+               [this, req = std::move(req)] {
+                 Status st;
+                 if (req.comp_op.empty()) {
+                   st = rm_.invoke(req.tx, req.resource, req.op, req.params)
+                            .status();
+                 } else {
+                   // A shipped compensating operation in a
+                   // resource-entry context.
+                   rollback::CompensationContext ctx(
+                       rollback::OpEntryKind::resource, req.params,
+                       p_.sim().now(), &rm_, req.tx, nullptr);
+                   st = p_.compensations().run(req.comp_op, ctx);
+                 }
+                 return contract::encode_result(req.tx, st);
+               });
 }
 
 // ---------------------------------------------------------------------------

@@ -49,19 +49,9 @@
 
 namespace mar::agent {
 
-/// Platform message type tags (beyond tx.* and ship.*).
-namespace msg {
-inline constexpr const char* rce_exec = "rce.exec";
-inline constexpr const char* rce_ack = "rce.ack";
-/// Adaptive strategy (Sec. 4.4.1 "further optimizations"): a mixed step's
-/// operation entries plus a snapshot of the weakly reversible objects,
-/// shipped to the resource node instead of transferring the agent.
-inline constexpr const char* mce_exec = "mce.exec";
-inline constexpr const char* mce_ack = "mce.ack";
-}  // namespace msg
-
 class NodeRuntime {
  public:
+  /// Registers the message handlers of `id`, which must be a network node.
   NodeRuntime(Platform& platform, NodeId id);
 
   [[nodiscard]] NodeId id() const { return id_; }
@@ -71,8 +61,6 @@ class NodeRuntime {
   [[nodiscard]] const tx::TxManager& txm() const { return txm_; }
   [[nodiscard]] ship::ShipmentManager& shipments() { return ship_; }
 
-  /// Network handler entry point (registered by the Platform).
-  void handle_message(const net::Message& m);
   /// Crash/recovery notification from the network.
   void on_node_state(bool up);
   /// Non-transactional initial placement of a freshly launched agent.
@@ -152,7 +140,11 @@ class NodeRuntime {
   void execute_compensation(const storage::QueueRecord& rec);
   /// Serve a shipped compensation request (rce.exec, mce.exec) inside the
   /// caller's compensation transaction.
-  void serve_compensation(const net::Message& m, serial::Decoder& dec);
+  void serve_compensation(const net::Message& m);
+  /// Serve a ctr.invoke (resource access by RPC) in the caller's tx.
+  void serve_invoke(const net::Message& m);
+  /// Complete the waiting call a reply (rce.ack, mce.ack, ctr.result) ends.
+  void complete_call(const net::Message& m);
   /// Where an abandoned step rolls back to.
   struct RollbackPlan {
     SavepointId target;
@@ -242,17 +234,18 @@ class NodeRuntime {
   /// its tx field, or is null when no reply came in time.
   using Reply = std::function<void(serial::Decoder* reply)>;
   /// Enlist `dest` in `tx`, send it `request` as `type`, and wait for its
-  /// `reply_type` reply. Without one within config.stage_timeout_us plus
-  /// `transfer_slack` times the request's transfer time (0 disables the
-  /// timeout), `on_reply` runs with null.
-  void call_remote(TxId tx, NodeId dest, const char* type,
-                   serial::Bytes request, const char* reply_type,
-                   sim::TimeUs transfer_slack, Reply on_reply);
-  /// Serve a remote call inside `caller`'s transaction `tx`: after
-  /// `service`, send `serve()`'s bytes back to `caller` as `reply_type`.
+  /// reply (net::reply_of(type)). Without one within
+  /// config.stage_timeout_us plus `transfer_slack` times the request's
+  /// transfer time (0 disables the timeout), `on_reply` runs with null.
+  void call_remote(TxId tx, NodeId dest, net::MsgType type,
+                   serial::Bytes request, sim::TimeUs transfer_slack,
+                   Reply on_reply);
+  /// Serve `request` inside its caller's transaction `tx`: after
+  /// `service`, send `serve()`'s bytes back to the caller as the
+  /// request's reply tag.
   template <class F>
-  void serve_remote(NodeId caller, TxId tx, sim::TimeUs service,
-                    const char* reply_type, F serve);
+  void serve_remote(const net::Message& request, TxId tx,
+                    sim::TimeUs service, F serve);
 
   // --- incremental durability (delta savepoint commits) -----------------------
   /// The committed (pre-step) agent state of a record: its payload, or —
@@ -381,9 +374,9 @@ class NodeRuntime {
   /// Steps that ran from a resident entry instead of a decode.
   RelaxedCounter resident_hits_;
   /// A remote call waiting for its reply (see call_remote). A reply of
-  /// another type is dropped; the reply and a crash cancel the timeout.
+  /// another tag is dropped; the reply and a crash cancel the timeout.
   struct Waiter {
-    const char* reply_type = nullptr;
+    net::MsgType reply;
     Reply on_reply;
     sim::EventId timeout;
   };
@@ -400,13 +393,14 @@ void NodeRuntime::after(sim::TimeUs delay, F fn) {
 }
 
 template <class F>
-void NodeRuntime::serve_remote(NodeId caller, TxId tx, sim::TimeUs service,
-                               const char* reply_type, F serve) {
+void NodeRuntime::serve_remote(const net::Message& request, TxId tx,
+                               sim::TimeUs service, F serve) {
   txm_.note_remote_staged(tx);
-  after(service,
-        [this, caller, reply_type, serve = std::move(serve)]() mutable {
-          p_.net().send(net::Message{id_, caller, reply_type, serve()});
-        });
+  after(service, [this, caller = request.from,
+                  reply = net::reply_of(request.type).value(),
+                  serve = std::move(serve)]() mutable {
+    p_.net().send(net::Message{id_, caller, reply, serve()});
+  });
 }
 
 }  // namespace mar::agent

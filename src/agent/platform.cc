@@ -38,10 +38,10 @@ Platform::~Platform() = default;
 NodeRuntime& Platform::add_node(NodeId id) {
   MAR_CHECK_MSG(!nodes_.contains(id), "node already exists: " << id);
   spans_.add_node(id.value());
+  net_.add_node(id);  // the runtime registers its handlers
   auto runtime = std::make_unique<NodeRuntime>(*this, id);
   NodeRuntime& ref = *runtime;
   nodes_.emplace(id, std::move(runtime));
-  net_.add_node(id, [&ref](const net::Message& m) { ref.handle_message(m); });
   return ref;
 }
 

@@ -383,9 +383,9 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
     auto request = encode_comp_request(tx, shipped, weak);
     record_event(ship_all ? EventKind::mce_shipped : EventKind::rce_shipped,
                  rec.agent, eos.node.value(), request.size());
-    call_remote(tx, eos.node, ship_all ? msg::mce_exec : msg::rce_exec,
-                std::move(request), ship_all ? msg::mce_ack : msg::rce_ack,
-                /*transfer_slack=*/4,
+    call_remote(tx, eos.node,
+                ship_all ? net::MsgType::mce_exec : net::MsgType::rce_exec,
+                std::move(request), /*transfer_slack=*/4,
                 [agent, arrived, ship_all](serial::Decoder* reply) {
                   if (reply == nullptr) {
                     arrived(Status(Errc::unreachable,
@@ -419,8 +419,7 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
   after(service, [arrived, st] { arrived(st); });
 }
 
-void NodeRuntime::serve_compensation(const net::Message& m,
-                                     serial::Decoder& dec) {
+void NodeRuntime::serve_compensation(const net::Message& m) {
   // Shipped compensation entries, run here (the resource node) inside the
   // coordinator's compensation transaction: resource entries of the
   // optimized algorithm, or (adaptive strategy, Sec. 4.4.1) a mixed step's
@@ -428,15 +427,16 @@ void NodeRuntime::serve_compensation(const net::Message& m,
   // objects. The weak-state mutations travel back with the
   // acknowledgement; they become durable only when the coordinator
   // commits the transaction, so a lost reply or an abort discards them.
+  serial::Decoder dec(m.payload);
   const TxId tx(dec.read_u64());
   std::vector<OperationEntry> ops(dec.read_count());
   for (auto& op : ops) op.deserialize(dec);
-  const bool mixed = m.type == msg::mce_exec;
+  const bool mixed = m.type == net::MsgType::mce_exec;
   serial::Value weak;
   if (mixed) weak.deserialize(dec);
   const auto service =
       static_cast<sim::TimeUs>(ops.size()) * p_.config().comp_op_service_us;
-  serve_remote(m.from, tx, service, mixed ? msg::mce_ack : msg::rce_ack,
+  serve_remote(m, tx, service,
                [this, tx, mixed, ops = std::move(ops),
                 weak = std::move(weak)]() mutable {
                  Status st = Status::ok();

@@ -55,34 +55,27 @@ ContractManager::ContractManager(NodeId self, sim::Simulator& sim,
                                  storage::StableStorage& stable,
                                  const rollback::CompensationRegistry& comps)
     : self_(self), sim_(sim), net_(net), txm_(self, sim, net, stable),
-      comps_(comps) {}
-
-void ContractManager::on_message(const net::Message& m) {
-  if (m.type.rfind("tx.", 0) == 0) {
-    txm_.on_message(m);
-    return;
-  }
-  if (m.type == msg::result) {
+      comps_(comps) {
+  net_.on(self_, net::MsgType::ctr_result, [this](const net::Message& m) {
     const auto [tx, status] = decode_result(m);
     auto it = waiting_.find(tx);
     if (it == waiting_.end()) return;
     auto cb = std::move(it->second);
     waiting_.erase(it);
     cb(status);
-    return;
-  }
-  MAR_CHECK_MSG(false, "contract manager: unexpected message " << m.type);
+  });
 }
 
 void ContractManager::remote_invoke(TxId tx, NodeId node,
                                     const std::string& resource,
                                     const std::string& op,
                                     const Value& params,
+                                    const std::string& comp_op,
                                     std::function<void(Status)> reply) {
   ++stats_.rpcs;
   txm_.enlist_remote(tx, node);
-  net_.send(net::Message{self_, node, msg::invoke,
-                         encode_invoke(tx, resource, op, params, "")});
+  net_.send(net::Message{self_, node, net::MsgType::ctr_invoke,
+                         encode_invoke(tx, resource, op, params, comp_op)});
   waiting_[tx] = std::move(reply);
 }
 
@@ -104,7 +97,7 @@ void ContractManager::run_step() {
   }
   const ScriptStep& step = script_[position_];
   const TxId tx = txm_.begin();
-  remote_invoke(tx, step.node, step.resource, step.op, step.params,
+  remote_invoke(tx, step.node, step.resource, step.op, step.params, "",
                 [this, tx](Status status) {
                   if (!status.is_ok()) {
                     ++stats_.tx_aborts;
@@ -144,13 +137,8 @@ void ContractManager::compensate_step(std::size_t remaining, Done done) {
     return;
   }
   const TxId tx = txm_.begin();
-  txm_.enlist_remote(tx, step.node);
-  ++stats_.rpcs;
-  net_.send(net::Message{self_, step.node, msg::invoke,
-                         encode_invoke(tx, step.resource, step.op,
-                                       step.comp_params, step.comp_op)});
-  waiting_[tx] = [this, tx, remaining,
-                  done = std::move(done)](Status status) mutable {
+  auto reply = [this, tx, remaining,
+                done = std::move(done)](Status status) mutable {
     if (!status.is_ok()) {
       ++stats_.tx_aborts;
       txm_.abort_tx(tx);
@@ -175,6 +163,8 @@ void ContractManager::compensate_step(std::size_t remaining, Done done) {
       compensate_step(remaining - 1, std::move(done));
     });
   };
+  remote_invoke(tx, step.node, step.resource, step.op, step.comp_params,
+                step.comp_op, std::move(reply));
 }
 
 }  // namespace mar::contract

@@ -50,13 +50,6 @@ struct ScriptStep {
   Value comp_params;
 };
 
-/// Message types used for remote resource access (also exercised by the
-/// Sec. 4.4.1 "access resources using RPC" optimization).
-namespace msg {
-inline constexpr const char* invoke = "ctr.invoke";
-inline constexpr const char* result = "ctr.result";
-}  // namespace msg
-
 /// Statistics of one contract execution.
 struct ContractStats {
   std::uint64_t rpcs = 0;
@@ -72,12 +65,10 @@ class ContractManager {
  public:
   using Done = std::function<void(Status)>;
 
+  /// Registers the ctr.result and tx.* handlers of `self`, a node of `net`.
   ContractManager(NodeId self, sim::Simulator& sim, net::Network& net,
                   storage::StableStorage& stable,
                   const rollback::CompensationRegistry& comps);
-
-  /// Network handler for this node (wire to Network::add_node).
-  void on_message(const net::Message& m);
 
   /// Execute the script, one distributed transaction per step; `done`
   /// fires after the last commit (or the first permanent failure).
@@ -94,9 +85,11 @@ class ContractManager {
  private:
   void run_step();
   void compensate_step(std::size_t remaining, Done done);
-  /// RPC a (possibly compensating) operation to a node within `tx`.
+  /// RPC an operation (ctr.invoke) to a node within `tx`; a non-empty
+  /// `comp_op` runs that compensating operation instead.
   void remote_invoke(TxId tx, NodeId node, const std::string& resource,
                      const std::string& op, const Value& params,
+                     const std::string& comp_op,
                      std::function<void(Status)> reply);
 
   NodeId self_;

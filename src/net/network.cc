@@ -13,9 +13,18 @@ std::pair<NodeId, NodeId> normalized(NodeId a, NodeId b) {
 }
 }  // namespace
 
-void Network::add_node(NodeId id, Handler handler) {
+void Network::add_node(NodeId id) {
   MAR_CHECK_MSG(!nodes_.contains(id), "node already registered: " << id);
-  nodes_.emplace(id, NodeState{std::move(handler), /*up=*/true, 0});
+  nodes_.emplace(id, NodeState{});
+}
+
+void Network::on(NodeId id, MsgType type, Handler handler) {
+  auto it = nodes_.find(id);
+  MAR_CHECK_MSG(it != nodes_.end(), "unknown node " << id);
+  Handler& slot = it->second.handlers[index(type)];
+  MAR_CHECK_MSG(!slot, "node " << id << ": a handler for " << name(type)
+                                << " is already registered");
+  slot = std::move(handler);
 }
 
 std::vector<NodeId> Network::node_ids() const {
@@ -115,8 +124,7 @@ void Network::send(Message msg) {
     sim_.schedule_after(0, [this, local = std::move(local)] {
       auto it = nodes_.find(local->to);
       if (it == nodes_.end() || !it->second.up) return;
-      ++stats_.messages_delivered;
-      it->second.handler(*local);
+      dispatch(it->second, *local);
     });
     return;
   }
@@ -136,7 +144,7 @@ void Network::send(Message msg) {
 void Network::transmit(Channel& ch, const MessagePtr& msg) {
   ++stats_.transmissions;
   stats_.bytes_sent += msg->wire_size();
-  stats_.bytes_by_type[msg->type] += msg->wire_size();
+  stats_.bytes_by_type[index(msg->type)] += msg->wire_size();
   const auto delay = transfer_time(msg->from, msg->to, msg->wire_size());
   ++ch.holds[msg->seq - ch.base];  // this copy may still arrive
   ch.last_arrival = std::max(ch.last_arrival, sim_.now() + delay);
@@ -156,9 +164,15 @@ void Network::deliver(const Message& msg) {
     fresh = first_arrival(ch, msg);
   }
   release(ch, msg);
-  if (!fresh) return;
+  if (fresh) dispatch(it->second, msg);
+}
+
+void Network::dispatch(NodeState& node, const Message& msg) {
+  const Handler& handler = node.handlers[index(msg.type)];
+  MAR_CHECK_MSG(handler, "node " << msg.to << " has no handler for "
+                                 << name(msg.type));
   ++stats_.messages_delivered;
-  it->second.handler(msg);
+  handler(msg);
 }
 
 bool Network::first_arrival(Channel& ch, const Message& msg) {
@@ -227,7 +241,7 @@ void Network::arm_retransmit(MsgId id, Pending& p) {
   const auto& m = *p.msg;
   const auto round_trip = transfer_time(m.from, m.to, m.wire_size()) +
                           transfer_time(m.to, m.from, kAckBytes);
-  const auto interval = std::max(retransmit_interval_, 2 * round_trip);
+  const auto interval = std::max(kRetransmitIntervalUs, 2 * round_trip);
   p.retransmit = sim_.schedule_after(interval, [this, id] {
     // Armed only while the message is unacked: an ack or the sender's
     // crash cancels it.

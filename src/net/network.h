@@ -24,12 +24,14 @@
 // (ref [16]), which experiment E7 reproduces.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <string>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -39,12 +41,49 @@
 
 namespace mar::net {
 
-/// A protocol message. `type` selects the handler branch at the receiver;
-/// `payload` is an opaque serialized body.
+/// The protocol vocabulary (DESIGN.md §13): the step transaction's 2PC,
+/// the agent transfer, the compensation entries an optimized (rce) or
+/// adaptive (mce) rollback ships, and remote resource access by RPC (ctr,
+/// Sec. 4.4.1). Each receiver registers a handler per tag.
+enum class MsgType : std::uint8_t {
+  tx_prepare, tx_vote, tx_commit, tx_commit_ack, tx_abort, tx_inquiry,
+  tx_decision, ship_convoy, ship_convoy_ack, rce_exec, rce_ack, mce_exec,
+  mce_ack, ctr_invoke, ctr_result,
+};
+[[nodiscard]] constexpr std::size_t index(MsgType t) {
+  return static_cast<std::size_t>(t);
+}
+inline constexpr std::size_t kMsgTypeCount = index(MsgType::ctr_result) + 1;
+
+/// Per tag, in MsgType order: its name and, for a request, its reply's tag.
+struct MsgTypeInfo {
+  std::string_view name;
+  std::optional<MsgType> reply;
+};
+inline constexpr std::array<MsgTypeInfo, kMsgTypeCount> kMsgTypes{{
+    {"tx.prepare", MsgType::tx_vote}, {"tx.vote", {}},
+    {"tx.commit", MsgType::tx_commit_ack}, {"tx.commit_ack", {}},
+    {"tx.abort", {}},
+    {"tx.inquiry", MsgType::tx_decision}, {"tx.decision", {}},
+    {"ship.convoy", MsgType::ship_convoy_ack}, {"ship.convoy_ack", {}},
+    {"rce.exec", MsgType::rce_ack}, {"rce.ack", {}},
+    {"mce.exec", MsgType::mce_ack}, {"mce.ack", {}},
+    {"ctr.invoke", MsgType::ctr_result}, {"ctr.result", {}},
+}};
+static_assert(!kMsgTypes.back().name.empty(), "a tag without a table row");
+[[nodiscard]] constexpr std::string_view name(MsgType t) {
+  return kMsgTypes[index(t)].name;
+}
+[[nodiscard]] constexpr std::optional<MsgType> reply_of(MsgType request) {
+  return kMsgTypes[index(request)].reply;
+}
+
+/// A protocol message. `type` selects the receiver's handler; `payload` is
+/// an opaque serialized body.
 struct Message {
   NodeId from;
   NodeId to;
-  std::string type;
+  MsgType type{};
   serial::Bytes payload;
   MsgId id = MsgId::invalid();  ///< Assigned by the reliable layer.
   /// Assigned by the reliable layer too: the sender's incarnation (bumped
@@ -53,9 +92,11 @@ struct Message {
   std::uint32_t incarnation = 0;
   std::uint64_t seq = 0;
 
-  /// Wire size used by the cost model: payload plus a fixed header.
+  /// Wire size used by the cost model: payload plus a fixed header that
+  /// counts the type's name, so byte meters and transfer times equal those
+  /// of a frame that carries the name.
   [[nodiscard]] std::size_t wire_size() const {
-    return payload.size() + type.size() + kHeaderBytes;
+    return payload.size() + name(type).size() + kHeaderBytes;
   }
   static constexpr std::size_t kHeaderBytes = 48;
 };
@@ -72,9 +113,11 @@ struct NetStats {
   std::uint64_t transmissions = 0;      ///< physical transmissions (w/ retx)
   std::uint64_t messages_delivered = 0; ///< handler dispatches after dedup
   std::uint64_t bytes_sent = 0;         ///< bytes over all transmissions
-  std::map<std::string, std::uint64_t> bytes_by_type;
+  std::array<std::uint64_t, kMsgTypeCount> bytes_by_type{};  ///< by index()
 
-  void reset() { *this = NetStats{}; }
+  [[nodiscard]] std::uint64_t bytes_of(MsgType t) const {
+    return bytes_by_type[index(t)];
+  }
 };
 
 class Network {
@@ -85,9 +128,12 @@ class Network {
   explicit Network(sim::Simulator& sim) : sim_(sim) {}
 
   // --- topology ----------------------------------------------------------
-  /// Register a node and its message handler. Nodes start up.
-  void add_node(NodeId id, Handler handler);
-  [[nodiscard]] bool has_node(NodeId id) const { return nodes_.contains(id); }
+  /// Register a node, up and with no handlers.
+  void add_node(NodeId id);
+  /// Register `id`'s handler for messages of `type`. Each (node, tag) has
+  /// exactly one owner: a second registration, and an arrival of a tag no
+  /// one registered, are MAR_CHECK failures naming the node and the tag.
+  void on(NodeId id, MsgType type, Handler handler);
   [[nodiscard]] std::vector<NodeId> node_ids() const;
 
   void set_default_link(LinkParams params) { default_link_ = params; }
@@ -113,12 +159,6 @@ class Network {
                                           std::size_t bytes) const;
 
   [[nodiscard]] const NetStats& stats() const { return stats_; }
-  NetStats& mutable_stats() { return stats_; }
-
-  /// Retransmission interval for unacknowledged messages. A message whose
-  /// round trip (with its ack) exceeds half of it waits twice its round
-  /// trip instead.
-  void set_retransmit_interval(sim::TimeUs t) { retransmit_interval_ = t; }
 
   /// Dedup state `receiver` holds: one watermark per (sender, sender
   /// incarnation) with possible arrivals, plus each sequence number
@@ -130,7 +170,7 @@ class Network {
  private:
   using MessagePtr = std::shared_ptr<const Message>;
   struct NodeState {
-    Handler handler;
+    std::array<Handler, kMsgTypeCount> handlers;
     bool up = true;
     std::uint32_t incarnation = 0;  ///< bumped by each crash
   };
@@ -172,6 +212,8 @@ class Network {
   }
   void transmit(Channel& ch, const MessagePtr& msg);
   void deliver(const Message& msg);
+  /// Run the receiver's handler for `msg`'s tag.
+  void dispatch(NodeState& node, const Message& msg);
   /// Dedup verdict for an arriving `msg`: true the first time since the
   /// receiver's last crash.
   bool first_arrival(Channel& ch, const Message& msg);
@@ -193,7 +235,10 @@ class Network {
   std::vector<NodeStateListener> listeners_;
   NetStats stats_;
   std::uint64_t next_msg_id_ = 1;
-  sim::TimeUs retransmit_interval_ = 50'000;  // 50 ms
+  /// Retransmission interval for unacknowledged messages. A message whose
+  /// round trip (with its ack) exceeds half of it waits twice its round
+  /// trip instead.
+  static constexpr sim::TimeUs kRetransmitIntervalUs = 50'000;
 };
 
 }  // namespace mar::net

@@ -170,7 +170,12 @@ void ShipmentManager::BaseCache<Decoded>::clear() {
 ShipmentManager::ShipmentManager(agent::Platform& platform, NodeId self,
                                  tx::TxManager& txm, tx::QueueManager& qm,
                                  storage::StableStorage& storage)
-    : p_(platform), self_(self), txm_(txm), qm_(qm), storage_(storage) {}
+    : p_(platform), self_(self), txm_(txm), qm_(qm), storage_(storage) {
+  p_.net().on(self_, net::MsgType::ship_convoy,
+              [this](const net::Message& m) { on_convoy(m); });
+  p_.net().on(self_, net::MsgType::ship_convoy_ack,
+              [this](const net::Message& m) { on_convoy_ack(m); });
+}
 
 void ShipmentManager::encode_frame(Pending& p) {
   const auto& cfg = p_.config();
@@ -314,7 +319,8 @@ void ShipmentManager::dispatch_convoy(NodeId dest,
     const auto tx = p.tx;
     awaiting_.insert_or_assign(tx, std::move(p));
   }
-  p_.net().send(net::Message{self_, dest, msg::convoy, std::move(enc).take()});
+  p_.net().send(net::Message{self_, dest, net::MsgType::ship_convoy,
+                             std::move(enc).take()});
 }
 
 void ShipmentManager::timeout_pending(TxId tx) {
@@ -442,8 +448,8 @@ void ShipmentManager::on_convoy(const net::Message& m) {
     ack.write_u64(tx.value());
     ack.write_u8(status);
   }
-  p_.net().send(
-      net::Message{self_, m.from, msg::convoy_ack, std::move(ack).take()});
+  p_.net().send(net::Message{self_, m.from, net::MsgType::ship_convoy_ack,
+                             std::move(ack).take()});
 }
 
 void ShipmentManager::on_convoy_ack(const net::Message& m) {

@@ -51,12 +51,6 @@
 
 namespace mar::ship {
 
-/// Message type tags owned by the shipment layer.
-namespace msg {
-inline constexpr const char* convoy = "ship.convoy";
-inline constexpr const char* convoy_ack = "ship.convoy_ack";
-}  // namespace msg
-
 /// How long a convoy waits for further riders after its first entry
 /// (PlatformConfig::ship_convoy_window > 1).
 inline constexpr sim::TimeUs kConvoyFlushUs = 200;
@@ -82,6 +76,7 @@ struct ShipStats {
 
 class ShipmentManager {
  public:
+  /// Registers `self`'s handlers for ship.convoy and ship.convoy_ack.
   ShipmentManager(agent::Platform& platform, NodeId self, tx::TxManager& txm,
                   tx::QueueManager& qm, storage::StableStorage& storage);
 

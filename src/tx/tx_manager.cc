@@ -8,6 +8,8 @@
 
 namespace mar::tx {
 
+using enum net::MsgType;
+
 namespace {
 
 serial::Bytes encode_tx(TxId tx, bool flag) {
@@ -17,19 +19,58 @@ serial::Bytes encode_tx(TxId tx, bool flag) {
   return std::move(enc).take();
 }
 
-std::pair<TxId, bool> decode_tx(const net::Message& m) {
-  serial::Decoder dec(m.payload);
-  TxId tx(dec.read_u64());
-  const bool flag = dec.read_bool();
-  dec.expect_end();
-  return {tx, flag};
-}
-
 }  // namespace
 
 TxManager::TxManager(NodeId self, sim::Simulator& sim, net::Network& net,
                      storage::StableStorage& stable, SpanSink* events)
-    : self_(self), sim_(sim), net_(net), stable_(stable), events_(events) {}
+    : self_(self), sim_(sim), net_(net), stable_(stable), events_(events) {
+  // Every tx.* body is (tx, flag). After each message the owner's apply
+  // listener runs: the message may have delivered a queue record.
+  const auto on = [this](net::MsgType type, auto handle) {
+    net_.on(self_, type, [this, handle](const net::Message& m) {
+      serial::Decoder dec(m.payload);
+      const TxId tx(dec.read_u64());
+      const bool flag = dec.read_bool();
+      dec.expect_end();
+      handle(tx, m.from, flag);
+      if (apply_listener_) apply_listener_();
+    });
+  };
+  on(tx_prepare, [this](TxId tx, NodeId n, bool) { handle_prepare(tx, n); });
+  on(tx_vote, [this](TxId tx, NodeId from, bool yes) {
+    auto it = coords_.find(tx);
+    if (it == coords_.end()) {
+      // Already decided (or coordinator recovered). A YES voter is left
+      // prepared: answer from durable decision state.
+      if (yes) handle_inquiry(tx, from);
+      return;
+    }
+    Coord& c = it->second;
+    if (c.phase != Phase::preparing) return;  // stale duplicate
+    if (!yes) {
+      decide_abort(tx, c);
+      return;
+    }
+    c.votes_pending.erase(from);
+    if (c.votes_pending.empty()) decide_commit(tx, c);
+  });
+  on(tx_commit, [this](TxId tx, NodeId n, bool) { handle_commit(tx, n); });
+  on(tx_commit_ack, [this](TxId tx, NodeId from, bool) {
+    auto it = coords_.find(tx);
+    if (it == coords_.end()) return;
+    Coord& c = it->second;
+    if (c.phase != Phase::committing) return;
+    c.acks_pending.erase(from);
+    if (c.acks_pending.empty()) {
+      stable_.erase(decision_key(tx));
+      trace_pipeline(TxStage::acked, tx);
+      finish(tx, c, true);
+    }
+  });
+  on(tx_abort, [this](TxId tx, NodeId, bool) { handle_abort(tx); });
+  on(tx_inquiry, [this](TxId tx, NodeId n, bool) { handle_inquiry(tx, n); });
+  on(tx_decision, [this](TxId tx, NodeId, bool c) { handle_decision(tx, c); });
+}
 
 void TxManager::register_participant(Participant& p) {
   MAR_CHECK(participants_.size() < 32);  // voter sets are 32-bit masks
@@ -83,11 +124,6 @@ void TxManager::enlist_remote(TxId tx, NodeId node) {
   it->second.remotes.insert(node);
 }
 
-bool TxManager::has_remote(TxId tx, NodeId node) const {
-  auto it = coords_.find(tx);
-  return it != coords_.end() && it->second.remotes.contains(node);
-}
-
 std::uint32_t TxManager::prepare_locals(TxId tx) const {
   // Presumed abort: a coordinator that crashes before deciding aborts the
   // transaction anyway, so its own participants vote by holding their
@@ -126,7 +162,7 @@ void TxManager::persist_decision(TxId tx, const std::set<NodeId>& remotes) {
   stable_.put(decision_key(tx), std::move(enc).take());
 }
 
-void TxManager::send(NodeId to, const char* type, TxId tx, bool flag) {
+void TxManager::send(NodeId to, net::MsgType type, TxId tx, bool flag) {
   net_.send(net::Message{self_, to, type, encode_tx(tx, flag)});
 }
 
@@ -156,7 +192,7 @@ void TxManager::commit_async(TxId tx, CommitCallback cb) {
     // A piggybacked remote sees its PREPARE inside the convoy frame that
     // carries the staged state — one round trip, no tx.prepare message.
     if (c.piggybacked.contains(n)) continue;
-    send(n, msg::prepare, tx);
+    send(n, tx_prepare, tx);
   }
   // Re-drive PREPARE until all votes arrive: a participant that crashed
   // before staging will answer NO, resolving the transaction either way.
@@ -167,10 +203,10 @@ void TxManager::commit_async(TxId tx, CommitCallback cb) {
 }
 
 void TxManager::arm_prepare_redrive(TxId tx, Coord& c) {
-  c.redrive = sim_.schedule_after(inquiry_interval_, [this, tx] {
+  c.redrive = sim_.schedule_after(kInquiryIntervalUs, [this, tx] {
     Coord& cur = coords_.at(tx);  // leaving `preparing` cancels this timer
     for (const auto n : cur.votes_pending) {
-      if (!cur.piggybacked.contains(n)) send(n, msg::prepare, tx);
+      if (!cur.piggybacked.contains(n)) send(n, tx_prepare, tx);
     }
     arm_prepare_redrive(tx, cur);
   });
@@ -260,9 +296,9 @@ void TxManager::decide_commit(TxId tx, Coord& c) {
 void TxManager::arm_commit_redrive(TxId tx, Coord& c) {
   // Re-drive COMMIT until every participant acknowledged; the ack drain
   // (finish) cancels it.
-  c.redrive = sim_.schedule_after(inquiry_interval_, [this, tx] {
+  c.redrive = sim_.schedule_after(kInquiryIntervalUs, [this, tx] {
     Coord& cur = coords_.at(tx);
-    for (const auto n : cur.acks_pending) send(n, msg::commit, tx);
+    for (const auto n : cur.acks_pending) send(n, tx_commit, tx);
     arm_commit_redrive(tx, cur);
   });
 }
@@ -296,7 +332,7 @@ void TxManager::flush_decision_group() {
   for (const TxId tx : flushed) {
     auto it = coords_.find(tx);
     MAR_CHECK(it != coords_.end());
-    for (const auto n : it->second.acks_pending) send(n, msg::commit, tx);
+    for (const auto n : it->second.acks_pending) send(n, tx_commit, tx);
     arm_commit_redrive(tx, it->second);
     trace_pipeline(TxStage::flushed, tx);
   }
@@ -321,7 +357,7 @@ void TxManager::schedule_decision_flush(bool hot) {
 
 void TxManager::decide_abort(TxId tx, Coord& c) {
   abort_locals(tx);
-  for (const auto n : c.remotes) send(n, msg::abort, tx);
+  for (const auto n : c.remotes) send(n, tx_abort, tx);
   finish(tx, c, false);
 }
 
@@ -422,8 +458,8 @@ void TxManager::flush_participant_group() {
     stable_.sync();
     ++participant_syncs_;
   }
-  for (const auto& a : applies) send(a.coordinator, msg::commit_ack, a.tx);
-  for (const auto& v : votes) send(v.to, msg::vote, v.tx, v.yes);
+  for (const auto& a : applies) send(a.coordinator, tx_commit_ack, a.tx);
+  for (const auto& v : votes) send(v.to, tx_vote, v.tx, v.yes);
   if (!applies.empty() && apply_listener_) apply_listener_();
   maybe_begin_checkpoint();
 }
@@ -441,11 +477,11 @@ void TxManager::handle_abort(TxId tx) {
 
 void TxManager::handle_inquiry(TxId tx, NodeId from) {
   if (stable_.contains(decision_key(tx))) {
-    send(from, msg::decision, tx, true);
+    send(from, tx_decision, tx, true);
     return;
   }
   if (coords_.contains(tx)) return;  // still deciding; stay silent
-  send(from, msg::decision, tx, false);  // presumed abort
+  send(from, tx_decision, tx, false);  // presumed abort
 }
 
 void TxManager::handle_decision(TxId tx, bool committed) {
@@ -464,8 +500,8 @@ void TxManager::enter_in_doubt(TxId tx, NodeId coordinator) {
 
 void TxManager::arm_inquiry(TxId tx) {
   in_doubt_.at(tx).inquiry =
-      sim_.schedule_after(inquiry_interval_, [this, tx] {
-        send(in_doubt_.at(tx).coordinator, msg::inquiry, tx);
+      sim_.schedule_after(kInquiryIntervalUs, [this, tx] {
+        send(in_doubt_.at(tx).coordinator, tx_inquiry, tx);
         arm_inquiry(tx);
       });
 }
@@ -478,53 +514,8 @@ void TxManager::end_in_doubt(TxId tx) {
 }
 
 // --------------------------------------------------------------------------
-// Message dispatch and crash/recovery
+// Crash/recovery
 // --------------------------------------------------------------------------
-
-void TxManager::on_message(const net::Message& m) {
-  const auto [tx, flag] = decode_tx(m);
-  const std::string& t = m.type;
-  if (t == msg::prepare) {
-    handle_prepare(tx, m.from);
-  } else if (t == msg::vote) {
-    auto it = coords_.find(tx);
-    if (it == coords_.end()) {
-      // Already decided (or coordinator recovered). A YES voter is left
-      // prepared: answer from durable decision state.
-      if (flag) handle_inquiry(tx, m.from);
-      return;
-    }
-    Coord& c = it->second;
-    if (c.phase != Phase::preparing) return;  // stale duplicate
-    if (!flag) {
-      decide_abort(tx, c);
-      return;
-    }
-    c.votes_pending.erase(m.from);
-    if (c.votes_pending.empty()) decide_commit(tx, c);
-  } else if (t == msg::commit) {
-    handle_commit(tx, m.from);
-  } else if (t == msg::commit_ack) {
-    auto it = coords_.find(tx);
-    if (it == coords_.end()) return;
-    Coord& c = it->second;
-    if (c.phase != Phase::committing) return;
-    c.acks_pending.erase(m.from);
-    if (c.acks_pending.empty()) {
-      stable_.erase(decision_key(tx));
-      trace_pipeline(TxStage::acked, tx);
-      finish(tx, c, true);
-    }
-  } else if (t == msg::abort) {
-    handle_abort(tx);
-  } else if (t == msg::inquiry) {
-    handle_inquiry(tx, m.from);
-  } else if (t == msg::decision) {
-    handle_decision(tx, flag);
-  } else {
-    MAR_CHECK_MSG(false, "unknown tx message type " << t);
-  }
-}
 
 void TxManager::on_crash() {
   // Every timer of this node dies with the volatile state it served.
@@ -585,7 +576,7 @@ void TxManager::on_recover() {
     c.acks_pending = c.remotes;
     commit_locals(tx);
     stable_.sync();
-    for (const auto node : c.remotes) send(node, msg::commit, tx);
+    for (const auto node : c.remotes) send(node, tx_commit, tx);
     auto [it, inserted] = coords_.emplace(tx, std::move(c));
     MAR_CHECK(inserted);
     // Re-arm the COMMIT re-drive loop. The rebuilt entry is not counted

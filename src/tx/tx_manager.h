@@ -63,17 +63,6 @@ struct TxStats {
   return NodeId(static_cast<std::uint32_t>(tx.value() >> 40));
 }
 
-/// Message type tags understood by TxManager::on_message.
-namespace msg {
-inline constexpr const char* prepare = "tx.prepare";
-inline constexpr const char* vote = "tx.vote";
-inline constexpr const char* commit = "tx.commit";
-inline constexpr const char* commit_ack = "tx.commit_ack";
-inline constexpr const char* abort = "tx.abort";
-inline constexpr const char* inquiry = "tx.inquiry";
-inline constexpr const char* decision = "tx.decision";
-}  // namespace msg
-
 /// Simulated time between a fuzzy checkpoint's begin and its completion:
 /// the window during which commits keep flowing.
 inline constexpr sim::TimeUs kCheckpointWriteUs = 500;
@@ -82,6 +71,7 @@ class TxManager {
  public:
   using CommitCallback = std::function<void(bool committed)>;
 
+  /// Registers the tx.* handlers of `self`, which must be a node of `net`.
   /// `events`, when set, receives the EventKind::tx_pipeline transitions
   /// (TxStage), so a transaction's pipeline latency can be read from a
   /// dump; tests that build a TxManager directly pass none.
@@ -98,7 +88,6 @@ class TxManager {
   /// Record that `node` holds staged state for `tx` (it must be told the
   /// outcome). Safe to call repeatedly.
   void enlist_remote(TxId tx, NodeId node);
-  [[nodiscard]] bool has_remote(TxId tx, NodeId node) const;
   /// Drive the commit protocol; invokes `cb` exactly once unless this node
   /// crashes first (after a crash, recovery finishes the protocol without
   /// the callback — callers recover through their own durable state).
@@ -138,8 +127,6 @@ class TxManager {
   }
 
   // --- wiring ---------------------------------------------------------------
-  /// Dispatch one tx.* message (the platform owns the node's handler).
-  void on_message(const net::Message& m);
   /// Crash/recovery hooks, called by the platform's node runtime.
   void on_crash();
   void on_recover();
@@ -161,12 +148,10 @@ class TxManager {
 
   [[nodiscard]] NodeId self() const { return self_; }
 
-  /// Interval at which in-doubt participants re-ask the coordinator.
-  void set_inquiry_interval(sim::TimeUs t) { inquiry_interval_ = t; }
-
-  /// Called after a batched participant flush applied remote commits:
-  /// queue records may have landed outside any message dispatch (the
-  /// flush timer), so the owning runtime re-pumps its scheduler here.
+  /// Called after each tx.* message this node handles, and after a batched
+  /// participant flush applied remote commits (the flush timer runs
+  /// outside any message): queue records may have landed, so the owning
+  /// runtime re-pumps its scheduler here.
   void set_apply_listener(std::function<void()> fn) {
     apply_listener_ = std::move(fn);
   }
@@ -230,7 +215,7 @@ class TxManager {
     sim::EventId redrive;
   };
   /// A participant awaiting its outcome. Its one inquiry chain re-sends
-  /// an INQUIRY every inquiry_interval_ from the moment the entry is made
+  /// an INQUIRY every kInquiryIntervalUs from the moment the entry is made
   /// (staging, YES vote or recovery, whichever comes first) and dies when
   /// the outcome arrives.
   struct InDoubt {
@@ -269,7 +254,7 @@ class TxManager {
   void commit_locals(TxId tx);
   void abort_locals(TxId tx);
   void persist_decision(TxId tx, const std::set<NodeId>& remotes);
-  void send(NodeId to, const char* type, TxId tx, bool flag = false);
+  void send(NodeId to, net::MsgType type, TxId tx, bool flag = false);
 
   // Participant internals.
   void handle_prepare(TxId tx, NodeId coordinator);
@@ -311,7 +296,7 @@ class TxManager {
   /// outcome is still unknown.
   std::map<TxId, InDoubt> in_doubt_;
   std::uint64_t next_tx_ = 1;
-  sim::TimeUs inquiry_interval_ = 200'000;  // 200 ms
+  static constexpr sim::TimeUs kInquiryIntervalUs = 200'000;  // 200 ms
 
   /// Decided-but-unsynced local commits (tx, voters, callback) awaiting
   /// the group flush. Their participants still hold locks and volatile

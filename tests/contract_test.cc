@@ -30,12 +30,10 @@ struct ContractFixture : ::testing::Test {
 
   void SetUp() override {
     harness::register_workload(w.platform);  // compensation ops
+    w.net.add_node(NodeId(kManagerNode));
     manager = std::make_unique<ContractManager>(
         NodeId(kManagerNode), w.sim, w.net, manager_stable,
         w.platform.compensations());
-    w.net.add_node(NodeId(kManagerNode), [this](const net::Message& m) {
-      manager->on_message(m);
-    });
   }
 
   ScriptStep withdraw_step(int node) {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "contract/contract.h"
 #include "harness/agents.h"
 #include "harness/world.h"
 
@@ -430,6 +431,64 @@ TEST(PlatformTest, NoTimerOutlivesItsReason) {
         << "drained " << quiet_after << " us after the last delivery";
     EXPECT_EQ(w.net.unacked(), 0u);
   }
+}
+
+TEST(PlatformTest, RemoteCallTakesOnlyItsAwaitedReplyOnce) {
+  // An agent finishing on N1 delivers its result to a mailbox on a
+  // hand-driven peer N3: a remote call (ctr.invoke) that waits in N1's
+  // waiter table inside the agent's terminal transaction. The peer answers
+  // it three times: a reply of the wrong tag for the same transaction, the
+  // awaited ctr.result, then a duplicate of it. The call must complete on
+  // the awaited reply only, and only once: a second completion would try
+  // to commit the finished transaction again, which is a MAR_CHECK failure.
+  TestWorld w(PlatformConfig{}, /*node_count=*/2, /*seed=*/5);
+  register_workload(w.platform);
+  const NodeId peer = TestWorld::n(3);
+  const auto tx_body = [](TxId tx, bool flag) {
+    serial::Encoder enc;
+    enc.write_u64(tx.value());
+    enc.write_bool(flag);
+    return std::move(enc).take();
+  };
+  std::vector<net::Message> invokes;
+  w.net.add_node(peer);
+  w.net.on(peer, net::MsgType::ctr_invoke,
+           [&](const net::Message& m) { invokes.push_back(m); });
+  // The mailbox joins the terminal transaction's 2PC: vote yes, ack.
+  w.net.on(peer, net::MsgType::tx_prepare, [&](const net::Message& m) {
+    const TxId tx(serial::Decoder(m.payload).read_u64());
+    w.net.send({peer, m.from, net::MsgType::tx_vote, tx_body(tx, true)});
+  });
+  w.net.on(peer, net::MsgType::tx_commit, [&](const net::Message& m) {
+    const TxId tx(serial::Decoder(m.payload).read_u64());
+    w.net.send(
+        {peer, m.from, net::MsgType::tx_commit_ack, tx_body(tx, false)});
+  });
+
+  auto ag = std::make_unique<WorkloadAgent>();
+  ag->itinerary() = single_sub({{"noop", 1}});
+  ag->set_result_target(peer, "result");
+  auto id = w.platform.launch(std::move(ag));
+  ASSERT_TRUE(id.is_ok());
+  w.sim.run_until(50'000);
+  ASSERT_EQ(invokes.size(), 1u);
+  const TxId tx = contract::decode_invoke(invokes[0]).tx;
+  const auto answer = [&](net::MsgType type) {
+    w.net.send({peer, invokes[0].from, type,
+                contract::encode_result(tx, Status::ok())});
+    w.sim.run_until(w.sim.now() + 50'000);
+  };
+  answer(net::MsgType::rce_ack);
+  EXPECT_FALSE(w.platform.finished(id.value()))
+      << "a reply of the wrong tag completed the call";
+  answer(net::MsgType::ctr_result);
+  ASSERT_TRUE(w.platform.finished(id.value()));
+  EXPECT_EQ(w.platform.outcome(id.value()).state,
+            agent::AgentOutcome::State::done);
+  answer(net::MsgType::ctr_result);
+  w.sim.run();
+  EXPECT_EQ(invokes.size(), 1u);
+  EXPECT_TRUE(w.platform.node(TestWorld::n(1)).txm().idle());
 }
 
 }  // namespace

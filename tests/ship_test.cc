@@ -99,10 +99,7 @@ RunOutcome run_ping_pong(PlatformConfig cfg, int age, int hops,
     auto fin = w.platform.decode(oc.final_agent);
     out.visits = fin->data().weak("visits").as_int();
   }
-  const auto& by_type = w.net.stats().bytes_by_type;
-  if (auto it = by_type.find("ship.convoy"); it != by_type.end()) {
-    out.convoy_bytes = it->second;
-  }
+  out.convoy_bytes = w.net.stats().bytes_of(net::MsgType::ship_convoy);
   // Quiesce: every staging, inquiry and recovery resolves.
   w.sim.run();
   for (const int n : {1, 2}) {
@@ -301,10 +298,10 @@ using statuses_t = std::vector<std::uint8_t>;
 /// entries. Entry layout (ShipmentManager::encode_frame): u64 tx, u8 mode
 /// (0 full, 1 delta), the queue record; a delta entry then carries the
 /// base's channel epoch and hash and the delta blob. Every staged entry is
-/// also the transaction's PREPARE, so N2 votes on it. The peer records
-/// N2's per-entry ack statuses and counts its 2PC inquiries; it answers
-/// them with a presumed abort once `answer_inquiries` is set, and stays
-/// silent before.
+/// also the transaction's PREPARE, so N2 votes on it; the peer ignores the
+/// votes. It records N2's per-entry ack statuses and counts its 2PC
+/// inquiries; it answers them with a presumed abort once
+/// `answer_inquiries` is set, and stays silent before.
 class HandDrivenSender {
  public:
   static constexpr std::uint8_t kStaged = 0;
@@ -312,7 +309,12 @@ class HandDrivenSender {
 
   HandDrivenSender() : w(PlatformConfig{}, /*node_count=*/2, /*seed=*/11) {
     register_workload(w.platform);
-    w.net.add_node(kPeer, [this](const net::Message& m) { on_message(m); });
+    w.net.add_node(kPeer);
+    w.net.on(kPeer, net::MsgType::ship_convoy_ack,
+             [this](const net::Message& m) { on_convoy_ack(m); });
+    w.net.on(kPeer, net::MsgType::tx_inquiry,
+             [this](const net::Message& m) { on_inquiry(m); });
+    w.net.on(kPeer, net::MsgType::tx_vote, [](const net::Message&) {});
     WorkloadAgent ag;
     ag.set_id(AgentId(77));
     ag.itinerary() = ping_pong(1, 1);
@@ -346,7 +348,8 @@ class HandDrivenSender {
     convoy.write_u64(w.sim.now());
     convoy.write_varint(1);
     convoy.write_bytes(entry.buffer());
-    receiver.on_convoy(net::Message{kPeer, kReceiver, ship::msg::convoy,
+    receiver.on_convoy(net::Message{kPeer, kReceiver,
+                                    net::MsgType::ship_convoy,
                                     std::move(convoy).take()});
     w.sim.run_until(w.sim.now() + 20'000);  // deliver the ack
     return tx;
@@ -354,14 +357,15 @@ class HandDrivenSender {
 
   /// The coordinator aborts `tx` at N2 (tx.abort).
   void abort(TxId tx) {
-    w.net.send(net::Message{kPeer, kReceiver, tx::msg::abort, tx_bytes(tx)});
+    w.net.send(
+        net::Message{kPeer, kReceiver, net::MsgType::tx_abort, tx_bytes(tx)});
     w.sim.run_until(w.sim.now() + 20'000);
   }
 
   /// The coordinator re-drives an explicit PREPARE for `tx` (tx.prepare).
   void prepare(TxId tx) {
-    w.net.send(
-        net::Message{kPeer, kReceiver, tx::msg::prepare, tx_bytes(tx)});
+    w.net.send(net::Message{kPeer, kReceiver, net::MsgType::tx_prepare,
+                            tx_bytes(tx)});
     w.sim.run_until(w.sim.now() + 20'000);
   }
 
@@ -388,21 +392,22 @@ class HandDrivenSender {
     return std::move(enc).take();
   }
 
-  void on_message(const net::Message& m) {
+  void on_convoy_ack(const net::Message& m) {
     serial::Decoder dec(m.payload);
-    if (m.type == ship::msg::convoy_ack) {
-      (void)dec.read_u64();  // receiver channel epoch
-      for (auto n = dec.read_count(); n > 0; --n) {
-        (void)dec.read_u64();  // tx
-        statuses.push_back(dec.read_u8());
-      }
-    } else if (m.type == tx::msg::inquiry) {
-      ++inquiries;
-      if (!answer_inquiries) return;
-      // No decision record at this coordinator: presumed abort.
-      w.net.send(net::Message{kPeer, m.from, tx::msg::decision,
-                              tx_bytes(TxId(dec.read_u64()), false)});
+    (void)dec.read_u64();  // receiver channel epoch
+    for (auto n = dec.read_count(); n > 0; --n) {
+      (void)dec.read_u64();  // tx
+      statuses.push_back(dec.read_u8());
     }
+  }
+
+  void on_inquiry(const net::Message& m) {
+    ++inquiries;
+    if (!answer_inquiries) return;
+    // No decision record at this coordinator: presumed abort.
+    serial::Decoder dec(m.payload);
+    w.net.send(net::Message{kPeer, m.from, net::MsgType::tx_decision,
+                            tx_bytes(TxId(dec.read_u64()), false)});
   }
 
   std::uint64_t next_tx_ = 1;

@@ -5,7 +5,10 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "net/fault_injector.h"
 #include "net/network.h"
@@ -187,19 +190,26 @@ TEST(SimulatorTest, LargeCapturesAreMovedNotCopied) {
 struct NetFixture : ::testing::Test {
   sim::Simulator sim;
   net::Network net{sim};
-  std::vector<std::pair<NodeId, std::string>> received;
+  std::vector<std::pair<NodeId, net::MsgType>> received;
+  /// The tag of messages whose type a test does not care about.
+  static constexpr auto kX = net::MsgType::tx_vote;
 
+  /// Add node `id`, recording every tag it receives.
   void add(std::uint32_t id) {
-    net.add_node(NodeId(id), [this, id](const net::Message& m) {
-      received.emplace_back(NodeId(id), m.type);
-    });
+    net.add_node(NodeId(id));
+    for (std::size_t t = 0; t < net::kMsgTypeCount; ++t) {
+      net.on(NodeId(id), static_cast<net::MsgType>(t),
+             [this, id](const net::Message& m) {
+               received.emplace_back(NodeId(id), m.type);
+             });
+    }
   }
   static net::Message msg(std::uint32_t from, std::uint32_t to,
-                          std::string type, std::size_t size = 0) {
+                          net::MsgType type = kX, std::size_t size = 0) {
     net::Message m;
     m.from = NodeId(from);
     m.to = NodeId(to);
-    m.type = std::move(type);
+    m.type = type;
     m.payload.resize(size);
     return m;
   }
@@ -213,13 +223,13 @@ TEST_F(NetFixture, DeliversWithLatencyAndBandwidth) {
   lp.bandwidth_bytes_per_us = 2.0;
   net.set_default_link(lp);
 
-  net.send(msg(1, 2, "x", 2000));  // + header
+  net.send(msg(1, 2, kX, 2000));  // + header
   sim.run_while_pending([&] { return !received.empty(); });
   const auto expected =
-      1000 + static_cast<sim::TimeUs>((2000 + 1 + 48) / 2.0);
+      1000 + static_cast<sim::TimeUs>((2000 + 7 + 48) / 2.0);  // "tx.vote"
   EXPECT_EQ(sim.now(), expected);
   ASSERT_EQ(received.size(), 1u);
-  EXPECT_EQ(received[0].second, "x");
+  EXPECT_EQ(received[0].second, kX);
 }
 
 TEST_F(NetFixture, TransferTimeMatchesFormula) {
@@ -235,7 +245,7 @@ TEST_F(NetFixture, TransferTimeMatchesFormula) {
 
 TEST_F(NetFixture, LocalSendBypassesNetworkCost) {
   add(1);
-  net.send(msg(1, 1, "loop"));
+  net.send(msg(1, 1));
   sim.run();
   EXPECT_EQ(sim.now(), 0u);
   EXPECT_EQ(received.size(), 1u);
@@ -246,7 +256,7 @@ TEST_F(NetFixture, RetransmitsUntilNodeRecovers) {
   add(1);
   add(2);
   net.crash_node(NodeId(2));
-  net.send(msg(1, 2, "x"));
+  net.send(msg(1, 2));
   sim.schedule_at(500'000, [&] { net.recover_node(NodeId(2)); });
   sim.run_while_pending([&] { return !received.empty(); });
   ASSERT_EQ(received.size(), 1u);
@@ -260,7 +270,7 @@ TEST_F(NetFixture, LinkOutageDelaysDelivery) {
   add(1);
   add(2);
   net.set_link_up(NodeId(1), NodeId(2), false);
-  net.send(msg(1, 2, "x"));
+  net.send(msg(1, 2));
   sim.schedule_at(300'000, [&] { net.set_link_up(NodeId(1), NodeId(2), true); });
   sim.run_while_pending([&] { return !received.empty(); });
   EXPECT_EQ(received.size(), 1u);
@@ -270,13 +280,115 @@ TEST_F(NetFixture, LinkOutageDelaysDelivery) {
 TEST_F(NetFixture, StatsAccumulatePerType) {
   add(1);
   add(2);
-  net.send(msg(1, 2, "alpha", 100));
-  net.send(msg(1, 2, "alpha", 100));
-  net.send(msg(1, 2, "beta", 10));
+  net.send(msg(1, 2, net::MsgType::tx_prepare, 100));
+  net.send(msg(1, 2, net::MsgType::tx_prepare, 100));
+  net.send(msg(1, 2, net::MsgType::tx_vote, 10));
   sim.run_while_pending([&] { return received.size() == 3; });
   EXPECT_EQ(net.stats().messages_sent, 3u);
-  EXPECT_GT(net.stats().bytes_by_type.at("alpha"),
-            net.stats().bytes_by_type.at("beta"));
+  EXPECT_EQ(net.stats().bytes_of(net::MsgType::tx_prepare),
+            2 * (100 + 10 + 48u));
+  EXPECT_EQ(net.stats().bytes_of(net::MsgType::tx_vote), 10 + 7 + 48u);
+  EXPECT_EQ(net.stats().bytes_of(net::MsgType::tx_commit), 0u);
+}
+
+TEST(MsgTypeTest, NamesAndWireChargeKeepTheNameTaggedFrame) {
+  // Each tag's name is the string that once travelled as the type, and
+  // the wire charge still counts its length: byte meters and transfer
+  // times are those of a name-tagged frame.
+  const std::map<net::MsgType, std::string> names = {
+      {net::MsgType::tx_prepare, "tx.prepare"},
+      {net::MsgType::tx_vote, "tx.vote"},
+      {net::MsgType::tx_commit, "tx.commit"},
+      {net::MsgType::tx_commit_ack, "tx.commit_ack"},
+      {net::MsgType::tx_abort, "tx.abort"},
+      {net::MsgType::tx_inquiry, "tx.inquiry"},
+      {net::MsgType::tx_decision, "tx.decision"},
+      {net::MsgType::ship_convoy, "ship.convoy"},
+      {net::MsgType::ship_convoy_ack, "ship.convoy_ack"},
+      {net::MsgType::rce_exec, "rce.exec"},
+      {net::MsgType::rce_ack, "rce.ack"},
+      {net::MsgType::mce_exec, "mce.exec"},
+      {net::MsgType::mce_ack, "mce.ack"},
+      {net::MsgType::ctr_invoke, "ctr.invoke"},
+      {net::MsgType::ctr_result, "ctr.result"},
+  };
+  ASSERT_EQ(names.size(), net::kMsgTypeCount);
+  for (const auto& [type, name] : names) {
+    EXPECT_EQ(net::name(type), name);
+    net::Message m{NodeId(1), NodeId(2), type, serial::Bytes(123)};
+    EXPECT_EQ(m.wire_size(), 123 + name.size() + 48) << name;
+  }
+  EXPECT_EQ(net::reply_of(net::MsgType::rce_exec), net::MsgType::rce_ack);
+  EXPECT_EQ(net::reply_of(net::MsgType::mce_exec), net::MsgType::mce_ack);
+  EXPECT_EQ(net::reply_of(net::MsgType::ctr_invoke),
+            net::MsgType::ctr_result);
+  EXPECT_EQ(net::reply_of(net::MsgType::ctr_result), std::nullopt);
+}
+
+TEST(MsgTypeTest, EachTagReachesItsOwnHandlerRemoteAndLocal) {
+  sim::Simulator sim;
+  net::Network net(sim);
+  std::vector<std::pair<NodeId, NodeId>> prepares;  // (receiver, sender)
+  std::vector<std::pair<NodeId, NodeId>> aborts;
+  for (const NodeId id : {NodeId(1), NodeId(2)}) {
+    net.add_node(id);
+    net.on(id, net::MsgType::tx_prepare, [&prepares, id](const auto& m) {
+      prepares.emplace_back(id, m.from);
+    });
+    net.on(id, net::MsgType::tx_abort, [&aborts, id](const auto& m) {
+      aborts.emplace_back(id, m.from);
+    });
+  }
+  net.send({NodeId(1), NodeId(2), net::MsgType::tx_prepare, {}});
+  net.send({NodeId(1), NodeId(2), net::MsgType::tx_abort, {}});
+  net.send({NodeId(1), NodeId(1), net::MsgType::tx_abort, {}});  // local
+  net.send({NodeId(2), NodeId(2), net::MsgType::tx_prepare, {}});
+  sim.run();
+  using Pairs = std::vector<std::pair<NodeId, NodeId>>;
+  // The local sends land first, at the send instant.
+  EXPECT_EQ(prepares,
+            (Pairs{{NodeId(2), NodeId(2)}, {NodeId(2), NodeId(1)}}));
+  EXPECT_EQ(aborts, (Pairs{{NodeId(1), NodeId(1)}, {NodeId(2), NodeId(1)}}));
+  EXPECT_EQ(net.stats().messages_delivered, 4u);
+}
+
+/// The LogicError `fn` throws; fails the test if it throws none.
+template <class F>
+std::string check_failure(F fn) {
+  try {
+    fn();
+  } catch (const LogicError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no MAR_CHECK failure";
+  return {};
+}
+
+TEST(MsgTypeTest, DuplicateRegistrationFailsNamingNodeAndTag) {
+  sim::Simulator sim;
+  net::Network net(sim);
+  net.add_node(NodeId(7));
+  net.on(NodeId(7), net::MsgType::ship_convoy, [](const net::Message&) {});
+  const auto what = check_failure([&] {
+    net.on(NodeId(7), net::MsgType::ship_convoy, [](const net::Message&) {});
+  });
+  EXPECT_NE(what.find("node 7"), std::string::npos) << what;
+  EXPECT_NE(what.find("ship.convoy"), std::string::npos) << what;
+}
+
+TEST(MsgTypeTest, UnregisteredArrivalFailsNamingNodeAndTag) {
+  for (const std::uint32_t from : {1u, 7u}) {  // remote, then local
+    sim::Simulator sim;
+    net::Network net(sim);
+    net.add_node(NodeId(1));
+    net.add_node(NodeId(7));
+    net.on(NodeId(7), net::MsgType::rce_exec, [](const net::Message&) {});
+    net.send({NodeId(from), NodeId(7), net::MsgType::mce_exec, {}});
+    const auto what = check_failure([&] { sim.run(); });
+    EXPECT_NE(what.find("node 7"), std::string::npos) << what;
+    EXPECT_NE(what.find("mce.exec"), std::string::npos) << what;
+    EXPECT_EQ(net.stats().messages_delivered, 0u);
+  }
 }
 
 TEST_F(NetFixture, CrashNotifiesSubscribers) {
@@ -296,7 +408,7 @@ TEST_F(NetFixture, DedupStateIsBoundedByTheUnackedWindow) {
   add(1);
   add(2);
   for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 100; ++i) net.send(msg(1, 2, "x", i % 7 * 100));
+    for (int i = 0; i < 100; ++i) net.send(msg(1, 2, kX, i % 7 * 100));
     // Mid-flight: never more than a watermark per sender plus the
     // numbers delivered above it, all of them still unacked.
     for (int i = 0; i < 150 && sim.step(); ++i) {
@@ -312,7 +424,7 @@ TEST_F(NetFixture, DedupStateIsBoundedByTheUnackedWindow) {
   // restores it at the next arrival instead of leaving a gap to fill.
   net.crash_node(NodeId(2));
   net.recover_node(NodeId(2));
-  for (int i = 0; i < 10; ++i) net.send(msg(1, 2, "y"));
+  for (int i = 0; i < 10; ++i) net.send(msg(1, 2));
   sim.run();
   EXPECT_EQ(received.size(), 1010u);
   EXPECT_EQ(net.dedup_entries(NodeId(2)), 1u);
@@ -320,29 +432,29 @@ TEST_F(NetFixture, DedupStateIsBoundedByTheUnackedWindow) {
   // A sender crash loses its unacked numbers for good; the new
   // incarnation's numbering does not wait for them.
   net.crash_node(NodeId(2));
-  for (int i = 0; i < 5; ++i) net.send(msg(1, 2, "lost"));
+  for (int i = 0; i < 5; ++i) net.send(msg(1, 2));
   sim.run_until(sim.now() + 10'000);  // dropped at the crashed receiver
   net.crash_node(NodeId(1));
   net.recover_node(NodeId(1));
   net.recover_node(NodeId(2));
-  for (int i = 0; i < 50; ++i) net.send(msg(1, 2, "z"));
+  for (int i = 0; i < 50; ++i) net.send(msg(1, 2, net::MsgType::tx_decision));
   sim.run();
   EXPECT_EQ(received.size(), 1060u);
-  EXPECT_EQ(received.back().second, "z");
+  EXPECT_EQ(received.back().second, net::MsgType::tx_decision);
   EXPECT_EQ(net.dedup_entries(NodeId(2)), 1u);
 
   // Copies of the old incarnation already in flight when the sender
   // crashes still land once, under their own window, which goes once the
   // last of them has landed.
-  for (int i = 0; i < 5; ++i) net.send(msg(1, 2, "straggler"));
+  for (int i = 0; i < 5; ++i) net.send(msg(1, 2));
   net.crash_node(NodeId(1));
   net.recover_node(NodeId(1));
-  net.send(msg(1, 2, "fresh"));
+  net.send(msg(1, 2));
   sim.run();
   EXPECT_EQ(received.size(), 1066u);
   EXPECT_EQ(net.dedup_entries(NodeId(2)), 2u);  // both incarnations
   sim.run_until(sim.now() + 1'000);
-  net.send(msg(1, 2, "later"));
+  net.send(msg(1, 2));
   sim.run();
   EXPECT_EQ(received.size(), 1067u);
   EXPECT_EQ(net.dedup_entries(NodeId(2)), 1u);
@@ -351,8 +463,8 @@ TEST_F(NetFixture, DedupStateIsBoundedByTheUnackedWindow) {
 TEST_F(NetFixture, RetransmissionWhoseAckWasLostIsSuppressed) {
   add(1);
   add(2);
-  net.send(msg(1, 2, "x"));
-  // Delivered at 539 us; its ack would land at 1051 us. Take the link
+  net.send(msg(1, 2));
+  // Delivered at 544 us; its ack would land at 1056 us. Take the link
   // down in between, past the first retransmission (lost as well), so the
   // second retransmission reaches a receiver that already has the message.
   net::FaultInjector faults(sim, net);
@@ -363,15 +475,16 @@ TEST_F(NetFixture, RetransmissionWhoseAckWasLostIsSuppressed) {
   EXPECT_EQ(net.stats().transmissions, 3u);
   EXPECT_EQ(net.unacked(), 0u);
   // The drain ends at the duplicate's ack: no retransmit timer survives it.
-  EXPECT_EQ(sim.now(), 100'000u +
-                           net.transfer_time(NodeId(1), NodeId(2), 49) +
-                           net.transfer_time(NodeId(2), NodeId(1), 16));
+  const auto wire = msg(1, 2).wire_size();
+  EXPECT_EQ(sim.now(),
+            100'000u + net.transfer_time(NodeId(1), NodeId(2), wire) +
+                net.transfer_time(NodeId(2), NodeId(1), 16));
 }
 
 TEST(FaultInjectorTest, ScheduledCrashesFire) {
   sim::Simulator sim;
   net::Network net(sim);
-  net.add_node(NodeId(1), [](const net::Message&) {});
+  net.add_node(NodeId(1));
   net::FaultInjector inj(sim, net);
   inj.crash_at(NodeId(1), 1000, 500);
   sim.run_until(999);
@@ -388,7 +501,7 @@ TEST(FaultInjectorTest, RandomPlanIsDeterministicPerSeed) {
     sim::Simulator sim;
     net::Network net(sim);
     for (std::uint32_t i = 1; i <= 3; ++i) {
-      net.add_node(NodeId(i), [](const net::Message&) {});
+      net.add_node(NodeId(i));
     }
     net::FaultInjector inj(sim, net);
     Rng rng(seed);

@@ -328,12 +328,10 @@ struct TxWorld {
       node.qm = std::make_unique<tx::QueueManager>(node.storage);
       node.rm = std::make_unique<resource::ResourceManager>(node.storage);
       node.rm->add_resource("bank", std::make_unique<resource::Bank>());
+      net.add_node(id);
       node.txm = std::make_unique<tx::TxManager>(id, sim, net, node.storage);
       node.txm->register_participant(*node.qm);
       node.txm->register_participant(*node.rm);
-      net.add_node(id, [this, id](const net::Message& m) {
-        nodes.at(id).txm->on_message(m);
-      });
       net.subscribe_node_state([this, id](NodeId n2, bool up) {
         if (n2 != id) return;
         if (up) {
