@@ -168,6 +168,43 @@ void BM_DeltaBetweenAged(benchmark::State& state) {
 }
 BENCHMARK(BM_DeltaBetweenAged)->Arg(8)->Arg(48)->Arg(128);
 
+// Building a local_young agent's itinerary, as a workload does for every
+// agent it launches: a dispatch step, then subs of 8 one-node steps.
+void BM_BuildItinerary(benchmark::State& state) {
+  const auto subs = (state.range(0) - 1) / 8;
+  for (auto _ : state) {
+    agent::Itinerary main;
+    for (std::int64_t s = 0; s < subs; ++s) {
+      agent::Itinerary sub;
+      if (s == 0) sub.step("noop", NodeId(2));
+      for (int j = 0; j < 8; ++j) sub.step("spend", NodeId(1));
+      main.sub(std::move(sub));
+    }
+    benchmark::DoNotOptimize(main);
+  }
+}
+BENCHMARK(BM_BuildItinerary)->Arg(65);
+
+// Decoding a ring_aged itinerary (one sub of one-node steps around 8
+// nodes) with no live copy to share: what a decode of a compensate record
+// pays when no other copy of the agent is resident.
+void BM_DecodeItinerary(benchmark::State& state) {
+  agent::Itinerary ring;
+  for (std::int64_t hop = 0; hop < state.range(0); ++hop) {
+    ring.step("spend", NodeId(static_cast<std::uint32_t>(1 + hop % 8)));
+  }
+  agent::Itinerary main;
+  main.sub(std::move(ring));
+  const auto bytes = serial::to_bytes(main);
+  for (auto _ : state) {
+    auto decoded = serial::from_bytes<agent::Itinerary>(bytes);
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_DecodeItinerary)->Arg(48);
+
 // The channel-base identity both ends of a delta hop compute over the
 // base image (ship::image_hash), at image sizes of young to aged agents.
 void BM_ImageHash(benchmark::State& state) {

@@ -55,33 +55,85 @@ std::string Condition::to_string() const {
 }
 
 // ---------------------------------------------------------------------------
+// Node lists
+// ---------------------------------------------------------------------------
+
+NodeId* NodeList::reset(std::size_t n) {
+  MAR_CHECK(n <= UINT32_MAX);
+  release();
+  NodeId* nodes = nullptr;
+  if (n > kInline) {
+    nodes = heap_ = new NodeId[n];
+  } else {
+    inline_[0] = inline_[1] = NodeId{};
+    nodes = inline_;
+  }
+  // Set only now, so a failed allocation leaves an empty list.
+  size_ = static_cast<std::uint32_t>(n);
+  return nodes;
+}
+
+void NodeList::assign(std::span<const NodeId> nodes) {
+  std::copy(nodes.begin(), nodes.end(), reset(nodes.size()));
+}
+
+void NodeList::take(NodeList& other) noexcept {
+  size_ = other.size_;
+  if (on_heap()) {
+    heap_ = other.heap_;
+  } else {
+    inline_[0] = other.inline_[0];
+    inline_[1] = other.inline_[1];
+  }
+  other.size_ = 0;
+}
+
+void NodeList::release() noexcept {
+  if (on_heap()) delete[] heap_;
+  size_ = 0;
+}
+
+void NodeList::serialize(serial::Encoder& enc) const {
+  enc.write_varint(size_);
+  for (const auto n : *this) enc.write_u32(n.value());
+}
+
+void NodeList::deserialize(serial::Decoder& dec) {
+  const auto n = dec.read_count();
+  NodeId* nodes = reset(n);
+  for (std::size_t i = 0; i < n; ++i) nodes[i] = NodeId(dec.read_u32());
+}
+
+std::size_t NodeList::encoded_size() const {
+  return serial::varint_size(size_) + 4 * size_;
+}
+
+// ---------------------------------------------------------------------------
 // Entry serialization
 // ---------------------------------------------------------------------------
 
 void StepEntry::serialize(serial::Encoder& enc) const {
   enc.write_string(method);
-  enc.write_varint(locations.size());
-  for (const auto n : locations) enc.write_u32(n.value());
-  enc.write_bool(when.has_value());
-  if (when.has_value()) when->serialize(enc);
+  locations.serialize(enc);
+  enc.write_bool(when != nullptr);
+  if (when != nullptr) when->serialize(enc);
 }
 
 void StepEntry::deserialize(serial::Decoder& dec) {
   method = dec.read_string();
-  locations.resize(dec.read_count());
-  for (auto& n : locations) n = NodeId(dec.read_u32());
+  locations.deserialize(dec);
   if (dec.read_bool()) {
-    when.emplace();
-    when->deserialize(dec);
+    auto c = std::make_shared<Condition>();
+    c->deserialize(dec);
+    when = std::move(c);
   } else {
     when.reset();
   }
 }
 
 std::size_t StepEntry::encoded_size() const {
-  return serial::blob_size(method.size()) +
-         serial::varint_size(locations.size()) + 4 * locations.size() + 1 +
-         (when.has_value() ? when->encoded_size() : 0);
+  return serial::blob_size(method.size()) + locations.encoded_size() + 1 +
+         (when != nullptr ? when->encoded_size() : 0);
 }
 
 void Itinerary::Entry::serialize(serial::Encoder& enc) const {
@@ -126,32 +178,38 @@ void Itinerary::Entry::deserialize(serial::Decoder& dec) {
 // ---------------------------------------------------------------------------
 
 Itinerary& Itinerary::step(std::string method, NodeId node) {
-  return step(std::move(method), std::vector<NodeId>{node});
+  entries_.emplace_back(StepEntry{std::move(method), NodeList(node), {}});
+  return *this;
 }
 
 Itinerary& Itinerary::step(std::string method, std::vector<NodeId> locations) {
   MAR_CHECK_MSG(!locations.empty(), "step entry needs at least one node");
   entries_.emplace_back(
-      Entry(StepEntry{std::move(method), std::move(locations), {}}));
+      StepEntry{std::move(method), NodeList(locations), {}});
   return *this;
 }
 
 Itinerary& Itinerary::step_if(std::string method, NodeId node,
                               Condition when) {
-  entries_.emplace_back(Entry(StepEntry{
-      std::move(method), std::vector<NodeId>{node}, std::move(when)}));
+  entries_.emplace_back(
+      StepEntry{std::move(method), NodeList(node),
+                std::make_shared<const Condition>(std::move(when))});
   return *this;
 }
 
+// A nested itinerary is finished when it is appended: the builder never
+// reaches it again, so its entry vector drops the growth slack.
 Itinerary& Itinerary::sub(Itinerary nested, bool vital) {
-  entries_.emplace_back(Entry(std::move(nested)));
+  nested.entries_.shrink_to_fit();
+  entries_.emplace_back(std::move(nested));
   entries_.back().set_vital(vital);
   return *this;
 }
 
 Itinerary& Itinerary::alt(std::vector<Itinerary> options) {
   MAR_CHECK_MSG(!options.empty(), "alternatives entry needs options");
-  entries_.emplace_back(Entry(AltEntry{std::move(options)}));
+  for (auto& option : options) option.entries_.shrink_to_fit();
+  entries_.emplace_back(AltEntry{std::move(options)});
   return *this;
 }
 
@@ -472,7 +530,7 @@ void render(const Itinerary& it, std::ostringstream& os) {
     first = false;
     if (e.is_step()) {
       os << e.step().method << "@N" << e.step().primary();
-      if (e.step().when.has_value()) {
+      if (e.step().when != nullptr) {
         os << "{" << e.step().when->to_string() << "}";
       }
     } else if (e.is_sub()) {

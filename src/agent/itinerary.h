@@ -31,7 +31,10 @@
 // entered/exited sub-itinerary computations the platform needs.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -73,15 +76,82 @@ struct Condition {
   [[nodiscard]] std::string to_string() const;
 };
 
+/// A step's node list: the primary node first, then the alternatives.
+/// Up to two nodes live in place; a longer list owns one exactly sized
+/// heap block. Step entries are built once and then only read, so the
+/// list has no growth slack and no in-place growth either: a one- or
+/// two-node step costs no allocation at all.
+class NodeList {
+ public:
+  using value_type = NodeId;
+  using iterator = const NodeId*;
+  using const_iterator = const NodeId*;
+
+  NodeList() = default;
+  explicit NodeList(NodeId node) : size_(1) { inline_[0] = node; }
+  explicit NodeList(std::span<const NodeId> nodes) { assign(nodes); }
+  NodeList(const NodeList& other) { assign(other); }
+  NodeList(NodeList&& other) noexcept { take(other); }
+  NodeList& operator=(const NodeList& other) {
+    if (this != &other) assign(other);
+    return *this;
+  }
+  NodeList& operator=(NodeList&& other) noexcept {
+    if (this != &other) {
+      release();
+      take(other);
+    }
+    return *this;
+  }
+  ~NodeList() { release(); }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const NodeId* data() const {
+    return on_heap() ? heap_ : inline_;
+  }
+  [[nodiscard]] const NodeId* begin() const { return data(); }
+  [[nodiscard]] const NodeId* end() const { return data() + size_; }
+  [[nodiscard]] NodeId operator[](std::size_t i) const { return data()[i]; }
+  [[nodiscard]] NodeId front() const { return data()[0]; }
+  operator std::span<const NodeId>() const { return {data(), size_}; }  // NOLINT
+
+  friend bool operator==(const NodeList& a, const NodeList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+  /// Wire form: a varint count, then each node as a u32.
+  void serialize(serial::Encoder& enc) const;
+  void deserialize(serial::Decoder& dec);
+  [[nodiscard]] std::size_t encoded_size() const;
+
+ private:
+  static constexpr std::size_t kInline = 2;
+  [[nodiscard]] bool on_heap() const { return size_ > kInline; }
+  /// Hold `n` nodes of unspecified value; returns where they go.
+  NodeId* reset(std::size_t n);
+  void assign(std::span<const NodeId> nodes);
+  /// Steal `other`'s nodes, leaving it empty; this list holds nothing.
+  void take(NodeList& other) noexcept;
+  void release() noexcept;
+
+  std::uint32_t size_ = 0;
+  union {
+    NodeId inline_[kInline] = {};
+    NodeId* heap_;
+  };
+};
+
 /// A step entry: which method to run, and where. `locations.front()` is
 /// the primary node; the rest are alternatives tried in turn when the
 /// primary is unreachable (fault-tolerant step execution, ref [11]).
+/// Entries are read in place (Itinerary::step_at); copying one copies
+/// its method name and, beyond two nodes, its node block.
 struct StepEntry {
   std::string method;
-  std::vector<NodeId> locations;
-  /// Executed only when satisfied (skipped otherwise); no condition =
-  /// always executed.
-  std::optional<Condition> when;
+  NodeList locations;
+  /// Executed only when satisfied (skipped otherwise); null = always
+  /// executed. Immutable, so copies of the entry share it.
+  std::shared_ptr<const Condition> when;
 
   [[nodiscard]] NodeId primary() const { return locations.front(); }
 

@@ -483,7 +483,7 @@ void NodeRuntime::stage_and_commit(TxId tx, NodeId dest, QueueRecord record,
 }
 
 void NodeRuntime::hand_off(TxId tx, const QueueRecord& rec, QueueRecord next,
-                           const std::vector<NodeId>& dests,
+                           std::span<const NodeId> dests,
                            std::shared_ptr<const Agent> agent,
                            MigrateCause cause) {
   // Rotate through the candidates on repeated failures (fault-tolerant
@@ -681,11 +681,11 @@ void NodeRuntime::execute_step(const QueueRecord& rec) {
   MAR_CHECK_MSG(std::as_const(*agent).itinerary().valid_step(
                     agent->position()),
                 "agent position does not address a step");
-  const StepEntry step = current_step(*agent);
+  const StepEntry& step = current_step(*agent);
   record_event(EventKind::step_begin, rec.agent, rec.record_id);
 
   StepContext ctx(id_, p_.sim().now(), tx, *agent, rm_, p_.rng());
-  if (step.when.has_value() &&
+  if (step.when != nullptr &&
       !step.when->eval(agent->data().weak_image())) {
     // Ref [14] preconditions: an unsatisfied step is skipped — the step
     // transaction still runs (empty), keeping the itinerary bookkeeping
@@ -738,7 +738,7 @@ void NodeRuntime::execute_step(const QueueRecord& rec) {
 void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
                                 std::shared_ptr<Agent> agent,
                                 StepContext& ctx) {
-  const StepEntry step = current_step(*agent);
+  const StepEntry& step = current_step(*agent);
   auto& log = agent->log();
 
   // Multi-agent executions (Sec. 6): prepare and stage the children
@@ -821,10 +821,9 @@ void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
     }
     // Route to the next step's node; rotate through the alternatives on
     // repeated failures (fault-tolerant execution, ref [11]).
-    const StepEntry next_step = current_step(*agent);
-    const auto attempt = attempt_count(rec.record_id);
+    const NodeList& next_nodes = current_step(*agent).locations;
     const NodeId dest =
-        next_step.locations[attempt % next_step.locations.size()];
+        next_nodes[attempt_count(rec.record_id) % next_nodes.size()];
     // The hot path: when the agent stays on this node, commit only the
     // step's delta into its append-only stable record — O(changed state)
     // instead of O(total state). Spawning steps write a full image (the

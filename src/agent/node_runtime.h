@@ -33,6 +33,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -212,7 +213,7 @@ class NodeRuntime {
   /// records report comp_commit / comp_abort; a compensate record that
   /// leaves the node counts as a rollback transfer.
   void hand_off(TxId tx, const storage::QueueRecord& rec,
-                storage::QueueRecord next, const std::vector<NodeId>& dests,
+                storage::QueueRecord next, std::span<const NodeId> dests,
                 std::shared_ptr<const Agent> agent, MigrateCause cause);
   void retry_later(const storage::QueueRecord& rec);
   /// Terminate the agent as failed in a cleanup transaction that consumes

@@ -1,5 +1,7 @@
 #include "serial/value.h"
 
+#include <bit>
+#include <compare>
 #include <sstream>
 
 #include "util/check.h"
@@ -91,6 +93,14 @@ std::size_t Value::size() const {
   return 0;
 }
 
+bool operator==(const Value& a, const Value& b) {
+  if (a.is_real() && b.is_real()) {
+    return std::bit_cast<std::uint64_t>(std::get<double>(a.data_)) ==
+           std::bit_cast<std::uint64_t>(std::get<double>(b.data_));
+  }
+  return a.data_ == b.data_;
+}
+
 bool operator<(const Value& a, const Value& b) {
   if (a.kind() != b.kind()) return a.kind() < b.kind();
   switch (a.kind()) {
@@ -101,7 +111,8 @@ bool operator<(const Value& a, const Value& b) {
     case Value::Kind::integer:
       return std::get<std::int64_t>(a.data_) < std::get<std::int64_t>(b.data_);
     case Value::Kind::real:
-      return std::get<double>(a.data_) < std::get<double>(b.data_);
+      return std::strong_order(std::get<double>(a.data_),
+                               std::get<double>(b.data_)) < 0;
     case Value::Kind::string:
       return std::get<std::string>(a.data_) < std::get<std::string>(b.data_);
     case Value::Kind::bytes:

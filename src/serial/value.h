@@ -94,9 +94,13 @@ class Value {
   void push_back(Value v);
   [[nodiscard]] std::size_t size() const;
 
-  friend bool operator==(const Value& a, const Value& b) = default;
+  /// Bit-exact equality: reals compare by bit pattern, so 0.0 and -0.0
+  /// differ and a NaN equals itself. State diffs rely on this: a change
+  /// that alters the encoded bytes is never "unchanged".
+  friend bool operator==(const Value& a, const Value& b);
   /// Total order: by kind first, then by content (lexicographic for
-  /// lists/maps). Makes Values usable as ordered-container keys.
+  /// lists/maps; reals by IEEE totalOrder, which agrees with ==). Makes
+  /// Values usable as ordered-container keys.
   friend bool operator<(const Value& a, const Value& b);
   friend bool operator>(const Value& a, const Value& b) { return b < a; }
   friend bool operator<=(const Value& a, const Value& b) { return !(b < a); }

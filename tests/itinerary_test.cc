@@ -2,7 +2,13 @@
 // agent data space (Sec. 4.1) and the agent's shared, immutable itinerary.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "agent/agent.h"
 #include "agent/data_space.h"
@@ -10,8 +16,52 @@
 #include "harness/agents.h"
 #include "serial/serializable.h"
 
+// Every heap allocation of this binary is counted, so a test can assert
+// how many blocks an itinerary operation takes.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+
+void* counted_alloc(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+// Out of line, so the compiler does not pair a visible free() with the
+// operator new it replaces.
+[[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = counted_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) {
+  if (void* p = counted_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+
 namespace mar::agent {
 namespace {
+
+std::size_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
 
 NodeId n(std::uint32_t i) { return NodeId(i); }
 
@@ -141,6 +191,138 @@ TEST(ItineraryTest, SerializationRoundTrip) {
     pb = back.next_step(*pb);
   }
   EXPECT_EQ(pa.has_value(), pb.has_value());
+}
+
+// ---------------------------------------------------------------------------
+// The compact step entry: inline node list, shared condition, no slack
+// ---------------------------------------------------------------------------
+
+static_assert(sizeof(Itinerary::Entry) <= 96,
+              "an itinerary entry must stay near its wire size");
+
+std::vector<NodeId> nodes(std::uint32_t count) {
+  std::vector<NodeId> v;
+  for (std::uint32_t i = 0; i < count; ++i) v.push_back(n(10 + i));
+  return v;
+}
+
+TEST(CompactEntryTest, NodeListsSurviveCopyMoveSelfAssignAndRoundTrip) {
+  for (const std::uint32_t count : {1u, 2u, 3u, 8u}) {
+    SCOPED_TRACE(count);
+    const auto want = nodes(count);
+    Itinerary sub;
+    sub.step("s", want);
+    const StepEntry& orig = sub.entries()[0].step();
+    ASSERT_EQ(orig.locations.size(), count);
+    EXPECT_TRUE(std::equal(orig.locations.begin(), orig.locations.end(),
+                           want.begin(), want.end()));
+
+    StepEntry copy = orig;
+    EXPECT_EQ(copy.locations, orig.locations);
+    StepEntry moved = std::move(copy);
+    EXPECT_EQ(moved.locations, orig.locations);
+    EXPECT_EQ(copy.locations.size(), 0u);  // NOLINT(bugprone-use-after-move)
+    copy = moved;  // assignment into a moved-from entry
+    EXPECT_EQ(copy.locations, orig.locations);
+    StepEntry& alias = copy;
+    copy = alias;  // self copy-assignment
+    EXPECT_EQ(copy.locations, orig.locations);
+    copy = std::move(alias);  // self move-assignment keeps the list
+    EXPECT_EQ(copy.locations, orig.locations);
+    // Assignment across the inline/heap boundary, both ways.
+    StepEntry other;
+    other.locations = NodeList(std::span<const NodeId>(nodes(11 - count)));
+    other = moved;
+    EXPECT_EQ(other.locations, orig.locations);
+
+    const auto back =
+        serial::from_bytes<Itinerary>(serial::to_bytes(Itinerary(sub)));
+    EXPECT_EQ(back.entries()[0].step().locations, orig.locations);
+    EXPECT_EQ(back.entries()[0].step().primary(), n(10));
+  }
+}
+
+// A 3-location step, a conditioned step, a 2-location step and an
+// alternatives entry whose option carries a condition. The literal is the
+// encoding of the earlier vector-and-optional entry layout: the wire form
+// did not change.
+TEST(CompactEntryTest, MixedItineraryEncodesToTheFormerBytes) {
+  Itinerary inner;
+  inner.step("a", {n(1), n(2), n(3)})
+      .step_if("b", n(4), Condition{"flag", Condition::Op::ge, 7})
+      .step("c", {n(5), n(6)});
+  Itinerary opt1;
+  opt1.step("d", n(7));
+  Itinerary opt2;
+  opt2.step_if("e", n(8), Condition{"k", Condition::Op::exists, {}});
+  Itinerary second;
+  second.step("f", n(9)).alt({opt1, opt2});
+  Itinerary main;
+  main.sub(std::move(inner)).sub(std::move(second), false);
+
+  const auto bytes = serial::to_bytes(main);
+  std::string hex;
+  for (const auto b : bytes) {
+    char buf[3];
+    std::snprintf(buf, sizeof buf, "%02x", b);
+    hex += buf;
+  }
+  EXPECT_EQ(hex,
+            "02010103000161030100000002000000030000000000016201040000000104"
+            "666c616707020e000163020500000006000000000100020001660109000000"
+            "000201020100016401070000000001000165010800000001016b0000");
+  EXPECT_EQ(main.encoded_size(), bytes.size());
+  const auto back = serial::from_bytes<Itinerary>(bytes);
+  EXPECT_EQ(serial::to_bytes(back), bytes);
+  EXPECT_EQ(back.to_string(), main.to_string());
+}
+
+TEST(CompactEntryTest, ShortListWithoutConditionOwnsNoHeapBlock) {
+  Itinerary sub;
+  sub.step("spend", {n(1), n(2)});
+  const StepEntry& entry = sub.entries()[0].step();
+  const auto before = allocations();
+  {
+    StepEntry copy = entry;
+    StepEntry moved = std::move(copy);
+    EXPECT_EQ(moved.locations.size(), 2u);
+  }
+  EXPECT_EQ(allocations(), before);
+}
+
+TEST(CompactEntryTest, ConditionIsSharedByCopies) {
+  Itinerary sub;
+  sub.step_if("s", n(1), Condition{"flag", Condition::Op::exists, {}});
+  const StepEntry& entry = sub.entries()[0].step();
+  const auto before = allocations();
+  const StepEntry copy = entry;
+  EXPECT_EQ(allocations(), before);
+  EXPECT_EQ(copy.when.get(), entry.when.get());
+}
+
+TEST(CompactEntryTest, SixtyFourOneNodeStepsAllocateOnlyVectorGrowth) {
+  Itinerary sub;
+  const auto before = allocations();
+  for (int i = 0; i < 64; ++i) sub.step("spend", n(1));
+  // 1, 2, 4, ..., 64: seven growth steps of the entry vector, nothing
+  // per step.
+  EXPECT_LE(allocations() - before, 8u);
+  EXPECT_EQ(sub.size(), 64u);
+}
+
+TEST(CompactEntryTest, AppendedSubDropsGrowthSlack) {
+  Itinerary sub;
+  for (int i = 0; i < 48; ++i) sub.step("deposit_hot", n(1));
+  ASSERT_GT(sub.entries().capacity(), 48u);
+  Itinerary main;
+  main.sub(std::move(sub));
+  EXPECT_EQ(main.entries()[0].sub().entries().capacity(), 48u);
+
+  Itinerary option;
+  for (int i = 0; i < 5; ++i) option.step("s", n(2));
+  Itinerary with_alt;
+  with_alt.alt({option});
+  EXPECT_EQ(with_alt.entries()[0].alt().options[0].entries().capacity(), 5u);
 }
 
 // ---------------------------------------------------------------------------

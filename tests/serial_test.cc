@@ -2,6 +2,10 @@
 // the ValuePatch diff/apply/compose calculus used by transition logging.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "serial/decoder.h"
 #include "serial/encoder.h"
 #include "serial/serializable.h"
@@ -248,6 +252,30 @@ TEST(ValueTest, OrderingIsTotal) {
   EXPECT_EQ(Value("a"), Value("a"));
 }
 
+// Reals compare bit for bit, and `<` agrees with `==`: for any a, b
+// exactly one of a < b, b < a, a == b holds.
+TEST(ValueTest, RealEqualityIsBitExactAndOrderingAgrees) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(Value(0.0), Value(-0.0));
+  EXPECT_EQ(Value(nan), Value(nan));
+  const std::vector<Value> reals = {Value(-1.5), Value(-0.0), Value(0.0),
+                                    Value(2.0), Value(nan), Value(-nan)};
+  for (const auto& a : reals) {
+    for (const auto& b : reals) {
+      const int holds = (a < b) + (b < a) + (a == b);
+      EXPECT_EQ(holds, 1) << a.to_string() << " vs " << b.to_string();
+    }
+  }
+  EXPECT_LT(Value(-0.0), Value(0.0));
+  // Inside containers too: a map differing only in a zero's sign differs.
+  Value m = Value::empty_map();
+  m.set("x", 0.0);
+  Value neg = Value::empty_map();
+  neg.set("x", -0.0);
+  EXPECT_NE(m, neg);
+  EXPECT_TRUE(m < neg || neg < m);
+}
+
 TEST(ValueTest, SetOnNullPromotesToMap) {
   Value v;
   v.set("k", 1);
@@ -285,6 +313,28 @@ TEST(PatchTest, DiffApplyRestoresTarget) {
   to.set("new_key", "fresh");
   const auto patch = diff(from, to);
   EXPECT_EQ(apply(patch, from), to);
+}
+
+// Transition logging must restore a savepoint bit for bit: a change of
+// a zero's sign or of a NaN's payload is a change.
+TEST(PatchTest, DiffApplyKeepsSignedZeroAndNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<double, double>> cases = {
+      {0.0, -0.0}, {-0.0, 0.0}, {nan, -nan}, {1.0, nan}, {nan, 1.0}};
+  for (const auto& [before, after] : cases) {
+    Value from = Value::empty_map();
+    from.set("x", before);
+    Value to = Value::empty_map();
+    to.set("x", after);
+    const auto patch = diff(from, to);
+    EXPECT_FALSE(patch.is_none()) << from.to_string();
+    EXPECT_EQ(to_bytes(apply(patch, from)), to_bytes(to));
+    // And back: the savepoint direction.
+    EXPECT_EQ(to_bytes(apply(diff(to, from), to)), to_bytes(from));
+  }
+  Value same = Value::empty_map();
+  same.set("x", nan);
+  EXPECT_TRUE(diff(same, same).is_none());
 }
 
 TEST(PatchTest, MapDiffIsSparse) {

@@ -145,6 +145,30 @@ TEST(DeltaBetweenTest, RoundTripsToBitIdenticalImage) {
   EXPECT_EQ(agent::encode_agent(*rebuilt), cur_bytes);
 }
 
+// A slot whose only change is the sign of a zero is a changed slot: the
+// receiver's rebuilt image equals the sender's byte for byte.
+TEST(DeltaBetweenTest, SignedZeroChangeShipsAndRebuildsBitIdentical) {
+  TestWorld w;
+  register_workload(w.platform);
+  auto ag = std::make_unique<WorkloadAgent>();
+  ag->itinerary() = ping_pong(1, 1);
+  ag->data().declare_weak("balance", 0.0);
+  ag->data().declare_strong("rate", -0.0);
+  const auto base_bytes = agent::encode_agent(*ag);
+  ag->data().weak("balance") = -0.0;
+  ag->data().strong("rate") = 0.0;
+  const auto cur_bytes = agent::encode_agent(*ag);
+  ASSERT_NE(base_bytes, cur_bytes);
+
+  const auto base = w.platform.decode(base_bytes);
+  const auto cur = w.platform.decode(cur_bytes);
+  const auto delta = agent::encode_agent_delta_between(*base, *cur);
+  ASSERT_TRUE(delta.has_value());
+  auto rebuilt = w.platform.decode(base_bytes);
+  agent::apply_agent_delta(*rebuilt, *delta);
+  EXPECT_EQ(agent::encode_agent(*rebuilt), cur_bytes);
+}
+
 TEST(DeltaBetweenTest, DivergedLogRefusesDelta) {
   TestWorld w;
   register_workload(w.platform);

@@ -78,6 +78,14 @@ Rules (each with a stable id used in messages and suppressions):
                         TypeRegistry::copy); a create-then-assign copy
                         runs the constructor's slot declarations for
                         nothing and slices any state of the subclass.
+  R12 no-step-copy      Under src/, outside src/agent/itinerary.{h,cc},
+                        no StepEntry is declared by value (a local, a
+                        parameter, or `auto x = current_step(...)` /
+                        `step_at(...)`). The itinerary is immutable and
+                        outlives every step of the agent, so readers
+                        take the entry by const&; a by-value copy costs
+                        the method string and, beyond two nodes, a heap
+                        block on every step.
 
 Usage:
   tools/mar_lint.py [--root REPO] [FILES...]   lint src/ (or FILES)
@@ -380,6 +388,28 @@ def check_one_agent_copy(relpath, path, lines, findings):
                                 "slices the agent; use clone_agent"))
 
 
+# --- R12: no StepEntry copies ---------------------------------------------
+
+ITINERARY_FILES = {"src/agent/itinerary.h", "src/agent/itinerary.cc"}
+STEP_COPY_RES = (
+    re.compile(r"\b(?:(?:mar::)?agent::)?StepEntry\s+\w+\s*[=;{(,)]"),
+    re.compile(r"\bauto\s+\w+\s*=[^;=]*?\b(?:current_step|step_at)\s*"
+               r"\((?:[^()]|\([^()]*\))*\)\s*;"),
+)
+
+
+def check_no_step_copy(relpath, path, lines, findings):
+    if relpath in ITINERARY_FILES:
+        return
+    for i, raw in enumerate(lines, 1):
+        line = strip_noise(raw)
+        if any(pattern.search(line) for pattern in STEP_COPY_RES):
+            findings.append(Finding(path, i, "R12",
+                                    "StepEntry copied by value: the "
+                                    "itinerary outlives the step, take "
+                                    "the entry by const&"))
+
+
 # --- R8: RelaxedCounter fields registered with the metrics registry --------
 
 COUNTER_FIELD_RE = re.compile(r"\bRelaxedCounter\s+(\w+)\s*;")
@@ -495,6 +525,7 @@ def run_lint(root, explicit_files=None):
         check_timer_owned(relpath, relpath, lines, findings)
         check_one_rollback_exit(relpath, relpath, lines, findings)
         check_one_agent_copy(relpath, relpath, lines, findings)
+        check_no_step_copy(relpath, relpath, lines, findings)
     if not explicit_files:
         check_event_registered(root, findings)
         check_stat_registered(root, findings)
@@ -580,6 +611,14 @@ std::unique_ptr<Agent> rogue_clone(const AgentTypeRegistry& registry,
   auto copy = registry.create(agent.type_name());
   static_cast<Agent&>(*copy) = agent;
   return copy;
+}
+""",
+    "src/agent/rogue_step.cc": """
+void mar::agent::Rogue::run(const std::shared_ptr<Agent>& agent) {
+  // Two per-step copies of an entry the itinerary already holds.
+  const StepEntry step = current_step(*agent);
+  auto again = agent->itinerary().step_at(agent->position());
+  agent->run_step(step.method, again.method);
 }
 """,
     "src/net/rogue_stats.h": """
@@ -672,6 +711,21 @@ std::unique_ptr<Agent> clone_agent(const AgentTypeRegistry& registry,
   return copy;
 }
 """,
+    "src/agent/good_step.cc": """
+void mar::agent::Good::run(const std::shared_ptr<Agent>& agent) {
+  const StepEntry& step = current_step(*agent);
+  const auto& again = agent->itinerary().step_at(agent->position());
+  const auto dest = current_step(*agent).primary();
+  agent->run_step(step.method, again.method, dest);
+}
+""",
+    "src/agent/itinerary.cc": """
+Itinerary& Itinerary::step(std::string method, NodeId node) {
+  StepEntry entry{std::move(method), NodeList(node), {}};
+  entries_.emplace_back(std::move(entry));
+  return *this;
+}
+""",
     "src/net/good_stats.h": """
 #include "util/counters.h"
 namespace mar::net {
@@ -706,7 +760,7 @@ def self_test():
         findings = run_lint(root)
         fired = {f.rule for f in findings}
         expected = {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
-                    "R9", "R10", "R11"}
+                    "R9", "R10", "R11", "R12"}
         ok = True
         for rule in sorted(expected):
             status = "fires" if rule in fired else "MISSED"
@@ -722,7 +776,8 @@ def self_test():
         false_pos = [f for f in findings
                      if "good" in str(f.path) or
                      str(f.path).endswith(("rollback_driver.cc",
-                                           "agent/agent.cc"))]
+                                           "agent/agent.cc",
+                                           "itinerary.cc"))]
         for f in false_pos:
             print(f"self-test: FALSE POSITIVE {f}")
         ok &= not false_pos
