@@ -310,32 +310,36 @@ const Itinerary* Itinerary::itinerary_at_prefix(const Position& pos,
   return it;
 }
 
-std::optional<Position> Itinerary::first_step_from(Position base,
-                                                   std::size_t index) const {
-  const Itinerary* it = itinerary_at_prefix(base, base.size());
-  for (std::size_t i = index; i < it->entries_.size(); ++i) {
-    const Entry& e = it->entries_[i];
-    base.push_back(static_cast<std::uint32_t>(i));
-    if (e.is_step()) return base;
-    if (e.is_sub()) {
-      auto down = e.sub().first_step_from(Position{}, 0);
-      if (down.has_value()) {
-        base.insert(base.end(), down->begin(), down->end());
-        return base;
-      }
-    } else {
-      // Alternatives always open with their first option.
-      base.push_back(0);
-      auto down = e.alt().options[0].first_step_from(Position{}, 0);
-      if (down.has_value()) {
-        base.insert(base.end(), down->begin(), down->end());
-        return base;
-      }
-      base.pop_back();
+std::size_t Itinerary::first_step_path(std::size_t index,
+                                       Position* out) const {
+  for (std::size_t i = index; i < entries_.size(); ++i) {
+    const Entry& e = entries_[i];
+    // One index deeper into a sub, two into alternatives (option 0).
+    const Itinerary* down = e.is_step()  ? nullptr
+                            : e.is_sub() ? &e.sub()
+                                         : &e.alt().options[0];
+    const auto below = down == nullptr ? 0 : down->first_step_path(0, nullptr);
+    if (down != nullptr && below == 0) continue;
+    if (out != nullptr) {
+      out->push_back(static_cast<std::uint32_t>(i));
+      if (e.is_alt()) out->push_back(0);
+      if (down != nullptr) down->first_step_path(0, out);
     }
-    base.pop_back();
+    return 1 + (e.is_alt() ? 1 : 0) + below;
   }
-  return std::nullopt;
+  return 0;
+}
+
+std::optional<Position> Itinerary::extend_to_first_step(
+    std::span<const std::uint32_t> prefix, const Itinerary& in,
+    std::size_t index) {
+  const auto depth = in.first_step_path(index, nullptr);
+  if (depth == 0) return std::nullopt;
+  Position pos;
+  pos.reserve(prefix.size() + depth);
+  pos.assign(prefix.begin(), prefix.end());
+  in.first_step_path(index, &pos);
+  return pos;
 }
 
 void Itinerary::visit_locations(const std::function<void(NodeId)>& visit,
@@ -385,51 +389,44 @@ void Itinerary::for_each_location_from(
 }
 
 std::optional<Position> Itinerary::first_step() const {
-  return first_step_from(Position{}, 0);
+  return extend_to_first_step({}, *this, 0);
 }
 
 std::optional<Position> Itinerary::first_step_under(
     const Position& prefix) const {
-  return first_step_from(prefix, 0);
+  return extend_to_first_step(
+      prefix, *itinerary_at_prefix(prefix, prefix.size()), 0);
 }
 
 std::optional<Position> Itinerary::next_step(const Position& pos) const {
   MAR_CHECK_MSG(!pos.empty(), "next_step on empty position");
-  // Classify each index: does it address an itinerary entry, or an option
-  // of an alternatives entry?
-  std::vector<bool> is_option(pos.size(), false);
-  {
-    const Itinerary* it = this;
-    std::size_t i = 0;
-    while (i < pos.size()) {
-      MAR_CHECK(pos[i] < it->entries_.size());
-      const Entry& e = it->entries_[pos[i]];
-      if (e.is_step()) break;
-      if (e.is_sub()) {
-        it = &e.sub();
-        ++i;
-        continue;
-      }
-      MAR_CHECK(i + 1 < pos.size());
-      is_option[i + 1] = true;
-      it = &e.alt().options[pos[i + 1]];
-      i += 2;
+  // The deepest entry index of `pos` with a step after it holds the next
+  // step. Option indices are skipped: sibling options are alternatives,
+  // not successors.
+  const Itinerary* found_in = nullptr;
+  std::size_t found_at = 0;
+  const Itinerary* it = this;
+  std::size_t i = 0;
+  while (i < pos.size()) {
+    MAR_CHECK(pos[i] < it->entries_.size());
+    if (it->first_step_path(pos[i] + 1, nullptr) != 0) {
+      found_in = it;
+      found_at = i;
     }
+    const Entry& e = it->entries_[pos[i]];
+    if (e.is_step()) break;
+    if (e.is_sub()) {
+      it = &e.sub();
+      ++i;
+      continue;
+    }
+    MAR_CHECK(i + 1 < pos.size());
+    it = &e.alt().options[pos[i + 1]];
+    i += 2;
   }
-  // Try successors at the current level, popping up one level at a time.
-  // Option levels are skipped entirely: sibling options are alternatives,
-  // not successors — the next candidate is the alternatives entry's own
-  // successor, tried when its index is popped.
-  Position prefix = pos;
-  while (!prefix.empty()) {
-    const auto index = prefix.back();
-    const bool option = is_option[prefix.size() - 1];
-    prefix.pop_back();
-    if (option) continue;
-    auto found = first_step_from(prefix, index + 1);
-    if (found.has_value()) return found;
-  }
-  return std::nullopt;
+  if (found_in == nullptr) return std::nullopt;
+  return extend_to_first_step(std::span(pos).first(found_at), *found_in,
+                              pos[found_at] + 1);
 }
 
 Itinerary::PrefixKind Itinerary::prefix_kind(const Position& prefix) const {

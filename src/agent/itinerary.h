@@ -262,9 +262,13 @@ class Itinerary {
   /// indices (entry, option); `len` must not stop between them.
   [[nodiscard]] const Itinerary* itinerary_at_prefix(const Position& pos,
                                                      std::size_t len) const;
-  [[nodiscard]] std::optional<Position> first_step_from(Position base,
-                                                        std::size_t index)
-      const;
+  /// Length of the DFS path to the first step at or after entry `index`
+  /// (0: none), appended to `out` when given.
+  std::size_t first_step_path(std::size_t index, Position* out) const;
+  /// `prefix` plus that path in `in`, in one allocation.
+  [[nodiscard]] static std::optional<Position> extend_to_first_step(
+      std::span<const std::uint32_t> prefix, const Itinerary& in,
+      std::size_t index);
   /// Visit the locations of every step in entries [from, size()).
   void visit_locations(const std::function<void(NodeId)>& visit,
                        std::size_t from = 0) const;

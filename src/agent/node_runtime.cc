@@ -22,7 +22,8 @@ NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
       storage_(storage::SegmentLogConfig{platform.config().segment_bytes}),
       qm_(storage_), rm_(storage_),
       txm_(id, platform.sim(), platform.net(), storage_, &platform.spans()),
-      ship_(platform, id, txm_, qm_, storage_) {
+      ship_(platform, id, txm_, qm_, storage_),
+      sched_(platform.config(), storage_, qm_, platform.rng()) {
   txm_.register_participant(qm_);
   txm_.register_participant(rm_);
   txm_.set_apply_listener([this] { pump(); });
@@ -47,14 +48,8 @@ NodeRuntime::NodeRuntime(Platform& platform, NodeId id)
   // execution of its staged record; a staging that aborts drops it.
   ship_.set_handoff_listener(
       [this](const QueueRecord& rec, std::unique_ptr<Agent> agent) {
-        resident_[rec.agent] = Resident{rec.record_id, std::move(agent)};
+        sched_.keep_resident(rec.record_id, std::move(agent));
       });
-  qm_.set_abort_listener([this](const QueueRecord& rec) {
-    const auto it = resident_.find(rec.agent);
-    if (it != resident_.end() && it->second.record_id == rec.record_id) {
-      resident_.erase(it);
-    }
-  });
 
   // Metrics registry (DESIGN.md §12): every stats counter of this node's
   // subsystems under a dotted name, so one snapshot reports the node
@@ -114,28 +109,15 @@ void NodeRuntime::span_hop_begin(QueueRecord& rec) {
   auto& spans = p_.spans();
   if (!spans.enabled()) return;
   const auto now = p_.sim().now();
-  if (!hop_traces_.empty()) {
-    if (const auto it = hop_traces_.find(rec.record_id);
-        it != hop_traces_.end()) {
-      // Re-claim after an abort: resume the stashed hop span and close
-      // the lock-wait (backoff + re-admission) window the abort opened.
-      rec.hop_span_id = it->second.span_id;
-      rec.hop_begin_us = it->second.begin_us;
-      if (it->second.lock_wait_since != 0) {
-        Span lw;
-        lw.trace_id = rec.trace_id;
-        lw.span_id = spans.next_id();
-        lw.parent = rec.hop_span_id;
-        lw.kind = SpanKind::lock_wait;
-        lw.node = id_.value();
-        lw.agent = rec.agent.value();
-        lw.begin_us = it->second.lock_wait_since;
-        lw.end_us = now;
-        spans.record(std::move(lw));
-      }
-      hop_traces_.erase(it);
-      return;
+  if (const auto stash = sched_.take_hop(rec.record_id); stash.span_id != 0) {
+    // Re-claim after an abort: resume the stashed hop span and close
+    // the lock-wait (backoff + re-admission) window the abort opened.
+    rec.hop_span_id = stash.span_id;
+    rec.hop_begin_us = stash.begin_us;
+    if (stash.lock_wait_since != 0) {
+      span_phase(rec, SpanKind::lock_wait, stash.lock_wait_since);
     }
+    return;
   }
   // First claim: open the root hop span (its id is needed NOW so the
   // phase children and the successor record can parent to it; the span
@@ -146,16 +128,7 @@ void NodeRuntime::span_hop_begin(QueueRecord& rec) {
   rec.hop_begin_us = rec.enqueued_us != 0 && rec.enqueued_us <= now
                          ? rec.enqueued_us
                          : now;
-  Span qw;
-  qw.trace_id = rec.trace_id;
-  qw.span_id = spans.next_id();
-  qw.parent = rec.hop_span_id;
-  qw.kind = SpanKind::queue_wait;
-  qw.node = id_.value();
-  qw.agent = rec.agent.value();
-  qw.begin_us = rec.hop_begin_us;
-  qw.end_us = now;
-  spans.record(std::move(qw));
+  span_phase(rec, SpanKind::queue_wait, rec.hop_begin_us);
   hist_queue_wait_us_->record(now - rec.hop_begin_us);
 }
 
@@ -180,20 +153,24 @@ void NodeRuntime::span_hop_end(const QueueRecord& rec) {
 
 void NodeRuntime::span_commit_flush(const QueueRecord& rec,
                                     std::uint64_t begin_us) {
-  auto& spans = p_.spans();
-  if (!spans.enabled()) return;
-  const auto now = p_.sim().now();
-  Span cf;
-  cf.trace_id = rec.trace_id;
-  cf.span_id = spans.next_id();
-  cf.parent = rec.hop_span_id;
-  cf.kind = SpanKind::commit_flush;
-  cf.node = id_.value();
-  cf.agent = rec.agent.value();
-  cf.begin_us = begin_us;
-  cf.end_us = now;
-  spans.record(std::move(cf));
-  hist_commit_flush_us_->record(now - begin_us);
+  if (!p_.spans().enabled()) return;
+  span_phase(rec, SpanKind::commit_flush, begin_us);
+  hist_commit_flush_us_->record(p_.sim().now() - begin_us);
+}
+
+void NodeRuntime::span_phase(const QueueRecord& rec, SpanKind kind,
+                             std::uint64_t begin_us) {
+  if (!p_.spans().enabled()) return;
+  Span phase;
+  phase.trace_id = rec.trace_id;
+  phase.span_id = p_.spans().next_id();
+  phase.parent = rec.hop_span_id;
+  phase.kind = kind;
+  phase.node = id_.value();
+  phase.agent = rec.agent.value();
+  phase.begin_us = begin_us;
+  phase.end_us = p_.sim().now();
+  p_.spans().record(std::move(phase));
 }
 
 void NodeRuntime::propagate_trace(const QueueRecord& from,
@@ -226,14 +203,10 @@ std::shared_ptr<Agent> NodeRuntime::load_committed_agent(
 
 std::shared_ptr<Agent> NodeRuntime::load_agent_for_step(
     const storage::QueueRecord& rec) {
-  const auto it = resident_.find(rec.agent);
-  if (it == resident_.end() || it->second.record_id != rec.record_id) {
-    return load_committed_agent(rec);
-  }
   // Taken, not copied: the step mutates it, so an abort or a retry must
   // re-read the durable state.
-  auto agent = std::move(it->second.agent);
-  resident_.erase(it);
+  auto agent = sched_.take_resident(rec.record_id);
+  if (agent == nullptr) return load_committed_agent(rec);
   ++resident_hits_;
   MAR_DCHECK_MSG(rec.payload.empty() || encode_agent(*agent) == rec.payload,
                  "handed-off agent differs from the staged payload");
@@ -305,32 +278,29 @@ void NodeRuntime::enqueue_initial(QueueRecord record) {
 
 void NodeRuntime::pump() {
   if (!up_) return;
-  const auto slot_cap =
-      std::max<std::uint32_t>(1, p_.config().node_concurrency);
-  while (slots_.size() < slot_cap) {
-    const QueueRecord* next = qm_.next_eligible(busy_agents_);
-    if (next == nullptr) return;
-    const auto record_id = next->record_id;
-    MAR_CHECK(qm_.claim(record_id));
-    slots_.insert(record_id);
-    busy_agents_.insert(next->agent);
-    after(0, [this, record_id] { process_record(record_id); });
+  while (const QueueRecord* next = sched_.claim()) {
+    after(0, [this, record_id = next->record_id] {
+      process_record(record_id);
+    });
   }
 }
 
-void NodeRuntime::release_slot(const QueueRecord& rec) {
-  qm_.release(rec.record_id);
-  slots_.erase(rec.record_id);
-  busy_agents_.erase(rec.agent);
+void NodeRuntime::commit_exit(const QueueRecord& rec) {
+  span_hop_end(rec);
+  sched_.commit_exit(rec.record_id);
+  pump();
 }
 
-std::uint32_t NodeRuntime::attempt_count(std::uint64_t record_id) const {
-  auto it = attempts_.find(record_id);
-  return it == attempts_.end() ? 0 : it->second;
+bool NodeRuntime::abort_exit(const QueueRecord& rec,
+                             Scheduler::Attempt attempt) {
+  const auto backoff = sched_.abort_exit(rec, attempt, p_.sim().now());
+  if (!backoff.has_value()) return false;
+  after(*backoff, [this] { pump(); });
+  return true;
 }
 
 void NodeRuntime::process_record(std::uint64_t record_id) {
-  if (!up_ || !slots_.contains(record_id)) return;
+  if (!up_ || !sched_.holds(record_id)) return;
   const QueueRecord* found = storage_.find_record(record_id);
   MAR_CHECK_MSG(found != nullptr, "claimed record vanished from the queue");
   QueueRecord rec = *found;  // stable copy; the queue owns the original
@@ -375,38 +345,16 @@ void NodeRuntime::execute_launch(const QueueRecord& rec) {
            current_step(*agent).locations, agent, MigrateCause::launch);
 }
 
-void NodeRuntime::retry_later(const QueueRecord& rec) {
-  const auto backoff =
-      p_.config().retry_backoff_us +
-      p_.rng().next_below(p_.config().retry_backoff_us + 1);
-  // The abort -> re-claim window is the hop's lock-wait phase. The open
-  // hop span rode this attempt's record copy; stash it so the re-claim
-  // (a fresh copy of the queued original) can resume the same span and
-  // close the lock-wait window.
-  if (rec.hop_span_id != 0 && p_.spans().enabled()) {
-    auto& ht = hop_traces_[rec.record_id];
-    if (ht.span_id == 0) {
-      ht.span_id = rec.hop_span_id;
-      ht.begin_us = rec.hop_begin_us;
-      ht.lock_wait_since = p_.sim().now();
-    }
-  }
-  after(backoff, [this] { pump(); });
-}
-
 void NodeRuntime::on_node_state(bool up) {
-  // The epoch bump cancels every pending continuation; the slot and claim
-  // wipes invalidate all in-flight executions at once. Their records are
-  // still queued (removal only commits), so recovery re-offers them.
+  // The epoch bump cancels every pending continuation; the scheduler's
+  // wipe invalidates all in-flight executions at once. Their records are
+  // still queued (removal only commits), so recovery re-offers them, each
+  // opening a fresh hop span and decoding from the durable state.
   ++epoch_;
   up_ = up;
   record_event(up ? EventKind::recover : EventKind::crash, AgentId());
   if (!up) flight_dump("crash");  // post-mortem before volatile state goes
-  slots_.clear();
-  busy_agents_.clear();
-  resident_.clear();  // volatile cache; recovery decodes from the record area
-  hop_traces_.clear();  // re-offered records open fresh hop spans
-  storage_.clear_claims();
+  sched_.crash();
   for (const auto& [tx, waiter] : waiters_) p_.sim().cancel(waiter.timeout);
   waiters_.clear();
   ship_.on_node_state(up);
@@ -488,7 +436,7 @@ void NodeRuntime::hand_off(TxId tx, const QueueRecord& rec, QueueRecord next,
                            MigrateCause cause) {
   // Rotate through the candidates on repeated failures (fault-tolerant
   // execution, ref [11]; Sec. 4.3's alternative compensation nodes).
-  const NodeId dest = dests[attempt_count(rec.record_id) % dests.size()];
+  const NodeId dest = dests[sched_.attempts(rec.record_id) % dests.size()];
   propagate_trace(rec, next);
   if (dest != id_) {
     if (next.kind == RecordKind::compensate) ++p_.rollback_transfers();
@@ -498,20 +446,16 @@ void NodeRuntime::hand_off(TxId tx, const QueueRecord& rec, QueueRecord next,
   stage_and_commit(
       tx, dest, std::move(next), std::move(agent), [this, rec](bool committed) {
         const bool comp = rec.kind == RecordKind::compensate;
-        release_slot(rec);
         if (committed) {
           if (comp) record_event(EventKind::comp_commit, rec.agent);
-          span_hop_end(rec);
-          attempts_.erase(rec.record_id);
-          pump();
-        } else {
-          if (comp) {
-            record_event(EventKind::comp_abort, rec.agent, 0, 0,
-                         as_code(Errc::tx_aborted));
-          }
-          ++attempts_[rec.record_id];
-          retry_later(rec);
+          commit_exit(rec);
+          return;
         }
+        if (comp) {
+          record_event(EventKind::comp_abort, rec.agent, 0, 0,
+                       as_code(Errc::tx_aborted));
+        }
+        abort_exit(rec, Scheduler::Attempt::counted);
       });
 }
 
@@ -544,16 +488,14 @@ void NodeRuntime::terminate(TxId tx, const QueueRecord& rec,
        final_bytes = std::move(final_bytes)](bool delivered) mutable {
         if (!delivered) {
           txm_.abort_tx(tx);
-          release_slot(rec);
-          retry_later(rec);
+          abort_exit(rec, Scheduler::Attempt::uncounted);
           return;
         }
         txm_.commit_async(tx, [this, rec, state, status, commit_begin,
                                final_bytes = std::move(final_bytes)](
                                   bool committed) mutable {
           if (!committed) {
-            release_slot(rec);
-            retry_later(rec);
+            abort_exit(rec, Scheduler::Attempt::uncounted);
             return;
           }
           if (state == AgentOutcome::State::done) {
@@ -569,10 +511,7 @@ void NodeRuntime::terminate(TxId tx, const QueueRecord& rec,
           p_.record_outcome(rec.agent, std::move(out));
           ship_.forget_agent(rec.agent);
           span_commit_flush(rec, commit_begin);
-          span_hop_end(rec);
-          attempts_.erase(rec.record_id);
-          release_slot(rec);
-          pump();
+          commit_exit(rec);
         });
       });
 }
@@ -704,9 +643,7 @@ void NodeRuntime::execute_step(const QueueRecord& rec) {
     txm_.abort_tx(tx);
     record_event(EventKind::step_abort, rec.agent, rec.record_id, 0,
                  as_code(ctx.fatal_status().code()));
-    ++attempts_[rec.record_id];
-    release_slot(rec);
-    retry_later(rec);
+    abort_exit(rec, Scheduler::Attempt::counted);
     return;
   }
 
@@ -801,20 +738,9 @@ void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
   const auto exec_begin = p_.sim().now();
   after(service, [this, tx, rec, agent = std::move(agent), spawned,
                   exec_begin] {
-    if (p_.spans().enabled()) {
-      // The step body plus its modeled service time — the hop's
-      // step-exec phase (the commit phase starts right here).
-      Span se;
-      se.trace_id = rec.trace_id;
-      se.span_id = p_.spans().next_id();
-      se.parent = rec.hop_span_id;
-      se.kind = SpanKind::step_exec;
-      se.node = id_.value();
-      se.agent = rec.agent.value();
-      se.begin_us = exec_begin;
-      se.end_us = p_.sim().now();
-      p_.spans().record(std::move(se));
-    }
+    // The step body plus its modeled service time — the hop's step-exec
+    // phase (the commit phase starts right here).
+    span_phase(rec, SpanKind::step_exec, exec_begin);
     if (agent->run_state() == Agent::RunState::done) {
       terminate(tx, rec, *agent, AgentOutcome::State::done, Status::ok());
       return;
@@ -823,7 +749,7 @@ void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
     // repeated failures (fault-tolerant execution, ref [11]).
     const NodeList& next_nodes = current_step(*agent).locations;
     const NodeId dest =
-        next_nodes[attempt_count(rec.record_id) % next_nodes.size()];
+        next_nodes[sched_.attempts(rec.record_id) % next_nodes.size()];
     // The hot path: when the agent stays on this node, commit only the
     // step's delta into its append-only stable record — O(changed state)
     // instead of O(total state). Spawning steps write a full image (the
@@ -850,41 +776,34 @@ void NodeRuntime::complete_step(TxId tx, const QueueRecord& rec,
     stage_and_commit(tx, dest, std::move(next_rec), agent,
                      [this, rec, spawned, agent, incremental, next_record,
                       exec_begin, commit_begin](bool committed) {
-                       if (committed) {
-                         record_event(EventKind::step_commit, rec.agent,
-                                      rec.record_id);
-                         // Commit wait: group-commit flush for local
-                         // handoffs, flush + convoy round trip for
-                         // migrations (its convoy-wait / wire children
-                         // land from the shipment manager).
-                         span_commit_flush(rec, commit_begin);
-                         if (p_.spans().enabled()) {
-                           hist_step_us_->record(p_.sim().now() - exec_begin);
-                         }
-                         span_hop_end(rec);
-                         attempts_.erase(rec.record_id);
-                         if (incremental) {
-                           // Keep the committed state resident: the next
-                           // local step skips the full decode entirely.
-                           resident_[rec.agent] = Resident{next_record, agent};
-                         }
-                       } else {
+                       if (!committed) {
                          record_event(EventKind::step_abort, rec.agent,
                                       rec.record_id, 0,
                                       as_code(Errc::tx_aborted));
-                         ++attempts_[rec.record_id];
                          // The spawns died with the transaction; the step
                          // will re-execute and re-spawn under fresh ids.
                          for (const auto child : spawned) {
                            p_.forget_agent(child);
                          }
+                         abort_exit(rec, Scheduler::Attempt::counted);
+                         return;
                        }
-                       release_slot(rec);
-                       if (committed) {
-                         pump();
-                       } else {
-                         retry_later(rec);
+                       record_event(EventKind::step_commit, rec.agent,
+                                    rec.record_id);
+                       // Commit wait: group-commit flush for local
+                       // handoffs, flush + convoy round trip for
+                       // migrations (its convoy-wait / wire children land
+                       // from the shipment manager).
+                       span_commit_flush(rec, commit_begin);
+                       if (p_.spans().enabled()) {
+                         hist_step_us_->record(p_.sim().now() - exec_begin);
                        }
+                       if (incremental) {
+                         // Keep the committed state resident: the next
+                         // local step skips the full decode entirely.
+                         sched_.keep_resident(next_record, agent);
+                       }
+                       commit_exit(rec);
                      });
   });
 }

@@ -1,11 +1,10 @@
 // Per-node runtime: queue processing, step execution, rollback algorithms.
 //
 // Each node owns its stable storage (with the agent input queue), a
-// transactional queue manager and resource manager, and a transaction
-// manager. The runtime multiprograms the queue through a configurable
-// number of execution slots (PlatformConfig::node_concurrency); each slot
-// claims one record by id — per-agent exclusion, FIFO otherwise — and
-// processes it:
+// transactional queue manager and resource manager, a transaction manager
+// and a scheduler (scheduler.h), which hands queued records to up to
+// PlatformConfig::node_concurrency execution slots. Each slot processes
+// its record:
 //
 //   execute records   -> the exactly-once step protocol: run the step in a
 //                        step transaction, append BOS/OE/EOS (+SP) entries
@@ -17,9 +16,10 @@
 //                        reached and the strongly reversible objects are
 //                        restored.
 //
-// node_runtime.cc holds the queue, the step protocol and the transfer /
+// node_runtime.cc holds slot dispatch, the step protocol and the transfer /
 // commit plumbing; rollback_driver.cc holds the rollback driver: one start,
-// one advance toward the savepoint, one compensation executor.
+// one advance toward the savepoint, one compensation executor. A record
+// leaves its slot through one commit exit or one abort exit.
 //
 // Concurrent slots are isolated by their transactions: resource locks are
 // strict and exclusive, so two slots touching the same resource surface a
@@ -27,18 +27,18 @@
 // conflict, crash, vote-no, timeout — leaves the record in the queue; the
 // runtime retries after a backoff, possibly routing to an alternative
 // node, which is exactly the restartability the paper's correctness
-// argument relies on. A crash bumps the node's epoch, invalidating every
-// in-flight slot at once; recovery re-offers all queued records.
+// argument relies on. A crash bumps the node's epoch and empties the
+// scheduler's slots; recovery re-offers all queued records.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "agent/agent.h"
 #include "agent/platform.h"
+#include "agent/scheduler.h"
 #include "agent/step_context.h"
 #include "resource/resource_manager.h"
 #include "serial/decoder.h"
@@ -82,21 +82,18 @@ class NodeRuntime {
   [[nodiscard]] MetricsSnapshot metrics_snapshot() const {
     return metrics_.snapshot();
   }
-  /// Resident agents currently held (see resident_). Zero once every
-  /// agent has terminated: none outlives its record or its staging.
-  [[nodiscard]] std::size_t resident_agents() const {
-    return resident_.size();
-  }
+  /// Slots and per-record volatile state (tests read it).
+  [[nodiscard]] const Scheduler& scheduler() const { return sched_; }
 
  private:
   // --- queue processing ------------------------------------------------------
   void process_record(std::uint64_t record_id);
-  /// Return a slot: drop the record's claim and its agent's exclusion
-  /// mark. Called on every path that stops working on a record, whether
-  /// it committed (the record is gone) or aborted (it stays queued).
-  void release_slot(const storage::QueueRecord& rec);
-  /// Processing attempts so far, without creating an entry.
-  [[nodiscard]] std::uint32_t attempt_count(std::uint64_t record_id) const;
+  /// The one commit exit: close the hop span, free the slot, pump.
+  void commit_exit(const storage::QueueRecord& rec);
+  /// The one abort exit: retry after the scheduler's backoff. False when
+  /// a bounded attempt gave up: the slot is still the caller's.
+  bool abort_exit(const storage::QueueRecord& rec,
+                  Scheduler::Attempt attempt);
   void execute_step(const storage::QueueRecord& rec);
   /// Route a freshly spawned child to its first step's node (multi-agent
   /// executions: the spawn itself committed with the parent's step; this
@@ -215,7 +212,6 @@ class NodeRuntime {
   void hand_off(TxId tx, const storage::QueueRecord& rec,
                 storage::QueueRecord next, std::span<const NodeId> dests,
                 std::shared_ptr<const Agent> agent, MigrateCause cause);
-  void retry_later(const storage::QueueRecord& rec);
   /// Terminate the agent as failed in a cleanup transaction that consumes
   /// `rec`. The caller has aborted the transaction it was working in.
   void fail_agent(const storage::QueueRecord& rec, Status status);
@@ -254,8 +250,8 @@ class NodeRuntime {
   /// area's base image plus appended deltas.
   [[nodiscard]] std::shared_ptr<Agent> load_committed_agent(
       const storage::QueueRecord& rec) const;
-  /// Like load_committed_agent, but takes the record's resident entry
-  /// when there is one (see resident_; skips the decode).
+  /// Like load_committed_agent, but takes the record's resident agent
+  /// when the scheduler holds one (skips the decode).
   [[nodiscard]] std::shared_ptr<Agent> load_agent_for_step(
       const storage::QueueRecord& rec);
   /// The serialized size of the record's agent (adaptive-strategy pricing):
@@ -274,21 +270,10 @@ class NodeRuntime {
       TxId tx, const Agent& agent, const storage::QueueRecord& prev);
 
   // --- observability plumbing (DESIGN.md §12) --------------------------------
-  /// Stash of an ABORTED attempt's open hop span: the happy path carries
-  /// the span in the claimed record copy itself (QueueRecord::hop_span_id
-  /// / hop_begin_us — zero lookups per hop); only an abort parks it here
-  /// so the re-claim resumes the same span and closes the lock-wait
-  /// window. Volatile like the claims — cleared on crash, so a re-offered
-  /// record opens a fresh hop span whose begin is still its enqueue time.
-  struct HopTrace {
-    std::uint64_t span_id = 0;
-    std::uint64_t begin_us = 0;
-    std::uint64_t lock_wait_since = 0;  ///< abort time (pending window)
-  };
   /// Open (or resume) the hop span for a claimed record: first claim
   /// opens the root span in `rec` and emits the queue-wait child, a
-  /// re-claim after an abort emits the lock-wait child. No-op when span
-  /// tracing is off.
+  /// re-claim after an abort resumes the span the scheduler stashed and
+  /// emits the lock-wait child. No-op when span tracing is off.
   void span_hop_begin(storage::QueueRecord& rec);
   /// Close the record's hop span (the record was consumed: its
   /// transaction committed or the agent terminated) and feed the hop /
@@ -298,6 +283,10 @@ class NodeRuntime {
   /// the commit-flush latency histogram. No-op when tracing is off.
   void span_commit_flush(const storage::QueueRecord& rec,
                          std::uint64_t begin_us);
+  /// Record a phase child of the record's hop span (begin_us .. now).
+  /// No-op when tracing is off.
+  void span_phase(const storage::QueueRecord& rec, SpanKind kind,
+                  std::uint64_t begin_us);
   /// Stamp the successor record with the current hop's causal context.
   void propagate_trace(const storage::QueueRecord& from,
                        storage::QueueRecord& to) const;
@@ -334,21 +323,10 @@ class NodeRuntime {
   /// Owns all inter-node agent transfer: per-destination convoys, the
   /// base+delta channel caches, need_full fallback (src/ship/).
   ship::ShipmentManager ship_;
+  Scheduler sched_;
 
   bool up_ = true;
   std::uint64_t epoch_ = 0;
-  /// In-flight execution slots (claimed record ids). Capped at
-  /// PlatformConfig::node_concurrency; cleared wholesale on crash.
-  std::unordered_set<std::uint64_t> slots_;
-  /// Agents with an in-flight record (per-agent exclusion: at most one
-  /// slot works on a given agent at any time).
-  std::unordered_set<AgentId> busy_agents_;
-  /// Per-record processing attempts (drives backoff + alternative nodes).
-  /// Entries are erased when the record commits or the agent terminates.
-  std::unordered_map<std::uint64_t, std::uint32_t> attempts_;
-  /// Aborted-attempt hop-span stash (see HopTrace); empty on the happy
-  /// path. Volatile, cleared on crash.
-  std::unordered_map<std::uint64_t, HopTrace> hop_traces_;
   /// Metrics registry (counters registered in the ctor) and the node's
   /// latency histograms, owned by the registry; raw pointers cached so
   /// the hot path skips the name lookup.
@@ -357,22 +335,9 @@ class NodeRuntime {
   Histogram* hist_step_us_ = nullptr;
   Histogram* hist_queue_wait_us_ = nullptr;
   Histogram* hist_commit_flush_us_ = nullptr;
-  /// Resident cache: a committed in-memory agent state, tagged with the
-  /// one queued record it belongs to, that the record's step can run
-  /// without a decode. Two producers: an incremental commit keeps the
-  /// agent for its local successor record (the durable image lives in the
-  /// record area), and a delta migration hands over the receiver's
-  /// reconstructed agent for the staged record (ShipmentManager handoff).
-  /// Each entry is used at most once: the step takes it (a cancel drops
-  /// it), so an abort, a retry or a crash re-reads the durable state,
-  /// which stays the authority. Volatile: cleared on crash, dropped when
-  /// its staging aborts.
-  struct Resident {
-    std::uint64_t record_id = 0;
-    std::shared_ptr<Agent> agent;
-  };
-  std::unordered_map<AgentId, Resident> resident_;
-  /// Steps that ran from a resident entry instead of a decode.
+  /// Steps that ran from a resident agent instead of a decode: one an
+  /// incremental commit kept for its local successor, or a delta
+  /// migration's reconstructed agent (ShipmentManager handoff).
   RelaxedCounter resident_hits_;
   /// A remote call waiting for its reply (see call_remote). A reply of
   /// another tag is dropped; the reply and a crash cancel the timeout.

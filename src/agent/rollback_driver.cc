@@ -71,7 +71,7 @@ void NodeRuntime::begin_rollback(const QueueRecord& rec,
   qm_.stage_remove(tx, rec.record_id);
   // A cancel consumes the record without running its step: drop the
   // record's resident agent, if the step did not take it.
-  resident_.erase(rec.agent);
+  sched_.take_resident(rec.record_id);
   advance_rollback(tx, rec, std::move(agent), target, completion);
 }
 
@@ -359,19 +359,14 @@ void NodeRuntime::execute_compensation(const QueueRecord& rec) {
     }
     record_event(EventKind::comp_abort, rec.agent, 0, 0,
                  as_code(join->status.code()));
-    const auto attempts = ++attempts_[rec.record_id];
-    const auto max = p_.config().max_compensation_attempts;
     txm_.abort_tx(tx);
-    if (max > 0 && attempts >= max) {
+    if (!abort_exit(rec, Scheduler::Attempt::bounded)) {
       // Sec. 3.2: some compensations cannot succeed (e.g. the withdrawn
       // deposit); surface the permanently failed rollback to the owner.
       fail_agent(rec, Status(Errc::compensation_failed,
                              "compensation permanently failed: " +
                                  join->status.to_string()));
-      return;
     }
-    release_slot(rec);
-    retry_later(rec);
   };
 
   if (!shipped.empty()) {

@@ -104,13 +104,14 @@ RecoveryReport StableStorage::recover_records() {
   return report;
 }
 
-void StableStorage::enqueue(QueueRecord record, bool transfer) {
+bool StableStorage::enqueue(QueueRecord record, bool transfer) {
   if (transfer && !seen_records_.insert(record.record_id).second) {
-    return;  // duplicate
+    return false;  // duplicate
   }
   stats_.bytes_written += record.byte_size();
   ++stats_.queue_ops;
   queue_.push_back(std::move(record));
+  return true;
 }
 
 bool StableStorage::remove(std::uint64_t record_id) {
@@ -120,18 +121,7 @@ bool StableStorage::remove(std::uint64_t record_id) {
   if (it == queue_.end()) return false;
   ++stats_.queue_ops;
   queue_.erase(it);
-  claimed_.erase(record_id);
   return true;
-}
-
-bool StableStorage::contains_record(std::uint64_t record_id) const {
-  return std::any_of(
-      queue_.begin(), queue_.end(),
-      [record_id](const QueueRecord& r) { return r.record_id == record_id; });
-}
-
-const QueueRecord* StableStorage::front() const {
-  return queue_.empty() ? nullptr : &queue_.front();
 }
 
 const QueueRecord* StableStorage::find_record(std::uint64_t record_id) const {
@@ -140,20 +130,5 @@ const QueueRecord* StableStorage::find_record(std::uint64_t record_id) const {
       [record_id](const QueueRecord& r) { return r.record_id == record_id; });
   return it == queue_.end() ? nullptr : &*it;
 }
-
-bool StableStorage::claim(std::uint64_t record_id) {
-  if (!contains_record(record_id)) return false;
-  return claimed_.insert(record_id).second;
-}
-
-void StableStorage::release_claim(std::uint64_t record_id) {
-  claimed_.erase(record_id);
-}
-
-bool StableStorage::claimed(std::uint64_t record_id) const {
-  return claimed_.contains(record_id);
-}
-
-void StableStorage::clear_claims() { claimed_.clear(); }
 
 }  // namespace mar::storage

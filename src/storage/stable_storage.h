@@ -7,9 +7,9 @@
 // crashes (the simulation only resets volatile runtime state), and it
 // meters bytes written so experiments can report logging/savepoint cost.
 //
-// Three facilities:
-//   * a durable key/value area (used for resource state, prepared-
-//     transaction records and commit decisions),
+// Three durable facilities:
+//   * a key/value area (used for resource state, prepared-transaction
+//     records and commit decisions),
 //   * an append-only record area: per-key segment lists holding a base
 //     image plus appended deltas (incremental agent commits — the write
 //     path pays O(delta) per step instead of O(total state)). Its durable
@@ -17,6 +17,7 @@
 //     checkpoints (segment_log.h); writes are metered at framed cost and
 //     crash recovery replays the log, and
 //   * the agent input queue of the node, holding self-contained records.
+// A queued record's volatile runtime state lives in agent::Scheduler.
 #pragma once
 
 #include <cstdint>
@@ -74,9 +75,8 @@ struct QueueRecord {
   std::uint64_t enqueued_us = 0;
   /// Volatile (NOT serialized): the open hop span of the current claim,
   /// allocated at first claim, plus the hop's begin time. They ride the
-  /// processing path's by-value record copies, so the happy path needs
-  /// no lookup table; an aborted attempt stashes them in the runtime
-  /// (NodeRuntime::hop_traces_) to survive until the re-claim.
+  /// processing path's by-value record copies; an aborted attempt stashes
+  /// them in its scheduler entry (agent::Scheduler) until the re-claim.
   std::uint64_t hop_span_id = 0;
   std::uint64_t hop_begin_us = 0;
   serial::Bytes payload;  ///< serialized agent state + rollback log
@@ -210,32 +210,15 @@ class StableStorage {
   // --- agent input queue ---------------------------------------------------
   /// Append a record. A `transfer` (a record another node's transaction
   /// staged here, which can be delivered again) is deduplicated by id:
-  /// a duplicate is ignored (exactly-once). Any other enqueue is applied
-  /// once by construction and leaves no dedup entry.
-  void enqueue(QueueRecord record, bool transfer = true);
+  /// a duplicate is ignored (exactly-once) and false returned. Any other
+  /// enqueue is applied once by construction and leaves no dedup entry.
+  bool enqueue(QueueRecord record, bool transfer = true);
   /// Remove the record with this id. Returns false if absent.
   bool remove(std::uint64_t record_id);
-  [[nodiscard]] bool contains_record(std::uint64_t record_id) const;
   [[nodiscard]] const std::deque<QueueRecord>& queue() const { return queue_; }
   [[nodiscard]] bool queue_empty() const { return queue_.empty(); }
-  /// Oldest record, if any.
-  [[nodiscard]] const QueueRecord* front() const;
-  /// Look up a queued record by id (claimed or not).
+  /// Look up a queued record by id; null when it is not queued.
   [[nodiscard]] const QueueRecord* find_record(std::uint64_t record_id) const;
-
-  // --- volatile claim marks (slotted scheduling) ---------------------------
-  // A node runtime claims a record while one of its execution slots works
-  // on it. Claims are runtime state, NOT durable: the record itself stays
-  // queued until its transaction commits, and a crash clears every claim so
-  // recovery re-offers all records — the restartability the protocols need.
-  /// Mark a record claimed. Returns false if absent or already claimed.
-  bool claim(std::uint64_t record_id);
-  /// Return a claimed record to the pool (abort / backoff path). Removing
-  /// a record also drops its claim, so terminal paths need no release.
-  void release_claim(std::uint64_t record_id);
-  [[nodiscard]] bool claimed(std::uint64_t record_id) const;
-  /// Crash: volatile claims evaporate with the node's runtime state.
-  void clear_claims();
 
   [[nodiscard]] const StorageStats& stats() const { return stats_; }
   /// Record ids held for transfer dedup.
@@ -247,8 +230,6 @@ class StableStorage {
   std::map<std::string, serial::Bytes> kv_;
   SegmentLog seg_log_;
   std::deque<QueueRecord> queue_;
-  /// Volatile: record ids currently claimed by an execution slot.
-  std::unordered_set<std::uint64_t> claimed_;
   /// Ids of every transfer ever enqueued; dedup must outlive removal so a
   /// duplicate commit of the same transfer cannot re-insert a consumed
   /// record.

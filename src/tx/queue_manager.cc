@@ -81,71 +81,6 @@ void QueueManager::stage_record_erase(TxId tx, std::string key) {
       RecordOp{RecordOp::Kind::erase, std::move(key), {}});
 }
 
-const storage::QueueRecord* QueueManager::next_eligible(
-    const std::unordered_set<AgentId>& busy_agents) {
-  // Fast path: with no aging state every score is 0 and the first
-  // eligible record wins — return it without materializing candidates.
-  if (releases_.empty() && bypasses_.empty()) {
-    for (const auto& r : stable_.queue()) {
-      if (stable_.claimed(r.record_id)) continue;
-      if (busy_agents.contains(r.agent)) continue;
-      MAR_DCHECK_MSG(r.agent.valid(),
-                     "queued record " << r.record_id << " has no agent");
-      return &r;
-    }
-    return nullptr;
-  }
-  std::vector<const storage::QueueRecord*> eligible;
-  for (const auto& r : stable_.queue()) {
-    if (stable_.claimed(r.record_id)) continue;
-    if (busy_agents.contains(r.agent)) continue;
-    eligible.push_back(&r);
-  }
-  if (eligible.empty()) return nullptr;
-  // Aged admission: score = releases − bypasses, minimum wins, queue
-  // (FIFO) order breaks ties. With no aborts every score is 0 and the
-  // first eligible record wins — exactly the classic FIFO offer. A
-  // repeatedly conflict-aborted record accumulates releases and yields to
-  // fresher records behind it; every such bypass ages the passed-over
-  // record back towards admission, bounding how often it can be passed.
-  auto score_of = [this](std::uint64_t id) {
-    const auto rit = releases_.find(id);
-    const auto bit = bypasses_.find(id);
-    return static_cast<std::int64_t>(rit == releases_.end() ? 0 : rit->second) -
-           static_cast<std::int64_t>(bit == bypasses_.end() ? 0 : bit->second);
-  };
-  const storage::QueueRecord* best = eligible.front();
-  std::int64_t best_score = score_of(best->record_id);
-  for (std::size_t i = 1; i < eligible.size(); ++i) {
-    const auto score = score_of(eligible[i]->record_id);
-    if (score < best_score) {
-      best = eligible[i];
-      best_score = score;
-    }
-  }
-  for (const auto* r : eligible) {
-    if (r == best) break;
-    ++bypasses_[r->record_id];
-  }
-  // An admitted record must still be offerable: queued and unclaimed —
-  // the claim marks and the queue can only have diverged through a
-  // bookkeeping bug, which would hand one record to two slots.
-  MAR_DCHECK(stable_.contains_record(best->record_id));
-  MAR_DCHECK(!stable_.claimed(best->record_id));
-  return best;
-}
-
-bool QueueManager::claim(std::uint64_t record_id) {
-  return stable_.claim(record_id);
-}
-
-void QueueManager::release(std::uint64_t record_id) {
-  // Terminal paths release after a committed transaction consumed the
-  // record; only an abort of a still-queued record counts for aging.
-  if (stable_.contains_record(record_id)) ++releases_[record_id];
-  stable_.release_claim(record_id);
-}
-
 bool QueueManager::has_tx(TxId tx) const { return staged_.contains(tx); }
 
 bool QueueManager::prepare(TxId tx) {
@@ -170,12 +105,15 @@ void QueueManager::commit(TxId tx) {
   if (it == staged_.end()) return;  // idempotent
   for (auto& r : it->second.enqueues) {
     if (now_fn_) r.enqueued_us = now_fn_();
-    stable_.enqueue(std::move(r), it->second.transfer);
+    const auto id = r.record_id;
+    if (!stable_.enqueue(std::move(r), it->second.transfer) && gone_ &&
+        stable_.find_record(id) == nullptr) {
+      gone_(id);
+    }
   }
   for (const auto id : it->second.removes) {
     stable_.remove(id);
-    releases_.erase(id);
-    bypasses_.erase(id);
+    if (gone_) gone_(id);
   }
   // Record-area ops apply in staging order (a reset establishing a base
   // may be followed by the first delta append in the same transaction).
@@ -199,17 +137,20 @@ void QueueManager::commit(TxId tx) {
 void QueueManager::abort(TxId tx) {
   const auto dropped = staged_.extract(tx);
   stable_.erase(prep_key(tx));
-  if (dropped.empty() || !abort_listener_) return;
-  for (const auto& rec : dropped.mapped().enqueues) abort_listener_(rec);
+  if (dropped.empty() || !gone_) return;
+  // Only a transfer can duplicate a record already queued here.
+  const Staged& s = dropped.mapped();
+  for (const auto& rec : s.enqueues) {
+    if (!s.transfer || stable_.find_record(rec.record_id) == nullptr) {
+      gone_(rec.record_id);
+    }
+  }
 }
 
 void QueueManager::on_crash() {
   // Volatile (unprepared) staging evaporates with the crash; prepared
-  // staging is reloaded from stable storage. Aging bookkeeping dies with
-  // the runtime, like the claims it scores.
+  // staging is reloaded from stable storage.
   staged_.clear();
-  releases_.clear();
-  bypasses_.clear();
   stable_.for_each_with_prefix(
       "prep.queue:", [this](const std::string& key, const serial::Bytes& bytes) {
         const TxId tx(std::stoull(key.substr(11)));

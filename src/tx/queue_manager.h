@@ -11,8 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "storage/stable_storage.h"
@@ -34,11 +32,12 @@ class QueueManager final : public Participant {
     now_fn_ = std::move(now_fn);
   }
 
-  /// Called by abort() for every staged enqueue the abort drops, so
+  /// The "record gone" listener: called with every record id a commit
+  /// removes from the queue and every staged enqueue that will not reach
+  /// it (aborted, or a duplicate of a record no longer queued), so
   /// volatile state kept for the record can go with it.
-  void set_abort_listener(
-      std::function<void(const storage::QueueRecord&)> fn) {
-    abort_listener_ = std::move(fn);
+  void set_gone_listener(std::function<void(std::uint64_t)> fn) {
+    gone_ = std::move(fn);
   }
 
   /// Stage "append this record to the local queue at commit", for a
@@ -62,28 +61,6 @@ class QueueManager final : public Participant {
   void stage_record_append(TxId tx, std::string key, serial::Bytes delta);
   /// Stage "drop the record" (migration away / terminal state).
   void stage_record_erase(TxId tx, std::string key);
-
-  // --- slotted scheduling (claims by record id) ---------------------------
-  // The node runtime no longer consumes the queue "front-first, one at a
-  // time": each execution slot claims a specific record by id, works on it
-  // inside its own transaction, and either commits (the staged remove
-  // consumes the record) or releases the claim so a later slot can retry.
-  // Claims are volatile — a crash clears them along with the slots.
-  /// The queued record the next free slot should work on: unclaimed, its
-  /// agent not in flight, chosen by an aged admission score. The score is
-  /// (claim releases − times passed over): strict FIFO while nothing
-  /// aborts, but a record whose claims keep being released after lock
-  /// conflicts no longer pins the queue head — records behind it are
-  /// admitted, and each bypass ages the passed-over record back towards
-  /// the front, so nothing starves. Null when none is eligible.
-  [[nodiscard]] const storage::QueueRecord* next_eligible(
-      const std::unordered_set<AgentId>& busy_agents);
-  /// Claim `record_id` for an execution slot. False if absent or taken.
-  bool claim(std::uint64_t record_id);
-  /// Return a claimed record to the pool (abort / backoff path). Counts
-  /// towards the record's admission score only while it is still queued
-  /// (terminal paths release after the record was consumed).
-  void release(std::uint64_t record_id);
 
   // Participant interface.
   [[nodiscard]] std::string name() const override { return "queue"; }
@@ -125,14 +102,8 @@ class QueueManager final : public Participant {
 
   storage::StableStorage& stable_;
   std::function<std::uint64_t()> now_fn_;
-  std::function<void(const storage::QueueRecord&)> abort_listener_;
+  std::function<void(std::uint64_t)> gone_;
   std::map<TxId, Staged> staged_;
-  /// Aged-admission bookkeeping (volatile, like the claims): per record,
-  /// how often its claim was released after an abort, and how often a
-  /// younger record was admitted ahead of it. GC'd when the record is
-  /// consumed; cleared on crash.
-  std::unordered_map<std::uint64_t, std::uint32_t> releases_;
-  std::unordered_map<std::uint64_t, std::uint32_t> bypasses_;
 };
 
 }  // namespace mar::tx

@@ -246,7 +246,9 @@ TEST(IncrementalCommitTest, MigrationAndRollbackAcrossIncrementalCommits) {
     // The rollback consumed the resident agents along with their records.
     w.sim.run();
     for (const int n : {1, 2}) {
-      EXPECT_EQ(w.platform.node(TestWorld::n(n)).resident_agents(), 0u);
+      EXPECT_EQ(
+          w.platform.node(TestWorld::n(n)).scheduler().resident_agents(),
+          0u);
     }
     return o.final_agent;
   };

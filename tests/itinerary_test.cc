@@ -114,6 +114,62 @@ TEST(ItineraryTest, DfsTraversalVisitsAllSteps) {
                                                "s10"}));
 }
 
+TEST(ItineraryTest, DfsSkipsEmptySubsAndSiblingOptions) {
+  // An empty sub and an alternatives entry whose first option is empty
+  // hold no first step; a step inside an option is followed by the
+  // alternatives entry's successor, never by a sibling option.
+  Itinerary option_a;
+  option_a.step("a1", n(1)).step("a2", n(2));
+  Itinerary option_b;
+  option_b.step("b1", n(1));
+  Itinerary empty_first;
+  Itinerary sub1;
+  sub1.sub(Itinerary{})
+      .alt({Itinerary{}, Itinerary{}})
+      .alt({std::move(option_a), std::move(option_b)})
+      .step("s1", n(1));
+  Itinerary sub2;
+  sub2.sub(std::move(empty_first)).step("s2", n(2));
+  Itinerary main;
+  main.sub(std::move(sub1)).sub(Itinerary{}).sub(std::move(sub2));
+  std::vector<std::string> methods;
+  for (auto pos = main.first_step(); pos.has_value();
+       pos = main.next_step(*pos)) {
+    methods.push_back(main.step_at(*pos).method);
+  }
+  EXPECT_EQ(methods, (std::vector<std::string>{"a1", "a2", "s1", "s2"}));
+  EXPECT_EQ(main.next_step({0, 2, 1, 0}), (Position{0, 3}));  // after b1
+}
+
+TEST(ItineraryTest, NextStepAllocatesOnlyTheReturnedPosition) {
+  // local_young's shape: eight subs of eight steps, the first led by a
+  // dispatch step. Each call allocates the position it returns and
+  // nothing else; the call past the last step allocates nothing.
+  Itinerary main;
+  for (int s = 0; s < 8; ++s) {
+    Itinerary sub;
+    if (s == 0) sub.step("noop", n(2));
+    for (int j = 0; j < 8; ++j) sub.step("spend", n(1));
+    main.sub(std::move(sub));
+  }
+  std::vector<Position> walk;
+  walk.reserve(65);
+  walk.push_back(*main.first_step());
+  for (;;) {
+    const auto before = allocations();
+    auto next = main.next_step(walk.back());
+    const auto allocated = allocations() - before;
+    if (!next.has_value()) {
+      EXPECT_EQ(allocated, 0u);
+      break;
+    }
+    EXPECT_EQ(allocated, 1u) << "after step " << walk.size();
+    walk.push_back(std::move(*next));
+  }
+  EXPECT_EQ(walk.size(), 65u);
+  EXPECT_EQ(walk.back(), (Position{7, 7}));
+}
+
 TEST(ItineraryTest, PositionsAddressNestedSteps) {
   const auto it = fig6();
   // SI3 is entry 2 of main; SI4 is entry 1 of SI3; s4 is entry 1 of SI4.

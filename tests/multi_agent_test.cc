@@ -284,7 +284,8 @@ TEST(MultiAgentTest, CancelRequestRollsBackARunningAgent) {
          w.committed(n, "dir").at("entries").as_map()) {
       EXPECT_TRUE(key.rfind("touch-", 0) != 0) << key;
     }
-    EXPECT_EQ(w.platform.node(TestWorld::n(n)).resident_agents(), 0u);
+    EXPECT_EQ(
+        w.platform.node(TestWorld::n(n)).scheduler().resident_agents(), 0u);
   }
 }
 

@@ -261,6 +261,7 @@ struct Retained {
   std::size_t tracked_keys = 0;   ///< keys with log liveness bookkeeping
   std::size_t ship_bases = 0;     ///< delta-shipping channel bases
   std::size_t dedup_entries = 0;  ///< transfer record ids held for dedup
+  std::size_t scheduler_entries = 0;  ///< records the schedulers know of
 };
 
 Retained retained(TestWorld& w, int nodes) {
@@ -273,6 +274,7 @@ Retained retained(TestWorld& w, int nodes) {
     r.tracked_keys += log.tracked_keys();
     r.ship_bases += node.shipments().cached_bases();
     r.dedup_entries += node.storage().dedup_entries();
+    r.scheduler_entries += node.scheduler().size();
   }
   return r;
 }
@@ -339,6 +341,8 @@ TEST(PlatformTest, RetainedStateTracksLiveAgentsNotServedOnes) {
   EXPECT_EQ(after_3n.tracked_keys, 0u);
   EXPECT_EQ(after_n.ship_bases, 0u);
   EXPECT_EQ(after_3n.ship_bases, 0u);
+  EXPECT_EQ(after_n.scheduler_entries, 0u);
+  EXPECT_EQ(after_3n.scheduler_entries, 0u);
 
   // Record dedup: agents that never cross a node boundary after launch
   // leave no entry behind. (Ids of inbound transfers are still kept for

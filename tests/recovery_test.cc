@@ -582,17 +582,20 @@ bool holds_prepare_state(const storage::StableStorage& s) {
 }
 
 /// A crashed node keeps no transaction state of its own coordination: no
-/// resource staging or lock, no claim, no resident handoff, nothing in
-/// the tx manager's queues and no prepare record to resolve.
+/// resource staging or lock, no scheduler entry but the attempt count of
+/// a record still queued (so none once the node is quiet), nothing in the
+/// tx manager's queues and no prepare record to resolve.
 void expect_no_volatile_tx_state(agent::NodeRuntime& rt) {
   for (std::uint64_t k = 1; k <= 256; ++k) {
     EXPECT_FALSE(rt.resources().has_tx(tx::make_tx_id(rt.id(), k)));
   }
   EXPECT_FALSE(rt.resources().locked("bank"));
+  std::size_t counted = 0;
   for (const auto& r : rt.storage().queue()) {
-    EXPECT_FALSE(rt.storage().claimed(r.record_id));
+    counted += rt.scheduler().attempts(r.record_id) > 0 ? 1 : 0;
   }
-  EXPECT_EQ(rt.resident_agents(), 0u);
+  EXPECT_EQ(rt.scheduler().size(), counted);
+  EXPECT_EQ(rt.scheduler().resident_agents(), 0u);
   EXPECT_TRUE(rt.txm().idle());
   EXPECT_FALSE(holds_prepare_state(rt.storage()));
 }
@@ -655,6 +658,8 @@ TEST(RecoveryPlatformTest, CrashBeforeLocalGroupFlushReRunsTheStepOnce) {
   EXPECT_EQ(step_begins(w, 1), 4u);  // three steps, the first one twice
   EXPECT_EQ(balance_of(w, 1), 150);
   EXPECT_TRUE(rt.txm().idle());
+  w.sim.run();
+  expect_no_volatile_tx_state(rt);
 }
 
 TEST(RecoveryPlatformTest, CoordinatorCrashBeforeDecisionFlushAbortsByInquiry) {
@@ -710,6 +715,59 @@ TEST(RecoveryPlatformTest, CoordinatorCrashBeforeDecisionFlushAbortsByInquiry) {
   EXPECT_EQ(balance_of(w, 2), 50);
   EXPECT_TRUE(coord.txm().idle());
   EXPECT_TRUE(part.txm().idle());
+  w.sim.run();
+  expect_no_volatile_tx_state(coord);
+  expect_no_volatile_tx_state(part);
+}
+
+TEST(RecoveryPlatformTest, CoordinatorCrashAfterRemoteDecisionKeepsNoAttempt) {
+  // Two agents deposit into one account on N1 from two slots, so one step
+  // aborts on the lock and its record counts an attempt. The retry
+  // migrates the agent to N2: N1 decides the commit, applies it locally
+  // (the record leaves N1's queue) and crashes before N2's ack drains.
+  // The commit callback dies with the crash and recovery re-drives the
+  // commit without one, so only the record leaving the queue can retire
+  // its attempt count.
+  PlatformConfig cfg;
+  cfg.node_concurrency = 2;
+  TestWorld w(cfg, /*node_count=*/2, /*seed=*/9);
+  harness::register_workload(w.platform);
+  w.open_account(1, "acct", 0);
+  w.open_account(2, "acct", 0);
+  const AgentId first = launch_deposits(w, {1, 2});
+  const AgentId second = launch_deposits(w, {1, 2});
+  auto& coord = w.platform.node(TestWorld::n(1));
+  auto& part = w.platform.node(TestWorld::n(2));
+
+  std::uint64_t aborted = 0;
+  ASSERT_TRUE(w.sim.run_while_pending([&] {
+    for (const auto& e : w.platform.spans().of_kind(EventKind::step_abort)) {
+      if (e.node == 1) aborted = e.value;
+    }
+    return aborted != 0;
+  }));
+  EXPECT_EQ(coord.scheduler().attempts(aborted), 1u);
+  ASSERT_TRUE(w.sim.run_while_pending([&] {
+    return coord.storage().find_record(aborted) == nullptr &&
+           !coord.storage().keys_with_prefix("txdec:").empty();
+  }));
+
+  w.net.crash_node(TestWorld::n(1));
+  EXPECT_EQ(coord.scheduler().attempts(aborted), 0u);
+  EXPECT_EQ(coord.scheduler().size(), 0u);
+  w.sim.run_until(w.sim.now() + 10'000);
+  w.net.recover_node(TestWorld::n(1));
+
+  const std::vector<AgentId> ids{first, second};
+  ASSERT_TRUE(w.platform.run_until_all_finished(ids));
+  for (const auto id : ids) {
+    ASSERT_EQ(w.platform.outcome(id).state, AgentOutcome::State::done);
+  }
+  EXPECT_EQ(balance_of(w, 1), 100);
+  EXPECT_EQ(balance_of(w, 2), 100);
+  w.sim.run();
+  expect_no_volatile_tx_state(coord);
+  expect_no_volatile_tx_state(part);
 }
 
 TEST(RecoveryPlatformTest, FaultMatrixFromEnvironment) {

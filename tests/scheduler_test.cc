@@ -1,28 +1,252 @@
 // Slotted node scheduler (node_concurrency) and the expt/ parallel
 // multi-world driver.
 //
-// The exactly-once step protocol isolates concurrent queue records through
-// transactions and resource locks; these tests pin down what the slotted
-// scheduler layers on top: interleaved progress of several agents on one
-// node, lock-conflict abort/retry between slots, crash-epoch invalidation
-// of in-flight slots with a restartable queue, and determinism of
-// seed-replicated worlds run on OS threads.
+// The first tests drive agent::Scheduler alone, over a bare stable queue
+// and queue manager: admission order, slot exits, and the lifetime of a
+// record's entry (it dies with its record or its staging, and a crash
+// keeps only its attempt count). The exactly-once step protocol isolates
+// concurrent queue records through transactions and resource locks; the
+// platform tests pin down what the slotted scheduler layers on top:
+// interleaved progress of several agents on one node, lock-conflict
+// abort/retry between slots, crash-epoch invalidation of in-flight slots
+// with a restartable queue, and determinism of seed-replicated worlds run
+// on OS threads.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "agent/scheduler.h"
 #include "expt/parallel_worlds.h"
 #include "harness/agents.h"
 #include "harness/world.h"
+#include "storage/stable_storage.h"
+#include "tx/queue_manager.h"
 
 namespace mar {
 namespace {
 
 using agent::AgentOutcome;
 using agent::Itinerary;
+using agent::Scheduler;
 using harness::TestWorld;
 using harness::WorkloadAgent;
+using storage::QueueRecord;
+
+// ---------------------------------------------------------------------------
+// The scheduler table, driven without a Platform
+// ---------------------------------------------------------------------------
+
+QueueRecord record(std::uint64_t id, std::uint64_t agent) {
+  QueueRecord r;
+  r.record_id = id;
+  r.agent = AgentId(agent);
+  r.payload = {1, 2, 3};
+  return r;
+}
+
+/// One node's queue and its scheduler, nothing else.
+struct Rig {
+  explicit Rig(std::uint32_t slots) {
+    cfg.node_concurrency = slots;
+    cfg.max_compensation_attempts = 2;
+  }
+  agent::PlatformConfig cfg;
+  storage::StableStorage storage;
+  tx::QueueManager qm{storage};
+  Rng rng{1};
+  Scheduler sched{cfg, storage, qm, rng};
+
+  /// The id of the record the next claim admits (0: none).
+  std::uint64_t claim() {
+    const QueueRecord* r = sched.claim();
+    return r == nullptr ? 0 : r->record_id;
+  }
+  /// Abort the record in its slot, counting an attempt.
+  void abort(std::uint64_t id) {
+    const auto backoff = sched.abort_exit(*storage.find_record(id),
+                                          Scheduler::Attempt::counted, 0);
+    ASSERT_TRUE(backoff.has_value());
+    EXPECT_GE(*backoff, cfg.retry_backoff_us);
+    EXPECT_LE(*backoff, 2 * cfg.retry_backoff_us);
+  }
+  /// Commit a transaction that consumes the record.
+  void consume(std::uint64_t id, TxId tx) {
+    qm.stage_remove(tx, id);
+    qm.commit(tx);
+  }
+};
+
+TEST(SchedulerTableTest, FifoOfferWhileNothingAborts) {
+  Rig b(3);
+  b.storage.enqueue(record(1, 1));
+  b.storage.enqueue(record(2, 2));
+  b.storage.enqueue(record(3, 2));
+  // First record not in a slot whose agent is not in one, in queue order.
+  EXPECT_EQ(b.claim(), 1u);
+  EXPECT_EQ(b.claim(), 2u);
+  EXPECT_TRUE(b.sched.holds(1));
+  EXPECT_TRUE(b.sched.holds(2));
+  // Record 3's agent is in a slot: per-agent exclusion, a slot left free.
+  EXPECT_EQ(b.claim(), 0u);
+  EXPECT_EQ(b.sched.size(), 0u);  // nothing aborted, nothing aged
+
+  Rig one(1);
+  one.storage.enqueue(record(1, 1));
+  one.storage.enqueue(record(2, 2));
+  EXPECT_EQ(one.claim(), 1u);
+  EXPECT_EQ(one.claim(), 0u);  // the only slot is taken
+}
+
+TEST(SchedulerTableTest, AgedAdmissionUnpinsAbortedHeadWithoutStarvingIt) {
+  // A repeatedly conflict-aborted record must not pin the queue head:
+  // records behind it are admitted first, and every bypass ages the
+  // passed-over record back towards admission (bounded bypassing).
+  Rig b(3);
+  for (std::uint64_t id = 1; id <= 3; ++id) b.storage.enqueue(record(id, id));
+
+  ASSERT_EQ(b.claim(), 1u);
+  b.abort(1);  // score(1) = 1 release − 0 bypasses
+  // The aged score admits the fresher record ahead of the head, which is
+  // passed over once (score 0)...
+  EXPECT_EQ(b.claim(), 2u);
+  // ...so on a tie it is back in front, and aborts again (score 1).
+  ASSERT_EQ(b.claim(), 1u);
+  b.abort(1);
+  EXPECT_EQ(b.claim(), 3u);  // bypassed again: score 0
+  // 2 and 3 abort once each: the aged head is back in front — bounded
+  // bypassing, no starvation.
+  b.abort(2);
+  b.abort(3);
+  EXPECT_EQ(b.claim(), 1u);
+  EXPECT_EQ(b.sched.attempts(1), 2u);
+
+  // Its transaction consumes it: the entry goes with the record, and the
+  // commit exit frees the slot.
+  b.consume(1, TxId(100));
+  EXPECT_EQ(b.sched.attempts(1), 0u);
+  EXPECT_TRUE(b.sched.holds(1));
+  b.sched.commit_exit(1);
+  EXPECT_FALSE(b.sched.holds(1));
+  EXPECT_EQ(b.sched.size(), 2u);
+  EXPECT_EQ(b.claim(), 2u);  // tie between 2 and 3: FIFO
+}
+
+TEST(SchedulerTableTest, BoundedAttemptGivesUpAndKeepsTheSlot) {
+  Rig b(1);
+  b.storage.enqueue(record(1, 1));
+  ASSERT_EQ(b.claim(), 1u);
+  const QueueRecord& rec = *b.storage.find_record(1);
+  // A failed terminal commit retries without counting.
+  ASSERT_TRUE(
+      b.sched.abort_exit(rec, Scheduler::Attempt::uncounted, 0).has_value());
+  EXPECT_EQ(b.sched.attempts(1), 0u);
+  ASSERT_EQ(b.claim(), 1u);
+  ASSERT_TRUE(
+      b.sched.abort_exit(rec, Scheduler::Attempt::bounded, 0).has_value());
+  ASSERT_EQ(b.claim(), 1u);
+  // The second failed compensation reaches max_compensation_attempts.
+  EXPECT_FALSE(
+      b.sched.abort_exit(rec, Scheduler::Attempt::bounded, 0).has_value());
+  EXPECT_EQ(b.sched.attempts(1), 2u);
+  EXPECT_TRUE(b.sched.holds(1));
+}
+
+TEST(SchedulerTableTest, CrashKeepsOnlyAttemptCounts) {
+  Rig b(2);
+  b.storage.enqueue(record(1, 1));
+  b.storage.enqueue(record(2, 2));
+  b.storage.enqueue(record(3, 3));
+  ASSERT_EQ(b.claim(), 1u);
+  QueueRecord traced = *b.storage.find_record(1);
+  traced.hop_span_id = 7;
+  traced.hop_begin_us = 10;
+  ASSERT_TRUE(b.sched.abort_exit(traced, Scheduler::Attempt::counted, 40)
+                  .has_value());
+  b.sched.keep_resident(3, std::make_shared<WorkloadAgent>());
+  ASSERT_EQ(b.claim(), 2u);  // aged: record 1 is passed over
+  ASSERT_EQ(b.claim(), 1u);
+  EXPECT_EQ(b.sched.resident_agents(), 1u);
+
+  b.sched.crash();
+  // Every slot, the aging counts, the hop stash and the resident agent
+  // are gone...
+  for (const std::uint64_t id : {1, 2, 3}) EXPECT_FALSE(b.sched.holds(id));
+  EXPECT_EQ(b.sched.resident_agents(), 0u);
+  EXPECT_EQ(b.sched.take_hop(1).span_id, 0u);
+  // ...but record 1 keeps its attempt: its retry after recovery routes to
+  // the next alternative node, as it would have without the crash.
+  EXPECT_EQ(b.sched.attempts(1), 1u);
+  EXPECT_EQ(b.sched.size(), 1u);
+  const std::vector<NodeId> dests{TestWorld::n(1), TestWorld::n(2)};
+  EXPECT_EQ(dests[b.sched.attempts(1) % dests.size()], TestWorld::n(2));
+  // Recovery re-offers the queue in plain FIFO order.
+  EXPECT_EQ(b.claim(), 1u);
+  EXPECT_EQ(b.claim(), 2u);
+  // An abort after recovery stashes its hop span again for the re-claim.
+  traced.hop_span_id = 8;
+  ASSERT_TRUE(b.sched.abort_exit(traced, Scheduler::Attempt::counted, 50)
+                  .has_value());
+  EXPECT_EQ(b.sched.take_hop(1).span_id, 8u);
+}
+
+TEST(SchedulerTableTest, AnEntryDiesWithItsRecordOrItsStaging) {
+  Rig b(1);
+  b.storage.enqueue(record(1, 1));
+  ASSERT_EQ(b.claim(), 1u);
+  QueueRecord traced = *b.storage.find_record(1);
+  traced.hop_span_id = 7;
+  ASSERT_TRUE(b.sched.abort_exit(traced, Scheduler::Attempt::counted, 40)
+                  .has_value());
+  ASSERT_EQ(b.claim(), 1u);
+  const auto stash = b.sched.take_hop(1);  // the re-claim resumes the span
+  EXPECT_EQ(stash.span_id, 7u);
+  EXPECT_EQ(stash.lock_wait_since, 40u);
+  EXPECT_EQ(b.sched.take_hop(1).span_id, 0u);  // taken once
+
+  // The successor staged by the consuming transaction gets a resident
+  // agent; the transaction aborts, so the staging and its entry go.
+  const TxId first(1);
+  b.qm.stage_remove(first, 1);
+  b.qm.stage_enqueue(first, record(2, 1));
+  b.sched.keep_resident(2, std::make_shared<WorkloadAgent>());
+  b.qm.abort(first);
+  EXPECT_EQ(b.sched.resident_agents(), 0u);
+  EXPECT_EQ(b.sched.size(), 1u);  // record 1's attempt
+
+  // A transfer staged here that duplicates a queued record leaves that
+  // record's entry alone when it aborts.
+  const TxId dup(2);
+  b.qm.stage_transfer(dup, record(1, 1));
+  b.qm.abort(dup);
+  EXPECT_EQ(b.sched.attempts(1), 1u);
+  // A transfer delivered again after its record was consumed commits as
+  // a duplicate: the entry its handoff made goes with it.
+  b.storage.enqueue(record(9, 9));
+  b.consume(9, TxId(5));
+  b.qm.stage_transfer(TxId(6), record(9, 9));
+  b.sched.keep_resident(9, std::make_shared<WorkloadAgent>());
+  b.qm.commit(TxId(6));
+  EXPECT_EQ(b.storage.find_record(9), nullptr);
+  EXPECT_EQ(b.sched.resident_agents(), 0u);
+
+  // The next attempt commits: the record leaves the queue, and with it
+  // the entry, before the commit exit runs.
+  const TxId second(3);
+  b.qm.stage_remove(second, 1);
+  b.qm.stage_enqueue(second, record(3, 1));
+  b.sched.keep_resident(3, std::make_shared<WorkloadAgent>());
+  b.qm.commit(second);
+  EXPECT_EQ(b.sched.attempts(1), 0u);
+  b.sched.commit_exit(1);
+  EXPECT_NE(b.sched.take_resident(3), nullptr);
+  // An entry with nothing left in it lives until its record goes.
+  EXPECT_EQ(b.sched.size(), 1u);
+  ASSERT_EQ(b.claim(), 3u);
+  b.consume(3, TxId(4));
+  b.sched.commit_exit(3);
+  EXPECT_EQ(b.sched.size(), 0u);
+}
 
 std::unique_ptr<WorkloadAgent> fleet_agent(const std::string& step,
                                            int steps) {

@@ -105,7 +105,7 @@ RunOutcome run_ping_pong(PlatformConfig cfg, int age, int hops,
   for (const int n : {1, 2}) {
     auto& node = w.platform.node(TestWorld::n(n));
     out.resident_hits += resident_hits(node);
-    out.resident_left += node.resident_agents();
+    out.resident_left += node.scheduler().resident_agents();
     out.delta_ships += node.shipments().stats().delta_ships;
     out.delta_fallbacks += node.shipments().stats().delta_fallbacks;
     out.cached_base_bytes += node.shipments().cached_base_bytes();
@@ -394,7 +394,7 @@ class HandDrivenSender {
   }
 
   [[nodiscard]] std::size_t handoffs() {
-    return w.platform.node(kReceiver).resident_agents();
+    return w.platform.node(kReceiver).scheduler().resident_agents();
   }
 
   static inline const NodeId kPeer = TestWorld::n(3);
@@ -739,12 +739,13 @@ ProbeRun run_probe(bool delta, Inject inject) {
   if (inject == Inject::crash_before_execution) {
     // Crash N2 the moment a delta staging hands it an agent, before the
     // staged record can commit and execute.
-    while (n2.resident_agents() == 0 && w.sim.step()) {
+    while (n2.scheduler().resident_agents() == 0 && w.sim.step()) {
     }
-    EXPECT_EQ(n2.resident_agents(), 1u);
+    EXPECT_EQ(n2.scheduler().resident_agents(), 1u);
     w.faults.crash_at(TestWorld::n(2), w.sim.now(), 5'000);
     w.sim.run_until(w.sim.now());
-    EXPECT_EQ(n2.resident_agents(), 0u);  // volatile: gone with the crash
+    // Volatile: gone with the crash.
+    EXPECT_EQ(n2.scheduler().resident_agents(), 0u);
   }
   ProbeRun out;
   out.done = w.platform.run_until_finished(id.value()) &&
@@ -761,7 +762,8 @@ ProbeRun run_probe(bool delta, Inject inject) {
   out.n1_delta_ships =
       w.platform.node(TestWorld::n(1)).shipments().stats().delta_ships;
   for (const int n : {1, 2}) {
-    out.resident_left += w.platform.node(TestWorld::n(n)).resident_agents();
+    out.resident_left +=
+        w.platform.node(TestWorld::n(n)).scheduler().resident_agents();
   }
   g_probe = nullptr;
   return out;

@@ -52,10 +52,10 @@ TEST(StableStorageTest, QueueFifoAndRemove) {
   StableStorage s;
   s.enqueue(record(1));
   s.enqueue(record(2));
-  ASSERT_NE(s.front(), nullptr);
-  EXPECT_EQ(s.front()->record_id, 1u);
+  ASSERT_FALSE(s.queue_empty());
+  EXPECT_EQ(s.queue().front().record_id, 1u);
   EXPECT_TRUE(s.remove(1));
-  EXPECT_EQ(s.front()->record_id, 2u);
+  EXPECT_EQ(s.queue().front().record_id, 2u);
   EXPECT_FALSE(s.remove(1));
 }
 
@@ -154,61 +154,6 @@ TEST(StableStorageTest, ForEachWithPrefixVisitsInOrder) {
   EXPECT_EQ(seen[1], "a:2=2");
 }
 
-TEST(QueueManagerTest, FifoOfferWhileNothingAborts) {
-  StableStorage s;
-  tx::QueueManager qm(s);
-  s.enqueue(record(1, 1));
-  s.enqueue(record(2, 2));
-  std::unordered_set<AgentId> busy;
-  // Classic behaviour: first unclaimed, non-busy record in queue order.
-  ASSERT_NE(qm.next_eligible(busy), nullptr);
-  EXPECT_EQ(qm.next_eligible(busy)->record_id, 1u);
-  ASSERT_TRUE(qm.claim(1));
-  EXPECT_EQ(qm.next_eligible(busy)->record_id, 2u);
-  busy.insert(AgentId(2));
-  EXPECT_EQ(qm.next_eligible(busy), nullptr);
-}
-
-TEST(QueueManagerTest, AgedAdmissionUnpinsAbortedHeadWithoutStarvingIt) {
-  // A repeatedly conflict-aborted record must not pin the queue head:
-  // records behind it are admitted first, and every bypass ages the
-  // passed-over record back towards admission (bounded bypassing).
-  StableStorage s;
-  tx::QueueManager qm(s);
-  s.enqueue(record(1, 1));
-  s.enqueue(record(2, 2));
-  s.enqueue(record(3, 3));
-  std::unordered_set<AgentId> busy;
-
-  // Record 1 is claimed and aborted twice (released while still queued).
-  ASSERT_EQ(qm.next_eligible(busy)->record_id, 1u);
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(qm.claim(1));
-    qm.release(1);
-  }
-  // The aged score now admits the fresher records ahead of the head...
-  EXPECT_EQ(qm.next_eligible(busy)->record_id, 2u);
-  ASSERT_TRUE(qm.claim(2));
-  EXPECT_EQ(qm.next_eligible(busy)->record_id, 3u);
-  ASSERT_TRUE(qm.claim(3));
-  // ...and with everything else claimed, the aborted head is re-offered.
-  EXPECT_EQ(qm.next_eligible(busy)->record_id, 1u);
-  qm.release(2);
-  qm.release(3);
-  // Each bypass aged record 1 (2 releases − 2 bypasses = 0), while 2 and
-  // 3 were each released once: the aged head is back in front — bounded
-  // bypassing, no starvation.
-  EXPECT_EQ(qm.next_eligible(busy)->record_id, 1u);
-
-  // Terminal release (after the record was consumed) must not count.
-  const TxId tx(100);
-  qm.stage_remove(tx, 1);
-  EXPECT_TRUE(qm.prepare(tx));
-  qm.commit(tx);
-  qm.release(1);  // release_slot on the commit path: record already gone
-  EXPECT_EQ(qm.next_eligible(busy)->record_id, 2u);
-}
-
 TEST(QueueManagerTest, CommitAppliesStagedOps) {
   StableStorage s;
   tx::QueueManager qm(s);
@@ -218,11 +163,11 @@ TEST(QueueManagerTest, CommitAppliesStagedOps) {
   qm.stage_enqueue(tx, record(2));
   EXPECT_TRUE(qm.has_tx(tx));
   // Nothing applied until commit.
-  EXPECT_EQ(s.front()->record_id, 1u);
+  EXPECT_EQ(s.queue().front().record_id, 1u);
   EXPECT_TRUE(qm.prepare(tx));
   qm.commit(tx);
-  ASSERT_NE(s.front(), nullptr);
-  EXPECT_EQ(s.front()->record_id, 2u);
+  ASSERT_FALSE(s.queue_empty());
+  EXPECT_EQ(s.queue().front().record_id, 2u);
   EXPECT_FALSE(qm.has_tx(tx));
 }
 
@@ -233,7 +178,7 @@ TEST(QueueManagerTest, AbortDiscardsStagedOps) {
   const TxId tx(100);
   qm.stage_remove(tx, 1);
   qm.abort(tx);
-  EXPECT_EQ(s.front()->record_id, 1u);
+  EXPECT_EQ(s.queue().front().record_id, 1u);
 }
 
 TEST(QueueManagerTest, PreparedStateSurvivesCrash) {
@@ -248,8 +193,8 @@ TEST(QueueManagerTest, PreparedStateSurvivesCrash) {
   EXPECT_TRUE(qm.has_tx(prepared_tx));
   EXPECT_FALSE(qm.has_tx(volatile_tx));
   qm.commit(prepared_tx);
-  ASSERT_NE(s.front(), nullptr);
-  EXPECT_EQ(s.front()->record_id, 10u);
+  ASSERT_FALSE(s.queue_empty());
+  EXPECT_EQ(s.queue().front().record_id, 10u);
 }
 
 TEST(QueueManagerTest, RecordOpsGroupCommitWithQueueOps) {
@@ -267,7 +212,7 @@ TEST(QueueManagerTest, RecordOpsGroupCommitWithQueueOps) {
   qm.commit(tx);
   ASSERT_EQ(s.record_segment_count("agentimg:1"), 2u);
   EXPECT_EQ((*s.record_segments("agentimg:1"))[1], (serial::Bytes{3}));
-  EXPECT_EQ(s.front()->record_id, 2u);
+  EXPECT_EQ(s.queue().front().record_id, 2u);
 }
 
 TEST(QueueManagerTest, AbortDiscardsRecordOps) {

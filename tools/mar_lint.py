@@ -86,6 +86,14 @@ Rules (each with a stable id used in messages and suppressions):
                         take the entry by const&; a by-value copy costs
                         the method string and, beyond two nodes, a heap
                         block on every step.
+  R13 one-slot-exit     Under src/, a record's attempt counter is
+                        incremented (`++…attempts`, `attempts… += / ++`)
+                        and a `retry_backoff_us` field is read (`.` or
+                        `->` access) only inside Scheduler::abort_exit in
+                        src/agent/scheduler.cc: the one abort exit of an
+                        execution slot. A second copy is a second retry
+                        tail, free to drift from the first in what it
+                        counts, frees or stashes.
 
 Usage:
   tools/mar_lint.py [--root REPO] [FILES...]   lint src/ (or FILES)
@@ -410,6 +418,34 @@ def check_no_step_copy(relpath, path, lines, findings):
                                     "the entry by const&"))
 
 
+# --- R13: one slot exit ----------------------------------------------------
+
+SCHEDULER = "src/agent/scheduler.cc"
+ABORT_EXIT_DEF_RE = re.compile(r"\bScheduler::abort_exit\s*\([^;{]*\)\s*\{")
+SLOT_EXIT_RES = (
+    ("attempt counter increment",
+     re.compile(r"\+\+\s*(?:\w+(?:\[[^\]]*\])?\s*(?:\.|->)\s*)*"
+                r"attempts_?\b|\battempts_?\s*(?:\[[^\]]*\])?\s*"
+                r"(?:\+\+|\+=)")),
+    ("retry backoff read", re.compile(r"(?:\.|->)\s*retry_backoff_us\b")),
+)
+
+
+def check_one_slot_exit(relpath, path, lines, findings):
+    text = "\n".join(strip_noise(line) for line in lines)
+    allowed = (function_bodies(text, ABORT_EXIT_DEF_RE)
+               if relpath == SCHEDULER else [])
+    for what, pattern in SLOT_EXIT_RES:
+        for m in pattern.finditer(text):
+            if any(begin <= m.start() < end for begin, end in allowed):
+                continue
+            line = text.count("\n", 0, m.start()) + 1
+            findings.append(Finding(path, line, "R13",
+                                    f"{what} outside Scheduler::abort_exit "
+                                    f"({SCHEDULER}): a slot's record is "
+                                    "retried through the one abort exit"))
+
+
 # --- R8: RelaxedCounter fields registered with the metrics registry --------
 
 COUNTER_FIELD_RE = re.compile(r"\bRelaxedCounter\s+(\w+)\s*;")
@@ -526,6 +562,7 @@ def run_lint(root, explicit_files=None):
         check_one_rollback_exit(relpath, relpath, lines, findings)
         check_one_agent_copy(relpath, relpath, lines, findings)
         check_no_step_copy(relpath, relpath, lines, findings)
+        check_one_slot_exit(relpath, relpath, lines, findings)
     if not explicit_files:
         check_event_registered(root, findings)
         check_stat_registered(root, findings)
@@ -619,6 +656,15 @@ void mar::agent::Rogue::run(const std::shared_ptr<Agent>& agent) {
   const StepEntry step = current_step(*agent);
   auto again = agent->itinerary().step_at(agent->position());
   agent->run_step(step.method, again.method);
+}
+""",
+    "src/agent/rogue_retry.cc": """
+void mar::agent::Rogue::retry(const QueueRecord& rec) {
+  // A second abort tail beside the scheduler's.
+  ++attempts_[rec.record_id];
+  const auto backoff = p_.config().retry_backoff_us +
+                       p_.rng().next_below(p_.config().retry_backoff_us + 1);
+  after(backoff, [this] { pump(); });
 }
 """,
     "src/net/rogue_stats.h": """
@@ -726,6 +772,19 @@ Itinerary& Itinerary::step(std::string method, NodeId node) {
   return *this;
 }
 """,
+    "src/agent/scheduler.cc": """
+std::optional<sim::TimeUs> Scheduler::abort_exit(
+    const storage::QueueRecord& rec, Attempt attempt, std::uint64_t now) {
+  Entry& e = table_[rec.record_id];
+  if (attempt != Attempt::uncounted) ++e.attempts;
+  return config_.retry_backoff_us +
+         rng_.next_below(config_.retry_backoff_us + 1);
+}
+std::uint32_t Scheduler::attempts(std::uint64_t record_id) const {
+  const auto max = config_.max_compensation_attempts;  // not the counter
+  return table_.at(record_id).attempts + max;
+}
+""",
     "src/net/good_stats.h": """
 #include "util/counters.h"
 namespace mar::net {
@@ -760,7 +819,7 @@ def self_test():
         findings = run_lint(root)
         fired = {f.rule for f in findings}
         expected = {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
-                    "R9", "R10", "R11", "R12"}
+                    "R9", "R10", "R11", "R12", "R13"}
         ok = True
         for rule in sorted(expected):
             status = "fires" if rule in fired else "MISSED"
@@ -777,7 +836,8 @@ def self_test():
                      if "good" in str(f.path) or
                      str(f.path).endswith(("rollback_driver.cc",
                                            "agent/agent.cc",
-                                           "itinerary.cc"))]
+                                           "itinerary.cc",
+                                           "agent/scheduler.cc"))]
         for f in false_pos:
             print(f"self-test: FALSE POSITIVE {f}")
         ok &= not false_pos
